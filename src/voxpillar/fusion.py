@@ -41,32 +41,26 @@ class VoxelPillarCorrespondence:
 
 
 def build_correspondence(voxels: SparseTensor3D, pillars: SparseTensor2D) -> VoxelPillarCorrespondence:
-    """Merge the two lex-sorted coordinate streams into the index matrix.
+    """Split the lex-sorted voxels into BEV column runs, one per pillar.
 
     Linear in the number of sites; any BEV coordinate present in one branch
-    but not the other raises ConsistencyViolation.
+    but not the other raises ConsistencyViolation naming the first one.
     """
     vc = voxels.coords
     pc = pillars.coords
-    n_v, n_p = vc.shape[0], pc.shape[0]
-    if n_v < n_p:
-        raise ConsistencyViolation(f"fewer voxels ({n_v}) than pillars ({n_p})")
-    starts = np.empty(n_p + 1, dtype=np.int64)
-    v2p = np.empty(n_v, dtype=np.int64)
-    i = 0
-    for j in range(n_p):
-        starts[j] = i
-        lj, wj = pc[j]
-        if i >= n_v or vc[i, 0] != lj or vc[i, 1] != wj:
-            raise ConsistencyViolation(f"pillar ({lj}, {wj}) has no matching voxel run")
-        while i < n_v and vc[i, 0] == lj and vc[i, 1] == wj:
-            v2p[i] = j
-            i += 1
-    starts[n_p] = i
-    if i != n_v:
-        raise ConsistencyViolation(
-            f"voxel at BEV ({vc[i, 0]}, {vc[i, 1]}) has no matching pillar")
-    return VoxelPillarCorrespondence(pillar_start=starts, voxel_to_pillar=v2p)
+    new_col = np.ones(vc.shape[0], dtype=bool)
+    new_col[1:] = (vc[1:, :2] != vc[:-1, :2]).any(axis=1)
+    cols = vc[new_col, :2]
+    if not np.array_equal(cols, pc):
+        m = min(len(cols), len(pc))
+        diff = np.flatnonzero((cols[:m] != pc[:m]).any(axis=1))
+        i = int(diff[0]) if diff.size else m
+        if i < len(cols) and (i == len(pc) or tuple(cols[i]) < tuple(pc[i])):
+            raise ConsistencyViolation(
+                f"voxel at BEV ({cols[i, 0]}, {cols[i, 1]}) has no matching pillar")
+        raise ConsistencyViolation(f"pillar ({pc[i, 0]}, {pc[i, 1]}) has no matching voxel run")
+    starts = np.append(np.flatnonzero(new_col), vc.shape[0])
+    return VoxelPillarCorrespondence(pillar_start=starts, voxel_to_pillar=np.cumsum(new_col) - 1)
 
 
 def sparse_pool(voxels: SparseTensor3D, corr: VoxelPillarCorrespondence) -> np.ndarray:

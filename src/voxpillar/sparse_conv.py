@@ -2,7 +2,9 @@
 
 A kernel map enumerates every (input site, output site, kernel offset)
 triple; the convolution then reduces to one small matmul per kernel offset
-plus an index-ordered scatter-add, which keeps results bitwise reproducible.
+plus a scatter-add. No output index repeats within one offset, so the
+scatter is a plain indexed add, and adding offsets in a fixed order keeps
+results bitwise reproducible.
 """
 from __future__ import annotations
 
@@ -107,7 +109,10 @@ class KernelMap:
     """(input, output, offset) triples plus the active output coordinates.
 
     Triples are sorted by (offset, output, input) and are duplicate free;
-    `out_coords` is unique and lex sorted.
+    `out_coords` is unique and lex sorted. Within one offset segment every
+    output index appears at most once (submanifold: one source per output
+    per offset; regular: o = (c + padding - k) / stride is injective in c),
+    which is what makes the indexed scatter in `sparse_conv` exact.
     """
 
     triples: np.ndarray  # (T, 3) int64 columns in_idx, out_idx, offset_idx
@@ -151,6 +156,13 @@ def build_kernel_map(coords_in: np.ndarray, spec: ConvSpec, in_extents) -> Kerne
     c + padding - k = o * stride with o inside the output extents.
     Submanifold mode: output coordinates equal input coordinates and inputs
     are gathered from the kernel window centered at each output.
+
+    `coords_in` must be unique and lex sorted, as `SparseTensor` coordinates
+    are. Triples then come out in (offset, output, input) order without a
+    sort: submanifold outputs are enumerated in ascending order with one
+    input each, and for a fixed offset the regular map c -> (c + p - k) / s
+    is strictly monotone per axis, so lex-sorted inputs give lex-sorted
+    outputs.
     """
     coords_in = np.asarray(coords_in, dtype=np.int64)
     in_extents = tuple(int(e) for e in in_extents)
@@ -176,8 +188,7 @@ def build_kernel_map(coords_in: np.ndarray, spec: ConvSpec, in_extents) -> Kerne
             tri[:, 0] = src_idx[hit]
             tri[:, 1] = out_idx
             tri[:, 2] = k_idx
-            order = np.lexsort((tri[:, 0], tri[:, 1]))
-            parts.append(tri[order])
+            parts.append(tri)
         triples = np.concatenate(parts, axis=0) if parts else np.empty((0, 3), dtype=np.int64)
         return KernelMap(triples, coords_in.copy(), in_extents, offsets.shape[0])
 
@@ -203,27 +214,18 @@ def build_kernel_map(coords_in: np.ndarray, spec: ConvSpec, in_extents) -> Kerne
     k_col = np.concatenate(cand_k)
     out_key = pack_coords(out_xy, out_extents)
     uniq_keys, out_idx = np.unique(out_key, return_inverse=True)
-    out_coords = _unpack_coords(uniq_keys, out_extents)
-    order = np.lexsort((in_idx, out_idx, k_col))
-    triples = np.stack([in_idx[order], out_idx[order], k_col[order]], axis=1)
+    out_coords = np.stack(np.unravel_index(uniq_keys, out_extents), axis=1).astype(np.int64)
+    triples = np.stack([in_idx, out_idx, k_col], axis=1)
     return KernelMap(triples, out_coords, out_extents, offsets.shape[0])
-
-
-def _unpack_coords(keys: np.ndarray, extents) -> np.ndarray:
-    out = np.empty((keys.size, len(extents)), dtype=np.int64)
-    rem = keys.copy()
-    for axis in range(len(extents) - 1, 0, -1):
-        out[:, axis] = rem % int(extents[axis])
-        rem //= int(extents[axis])
-    out[:, 0] = rem
-    return out
 
 
 def sparse_conv(x, spec: ConvSpec, weights: ConvWeights, kmap: KernelMap):
     """Apply one sparse convolution through a prebuilt kernel map.
 
-    out[o] = bias + sum over triples (i, o, k) of kernel[k].T @ x[i], with
-    the scatter-add walked in the map's sorted triple order.
+    out[o] = bias + sum over triples (i, o, k) of kernel[k].T @ x[i]. Offsets
+    are added in ascending order and no output repeats within one, so a plain
+    indexed add is exact and every output row sees the same additions on
+    every run.
     """
     weights.check(spec)
     if x.features.shape[1] != spec.in_channels:
@@ -239,7 +241,7 @@ def sparse_conv(x, spec: ConvSpec, weights: ConvWeights, kmap: KernelMap):
             if lo == hi:
                 continue
             contrib = x.features[tri[lo:hi, 0]] @ weights.kernel[k_idx]
-            np.add.at(out, tri[lo:hi, 1], contrib)
+            out[tri[lo:hi, 1]] += contrib
     if spec.stride[0] != spec.stride[1]:
         raise SpecMismatch("X-Y strides must match to track the tensor stride")
     new_stride = x.stride * spec.stride[0]

@@ -74,6 +74,26 @@ def test_correspondence_rejects_inconsistent():
     v, p = make_pair([[0, 0, 0]], np.zeros((1, 1)), [[0, 0], [1, 1]], np.zeros((2, 1)))
     with pytest.raises(ConsistencyViolation):
         build_correspondence(v, p)
+    # Equal column and pillar counts, different coordinates: the error names
+    # the first BEV coordinate that disagrees, from whichever side holds it.
+    v, p = make_pair([[0, 0, 0], [2, 2, 0]], np.zeros((2, 1)), [[0, 0], [1, 1]], np.zeros((2, 1)))
+    with pytest.raises(ConsistencyViolation, match=r"pillar \(1, 1\)"):
+        build_correspondence(v, p)
+    v, p = make_pair([[0, 0, 0], [0, 0, 1], [1, 0, 0]], np.zeros((3, 1)),
+                     [[0, 0], [2, 2]], np.zeros((2, 1)))
+    with pytest.raises(ConsistencyViolation, match=r"voxel at BEV \(1, 0\)"):
+        build_correspondence(v, p)
+
+
+def test_correspondence_accepts_empty_and_single_site():
+    v, p = make_pair(np.empty((0, 3)), np.empty((0, 1)), np.empty((0, 2)), np.empty((0, 1)))
+    corr = build_correspondence(v, p)
+    assert corr.num_pillars == 0 and corr.num_voxels == 0
+    np.testing.assert_array_equal(corr.pillar_start, [0])
+    v, p = make_pair([[3, 1, 2]], np.zeros((1, 1)), [[3, 1]], np.zeros((1, 1)))
+    corr = build_correspondence(v, p)
+    np.testing.assert_array_equal(corr.pillar_start, [0, 1])
+    np.testing.assert_array_equal(corr.voxel_to_pillar, [0])
 
 
 def test_pool_singleton_and_pairs():

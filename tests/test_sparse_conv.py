@@ -170,6 +170,34 @@ def test_triples_sorted_and_unique():
         assert (np.diff(packed) > 0).all()
 
 
+@pytest.mark.parametrize("spec, extents", [
+    (ConvSpec.submanifold(2, 3, 3, 4), (12, 11)),
+    (ConvSpec.submanifold(3, 3, 3, 4), (8, 7, 6)),
+    (ConvSpec.regular(2, 3, 2, 1, 3, 4), (13, 12)),
+    (ConvSpec.regular(3, 3, (2, 2, 1), 1, 3, 4), (9, 8, 7)),
+    (ConvSpec.regular(3, 2, 2, 0, 3, 4), (9, 8, 6)),
+], ids=["subm2d", "subm3d", "regular2d", "regular3d-xy", "regular3d-k2"])
+def test_scatter_exact_against_add_at(spec, extents):
+    rng = np.random.default_rng(30)
+    for density in (0.05, 0.3, 1.0):
+        x = random_sparse(rng, extents, density, spec.in_channels, spec.ndim)
+        kmap = build_kernel_map(x.coords, spec, extents)
+        tri = kmap.triples
+        # The invariant the indexed scatter relies on: no output index repeats
+        # within one offset segment.
+        out_per_offset = tri[:, 2] * kmap.out_coords.shape[0] + tri[:, 1]
+        assert np.unique(out_per_offset).size == out_per_offset.size
+        w = random_conv_weights(rng, spec, bias=True)
+        expected = np.zeros((kmap.out_coords.shape[0], spec.out_channels))
+        expected += w.bias
+        for k_idx in range(kmap.num_offsets):
+            seg = tri[tri[:, 2] == k_idx]
+            if seg.size:
+                np.add.at(expected, seg[:, 1], x.features[seg[:, 0]] @ w.kernel[k_idx])
+        out = sparse_conv(x, spec, w, kmap)
+        assert out.features.tobytes() == expected.tobytes()
+
+
 def test_conv_shape_mismatch():
     rng = np.random.default_rng(28)
     x = random_sparse(rng, (8, 8), 0.2, 3, 2)
