@@ -2,7 +2,7 @@
 
 from .errors import (ConsistencyViolation, DegenerateBox, EmptyGrid, FormatError,
                      OutOfRange, ShapeMismatch, SpecMismatch, VoxPillarError)
-from .geometry import Box3D, iou3d
+from .geometry import Box3D, iou3d, iou3d_matrix
 from .grid import (GridSpec, PointEncoderWeights, SparseTensor2D, SparseTensor3D,
                    assign_voxel_indices, build_pillar_features, build_voxel_features)
 from .losses import (LossWeights, diou_loss, encode_iou_target, focal_loss,
@@ -13,7 +13,7 @@ __all__ = [
     "GridSpec", "LossWeights", "OutOfRange", "PointEncoderWeights", "ShapeMismatch",
     "SparseTensor2D", "SparseTensor3D", "SpecMismatch", "VoxPillarError",
     "assign_voxel_indices", "build_pillar_features", "build_voxel_features",
-    "diou_loss", "encode_iou_target", "focal_loss", "iou3d", "overall_loss",
+    "diou_loss", "encode_iou_target", "focal_loss", "iou3d", "iou3d_matrix", "overall_loss",
     "rectify_score",
 ]
 

@@ -21,6 +21,16 @@ from .reference import monte_carlo_iou
 from .selftest import run_selftest
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="voxpillar",
                                      description="Sparse voxel-pillar encoding engine")
@@ -51,9 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("iou-check", help="validate clipped IoU against Monte-Carlo sampling")
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=1_000_000)
+    p.add_argument("--samples", type=_positive_int, default=1_000_000)
 
     sub.add_parser("selftest", help="run all oracle suites")
     return parser

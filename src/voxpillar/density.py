@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box3D, iou3d
+from .geometry import Box3D, iou3d_matrix
 
 NUM_BINS = 10
 
@@ -68,16 +68,12 @@ def greedy_match(gt_boxes, pred_boxes, threshold: float) -> list[int | None]:
     Each prediction is used at most once; only pairs with IoU >= threshold
     match. Ties break on the lower (gt, pred) index pair.
     """
-    pairs = []
-    for gi, g in enumerate(gt_boxes):
-        for pi, p in enumerate(pred_boxes):
-            iou = iou3d(g, p)
-            if iou >= threshold:
-                pairs.append((-iou, gi, pi))
-    pairs.sort()
+    iou = iou3d_matrix(gt_boxes, pred_boxes)
+    gis, pis = np.nonzero(iou >= threshold)
     matched = [None] * len(gt_boxes)
     used_pred = set()
-    for _, gi, pi in pairs:
+    for k in np.lexsort((pis, gis, -iou[gis, pis])):  # (-iou, gi, pi) ascending
+        gi, pi = int(gis[k]), int(pis[k])
         if matched[gi] is None and pi not in used_pred:
             matched[gi] = pi
             used_pred.add(pi)

@@ -121,16 +121,25 @@ def load_boxes(path) -> list[dict]:
         raw = entry.get("box", entry)
         try:
             box = Box3D.from_json(raw)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: entry {i} is not a valid box: {exc}") from exc
-        points = entry.get("points")
+        try:
+            box_id = int(entry.get("id", i))
+            points = entry.get("points")
+            points = np.asarray([] if points is None else points, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: entry {i} has a bad id or points: {exc}") from exc
+        if points.size == 0:
+            points = points.reshape(0, 4)
+        if points.ndim != 2 or points.shape[1] != 4:
+            raise FormatError(f"{path}: entry {i} points must be rows of 4 numbers "
+                              f"(x, y, z, intensity), got shape {points.shape}")
         out.append({
             "box": box,
             "class": entry.get("class", "Vehicle"),
-            "id": int(entry.get("id", i)),
+            "id": box_id,
             "score": entry.get("score"),
-            "points": np.asarray(points, dtype=np.float64).reshape(-1, 4)
-            if points is not None else np.empty((0, 4)),
+            "points": points,
         })
     return out
 

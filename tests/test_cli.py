@@ -168,3 +168,36 @@ def test_selftest_command(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert out.count(": ok") == 8 and "FAIL" not in out
+
+
+@pytest.mark.parametrize("entry", [
+    {"center": ["a", 0, 0], "dims": [1, 1, 1], "heading": 0.0},
+    {"box": {"center": [0, 0, 0], "dims": [1, 1, 1], "heading": 0.0}, "points": [[0, 0, 0]]},
+    {"box": {"center": [0, 0, 0], "dims": [1, 1, 1], "heading": 0.0},
+     "points": [[0, 0, 0, 0], [0, 0]]},
+    {"box": {"center": [0, 0, 0], "dims": [1, 1, 1], "heading": 0.0}, "points": [["x"] * 4]},
+    {"center": [0, 0, 0], "dims": [1, 1, 1], "heading": 0.0, "id": "seven"},
+])
+def test_malformed_boxes_exit_1_without_traceback(workspace, tmp_path, capsys, entry):
+    _, _, cloud = workspace
+    boxes = tmp_path / "boxes.json"
+    boxes.write_text(json.dumps([{"center": [0, 0, 0], "dims": [1, 1, 1], "heading": 0.0},
+                                 entry]))
+    for argv in (["density", cloud, str(boxes)],
+                 ["recall", str(boxes), str(boxes), "--threshold", "0.5"]):
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "entry 1" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--trials"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_iou_check_rejects_non_positive_counts(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["iou-check", flag, value])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err

@@ -5,7 +5,9 @@ import pytest
 
 from voxpillar.errors import DegenerateBox
 from voxpillar.geometry import (Box3D, bev_corners, clip_polygon, corners_3d,
-                                enclosing_aabb, iou3d, point_in_box, polygon_area)
+                                enclosing_aabb, iou3d, iou3d_matrix, point_in_box,
+                                polygon_area)
+from voxpillar.losses import diou_loss
 from voxpillar.reference import monte_carlo_iou
 
 
@@ -47,6 +49,30 @@ def test_clip_identical_polygons_is_exact():
 def test_iou_identical_is_exactly_one():
     b = Box3D(center=(0.3, -0.2, 0.9), dims=(1.3, 2.2, 0.7), heading=1.1)
     assert iou3d(b, b) == 1.0
+
+
+def test_iou_identical_is_exactly_one_over_random_boxes():
+    rng = np.random.default_rng(54)
+    for trial in range(1000):
+        b = Box3D(center=tuple(rng.uniform(-50, 50, size=3)),
+                  dims=tuple(rng.uniform(0.2, 5.0, size=3)), heading=rng.uniform(-4, 4))
+        assert iou3d(b, b) == 1.0
+        assert diou_loss(b, b) == 0.0
+    # crowded, so the batch also clips 8-vertex polygons: padding must not
+    # change the order the self-intersection area is summed in
+    crowded = [Box3D(center=tuple(rng.uniform(-1, 1, size=3)),
+                     dims=tuple(rng.uniform(0.5, 3.0, size=3)), heading=rng.uniform(-4, 4))
+               for _ in range(200)]
+    np.testing.assert_array_equal(np.diag(iou3d_matrix(crowded, crowded)), np.ones(200))
+
+
+def test_iou_matrix_shapes_and_empty_lists():
+    a = [Box3D(center=(0, 0, 0), dims=(1, 1, 1), heading=0.0),
+         Box3D(center=(0.5, 0, 0), dims=(1, 1, 1), heading=0.0)]
+    assert iou3d_matrix([], a).shape == (0, 2)
+    assert iou3d_matrix(a, []).shape == (2, 0)
+    m = iou3d_matrix(a, a[:1])
+    assert m.shape == (2, 1) and m[0, 0] == 1.0 and abs(m[1, 0] - 1.0 / 3.0) <= 1e-9
 
 
 def test_iou_disjoint_is_zero():
