@@ -1,17 +1,18 @@
 """Sparse voxel-pillar point cloud encoder with dual-branch fusion."""
 
 from .errors import (ConsistencyViolation, DegenerateBox, EmptyGrid, FormatError,
-                     OutOfRange, ShapeMismatch, SpecMismatch, VoxPillarError)
+                     InvalidTensor, OutOfRange, ShapeMismatch, SpecMismatch, VoxPillarError)
 from .geometry import Box3D, iou3d, iou3d_matrix
-from .grid import (GridSpec, PointEncoderWeights, SparseTensor2D, SparseTensor3D,
+from .grid import (GridSpec, PointEncoderWeights, SparseTensor, SparseTensor2D, SparseTensor3D,
                    assign_voxel_indices, build_pillar_features, build_voxel_features)
 from .losses import (LossWeights, diou_loss, encode_iou_target, focal_loss,
                      overall_loss, rectify_score)
 
 __all__ = [
     "Box3D", "ConsistencyViolation", "DegenerateBox", "EmptyGrid", "FormatError",
-    "GridSpec", "LossWeights", "OutOfRange", "PointEncoderWeights", "ShapeMismatch",
-    "SparseTensor2D", "SparseTensor3D", "SpecMismatch", "VoxPillarError",
+    "GridSpec", "InvalidTensor", "LossWeights", "OutOfRange", "PointEncoderWeights",
+    "ShapeMismatch", "SparseTensor", "SparseTensor2D", "SparseTensor3D", "SpecMismatch",
+    "VoxPillarError",
     "assign_voxel_indices", "build_pillar_features", "build_voxel_features",
     "diou_loss", "encode_iou_target", "focal_loss", "iou3d", "iou3d_matrix", "overall_loss",
     "rectify_score",

@@ -14,13 +14,12 @@ import numpy as np
 
 from .errors import ShapeMismatch
 from .fusion import build_correspondence, sparse_fusion_layer
-from .grid import (GridSpec, PointEncoderWeights, SparseTensor2D, SparseTensor3D,
-                   build_pillar_features, build_voxel_features, pack_coords)
-from .sparse_conv import (ConvSpec, ConvWeights, build_kernel_map, paired_downsample,
+from .grid import (GridSpec, PointEncoderWeights, SparseTensor, build_pillar_features,
+                   build_voxel_features, pack_coords)
+from .sparse_conv import (REGULAR, ConvSpec, ConvWeights, build_kernel_map, paired_downsample,
                           sparse_conv)
 
 NUM_STEPS = 4
-STEP_STRIDES = (1, 2, 4, 8)
 VOXEL_INPUT_DIM = 4  # mean (x, y, z, intensity)
 
 DENSE_VOXEL_CHANNELS = (16, 32, 64, 64)
@@ -108,32 +107,64 @@ def step_extents(grid: GridSpec) -> list[tuple[int, int, int]]:
     return out
 
 
+def paired_blocks(cfg: BackboneConfig) -> list[tuple]:
+    """The model's paired voxel/pillar blocks in execution order.
+
+    Each block is (name format, (voxel, pillar) input widths, (voxel,
+    pillar) output widths, downsamples). The first NUM_STEPS are the
+    encoder steps; the sparse variant adds its 16x and 32x readout blocks.
+    """
+    widths = [(VOXEL_INPUT_DIM, cfg.point_feature_dim),
+              *zip(cfg.voxel_channels, cfg.pillar_channels)]
+    names = [f"{{branch}}.step{s}" for s in range(1, NUM_STEPS + 1)]
+    if cfg.variant == "sparse":
+        widths += zip(cfg.readout_voxel_channels, cfg.readout_pillar_channels)
+        names += ["readout.{branch}.block16", "readout.{branch}.block32"]
+    return [(name, widths[i], widths[i + 1], i > 0) for i, name in enumerate(names)]
+
+
+def block_convs(block, layers: int) -> list[tuple[str, ConvSpec]]:
+    """(weight prefix, ConvSpec) of one block: per branch, voxel first, the
+    optional stride-2 downsample, then `layers` 3x3 submanifold convolutions."""
+    fmt, cin, cout, down = block
+    convs = []
+    for branch, ndim, c_in, c_out in (("voxel", 3, cin[0], cout[0]),
+                                      ("pillar", 2, cin[1], cout[1])):
+        prefix = fmt.format(branch=branch)
+        if down:
+            convs.append((f"{prefix}.down", ConvSpec.regular(ndim, 3, 2, 1, c_in, c_out)))
+            c_in = c_out
+        for j in range(layers):
+            convs.append((f"{prefix}.subm{j}", ConvSpec.submanifold(ndim, 3, c_in, c_out)))
+            c_in = c_out
+    return convs
+
+
+def sfl_convs(cfg: BackboneConfig, step: int) -> list[tuple[str, ConvSpec]]:
+    """(weight prefix, ConvSpec) of the v2p and p2v convolutions of step's fusion layer."""
+    cv, cp = cfg.voxel_channels[step - 1], cfg.pillar_channels[step - 1]
+    return [(f"sfl.step{step}.v2p", ConvSpec.submanifold(2, cfg.sfl_kernel, cv, cp)),
+            (f"sfl.step{step}.p2v", ConvSpec.submanifold(2, cfg.sfl_kernel, cp, cv))]
+
+
 def required_weights(grid: GridSpec, cfg: BackboneConfig) -> dict[str, tuple[int, ...]]:
-    """Every named tensor the configured model loads, with its shape."""
+    """Every named tensor the configured model loads, with its shape.
+
+    Convolutions come from the block plan; a regular (downsampling)
+    convolution carries a bias, a submanifold one does not.
+    """
     shapes: dict[str, tuple[int, ...]] = {}
     shapes["point_encoder.weight"] = (4, cfg.point_feature_dim)
     shapes["point_encoder.bias"] = (cfg.point_feature_dim,)
-    k_sfl = cfg.sfl_kernel * cfg.sfl_kernel
-    for branch, offsets, chans, in0 in (("voxel", 27, cfg.voxel_channels, VOXEL_INPUT_DIM),
-                                        ("pillar", 9, cfg.pillar_channels, cfg.point_feature_dim)):
-        prev = in0
-        for s in range(1, NUM_STEPS + 1):
-            ch = chans[s - 1]
-            if s > 1:
-                shapes[f"{branch}.step{s}.down.kernel"] = (offsets, prev, ch)
-                shapes[f"{branch}.step{s}.down.bias"] = (ch,)
-                prev = ch
-            for j in range(cfg.submanifold_layers):
-                shapes[f"{branch}.step{s}.subm{j}.kernel"] = (offsets, prev, ch)
-                prev = ch
-    for s in range(1, NUM_STEPS + 1):
-        if cfg.sfl_steps[s - 1]:
-            cv, cp = cfg.voxel_channels[s - 1], cfg.pillar_channels[s - 1]
-            shapes[f"sfl.step{s}.v2p.kernel"] = (k_sfl, cv, cp)
-            shapes[f"sfl.step{s}.p2v.kernel"] = (k_sfl, cp, cv)
-    exts = step_extents(grid)
+    blocks = paired_blocks(cfg)
+    convs = [c for block in blocks for c in block_convs(block, cfg.submanifold_layers)]
+    convs += [c for s in range(1, NUM_STEPS + 1) if cfg.sfl_steps[s - 1] for c in sfl_convs(cfg, s)]
+    for name, spec in convs:
+        shapes[f"{name}.kernel"] = (spec.num_offsets, spec.in_channels, spec.out_channels)
+        if spec.mode == REGULAR:
+            shapes[f"{name}.bias"] = (spec.out_channels,)
+    h8 = step_extents(grid)[-1][2]
     if cfg.variant == "dense":
-        h8 = exts[3][2]
         d = cfg.neck_channels
         for branch, cin in (("voxel", h8 * cfg.voxel_channels[3]), ("pillar", cfg.pillar_channels[3])):
             for scale in (8, 16):
@@ -144,38 +175,41 @@ def required_weights(grid: GridSpec, cfg: BackboneConfig) -> dict[str, tuple[int
                     shapes[f"neck.{branch}.s{scale}.conv{j}.shift"] = (d,)
                     prev = d
     else:
-        out_ch = cfg.readout_pillar_channels[-1]
-        vox_widths = [cfg.voxel_channels[3], *cfg.readout_voxel_channels]
-        pil_widths = [cfg.pillar_channels[3], *cfg.readout_pillar_channels]
-        h_by_scale = {8: exts[3][2], 16: _downsampled(exts[3][2]),
-                      32: _downsampled(_downsampled(exts[3][2]))}
-        for i, scale in enumerate((16, 32)):
-            for branch, offsets, widths in (("voxel", 27, vox_widths), ("pillar", 9, pil_widths)):
-                shapes[f"readout.{branch}.block{scale}.down.kernel"] = (offsets, widths[i], widths[i + 1])
-                shapes[f"readout.{branch}.block{scale}.down.bias"] = (widths[i + 1],)
-                for j in range(cfg.submanifold_layers):
-                    shapes[f"readout.{branch}.block{scale}.subm{j}.kernel"] = \
-                        (offsets, widths[i + 1], widths[i + 1])
-        for scale, width in zip((8, 16, 32), vox_widths):
-            shapes[f"readout.voxel.proj{scale}.weight"] = (h_by_scale[scale] * width, out_ch)
+        h = h8
+        for scale, (_, _, (cv, _), _) in zip((8, 16, 32), blocks[NUM_STEPS - 1:]):
+            shapes[f"readout.voxel.proj{scale}.weight"] = (h * cv, cfg.readout_pillar_channels[-1])
+            h = _downsampled(h)
     return shapes
 
 
-def _conv_w(tensors, prefix: str, bias: bool) -> ConvWeights:
-    return ConvWeights(kernel=tensors[f"{prefix}.kernel"],
-                       bias=tensors[f"{prefix}.bias"] if bias else None)
+def _weights(tensors, name: str, spec: ConvSpec) -> ConvWeights:
+    return ConvWeights(kernel=tensors[f"{name}.kernel"],
+                       bias=tensors[f"{name}.bias"] if spec.mode == REGULAR else None)
 
 
-def _subm_stack(x, branch_ndim: int, tensors, prefix: str, layers: int, out_ch: int):
-    """Apply the block's submanifold convolutions, reusing one kernel map."""
-    kmap = None
-    for j in range(layers):
-        spec = ConvSpec.submanifold(branch_ndim, 3, x.num_channels, out_ch)
-        if kmap is None:
-            kmap = build_kernel_map(x.coords, spec, x.extents)
-        w = ConvWeights(kernel=tensors[f"{prefix}.subm{j}.kernel"])
-        x = sparse_conv(x, spec, w, kmap)
-    return x
+def _run_block(voxels, pillars, block, layers: int, tensors):
+    """Run one paired block; returns (voxels, pillars, pillar submanifold map).
+
+    Each branch's submanifold layers share one kernel map. The pillar map
+    is returned so the fusion layer that follows can reuse it: same
+    coordinates, 3x3 kernel and mode.
+    """
+    convs = block_convs(block, layers)
+    downs = [(name, spec) for name, spec in convs if spec.mode == REGULAR]
+    if downs:
+        (n3, s3), (n2, s2) = downs
+        voxels, pillars = paired_downsample(voxels, pillars, s3, s2, _weights(tensors, n3, s3),
+                                            _weights(tensors, n2, s2))
+    x = {3: voxels, 2: pillars}
+    kmaps = {}
+    for name, spec in convs:
+        if spec.mode == REGULAR:
+            continue
+        t = x[spec.ndim]
+        if spec.ndim not in kmaps:
+            kmaps[spec.ndim] = build_kernel_map(t.coords, spec, t.extents)
+        x[spec.ndim] = sparse_conv(t, spec, _weights(tensors, name, spec), kmaps[spec.ndim])
+    return x[3], x[2], kmaps[2]
 
 
 def encoder_forward(points, grid: GridSpec, cfg: BackboneConfig,
@@ -186,29 +220,21 @@ def encoder_forward(points, grid: GridSpec, cfg: BackboneConfig,
     voxels = build_voxel_features(points, grid)
     pillars = build_pillar_features(points, grid, enc)
     pairs = []
-    for s in range(1, NUM_STEPS + 1):
-        cv, cp = cfg.voxel_channels[s - 1], cfg.pillar_channels[s - 1]
-        if s > 1:
-            spec3 = ConvSpec.regular(3, 3, 2, 1, voxels.num_channels, cv)
-            spec2 = ConvSpec.regular(2, 3, 2, 1, pillars.num_channels, cp)
-            voxels, pillars = paired_downsample(
-                voxels, pillars, spec3, spec2,
-                _conv_w(tensors, f"voxel.step{s}.down", bias=True),
-                _conv_w(tensors, f"pillar.step{s}.down", bias=True))
-        voxels = _subm_stack(voxels, 3, tensors, f"voxel.step{s}", cfg.submanifold_layers, cv)
-        pillars = _subm_stack(pillars, 2, tensors, f"pillar.step{s}", cfg.submanifold_layers, cp)
+    for s, block in enumerate(paired_blocks(cfg)[:NUM_STEPS], start=1):
+        voxels, pillars, kmap = _run_block(voxels, pillars, block, cfg.submanifold_layers, tensors)
         if cfg.sfl_steps[s - 1]:
+            (n_v2p, s_v2p), (n_p2v, s_p2v) = sfl_convs(cfg, s)
+            if s_v2p.num_offsets != kmap.num_offsets:
+                kmap = build_kernel_map(pillars.coords, s_v2p, pillars.extents)
             corr = build_correspondence(voxels, pillars)
             voxels, pillars = sparse_fusion_layer(
-                voxels, pillars, corr,
-                ConvWeights(kernel=tensors[f"sfl.step{s}.v2p.kernel"]),
-                ConvWeights(kernel=tensors[f"sfl.step{s}.p2v.kernel"]),
-                kernel=cfg.sfl_kernel)
+                voxels, pillars, corr, _weights(tensors, n_v2p, s_v2p),
+                _weights(tensors, n_p2v, s_p2v), kmap)
         pairs.append((voxels, pillars))
     return pairs
 
 
-def height_compress(x: SparseTensor3D) -> SparseTensor2D:
+def height_compress(x: SparseTensor) -> SparseTensor:
     """Concatenate each BEV column's voxel features by ascending height.
 
     Output vectors have length H * D with absent heights zero-filled, where
@@ -216,39 +242,33 @@ def height_compress(x: SparseTensor3D) -> SparseTensor2D:
     """
     h_extent = int(x.extents[2])
     d = x.num_channels
-    if x.num_sites == 0:
-        return SparseTensor2D(coords=x.coords[:, :2].copy(),
-                              features=np.zeros((0, h_extent * d)),
-                              stride=x.stride, extents=x.extents[:2])
-    bev = x.coords[:, :2]
-    new_col = np.r_[True, (np.diff(bev, axis=0) != 0).any(axis=1)]
-    group = np.cumsum(new_col) - 1
-    out_coords = bev[new_col]
-    out = np.zeros((out_coords.shape[0], h_extent * d))
+    bounds = x.bev_runs()
+    group = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+    out = np.zeros((bounds.size - 1, h_extent * d))
     cols = x.coords[:, 2:3] * d + np.arange(d)[None, :]
     out[group[:, None], cols] = x.features
-    return SparseTensor2D(coords=out_coords, features=out, stride=x.stride,
-                          extents=x.extents[:2])
+    return SparseTensor(coords=x.coords[bounds[:-1], :2], features=out, stride=x.stride,
+                        extents=x.extents[:2])
 
 
-def densify(x: SparseTensor2D | SparseTensor3D) -> DenseFeatureMap:
+def densify(x: SparseTensor) -> DenseFeatureMap:
     """Scatter sparse features onto a zero dense BEV map.
 
     3D input is height-compressed first.
     """
-    if isinstance(x, SparseTensor3D):
+    if x.coords.shape[1] == 3:
         x = height_compress(x)
     values = np.zeros(tuple(x.extents) + (x.num_channels,))
     values[x.coords[:, 0], x.coords[:, 1]] = x.features
     return DenseFeatureMap(values=values, stride=x.stride)
 
 
-def sparsify_dense(dense: DenseFeatureMap) -> SparseTensor2D:
+def sparsify_dense(dense: DenseFeatureMap) -> SparseTensor:
     """Inverse of densify: keep the sites whose feature vector is not all zero."""
     occupied = (dense.values != 0.0).any(axis=2)
     coords = np.argwhere(occupied).astype(np.int64)
-    return SparseTensor2D(coords=coords, features=dense.values[occupied],
-                          stride=dense.stride, extents=dense.extents)
+    return SparseTensor(coords=coords, features=dense.values[occupied],
+                        stride=dense.stride, extents=dense.extents)
 
 
 def dense_conv3x3(x: np.ndarray, kernel: np.ndarray, stride: int = 1) -> np.ndarray:
@@ -306,7 +326,7 @@ def _final_pair(pairs):
     return voxels, pillars
 
 
-def merge_sparse2d(entries, extents, stride: int) -> SparseTensor2D:
+def merge_sparse2d(entries, extents, stride: int) -> SparseTensor:
     """Union of (coords, features) lists with elementwise sums at shared sites."""
     coords = np.concatenate([c for c, _ in entries], axis=0)
     feats = np.concatenate([f for _, f in entries], axis=0)
@@ -315,11 +335,11 @@ def merge_sparse2d(entries, extents, stride: int) -> SparseTensor2D:
     key, coords, feats = key[order], coords[order], feats[order]
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     summed = np.add.reduceat(feats, starts, axis=0)
-    return SparseTensor2D(coords=coords[starts], features=summed, stride=stride,
-                          extents=tuple(extents))
+    return SparseTensor(coords=coords[starts], features=summed, stride=stride,
+                        extents=tuple(extents))
 
 
-def sparse_readout(pairs, tensors: dict[str, np.ndarray], cfg: BackboneConfig) -> SparseTensor2D:
+def sparse_readout(pairs, tensors: dict[str, np.ndarray], cfg: BackboneConfig) -> SparseTensor:
     """Fully sparse multi-scale readout on the 8x BEV lattice.
 
     Extra paired blocks produce 16x and 32x features; voxels are height
@@ -328,30 +348,18 @@ def sparse_readout(pairs, tensors: dict[str, np.ndarray], cfg: BackboneConfig) -
     summed over the union of sites.
     """
     voxels, pillars = _final_pair(pairs)
-    scales = [(8, voxels, pillars)]
-    v, p = voxels, pillars
-    vox_widths = [cfg.voxel_channels[3], *cfg.readout_voxel_channels]
-    pil_widths = [cfg.pillar_channels[3], *cfg.readout_pillar_channels]
-    for i, scale in enumerate((16, 32)):
-        spec3 = ConvSpec.regular(3, 3, 2, 1, vox_widths[i], vox_widths[i + 1])
-        spec2 = ConvSpec.regular(2, 3, 2, 1, pil_widths[i], pil_widths[i + 1])
-        v, p = paired_downsample(
-            v, p, spec3, spec2,
-            _conv_w(tensors, f"readout.voxel.block{scale}.down", bias=True),
-            _conv_w(tensors, f"readout.pillar.block{scale}.down", bias=True))
-        v = _subm_stack(v, 3, tensors, f"readout.voxel.block{scale}",
-                        cfg.submanifold_layers, vox_widths[i + 1])
-        p = _subm_stack(p, 2, tensors, f"readout.pillar.block{scale}",
-                        cfg.submanifold_layers, pil_widths[i + 1])
-        scales.append((scale, v, p))
+    scales = [(voxels, pillars)]
+    for block in paired_blocks(cfg)[NUM_STEPS:]:
+        v, p, _ = _run_block(*scales[-1], block, cfg.submanifold_layers, tensors)
+        scales.append((v, p))
     entries = []
-    for scale, v, p in scales:
-        ratio = scale // 8
+    for v, p in scales:
+        ratio = v.stride // 8
         compressed = height_compress(v)
-        proj = tensors[f"readout.voxel.proj{scale}.weight"]
+        proj = tensors[f"readout.voxel.proj{v.stride}.weight"]
         if proj.shape[0] != compressed.num_channels:
             raise ShapeMismatch(
-                f"projection for scale {scale} expects {proj.shape[0]} channels, "
+                f"projection for scale {v.stride} expects {proj.shape[0]} channels, "
                 f"got {compressed.num_channels}")
         entries.append((compressed.coords * ratio, compressed.features @ proj))
         entries.append((p.coords * ratio, p.features))

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -10,7 +9,7 @@ import sys
 import numpy as np
 
 from .backbone import densify, forward, required_weights
-from .config import config_from_json, load_config
+from .config import config_from_json, read_config_doc
 from .density import recall_by_density, vertical_density
 from .errors import VoxPillarError
 from .formats import FormatError, load_boxes, read_cloud, write_csv, write_dump
@@ -70,19 +69,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_run(args):
-    cfg = load_config(args.config)
-    if getattr(args, "variant", None):
-        doc = cfg.to_json()
-        doc["backbone"]["variant"] = args.variant
-        # channel plans are variant defaults unless the file pinned them
-        with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        raw_bb = raw.get("backbone", {}) if isinstance(raw, dict) else {}
-        for key in ("voxel_channels", "pillar_channels"):
-            if key not in raw_bb:
-                doc["backbone"].pop(key)
-        cfg = config_from_json(doc)
-    return cfg
+    doc = read_config_doc(args.config)
+    # --variant replaces the file's variant; channel plans the file does not
+    # pin take that variant's defaults
+    backbone = doc.get("backbone", {}) if isinstance(doc, dict) else None
+    if getattr(args, "variant", None) and isinstance(backbone, dict):
+        doc["backbone"] = {**backbone, "variant": args.variant}
+    return config_from_json(doc)
 
 
 def _model_tensors(cfg, weights_path):

@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .backbone import BackboneConfig, default_backbone_config
 from .errors import FormatError
+from .formats import _atomic_write_bytes
 from .grid import GridSpec
 from .losses import LossWeights
 
@@ -29,40 +30,21 @@ class RunConfig:
                 raise FormatError(f"iou threshold for {name} must lie in (0, 1), got {thr}")
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "grid": {
-                "range_min": list(self.grid.range_min),
-                "range_max": list(self.grid.range_max),
-                "voxel_size": list(self.grid.voxel_size),
-            },
-            "backbone": {
-                "variant": self.backbone.variant,
-                "voxel_channels": list(self.backbone.voxel_channels),
-                "pillar_channels": list(self.backbone.pillar_channels),
-                "submanifold_layers": self.backbone.submanifold_layers,
-                "sfl_steps": list(self.backbone.sfl_steps),
-                "sfl_kernel": self.backbone.sfl_kernel,
-                "point_feature_dim": self.backbone.point_feature_dim,
-                "neck_layers": self.backbone.neck_layers,
-                "neck_channels": self.backbone.neck_channels,
-                "readout_voxel_channels": list(self.backbone.readout_voxel_channels),
-                "readout_pillar_channels": list(self.backbone.readout_pillar_channels),
-            },
-            "loss": {
-                "gamma": self.loss.gamma,
-                "focal_alpha": self.loss.focal_alpha,
-                "focal_gamma": self.loss.focal_gamma,
-                "rectification_alpha": dict(self.loss.rectification_alpha),
-            },
-            "iou_thresholds": dict(self.iou_thresholds),
-            "paths": {"weights": self.weights_path},
-        }
+        return {"seed": self.seed, "grid": _section_doc(self.grid),
+                "backbone": _section_doc(self.backbone), "loss": _section_doc(self.loss),
+                "iou_thresholds": dict(self.iou_thresholds),
+                "paths": {"weights": self.weights_path}}
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        text = json.dumps(self.to_json(), indent=1, sort_keys=True) + "\n"
+        _atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def _section_doc(obj) -> dict:
+    """JSON form of a config dataclass: its init fields, tuples as lists."""
+    doc = {f.name: getattr(obj, f.name) for f in fields(obj) if f.init}
+    return {k: list(v) if isinstance(v, tuple) else dict(v) if isinstance(v, dict) else v
+            for k, v in doc.items()}
 
 
 def _take(obj: dict, allowed: set[str], context: str) -> dict:
@@ -72,67 +54,65 @@ def _take(obj: dict, allowed: set[str], context: str) -> dict:
     return obj
 
 
+def _as_int(value) -> int:
+    if isinstance(value, float) and not value.is_integer():
+        raise FormatError(f"expected an integer, got {value}")
+    return int(value)
+
+
+def _coerce(kind: str, value):
+    """Convert a JSON value to the field type named by the annotation `kind`."""
+    if kind == "int":
+        return _as_int(value)
+    if kind == "float":
+        return float(value)
+    if kind == "tuple[int, ...]":
+        return tuple(_as_int(v) for v in value)
+    if kind.startswith("tuple"):
+        return tuple(value)
+    if kind.startswith("dict"):
+        return {str(k): float(v) for k, v in value.items()}
+    return value
+
+
+def _section(cls, doc, defaults, context: str):
+    """Build dataclass `cls` from `doc`; omitted fields come from `defaults`."""
+    init = [f for f in fields(cls) if f.init]
+    doc = _take(dict(doc), {f.name for f in init}, context)
+    return cls(**{f.name: _coerce(f.type, doc[f.name]) if f.name in doc
+                  else getattr(defaults, f.name) for f in init})
+
+
 def config_from_json(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise FormatError("config document must be a JSON object")
     _take(doc, {"seed", "grid", "backbone", "loss", "iou_thresholds", "paths"}, "config")
     try:
-        grid_doc = _take(dict(doc.get("grid", {})),
-                         {"range_min", "range_max", "voxel_size"}, "grid")
-        grid_defaults = RunConfig().grid
-        grid = GridSpec(
-            range_min=tuple(grid_doc.get("range_min", grid_defaults.range_min)),
-            range_max=tuple(grid_doc.get("range_max", grid_defaults.range_max)),
-            voxel_size=tuple(grid_doc.get("voxel_size", grid_defaults.voxel_size)))
-
-        bb_doc = _take(dict(doc.get("backbone", {})),
-                       {"variant", "voxel_channels", "pillar_channels", "submanifold_layers",
-                        "sfl_steps", "sfl_kernel", "point_feature_dim", "neck_layers",
-                        "neck_channels", "readout_voxel_channels", "readout_pillar_channels"},
-                       "backbone")
-        defaults = default_backbone_config(bb_doc.get("variant", "dense"))
-        backbone = BackboneConfig(
-            variant=bb_doc.get("variant", defaults.variant),
-            voxel_channels=tuple(bb_doc.get("voxel_channels", defaults.voxel_channels)),
-            pillar_channels=tuple(bb_doc.get("pillar_channels", defaults.pillar_channels)),
-            submanifold_layers=int(bb_doc.get("submanifold_layers", defaults.submanifold_layers)),
-            sfl_steps=tuple(bb_doc.get("sfl_steps", defaults.sfl_steps)),
-            sfl_kernel=int(bb_doc.get("sfl_kernel", defaults.sfl_kernel)),
-            point_feature_dim=int(bb_doc.get("point_feature_dim", defaults.point_feature_dim)),
-            neck_layers=int(bb_doc.get("neck_layers", defaults.neck_layers)),
-            neck_channels=int(bb_doc.get("neck_channels", defaults.neck_channels)),
-            readout_voxel_channels=tuple(
-                bb_doc.get("readout_voxel_channels", defaults.readout_voxel_channels)),
-            readout_pillar_channels=tuple(
-                bb_doc.get("readout_pillar_channels", defaults.readout_pillar_channels)))
-
-        loss_doc = _take(dict(doc.get("loss", {})),
-                         {"gamma", "focal_alpha", "focal_gamma", "rectification_alpha"}, "loss")
-        loss_defaults = LossWeights()
-        loss = LossWeights(
-            gamma=float(loss_doc.get("gamma", loss_defaults.gamma)),
-            focal_alpha=float(loss_doc.get("focal_alpha", loss_defaults.focal_alpha)),
-            focal_gamma=float(loss_doc.get("focal_gamma", loss_defaults.focal_gamma)),
-            rectification_alpha={
-                str(k): float(v) for k, v in loss_doc.get(
-                    "rectification_alpha", loss_defaults.rectification_alpha).items()})
-
+        bb_doc = dict(doc.get("backbone", {}))
         paths_doc = _take(dict(doc.get("paths", {})), {"weights"}, "paths")
-        thresholds = {str(k): float(v)
-                      for k, v in doc.get("iou_thresholds", DEFAULT_IOU_THRESHOLDS).items()}
-        return RunConfig(seed=int(doc.get("seed", 0)), grid=grid, backbone=backbone,
-                         loss=loss, iou_thresholds=thresholds,
-                         weights_path=paths_doc.get("weights"))
+        return RunConfig(
+            seed=_as_int(doc.get("seed", 0)),
+            grid=_section(GridSpec, doc.get("grid", {}), RunConfig().grid, "grid"),
+            backbone=_section(BackboneConfig, bb_doc,
+                              default_backbone_config(bb_doc.get("variant", "dense")), "backbone"),
+            loss=_section(LossWeights, doc.get("loss", {}), LossWeights(), "loss"),
+            iou_thresholds=_coerce("dict[str, float]",
+                                   doc.get("iou_thresholds", DEFAULT_IOU_THRESHOLDS)),
+            weights_path=paths_doc.get("weights"))
     except FormatError:
         raise
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, AttributeError, OverflowError) as exc:
         raise FormatError(f"invalid configuration: {exc}") from exc
 
 
-def load_config(path) -> RunConfig:
+def read_config_doc(path):
+    """The parsed JSON of a config file, not yet validated."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise FormatError(f"cannot read config {path}: {exc}") from exc
-    return config_from_json(doc)
+
+
+def load_config(path) -> RunConfig:
+    return config_from_json(read_config_doc(path))

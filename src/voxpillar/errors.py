@@ -17,6 +17,10 @@ class SpecMismatch(VoxPillarError):
     """Convolution spec violates a structural invariant."""
 
 
+class InvalidTensor(VoxPillarError):
+    """Sparse tensor coordinates or features break a documented invariant."""
+
+
 class ConsistencyViolation(VoxPillarError):
     """Voxel and pillar occupancy disagree in bird's eye view."""
 

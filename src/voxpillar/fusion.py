@@ -7,13 +7,14 @@ Neither branch gains or loses sites.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConsistencyViolation, ShapeMismatch
-from .grid import SparseTensor2D, SparseTensor3D
-from .sparse_conv import ConvSpec, ConvWeights, build_kernel_map, sparse_conv
+from .grid import SparseTensor
+from .sparse_conv import ConvSpec, ConvWeights, KernelMap, sparse_conv
 
 
 @dataclass
@@ -40,17 +41,15 @@ class VoxelPillarCorrespondence:
         return np.arange(self.pillar_start[j], self.pillar_start[j + 1])
 
 
-def build_correspondence(voxels: SparseTensor3D, pillars: SparseTensor2D) -> VoxelPillarCorrespondence:
+def build_correspondence(voxels: SparseTensor, pillars: SparseTensor) -> VoxelPillarCorrespondence:
     """Split the lex-sorted voxels into BEV column runs, one per pillar.
 
     Linear in the number of sites; any BEV coordinate present in one branch
     but not the other raises ConsistencyViolation naming the first one.
     """
-    vc = voxels.coords
+    bounds = voxels.bev_runs()
+    cols = voxels.coords[bounds[:-1], :2]
     pc = pillars.coords
-    new_col = np.ones(vc.shape[0], dtype=bool)
-    new_col[1:] = (vc[1:, :2] != vc[:-1, :2]).any(axis=1)
-    cols = vc[new_col, :2]
     if not np.array_equal(cols, pc):
         m = min(len(cols), len(pc))
         diff = np.flatnonzero((cols[:m] != pc[:m]).any(axis=1))
@@ -59,52 +58,56 @@ def build_correspondence(voxels: SparseTensor3D, pillars: SparseTensor2D) -> Vox
             raise ConsistencyViolation(
                 f"voxel at BEV ({cols[i, 0]}, {cols[i, 1]}) has no matching pillar")
         raise ConsistencyViolation(f"pillar ({pc[i, 0]}, {pc[i, 1]}) has no matching voxel run")
-    starts = np.append(np.flatnonzero(new_col), vc.shape[0])
-    return VoxelPillarCorrespondence(pillar_start=starts, voxel_to_pillar=np.cumsum(new_col) - 1)
+    runs = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+    return VoxelPillarCorrespondence(pillar_start=bounds, voxel_to_pillar=runs)
 
 
-def sparse_pool(voxels: SparseTensor3D, corr: VoxelPillarCorrespondence) -> np.ndarray:
+def sparse_pool(voxels: SparseTensor, corr: VoxelPillarCorrespondence) -> np.ndarray:
     """Elementwise max over each pillar's voxel features, shape (N_p, D_v)."""
     if corr.num_voxels != voxels.num_sites:
         raise ShapeMismatch("correspondence was built for a different voxel tensor")
     return np.maximum.reduceat(voxels.features, corr.pillar_start[:-1], axis=0)
 
 
-def broadcast(pillars: SparseTensor2D, corr: VoxelPillarCorrespondence) -> np.ndarray:
+def broadcast(pillars: SparseTensor, corr: VoxelPillarCorrespondence) -> np.ndarray:
     """Copy each pillar's feature onto all of its voxels, shape (N_v, D_p)."""
     if corr.num_pillars != pillars.num_sites:
         raise ShapeMismatch("correspondence was built for a different pillar tensor")
     return pillars.features[corr.voxel_to_pillar]
 
 
-def sparse_fusion_layer(voxels: SparseTensor3D, pillars: SparseTensor2D,
+def sparse_fusion_layer(voxels: SparseTensor, pillars: SparseTensor,
                         corr: VoxelPillarCorrespondence,
                         w_v2p: ConvWeights, w_p2v: ConvWeights,
-                        kernel: int = 3) -> tuple[SparseTensor3D, SparseTensor2D]:
+                        kmap: KernelMap) -> tuple[SparseTensor, SparseTensor]:
     """Fuse the branches: pool-conv-add one way, conv-broadcast-add the other.
 
     w_v2p transforms pooled voxel features (D_v -> D_p); w_p2v transforms
     pillar features (D_p -> D_v) before broadcasting. Both are bias-free 2D
-    submanifold convolutions on the pillar lattice; coordinate sets are
-    unchanged on both branches.
+    submanifold convolutions on the pillar lattice through `kmap`, a
+    square-kernel submanifold map of the pillar coordinates (the pillar
+    stack's own map when the kernel is 3); coordinate sets are unchanged
+    on both branches.
     """
+    if kmap.out_coords.shape != pillars.coords.shape:
+        raise ShapeMismatch("kernel map was built for a different pillar tensor")
     d_v = voxels.num_channels
     d_p = pillars.num_channels
+    kernel = math.isqrt(kmap.num_offsets)
     spec_v2p = ConvSpec.submanifold(2, kernel, d_v, d_p)
     spec_p2v = ConvSpec.submanifold(2, kernel, d_p, d_v)
     w_v2p.check(spec_v2p)
     w_p2v.check(spec_p2v)
-    kmap = build_kernel_map(pillars.coords, spec_v2p, pillars.extents)
 
     pooled = sparse_pool(voxels, corr)
-    pooled_tensor = SparseTensor2D(pillars.coords, pooled, pillars.stride, pillars.extents)
+    pooled_tensor = SparseTensor(pillars.coords, pooled, pillars.stride, pillars.extents)
     to_pillar = sparse_conv(pooled_tensor, spec_v2p, w_v2p, kmap)
 
     transformed = sparse_conv(pillars, spec_p2v, w_p2v, kmap)
     to_voxel = broadcast(transformed, corr)
 
-    fused_voxels = SparseTensor3D(voxels.coords, voxels.features + to_voxel,
-                                  voxels.stride, voxels.extents)
-    fused_pillars = SparseTensor2D(pillars.coords, pillars.features + to_pillar.features,
-                                   pillars.stride, pillars.extents)
+    fused_voxels = SparseTensor(voxels.coords, voxels.features + to_voxel,
+                                voxels.stride, voxels.extents)
+    fused_pillars = SparseTensor(pillars.coords, pillars.features + to_pillar.features,
+                                 pillars.stride, pillars.extents)
     return fused_voxels, fused_pillars

@@ -54,10 +54,6 @@ class Box3D:
         object.__setattr__(self, "heading", heading)
 
     @property
-    def volume(self) -> float:
-        return self.dims[0] * self.dims[1] * self.dims[2]
-
-    @property
     def z_interval(self) -> tuple[float, float]:
         half = self.dims[2] / 2.0
         return self.center[2] - half, self.center[2] + half

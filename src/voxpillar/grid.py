@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyGrid, ShapeMismatch
+from .errors import EmptyGrid, InvalidTensor, ShapeMismatch
 
 # Row-major (l, w, h) packing must fit a signed 64-bit key.
 _MAX_PACKED_CELLS = 2**62
@@ -60,18 +60,18 @@ class GridSpec:
 
 
 @dataclass
-class SparseTensor3D:
-    """Occupied voxel cells with per-cell feature vectors.
+class SparseTensor:
+    """Occupied voxel (3D) or pillar (2D) cells with per-cell feature vectors.
 
-    ``coords`` is (N, 3) int64 with rows (l, w, h), unique and sorted
+    ``coords`` is (N, ndim) int64 with rows (l, w[, h]), unique and sorted
     lexicographically; ``features`` is (N, D) float64; ``extents`` is the
-    grid shape at the current ``stride``.
+    grid shape at the current ``stride`` and fixes ndim.
     """
 
     coords: np.ndarray
     features: np.ndarray
     stride: int
-    extents: tuple[int, int, int]
+    extents: tuple[int, ...]
 
     @property
     def num_sites(self) -> int:
@@ -80,36 +80,39 @@ class SparseTensor3D:
     @property
     def num_channels(self) -> int:
         return self.features.shape[1]
+
+    def bev_runs(self) -> np.ndarray:
+        """Bounds of the BEV column runs: (columns + 1,) int64 site indices.
+
+        Lex-sorted coordinates put the sites of one (l, w) column in one
+        contiguous run; run j is ``bounds[j]:bounds[j + 1]``.
+        """
+        c = self.coords
+        new_col = np.ones(c.shape[0], dtype=bool)
+        new_col[1:] = (c[1:, :2] != c[:-1, :2]).any(axis=1)
+        return np.append(np.flatnonzero(new_col), c.shape[0])
 
     def bev_coords(self) -> np.ndarray:
-        """Unique (l, w) projection of the voxel coordinates, lex sorted."""
-        if self.coords.shape[0] == 0:
-            return self.coords[:, :2].copy()
-        return np.unique(self.coords[:, :2], axis=0)
+        """Unique (l, w) projection of the coordinates, lex sorted."""
+        return self.coords[self.bev_runs()[:-1], :2]
 
     def validate(self):
-        _validate_sites(self.coords, self.features, self.extents, 3)
+        """Raise InvalidTensor unless the documented invariants hold."""
+        coords, features, ndim = self.coords, self.features, len(self.extents)
+        if coords.ndim != 2 or coords.shape[1] != ndim or ndim not in (2, 3):
+            raise InvalidTensor(f"coords shape {coords.shape} does not fit extents {self.extents}")
+        if features.ndim != 2 or features.shape[0] != coords.shape[0]:
+            raise InvalidTensor(f"features shape {features.shape} does not fit coords")
+        if not np.isfinite(features).all():
+            raise InvalidTensor("non-finite features")
+        if ((coords < 0) | (coords >= np.asarray(self.extents))).any():
+            raise InvalidTensor(f"coordinate outside extents {self.extents}")
+        if (np.diff(pack_coords(coords, self.extents)) <= 0).any():
+            raise InvalidTensor("coords not unique and lex sorted")
 
 
-@dataclass
-class SparseTensor2D:
-    """Occupied pillar cells with per-cell feature vectors."""
-
-    coords: np.ndarray
-    features: np.ndarray
-    stride: int
-    extents: tuple[int, int]
-
-    @property
-    def num_sites(self) -> int:
-        return self.coords.shape[0]
-
-    @property
-    def num_channels(self) -> int:
-        return self.features.shape[1]
-
-    def validate(self):
-        _validate_sites(self.coords, self.features, self.extents, 2)
+# Former per-dimension names, kept for callers.
+SparseTensor3D = SparseTensor2D = SparseTensor
 
 
 @dataclass
@@ -130,21 +133,6 @@ class PointEncoderWeights:
             )
         if not (np.isfinite(self.weight).all() and np.isfinite(self.bias).all()):
             raise ValueError("point encoder weights must be finite")
-
-    @property
-    def out_dim(self) -> int:
-        return self.weight.shape[1]
-
-
-def _validate_sites(coords, features, extents, ndim):
-    assert coords.ndim == 2 and coords.shape[1] == ndim, coords.shape
-    assert features.ndim == 2 and features.shape[0] == coords.shape[0]
-    assert np.isfinite(features).all(), "non-finite features"
-    assert (coords >= 0).all(), "negative coordinate"
-    assert (coords < np.asarray(extents)).all(), "coordinate outside extents"
-    if coords.shape[0] > 1:
-        packed = pack_coords(coords, extents)
-        assert (np.diff(packed) > 0).all(), "coords not unique/lex-sorted"
 
 
 def pack_coords(coords: np.ndarray, extents) -> np.ndarray:
@@ -191,7 +179,7 @@ def assign_voxel_indices(points, spec: GridSpec) -> tuple[np.ndarray, int]:
     return idx, dropped
 
 
-def build_voxel_features(points, spec: GridSpec) -> SparseTensor3D:
+def build_voxel_features(points, spec: GridSpec) -> SparseTensor:
     """One site per non-empty voxel; feature = mean (x, y, z, intensity).
 
     Raises EmptyGrid when no point is in range. Points are processed in a
@@ -216,10 +204,10 @@ def build_voxel_features(points, spec: GridSpec) -> SparseTensor3D:
     sums = np.add.reduceat(pts, starts, axis=0)
     feats = sums / counts[:, None]
     coords = idx[starts]
-    return SparseTensor3D(coords=coords, features=feats, stride=1, extents=spec.extents)
+    return SparseTensor(coords=coords, features=feats, stride=1, extents=spec.extents)
 
 
-def build_pillar_features(points, spec: GridSpec, weights: PointEncoderWeights) -> SparseTensor2D:
+def build_pillar_features(points, spec: GridSpec, weights: PointEncoderWeights) -> SparseTensor:
     """Per-point linear + ReLU encoding, max-pooled per pillar.
 
     Pillar indices are the voxel indices with the vertical component removed.
@@ -240,4 +228,4 @@ def build_pillar_features(points, spec: GridSpec, weights: PointEncoderWeights) 
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     feats = np.maximum.reduceat(encoded, starts, axis=0)
     coords = pillar_idx[starts]
-    return SparseTensor2D(coords=coords, features=feats, stride=1, extents=spec.bev_extents)
+    return SparseTensor(coords=coords, features=feats, stride=1, extents=spec.bev_extents)

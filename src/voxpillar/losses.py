@@ -182,12 +182,3 @@ def diou_center_fd_error(b: Box3D, gt: Box3D, step: float = 1e-4) -> float:
 
     return finite_difference_check(f, g, np.array(b.center), step)
 
-
-def classification_score(s_cls: float, iou_pred: float, class_name: str,
-                         weights: LossWeights) -> float:
-    """Rectified score using the per-class alpha from `weights`."""
-    try:
-        alpha = weights.rectification_alpha[class_name]
-    except KeyError:
-        raise OutOfRange(f"no rectification alpha configured for class {class_name!r}") from None
-    return rectify_score(s_cls, iou_pred, alpha)

@@ -8,6 +8,7 @@ import zlib
 import numpy as np
 
 from .errors import FormatError, ShapeMismatch
+from .formats import _atomic_write_bytes
 
 # Tensors at or below this element count are stored as inline JSON arrays.
 _INLINE_LIMIT = 64
@@ -54,9 +55,8 @@ def save_manifest(path, tensors: dict[str, np.ndarray]):
         else:
             values = base64.b64encode(arr.astype("<f4").tobytes()).decode("ascii")
         doc["tensors"][name] = {"shape": list(arr.shape), "values": values}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    _atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def seeded_tensor(name: str, shape: tuple[int, ...], seed: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyViolation, ShapeMismatch, SpecMismatch
-from .grid import SparseTensor2D, SparseTensor3D, pack_coords
+from .grid import SparseTensor, pack_coords
 
 SUBMANIFOLD = "submanifold"
 REGULAR = "regular"
@@ -245,12 +245,11 @@ def sparse_conv(x, spec: ConvSpec, weights: ConvWeights, kmap: KernelMap):
     if spec.stride[0] != spec.stride[1]:
         raise SpecMismatch("X-Y strides must match to track the tensor stride")
     new_stride = x.stride * spec.stride[0]
-    cls = SparseTensor3D if spec.ndim == 3 else SparseTensor2D
-    return cls(coords=kmap.out_coords.copy(), features=out, stride=new_stride,
-               extents=kmap.out_extents)
+    return SparseTensor(coords=kmap.out_coords.copy(), features=out, stride=new_stride,
+                        extents=kmap.out_extents)
 
 
-def bev_equal(voxels: SparseTensor3D, pillars: SparseTensor2D) -> bool:
+def bev_equal(voxels: SparseTensor, pillars: SparseTensor) -> bool:
     bev = voxels.bev_coords()
     return bev.shape == pillars.coords.shape and bool((bev == pillars.coords).all())
 

@@ -130,7 +130,8 @@ def test_c03_sfl_correctness():
             assert (sparse_pool(v_like, corr) == p.features).all()
             w_v2p = ConvWeights(kernel=np.zeros((9, v.num_channels, p.num_channels)))
             w_p2v = ConvWeights(kernel=np.zeros((9, p.num_channels, v.num_channels)))
-            fv, fp = sparse_fusion_layer(v, p, corr, w_v2p, w_p2v)
+            fv, fp = sparse_fusion_layer(v, p, corr, w_v2p, w_p2v, build_kernel_map(
+                p.coords, ConvSpec.submanifold(2, 3, 1, 1), p.extents))
             assert fv.features.tobytes() == v.features.tobytes()
             assert fp.features.tobytes() == p.features.tobytes()
 

@@ -1,10 +1,15 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_cloud
-from voxpillar.cli import main
+from voxpillar.cli import _load_run, main
 from voxpillar.config import RunConfig
 from voxpillar.formats import read_dump, write_cloud
 from voxpillar.grid import GridSpec
@@ -201,3 +206,48 @@ def test_iou_check_rejects_non_positive_counts(capsys, flag, value):
         main(["iou-check", flag, value])
     assert exc.value.code == 2
     assert "positive integer" in capsys.readouterr().err
+
+
+def test_variant_override_keeps_pinned_channels(tmp_path):
+    pinned = tmp_path / "pinned.json"
+    pinned.write_text(json.dumps({"backbone": {"voxel_channels": [8, 16, 24, 32]}}))
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({"backbone": {"neck_layers": 2}}))
+    cfg = _load_run(argparse.Namespace(config=str(pinned), variant="sparse"))
+    assert cfg.backbone.variant == "sparse"
+    assert cfg.backbone.voxel_channels == (8, 16, 24, 32)
+    cfg = _load_run(argparse.Namespace(config=str(bare), variant="sparse"))
+    assert cfg.backbone.variant == "sparse" and cfg.backbone.neck_layers == 2
+    assert cfg.backbone.voxel_channels == (16, 32, 64, 128)
+    assert cfg.backbone.pillar_channels == (32, 64, 128, 256)
+    assert _load_run(argparse.Namespace(config=str(bare), variant=None)).backbone.variant == "dense"
+
+
+SCALED_SPARSE_CONV = """
+import io, sys
+import voxpillar.selftest as selftest
+
+real = selftest.sparse_conv
+
+def scaled(x, spec, weights, kmap):
+    out = real(x, spec, weights, kmap)
+    out.features *= 1.5
+    return out
+
+selftest.sparse_conv = scaled
+buf = io.StringIO()
+print(sys.flags.optimize, selftest.run_selftest(buf))
+print(buf.getvalue())
+"""
+
+
+def test_selftest_fails_under_python_optimize():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", SCALED_SPARSE_CONV], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "1 False"
+    assert "selftest sparse-conv dense oracle: FAIL" in proc.stdout

@@ -47,6 +47,15 @@ def test_config_defaults_follow_variant():
     assert cfg.backbone.voxel_channels == (16, 32, 64, 64)
 
 
+def test_config_rejects_non_integral_int_fields():
+    for doc in ({"backbone": {"submanifold_layers": 2.7}}, {"seed": 0.5},
+                {"backbone": {"voxel_channels": [16, 32, 64, 64.5]}}):
+        with pytest.raises(FormatError):
+            config_from_json(doc)
+    # integral numbers still load as before
+    assert config_from_json({"backbone": {"submanifold_layers": 3.0}}).backbone.submanifold_layers == 3
+
+
 def test_config_validates_thresholds():
     with pytest.raises(FormatError):
         config_from_json({"iou_thresholds": {"Vehicle": 1.5}})

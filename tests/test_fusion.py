@@ -8,7 +8,7 @@ from voxpillar.fusion import (broadcast, build_correspondence, sparse_fusion_lay
 from voxpillar.grid import (PointEncoderWeights, SparseTensor2D, SparseTensor3D,
                             build_pillar_features, build_voxel_features)
 from voxpillar.reference import dense_correspondence_matrix, groupby_max
-from voxpillar.sparse_conv import ConvSpec, ConvWeights
+from voxpillar.sparse_conv import ConvSpec, ConvWeights, build_kernel_map
 
 
 def make_pair(voxel_coords, voxel_feats, pillar_coords, pillar_feats, extents=(4, 4, 4)):
@@ -146,7 +146,8 @@ def test_zero_weight_sfl_is_identity():
     v, p = random_pair(rng)
     corr = build_correspondence(v, p)
     w_v2p, w_p2v = zero_sfl_weights(v.num_channels, p.num_channels)
-    fv, fp = sparse_fusion_layer(v, p, corr, w_v2p, w_p2v)
+    fv, fp = sparse_fusion_layer(v, p, corr, w_v2p, w_p2v, build_kernel_map(
+        p.coords, ConvSpec.submanifold(2, 3, 1, 1), p.extents))
     assert fv.features.tobytes() == v.features.tobytes()
     assert fp.features.tobytes() == p.features.tobytes()
     np.testing.assert_array_equal(fv.coords, v.coords)
@@ -160,7 +161,8 @@ def test_identity_transform_one_voxel_per_pillar():
     corr = build_correspondence(v, p)
     spec = ConvSpec.submanifold(2, 3, 2, 2)
     ident = ConvWeights.identity(spec)
-    fv, fp = sparse_fusion_layer(v, p, corr, ident, ident)
+    fv, fp = sparse_fusion_layer(v, p, corr, ident, ident, build_kernel_map(
+        p.coords, ConvSpec.submanifold(2, 3, 1, 1), p.extents))
     np.testing.assert_array_equal(fv.features, v.features + p.features)
     np.testing.assert_array_equal(fp.features, p.features + v.features)
 
@@ -176,7 +178,8 @@ def test_sfl_matches_straightline_composition():
         spec_p2v = ConvSpec.submanifold(2, 3, p.num_channels, v.num_channels)
         w_v2p = ConvWeights(kernel=rng.normal(size=(9, v.num_channels, p.num_channels)))
         w_p2v = ConvWeights(kernel=rng.normal(size=(9, p.num_channels, v.num_channels)))
-        fv, fp = sparse_fusion_layer(v, p, corr, w_v2p, w_p2v)
+        fv, fp = sparse_fusion_layer(v, p, corr, w_v2p, w_p2v,
+                                     build_kernel_map(p.coords, spec_v2p, p.extents))
 
         kmap = build_kernel_map(p.coords, spec_v2p, p.extents)
         pooled = SparseTensor2D(p.coords, sparse_pool(v, corr), 1, p.extents)
@@ -196,7 +199,8 @@ def test_sfl_on_real_cloud(desk_grid):
     corr = build_correspondence(v, p)
     w_v2p = ConvWeights(kernel=rng.normal(size=(9, 4, 6)))
     w_p2v = ConvWeights(kernel=rng.normal(size=(9, 6, 4)))
-    fv, fp = sparse_fusion_layer(v, p, corr, w_v2p, w_p2v)
+    fv, fp = sparse_fusion_layer(v, p, corr, w_v2p, w_p2v, build_kernel_map(
+        p.coords, ConvSpec.submanifold(2, 3, 1, 1), p.extents))
     np.testing.assert_array_equal(fv.coords, v.coords)
     np.testing.assert_array_equal(fp.coords, p.coords)
     assert np.isfinite(fv.features).all() and np.isfinite(fp.features).all()

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_cloud
-from voxpillar.errors import EmptyGrid, ShapeMismatch
-from voxpillar.grid import (GridSpec, PointEncoderWeights, assign_voxel_indices,
+from voxpillar.errors import EmptyGrid, InvalidTensor, ShapeMismatch
+from voxpillar.grid import (GridSpec, PointEncoderWeights, SparseTensor, assign_voxel_indices,
                             build_pillar_features, build_voxel_features, pack_coords)
 from voxpillar.reference import groupby_max, groupby_mean
 
@@ -180,3 +182,59 @@ def test_pack_coords_is_lex_order(desk_grid):
     coords = np.unique(coords, axis=0)
     keys = pack_coords(coords, (16, 16, 16))
     assert (np.diff(keys) > 0).all()
+
+
+def _tensor(coords, features=None, extents=(4, 4, 3)):
+    coords = np.asarray(coords, dtype=np.int64)
+    if features is None:
+        features = np.ones((coords.shape[0], 2))
+    return SparseTensor(coords=coords, features=np.asarray(features, dtype=np.float64),
+                        stride=1, extents=extents)
+
+
+@pytest.mark.parametrize("case", [
+    "coords-width", "feature-rows", "non-finite", "negative", "past-extent", "unsorted",
+    "duplicate"])
+def test_validate_raises_invalid_tensor(case):
+    good = [[0, 1, 0], [0, 1, 2], [3, 0, 1]]
+    bad = {
+        "coords-width": _tensor([[0, 1], [2, 3]], extents=(4, 4, 3)),
+        "feature-rows": _tensor(good, features=np.ones((2, 2))),
+        "non-finite": _tensor(good, features=[[0.0, 1.0], [np.nan, 0.0], [1.0, 1.0]]),
+        "negative": _tensor([[0, 1, 0], [0, 1, 2], [3, -1, 1]]),
+        "past-extent": _tensor([[0, 1, 0], [0, 1, 2], [3, 0, 3]]),
+        "unsorted": _tensor([[0, 1, 2], [0, 1, 0], [3, 0, 1]]),
+        "duplicate": _tensor([[0, 1, 0], [0, 1, 0], [3, 0, 1]]),
+    }[case]
+    _tensor(good).validate()
+    with pytest.raises(InvalidTensor):
+        bad.validate()
+
+
+@st.composite
+def sorted_tensors(draw):
+    extents = tuple(draw(st.integers(1, 5)) for _ in range(3))
+    total = int(np.prod(extents))
+    flat = sorted(draw(st.sets(st.integers(0, total - 1), max_size=min(total, 40))))
+    coords = np.stack(np.unravel_index(np.asarray(flat, dtype=np.int64), extents), axis=1)
+    return _tensor(coords, extents=extents)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(sorted_tensors())
+def test_bev_runs_equal_unique_projection(t):
+    want, counts = np.unique(t.coords[:, :2], axis=0, return_counts=True)
+    bounds = t.bev_runs()
+    assert bounds[0] == 0 and bounds[-1] == t.num_sites
+    np.testing.assert_array_equal(t.coords[bounds[:-1], :2], want)
+    np.testing.assert_array_equal(t.bev_coords(), want)
+    np.testing.assert_array_equal(np.diff(bounds), counts)
+
+
+def test_bev_runs_empty_and_single_site():
+    empty = _tensor(np.empty((0, 3)))
+    np.testing.assert_array_equal(empty.bev_runs(), [0])
+    assert empty.bev_coords().shape == (0, 2)
+    single = _tensor([[2, 1, 0]])
+    np.testing.assert_array_equal(single.bev_runs(), [0, 1])
+    np.testing.assert_array_equal(single.bev_coords(), [[2, 1]])
