@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box3D, iou3d_matrix
+from .geometry import CIRCLE_MARGIN, Box3D, iou3d_matrix
 
 NUM_BINS = 10
 
@@ -21,43 +21,44 @@ class DensityRecord:
     horizontal_occupancy: float
 
 
-def _box_frame(points: np.ndarray, box: Box3D) -> np.ndarray:
-    p = np.asarray(points, dtype=np.float64)[:, :3] - np.array(box.center)
-    c, s = math.cos(-box.heading), math.sin(-box.heading)
-    out = np.empty_like(p)
-    out[:, 0] = c * p[:, 0] - s * p[:, 1]
-    out[:, 1] = s * p[:, 0] + c * p[:, 1]
-    out[:, 2] = p[:, 2]
-    return out
-
-
-def _axis_density(local: np.ndarray, half: float) -> float:
-    """Fraction of the 10 uniform bins of [-half, half] that hold a point."""
-    if local.size == 0:
-        return 0.0
-    bins = np.floor((local + half) / (2.0 * half) * NUM_BINS).astype(np.int64)
-    np.clip(bins, 0, NUM_BINS - 1, out=bins)  # the +half face belongs to the top bin
-    return len(np.unique(bins)) / NUM_BINS
-
-
 def vertical_density(points, box: Box3D, box_id: int = 0) -> DensityRecord:
     """Bin the in-box points into 10 vertical slices; S_Z = occupied / 10.
 
     Points are mapped into the box frame first; points exactly on a face
     count as inside. S_X and S_Y are computed the same way along the box
     axes and combined into the horizontal occupancy sqrt(S_X * S_Y).
+
+    Only points near the box are mapped. A BEV prefilter keeps the points
+    whose x offset from the center, and then whose (x, y) offset, lies
+    within the circumscribed radius hypot(l, w) / 2, widened by
+    `CIRCLE_MARGIN`. Every in-box point lies within that radius, and the
+    rounding of the frame mapping is far below the margin, so the prefilter
+    drops no point that the exact in-box test keeps; the survivors go
+    through the same arithmetic, so the record is bitwise the same as
+    mapping the whole cloud.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.size == 0:
         pts = pts.reshape(0, 4)
-    local = _box_frame(pts, box)
+    cx, cy, cz = box.center
+    reach = 0.5 * math.hypot(box.dims[0], box.dims[1]) * (1.0 + CIRCLE_MARGIN)
+    dx = pts[:, 0] - cx
+    near = np.flatnonzero(np.abs(dx) <= reach)
+    dx = dx[near]
+    dy = pts[near, 1] - cy
+    keep = dx * dx + dy * dy <= reach * reach
+    near, dx, dy = near[keep], dx[keep], dy[keep]
+    c, s = math.cos(-box.heading), math.sin(-box.heading)
+    local = np.column_stack((c * dx - s * dy, s * dx + c * dy, pts[near, 2] - cz))
     half = np.array(box.dims) / 2.0
-    inside = (np.abs(local) <= half).all(axis=1)
-    local = local[inside]
-    s_x = _axis_density(local[:, 0], half[0])
-    s_y = _axis_density(local[:, 1], half[1])
-    s_z = _axis_density(local[:, 2], half[2])
-    return DensityRecord(box_id=box_id, s_z=s_z, point_count=int(inside.sum()),
+    local = local[(np.abs(local) <= half).all(axis=1)]
+    # 10 uniform bins of [-half, half] per axis; the +half face belongs to the top bin
+    bins = np.floor((local + half) / (2.0 * half) * NUM_BINS).astype(np.int64)
+    np.clip(bins, 0, NUM_BINS - 1, out=bins)
+    occupied = np.zeros((3, NUM_BINS), dtype=bool)
+    occupied[[0, 1, 2], bins] = True
+    s_x, s_y, s_z = occupied.sum(axis=1) / NUM_BINS
+    return DensityRecord(box_id=box_id, s_z=float(s_z), point_count=local.shape[0],
                          horizontal_occupancy=math.sqrt(s_x * s_y))
 
 

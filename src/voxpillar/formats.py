@@ -5,6 +5,7 @@ plus rename so partially written outputs never appear under the final name.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -81,11 +82,9 @@ def read_dump(path) -> list[dict]:
             raise FormatError(f"{path}: truncated header at byte {pos}")
         try:
             header = json.loads(data[pos:eol].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError, int digit limit
             raise FormatError(f"{path}: bad record header: {exc}") from exc
-        count = int(header["count"])
-        ndim = len(header["extents"])
-        channels = int(header["channels"])
+        count, ndim, channels = _record_shape(path, header)
         start = eol + 1
         coords_bytes = count * ndim * 4
         feats_bytes = count * channels * 4
@@ -98,6 +97,25 @@ def read_dump(path) -> list[dict]:
         records.append({"header": header, "coords": coords, "features": feats})
         pos = start + coords_bytes + feats_bytes
     return records
+
+
+def _record_shape(path, header) -> tuple[int, int, int]:
+    """(count, ndim, channels) of a dump record header, or FormatError."""
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: record header is not an object: {header!r}")
+    name = header.get("name")
+    count, channels, extents = (header.get(k) for k in ("count", "channels", "extents"))
+    if not all(_is_count(v) for v in (count, channels)):
+        raise FormatError(f"{path}: record {name!r}: count and channels must be "
+                          f"non-negative ints, got {count!r} and {channels!r}")
+    if not isinstance(extents, list) or not all(_is_count(e) for e in extents):
+        raise FormatError(f"{path}: record {name!r}: extents must be a list of "
+                          f"non-negative ints, got {extents!r}")
+    return count, len(extents), channels
+
+
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
 def load_boxes(path) -> list[dict]:
@@ -160,6 +178,11 @@ def _csv_cell(v) -> str:
 def _atomic_write_bytes(path, payload: bytes):
     path = os.fspath(path)
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from voxpillar.grid import GridSpec
+
+# Property tests are derandomized so a tier-1 run is reproducible, keep no
+# example database on disk, and have no per-example deadline. Tests set only
+# their own max_examples on top of this profile.
+settings.register_profile("voxpillar", derandomize=True, database=None, deadline=None)
+settings.load_profile("voxpillar")
 
 
 @pytest.fixture

@@ -120,6 +120,20 @@ def test_density_csv(workspace, tmp_path):
     assert cells[0] == "0" and float(cells[1]) == 1.0 and cells[2] == "10"
 
 
+def test_density_out_onto_a_directory_exits_1_and_leaves_no_temp_file(workspace, capsys):
+    tmp, _, cloud = workspace
+    boxes = tmp / "boxes.json"
+    boxes.write_text(json.dumps([{"center": [0.8, 0.8, 0.6], "dims": [0.4, 0.4, 1.0],
+                                  "heading": 0.0}]))
+    out = tmp / "out"
+    out.mkdir()
+    capsys.readouterr()
+    assert main(["density", cloud, str(boxes), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert list(tmp.glob("*.tmp*")) == [] and list(out.iterdir()) == []
+
+
 def test_recall_csv(workspace, tmp_path):
     gt = [{"box": {"center": [1, 1, 1], "dims": [2, 2, 2], "heading": 0.0},
            "class": "Vehicle", "points": [[1.0, 1.0, 0.5, 0.0]]}]

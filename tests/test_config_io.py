@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxpillar.backbone import default_backbone_config, required_weights
 from voxpillar.config import RunConfig, config_from_json, load_config
@@ -112,6 +114,82 @@ def test_dump_truncation_detected(tmp_path):
     path.write_bytes(data[:-4])
     with pytest.raises(FormatError):
         read_dump(path)
+
+
+def _one_record_header(**changes):
+    header = {"name": "a", "stride": 1, "extents": [4, 4], "channels": 3, "count": 1}
+    header.update(changes)
+    return {k: v for k, v in header.items() if v is not None}
+
+
+@pytest.mark.parametrize("header", [
+    _one_record_header(count=None),
+    [1, 2],
+    5,
+    _one_record_header(count="x"),
+    _one_record_header(count=-1),
+    _one_record_header(count=1.0),
+    _one_record_header(count=True),
+    _one_record_header(channels=None),
+    _one_record_header(channels="3"),
+    _one_record_header(extents=None),
+    _one_record_header(extents=3),
+    _one_record_header(extents=[4, "4"]),
+    _one_record_header(extents=[4, -4]),
+], ids=["no-count", "list", "number", "count-str", "count-negative", "count-float",
+        "count-bool", "no-channels", "channels-str", "no-extents", "extents-int",
+        "extents-str", "extents-negative"])
+def test_dump_bad_header_raises_format_error(tmp_path, header):
+    path = tmp_path / "t.vpt"
+    body = np.zeros(2, dtype="<u4").tobytes() + np.zeros(3, dtype="<f4").tobytes()
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+    with pytest.raises(FormatError, match="record"):
+        read_dump(path)
+
+
+@st.composite
+def corrupted(draw, blob: bytes) -> bytes:
+    """`blob` with a few bytes flipped (often in the header), then maybe truncated."""
+    data = bytearray(blob)
+    where = st.one_of(st.integers(0, min(len(data), 96) - 1), st.integers(0, len(data) - 1))
+    for _ in range(draw(st.integers(0, 4))):
+        data[draw(where)] ^= draw(st.integers(1, 255))
+    return bytes(data[:draw(st.integers(0, len(data)))] if draw(st.booleans()) else data)
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A directory to write into, and the bytes of a valid cloud and dump."""
+    tmp = tmp_path_factory.mktemp("corrupt")
+    rng = np.random.default_rng(113)
+    write_cloud(tmp / "cloud.vpc", rng.normal(size=(6, 4)))
+    coords = np.array([[0, 1, 2], [3, 2, 1]])
+    write_dump(tmp / "t.vpt", [("a", coords, rng.normal(size=(2, 3)), 2, (4, 4, 4)),
+                               ("b", coords[:, :2], rng.normal(size=(2, 5)), 4, (4, 4))])
+    return tmp, {"cloud": (read_cloud, (tmp / "cloud.vpc").read_bytes()),
+                 "dump": (read_dump, (tmp / "t.vpt").read_bytes())}
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(["cloud", "dump"]), st.data())
+def test_corrupted_files_raise_only_format_error(valid_files, kind, data):
+    tmp, files = valid_files
+    reader, blob = files[kind]
+    path = tmp / "corrupted.bin"
+    path.write_bytes(data.draw(corrupted(blob)))
+    try:
+        reader(path)
+    except FormatError:
+        pass
+
+
+def test_save_onto_a_directory_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "out.json"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError):
+        RunConfig(seed=1, grid=GridSpec((0.0, 0.0, 0.0), (1.6, 1.6, 1.2),
+                                        (0.1, 0.1, 0.15))).save(target)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
 def test_boxes_json(tmp_path):

@@ -1,6 +1,8 @@
 import math
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxpillar.density import greedy_match, recall_by_density, vertical_density
 from voxpillar.geometry import Box3D
@@ -132,3 +134,50 @@ def test_greedy_one_pred_per_gt():
     pred = [box_at()]  # overlaps both ground truths
     matched = greedy_match(gt, pred, 0.3)
     assert matched.count(0) == 1 and matched.count(None) == 1
+
+
+# Box-frame coordinates in units of the half dims: on a face (+-1) or inside,
+# then nudged just inside or just outside by a relative step.
+_on_face = st.sampled_from([-1.0, 1.0])
+_nudge = st.sampled_from([0.0, -1e-15, 1e-15, -1e-9, 1e-9])
+
+
+@st.composite
+def box_with_boundary_points(draw):
+    """A rotated box and points on its faces, edges, corners and near its BEV circle."""
+    centre = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e4, 1e4))
+    dims = tuple(draw(st.floats(0.05, 20.0)) for _ in range(3))
+    # Besides any heading, headings that put a corner on a world axis, where
+    # the x and y offsets reach the circumscribed radius
+    corner_angle = math.atan2(dims[1], dims[0])
+    aligned = st.builds(lambda m, sign: m * math.pi / 2 + sign * corner_angle,
+                        st.integers(0, 3), st.sampled_from([-1.0, 1.0]))
+    box = box_at(center=tuple(draw(centre) for _ in range(3)), dims=dims,
+                 heading=draw(st.one_of(st.floats(-math.pi, math.pi), aligned)))
+    half = np.array(box.dims) / 2.0
+    local = [[draw(st.one_of(_on_face, st.floats(-1.0, 1.0))) * (1.0 + draw(_nudge)) * h
+              for h in half] for _ in range(draw(st.integers(0, 24)))]
+    # Points around the circumscribed radius, in any BEV direction
+    radius = math.hypot(box.dims[0], box.dims[1]) / 2.0
+    ring = [(radius * (1.0 + draw(st.sampled_from([-1e-9, 0.0, 1e-9, 1e-6, 2e-6]))),
+             draw(st.floats(-math.pi, math.pi)), draw(st.floats(-1.0, 1.0)) * half[2])
+            for _ in range(draw(st.integers(0, 8)))]
+    c, s = math.cos(box.heading), math.sin(box.heading)
+    cx, cy, cz = box.center
+    pts = [[cx + c * x - s * y, cy + s * x + c * y, cz + z, 0.0] for x, y, z in local]
+    pts += [[cx + r * math.cos(a), cy + r * math.sin(a), cz + z, 0.0] for r, a, z in ring]
+    return box, np.array(pts).reshape(-1, 4)
+
+
+@settings(max_examples=150)
+@given(box_with_boundary_points())
+def test_prefilter_matches_per_point_oracle(case):
+    box, pts = case
+    rec = vertical_density(pts, box)
+    occ_x, occ_y, occ_z = density_bins_reference(pts, box)
+    assert rec.s_z == len(occ_z) / 10
+    assert rec.horizontal_occupancy == math.sqrt((len(occ_x) / 10) * (len(occ_y) / 10))
+    # point by point: in the box for the engine exactly when the oracle bins it
+    inside = [vertical_density(p[None], box).point_count for p in pts]
+    assert inside == [len(density_bins_reference(p[None], box)[2]) for p in pts]
+    assert rec.point_count == sum(inside)

@@ -10,8 +10,7 @@ from voxpillar.geometry import (Box3D, _box_sort_key, _BoxTable, _pair_iou, iou3
                                 iou3d_matrix)
 from voxpillar.reference import greedy_match_reference, monte_carlo_iou
 
-# Derandomized so a tier-1 run is reproducible; no example database on disk.
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+PROPERTY = settings(max_examples=60)
 
 coord = st.floats(-6.0, 6.0)
 dim = st.floats(0.2, 4.0)

@@ -220,7 +220,7 @@ def sorted_tensors(draw):
     return _tensor(coords, extents=extents)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@settings(max_examples=80)
 @given(sorted_tensors())
 def test_bev_runs_equal_unique_projection(t):
     want, counts = np.unique(t.coords[:, :2], axis=0, return_counts=True)
