@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -13,11 +12,9 @@ from .config import config_from_json, read_config_doc
 from .density import recall_by_density, vertical_density
 from .errors import VoxPillarError
 from .formats import FormatError, load_boxes, read_cloud, write_csv, write_dump
-from .geometry import Box3D, iou3d
 from .grid import PointEncoderWeights, build_pillar_features, build_voxel_features
 from .manifest import load_manifest, resolve_weights
-from .reference import monte_carlo_iou
-from .selftest import run_selftest
+from .selftest import IOU_TOLERANCE, iou_monte_carlo_errors, run_selftest
 
 
 def _positive_int(text: str) -> int:
@@ -167,19 +164,10 @@ def cmd_recall(args) -> int:
 
 
 def cmd_iou_check(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    for trial in range(args.trials):
-        center = rng.uniform(-2, 2, size=3)
-        a = Box3D(center=tuple(center), dims=tuple(rng.uniform(0.8, 2.5, size=3)),
-                  heading=rng.uniform(-math.pi, math.pi))
-        b = Box3D(center=tuple(center + rng.uniform(-1, 1, size=3)),
-                  dims=tuple(rng.uniform(0.8, 2.5, size=3)),
-                  heading=rng.uniform(-math.pi, math.pi))
-        mc = monte_carlo_iou(a, b, samples=args.samples, seed=int(rng.integers(1 << 31)))
-        worst = max(worst, abs(iou3d(a, b) - mc))
+    # the same Monte-Carlo loop as acceptance criterion c04
+    worst = iou_monte_carlo_errors(args.trials, args.seed, args.samples).max()
     print(f"max |clipped - monte-carlo| over {args.trials} trials: {worst:.6f}")
-    return 0 if worst <= 0.01 else 1
+    return 0 if worst <= IOU_TOLERANCE else 1
 
 
 def cmd_selftest(_args) -> int:

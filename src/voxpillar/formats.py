@@ -152,9 +152,12 @@ def load_boxes(path) -> list[dict]:
         if points.ndim != 2 or points.shape[1] != 4:
             raise FormatError(f"{path}: entry {i} points must be rows of 4 numbers "
                               f"(x, y, z, intensity), got shape {points.shape}")
+        cls = entry.get("class", "Vehicle")
+        if not isinstance(cls, str):
+            raise FormatError(f"{path}: entry {i} class must be a string, got {cls!r}")
         out.append({
             "box": box,
-            "class": entry.get("class", "Vehicle"),
+            "class": cls,
             "id": box_id,
             "score": entry.get("score"),
             "points": points,

@@ -3,12 +3,13 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import zlib
 
 import numpy as np
 
 from .errors import FormatError, ShapeMismatch
-from .formats import _atomic_write_bytes
+from .formats import _atomic_write_bytes, _is_count
 
 # Tensors at or below this element count are stored as inline JSON arrays.
 _INLINE_LIMIT = 64
@@ -31,14 +32,25 @@ def load_manifest(path) -> dict[str, np.ndarray]:
     for name, entry in doc["tensors"].items():
         if not isinstance(entry, dict) or "shape" not in entry or "values" not in entry:
             raise FormatError(f"tensor {name!r} must carry 'shape' and 'values'")
-        shape = tuple(int(s) for s in entry["shape"])
+        shape = entry["shape"]
+        if not isinstance(shape, list) or not all(_is_count(s) for s in shape):
+            raise FormatError(f"tensor {name!r}: shape must be a list of non-negative ints, "
+                              f"got {shape!r}")
+        shape = tuple(shape)
         values = entry["values"]
-        if isinstance(values, str):
-            raw = base64.b64decode(values.encode("ascii"), validate=True)
-            arr = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-        else:
-            arr = np.asarray(values, dtype=np.float64).ravel()
-        if arr.size != int(np.prod(shape)):
+        try:
+            if isinstance(values, str):
+                raw = base64.b64decode(values.encode("ascii"), validate=True)
+                arr = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+            else:
+                arr = np.asarray(values)
+                if arr.dtype.kind not in "iuf":  # strings, bools, nulls, objects
+                    raise ValueError(f"got {arr.dtype} elements")
+                arr = arr.astype(np.float64).ravel()
+        except ValueError as exc:  # binascii.Error and ragged nesting are ValueErrors too
+            raise FormatError(f"tensor {name!r}: values must be base64 little-endian f32 or a "
+                              f"numeric array: {exc}") from exc
+        if arr.size != math.prod(shape):
             raise FormatError(f"tensor {name!r}: {arr.size} values for shape {shape}")
         if not np.isfinite(arr).all():
             raise FormatError(f"tensor {name!r} contains non-finite values")

@@ -1,210 +1,319 @@
-"""Compact in-process validation of every oracle-backed contract."""
+"""The oracle-backed checks, shared by `voxpillar selftest`, the acceptance tests and `iou-check`.
+
+Each `check_*(cases)` draws its cases from its own seeded stream, so a smaller
+count runs the first cases of the same stream. Checks fail through `_require`,
+which, unlike an assert statement, survives python -O.
+"""
 from __future__ import annotations
 
 import math
 
 import numpy as np
 
-from . import reference
-from .backbone import default_backbone_config, forward, required_weights
-from .config import RunConfig
+from .backbone import default_backbone_config, encoder_forward, forward, required_weights
 from .density import vertical_density
 from .fusion import broadcast, build_correspondence, sparse_fusion_layer, sparse_pool
 from .geometry import Box3D, iou3d
-from .grid import (GridSpec, PointEncoderWeights, SparseTensor, build_pillar_features,
-                   build_voxel_features)
-from .losses import diou_center_fd_error, diou_loss, encode_iou_target, rectify_score
+from .grid import GridSpec, SparseTensor
+from .losses import (LossWeights, diou_center_fd_error, diou_loss, encode_iou_target, focal_loss,
+                     iou_l1_terms, overall_loss, rectify_score, regression_l1_terms)
 from .manifest import resolve_weights
-from .sparse_conv import ConvSpec, ConvWeights, bev_equal, build_kernel_map, paired_downsample, sparse_conv
+from .reference import (dense_conv_reference, dense_correspondence_matrix,
+                        density_bins_reference, groupby_max, monte_carlo_iou)
+from .sparse_conv import ConvSpec, ConvWeights, bev_equal, build_kernel_map, sparse_conv
+
+SMALL_GRID = GridSpec((0.0, 0.0, 0.0), (1.6, 1.6, 1.2), (0.1, 0.1, 0.15))
+IOU_TOLERANCE = 0.01
 
 
 def _require(cond, what: str):
-    # An explicit raise, unlike an assert statement, survives python -O.
     if not cond:
         raise AssertionError(what)
 
 
-def _random_sparse(rng, extents, density, channels):
+def random_cloud(rng: np.random.Generator, n: int, spec: GridSpec) -> np.ndarray:
+    """Uniform points inside the grid range with uniform intensities."""
+    pts = np.empty((n, 4))
+    pts[:, :3] = rng.uniform(np.array(spec.range_min), np.array(spec.range_max), size=(n, 3))
+    pts[:, 3] = rng.uniform(0.0, 1.0, size=n)
+    return pts
+
+
+def random_sparse(rng, extents, density, channels) -> SparseTensor:
     total = int(np.prod(extents))
-    n = max(1, int(total * density))
+    n = max(1, int(round(total * density)))
     flat = np.sort(rng.choice(total, size=n, replace=False))
     coords = np.stack(np.unravel_index(flat, extents), axis=1).astype(np.int64)
     return SparseTensor(coords=coords, features=rng.normal(size=(n, channels)), stride=1,
                         extents=tuple(extents))
 
 
-def _random_cloud(rng, n, grid):
-    lo = np.array(grid.range_min)
-    hi = np.array(grid.range_max)
-    pts = np.empty((n, 4))
-    pts[:, :3] = rng.uniform(lo, hi, size=(n, 3))
-    pts[:, 3] = rng.uniform(0, 1, size=n)
-    return pts
+def random_consistent_pair(rng, n_cols) -> tuple[SparseTensor, SparseTensor]:
+    """Voxels (3 channels) on a 6 x 6 x 4 grid and the pillars (5 channels) of their columns."""
+    extents = (6, 6, 4)
+    cols = np.sort(rng.choice(extents[0] * extents[1], size=n_cols, replace=False))
+    pillar_coords = np.stack(np.unravel_index(cols, extents[:2]), axis=1)
+    voxel_coords = []
+    for l, w in pillar_coords:
+        hs = np.sort(rng.choice(extents[2], size=int(rng.integers(1, extents[2] + 1)),
+                                replace=False))
+        voxel_coords.extend((l, w, h) for h in hs)
+    voxel_coords = np.asarray(voxel_coords, dtype=np.int64)
+    v = SparseTensor(coords=voxel_coords, features=rng.normal(size=(len(voxel_coords), 3)),
+                     stride=1, extents=extents)
+    p = SparseTensor(coords=pillar_coords, features=rng.normal(size=(n_cols, 5)),
+                     stride=1, extents=extents[:2])
+    return v, p
 
 
-def _check_sparse_conv():
-    rng = np.random.default_rng(100)
-    for trial in range(20):
-        ndim = 3 if trial % 2 == 0 else 2
-        extents = tuple(rng.integers(6, 13, size=ndim))
-        x = _random_sparse(rng, extents, rng.uniform(0.05, 0.4), 3)
-        if trial % 4 < 2:
-            spec = ConvSpec.submanifold(ndim, 3, 3, 4)
+def random_box_pair(rng, max_offset=1.0) -> tuple[Box3D, Box3D]:
+    center = rng.uniform(-2, 2, size=3)
+    a = Box3D(center=tuple(center), dims=tuple(rng.uniform(0.8, 2.5, size=3)),
+              heading=rng.uniform(-math.pi, math.pi))
+    b = Box3D(center=tuple(center + rng.uniform(-max_offset, max_offset, size=3)),
+              dims=tuple(rng.uniform(0.8, 2.5, size=3)),
+              heading=rng.uniform(-math.pi, math.pi))
+    return a, b
+
+
+def axis_aligned_overlapping_pair(rng) -> tuple[Box3D, Box3D]:
+    """theta = 0 boxes with safely overlapping interiors and no face ties."""
+    while True:
+        ca = rng.uniform(-1, 1, size=3)
+        da = rng.uniform(1.0, 2.5, size=3)
+        cb = ca + rng.uniform(-0.4, 0.4, size=3)
+        db = rng.uniform(1.0, 2.5, size=3)
+        a = Box3D(center=tuple(ca), dims=tuple(da), heading=0.0)
+        b = Box3D(center=tuple(cb), dims=tuple(db), heading=0.0)
+        lo_a, hi_a = ca - da / 2, ca + da / 2
+        lo_b, hi_b = cb - db / 2, cb + db / 2
+        overlap = np.minimum(hi_a, hi_b) - np.maximum(lo_a, lo_b)
+        ties = np.minimum(np.abs(hi_a - hi_b), np.abs(lo_a - lo_b))
+        if (overlap > 0.05).all() and (ties > 0.01).all():
+            return a, b
+
+
+def iou_monte_carlo_errors(trials: int, seed: int, samples: int = 1_000_000) -> np.ndarray:
+    """|iou3d - Monte-Carlo IoU| for each of `trials` seeded random box pairs."""
+    rng = np.random.default_rng(seed)
+    errors = np.empty(trials)
+    for trial in range(trials):
+        a, b = random_box_pair(rng)
+        mc = monte_carlo_iou(a, b, samples=samples, seed=int(rng.integers(1 << 31)))
+        errors[trial] = abs(iou3d(a, b) - mc)
+    return errors
+
+
+def check_sparse_conv(cases):
+    """c01: sparse convolution equals the densify-convolve-mask oracle."""
+    rng = np.random.default_rng(201)
+    for case in range(cases):
+        ndim = 3 if case % 2 == 0 else 2
+        hi = 16 if ndim == 3 else 32
+        extents = tuple(int(v) for v in rng.integers(6, hi + 1, size=ndim))
+        density = rng.uniform(0.05, 0.5)
+        cin, cout = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        x = random_sparse(rng, extents, density, cin)
+        if case % 4 < 2:
+            spec = ConvSpec.submanifold(ndim, 3, cin, cout)
         else:
-            spec = ConvSpec.regular(ndim, 3, 2, 1, 3, 4)
-        w = ConvWeights(kernel=rng.normal(size=(spec.num_offsets, 3, 4)))
-        kmap = build_kernel_map(x.coords, spec, x.extents)
-        out = sparse_conv(x, spec, w, kmap)
-        dense = reference.dense_conv_reference(x.coords, x.features, x.extents, spec, w)
+            spec = ConvSpec.regular(ndim, 3, 2, 1, cin, cout)
+        w = ConvWeights(kernel=rng.normal(size=(spec.num_offsets, cin, cout)),
+                        bias=rng.normal(size=cout) if case % 3 == 0 else None)
+        out = sparse_conv(x, spec, w, build_kernel_map(x.coords, spec, x.extents))
+        dense = dense_conv_reference(x.coords, x.features, x.extents, spec, w)
         _require(np.allclose(out.features, dense[tuple(out.coords.T)], rtol=1e-5, atol=1e-8),
-                 f"trial {trial}: sparse conv differs from the dense oracle")
+                 f"case {case}: sparse conv differs from the dense oracle")
 
 
-def _check_bev_consistency():
-    rng = np.random.default_rng(101)
-    grid = GridSpec((0, 0, 0), (3.2, 3.2, 1.2), (0.1, 0.1, 0.15))
-    enc = PointEncoderWeights(weight=rng.normal(size=(4, 4)), bias=np.zeros(4))
-    for trial in range(10):
-        pts = _random_cloud(rng, int(rng.integers(5, 150)), grid)
-        v = build_voxel_features(pts, grid)
-        p = build_pillar_features(pts, grid, enc)
-        _require(bev_equal(v, p), f"trial {trial}: voxel and pillar BEV differ")
-        for _ in range(3):
-            s3 = ConvSpec.regular(3, 3, 2, 1, v.num_channels, 4)
-            s2 = ConvSpec.regular(2, 3, 2, 1, p.num_channels, 4)
-            v, p = paired_downsample(v, p, s3, s2,
-                                     ConvWeights(kernel=rng.normal(size=(27, v.num_channels, 4))),
-                                     ConvWeights(kernel=rng.normal(size=(9, p.num_channels, 4))))
-            _require(bev_equal(v, p), f"trial {trial}: BEV differs after downsampling")
+def check_bev_consistency(cases):
+    """c02: voxel and pillar BEV occupancy are equal at every encoder step."""
+    cfg = default_backbone_config("dense")
+    tensors = resolve_weights(required_weights(SMALL_GRID, cfg), None, seed=202)
+    rng = np.random.default_rng(202)
+    for case in range(cases):
+        pts = random_cloud(rng, int(rng.integers(5, 200)), SMALL_GRID)
+        pairs = encoder_forward(pts, SMALL_GRID, cfg, tensors)
+        _require(len(pairs) == 4, f"cloud {case}: {len(pairs)} encoder steps, expected 4")
+        for step, (v, p) in enumerate(pairs, start=1):
+            _require(bev_equal(v, p), f"cloud {case}: voxel and pillar BEV differ at step {step}")
 
 
-def _check_fusion():
-    rng = np.random.default_rng(102)
-    grid = GridSpec((0, 0, 0), (1.6, 1.6, 1.2), (0.1, 0.1, 0.15))
-    enc = PointEncoderWeights(weight=rng.normal(size=(4, 5)), bias=np.zeros(5))
-    for trial in range(10):
-        pts = _random_cloud(rng, 80, grid)
-        v = build_voxel_features(pts, grid)
-        p = build_pillar_features(pts, grid, enc)
+def check_fusion(cases):
+    """c03: pool and broadcast oracles, their round trip, and zero-weight SFL identity."""
+    rng = np.random.default_rng(203)
+    for case in range(cases):
+        v, p = random_consistent_pair(rng, int(rng.integers(1, 18)))
         corr = build_correspondence(v, p)
-        dense_c = reference.dense_correspondence_matrix(v.coords, p.coords)
-        _require((dense_c.sum(axis=1) == 1).all(), "a voxel is not in exactly one pillar")
+        dense = dense_correspondence_matrix(v.coords, p.coords)
+        _require((dense.sum(axis=1) == 1).all(), f"pair {case}: a voxel is not in one pillar")
         pooled = sparse_pool(v, corr)
-        expected = reference.groupby_max(v.features, v.coords[:, :2])
+        oracle = groupby_max(v.features, v.coords[:, :2])
         for coord, feat in zip(p.coords, pooled):
-            _require((feat == expected[tuple(coord)]).all(), f"pillar {tuple(coord)} pooled wrong")
+            _require((feat == oracle[tuple(coord)]).all(), f"pair {case}: pillar pooled wrong")
         copied = broadcast(p, corr)
+        for i in range(v.num_sites):
+            _require((copied[i] == p.features[corr.voxel_to_pillar[i]]).all(),
+                     f"pair {case}: voxel {i} broadcast wrong")
         v_like = SparseTensor(v.coords, copied, 1, v.extents)
-        _require((sparse_pool(v_like, corr) == p.features).all(), "pool of broadcast is not p")
-        zero_v2p = ConvWeights(kernel=np.zeros((9, 4, 5)))
-        zero_p2v = ConvWeights(kernel=np.zeros((9, 5, 4)))
-        kmap = build_kernel_map(p.coords, ConvSpec.submanifold(2, 3, 5, 4), p.extents)
-        fv, fp = sparse_fusion_layer(v, p, corr, zero_v2p, zero_p2v, kmap)
-        _require(fv.features.tobytes() == v.features.tobytes(), "zero fusion changed voxels")
-        _require(fp.features.tobytes() == p.features.tobytes(), "zero fusion changed pillars")
+        _require((sparse_pool(v_like, corr) == p.features).all(),
+                 f"pair {case}: pool of broadcast is not the pillars")
+        w_v2p = ConvWeights(kernel=np.zeros((9, v.num_channels, p.num_channels)))
+        w_p2v = ConvWeights(kernel=np.zeros((9, p.num_channels, v.num_channels)))
+        fv, fp = sparse_fusion_layer(v, p, corr, w_v2p, w_p2v, build_kernel_map(
+            p.coords, ConvSpec.submanifold(2, 3, 1, 1), p.extents))
+        _require(fv.features.tobytes() == v.features.tobytes(),
+                 f"pair {case}: zero fusion changed the voxels")
+        _require(fp.features.tobytes() == p.features.tobytes(),
+                 f"pair {case}: zero fusion changed the pillars")
 
 
-def _check_iou():
-    b = Box3D(center=(0.5, -1.0, 0.2), dims=(1.5, 2.0, 1.0), heading=0.9)
+def check_iou(cases):
+    """c04: analytic IoU cases are exact; random pairs lie within 0.01 of Monte-Carlo."""
+    b = Box3D((0.3, 0.1, -0.4), (1.2, 2.1, 0.9), 0.83)
     _require(iou3d(b, b) == 1.0, "self IoU is not 1")
-    far = Box3D(center=(100, 0, 0), dims=(1, 1, 1), heading=0.3)
-    _require(iou3d(b, far) == 0.0, "disjoint IoU is not 0")
-    a = Box3D(center=(0, 0, 0), dims=(1, 1, 1), heading=0.0)
-    c = Box3D(center=(0.5, 0, 0), dims=(1, 1, 1), heading=0.0)
-    _require(abs(iou3d(a, c) - 1 / 3) <= 1e-9, "half-shifted cube IoU is not 1/3")
-    rng = np.random.default_rng(103)
-    for trial in range(4):
-        center = rng.uniform(-2, 2, size=3)
-        x = Box3D(tuple(center), tuple(rng.uniform(0.8, 2.5, 3)), rng.uniform(-math.pi, math.pi))
-        y = Box3D(tuple(center + rng.uniform(-1, 1, 3)), tuple(rng.uniform(0.8, 2.5, 3)),
-                  rng.uniform(-math.pi, math.pi))
-        mc = reference.monte_carlo_iou(x, y, samples=1_000_000, seed=trial)
-        _require(abs(iou3d(x, y) - mc) <= 0.01, f"trial {trial}: IoU differs from Monte-Carlo")
+    _require(iou3d(Box3D((0, 0, 0), (1, 1, 1), 0.1), Box3D((100, 0, 0), (1, 1, 1), 0.7)) == 0.0,
+             "disjoint IoU is not 0")
+    offset = iou3d(Box3D((0, 0, 0), (1, 1, 1), 0.0), Box3D((0.5, 0, 0), (1, 1, 1), 0.0))
+    _require(abs(offset - 1.0 / 3.0) <= 1e-9, "half-shifted cube IoU is not 1/3")
+    errors = iou_monte_carlo_errors(cases, seed=204)
+    _require((errors <= IOU_TOLERANCE).all(),
+             f"IoU differs from Monte-Carlo by up to {errors.max():.6f}")
 
 
-def _check_diou():
-    b = Box3D(center=(1, 2, 3), dims=(2, 1, 1), heading=0.4)
+def check_diou(cases):
+    """c05: DIoU values 0 and 1 + 4/11, center gradient within 1e-4, bound below 2."""
+    b = Box3D((1.0, -2.0, 0.3), (2.0, 1.0, 1.5), 0.4)
     _require(diou_loss(b, b) == 0.0, "self DIoU loss is not 0")
-    a = Box3D(center=(0, 0, 0), dims=(1, 1, 1), heading=0.0)
-    c = Box3D(center=(2, 0, 0), dims=(1, 1, 1), heading=0.0)
-    _require(abs(diou_loss(a, c) - (1 + 4 / 11)) <= 1e-12, "disjoint DIoU loss is wrong")
-    rng = np.random.default_rng(104)
-    checked = 0
-    while checked < 5:
-        ca = rng.uniform(-1, 1, 3)
-        cb = ca + rng.uniform(-0.3, 0.3, 3)
-        da = rng.uniform(1.0, 2.0, 3)
-        db = rng.uniform(1.0, 2.0, 3)
-        if np.minimum(np.abs((ca + da / 2) - (cb + db / 2)),
-                      np.abs((ca - da / 2) - (cb - db / 2))).min() < 0.01:
-            continue
-        err = diou_center_fd_error(Box3D(tuple(ca), tuple(da), 0.0),
-                                   Box3D(tuple(cb), tuple(db), 0.0))
-        _require(err <= 1e-4, f"DIoU gradient off by {err}")
-        checked += 1
+    # the enclosing cuboid is 3 x 1 x 1, so d^2 = 11 and c^2 = 4
+    disjoint = diou_loss(Box3D((0, 0, 0), (1, 1, 1), 0.0), Box3D((2, 0, 0), (1, 1, 1), 0.0))
+    _require(abs(disjoint - (1 + 4 / 11)) <= 1e-12, f"disjoint DIoU loss is {disjoint}")
+    rng = np.random.default_rng(205)
+    for case in range(cases):
+        pred, gt = axis_aligned_overlapping_pair(rng)
+        err = diou_center_fd_error(pred, gt, step=1e-4)
+        _require(err <= 1e-4, f"config {case}: DIoU gradient off by {err}")
+    for case in range(50 * cases):
+        a, c = random_box_pair(rng, max_offset=3.0)
+        _require(diou_loss(a, c) < 2.0, f"pair {case}: DIoU loss is not below 2")
 
 
-def _check_score_formulas():
-    _require(rectify_score(0.4, 0.9, 0.0) == 0.4, "alpha 0 rectification")
-    _require(rectify_score(0.4, 0.9, 1.0) == 0.9, "alpha 1 rectification")
-    _require(encode_iou_target(0.75) == 1.0, "IoU target clamps at 1")
-    _require(encode_iou_target(0.25) == 0.0, "IoU target at 0.25")
-    _require(encode_iou_target(0.0) == -0.5, "IoU target at 0")
+def check_rectification(cases):
+    """c06: rectification passes s at alpha 0 and IoU at alpha 1, and is monotone in both."""
+    grid = np.linspace(0.0, 1.0, cases)
+    for s in grid:
+        for i in grid:
+            _require(rectify_score(s, i, 0.0) == s, f"alpha 0 changes score {s}")
+            _require(rectify_score(s, i, 1.0) == i, f"alpha 1 does not give IoU {i}")
+    for alpha in (0.5, 0.65, 0.68, 0.71):
+        scores = np.array([[rectify_score(s, i, alpha) for i in grid] for s in grid])
+        _require((np.diff(scores, axis=0) >= -1e-15).all(), f"alpha {alpha}: not monotone in s")
+        _require((np.diff(scores, axis=1) >= -1e-15).all(), f"alpha {alpha}: not monotone in IoU")
 
 
-def _check_density():
-    rng = np.random.default_rng(105)
-    for trial in range(5):
-        box = Box3D(center=tuple(rng.uniform(-2, 2, 3)), dims=tuple(rng.uniform(1, 3, 3)),
-                    heading=rng.uniform(-math.pi, math.pi))
-        pts = np.empty((150, 4))
-        pts[:, :3] = rng.uniform(-4, 4, size=(150, 3))
-        pts[:, 3] = 0
-        rec = vertical_density(pts, box)
-        _, _, occ_z = reference.density_bins_reference(pts, box)
-        _require(rec.s_z == len(occ_z) / 10, f"trial {trial}: S_Z differs from the oracle")
-    box = Box3D(center=(0, 0, 0), dims=(2, 2, 2), heading=0.0)
+def check_overall_loss(cases):
+    """c07: IoU target encoding values; the overall loss recomposes from its `cases` terms."""
+    _require(encode_iou_target(0.75) == 1.0, "IoU target does not clamp at 1")
+    _require(encode_iou_target(0.25) == 0.0, "IoU target at 0.25 is not 0")
+    _require(encode_iou_target(0.0) == -0.5, "IoU target at 0 is not -0.5")
+    rng = np.random.default_rng(207)
+    n = cases
+    cls_t = focal_loss(rng.uniform(0.01, 0.99, n), (rng.uniform(size=n) < 0.5).astype(float),
+                       0.25, 2.0)
+    iou_t = iou_l1_terms(rng.uniform(-1, 1, n), rng.uniform(0, 1, n))
+    reg_t = regression_l1_terms(rng.normal(size=(n, 7)), rng.normal(size=(n, 7)))
+    diou_t = np.array([diou_loss(*random_box_pair(rng)) for _ in range(n)])
+    gamma = 1.3
+    got = overall_loss(cls_t, iou_t, reg_t, diou_t, LossWeights(gamma=gamma))
+    expect = cls_t.mean() + iou_t.mean() + gamma * (diou_t.mean() + reg_t.mean())
+    _require(abs(got - expect) <= 1e-6, f"overall loss {got}, recomposed {expect}")
+    zero_gamma = overall_loss(cls_t, iou_t, reg_t, diou_t, LossWeights(gamma=0.0))
+    _require(abs(zero_gamma - (cls_t.mean() + iou_t.mean())) <= 1e-6,
+             "gamma 0 does not drop the box terms")
+
+
+def check_density(cases):
+    """c08: k stacked points give S_Z = k/10 exactly; rotated binning matches the oracle."""
+    box = Box3D((0.4, -0.7, 0.2), (1.1, 2.3, 1.7), 0.35)
+    h = box.dims[2]
+    z0 = box.center[2] - h / 2
     for k in range(11):
-        pts = np.array([[0.0, 0.0, -1.0 + (i + 0.5) * 0.2, 0.0] for i in range(k)]).reshape(-1, 4)
+        pts = np.array([[box.center[0], box.center[1], z0 + (i + 0.5) * h / 10, 0.0]
+                        for i in range(k)]).reshape(-1, 4)
         _require(vertical_density(pts, box).s_z == k / 10, f"{k} stacked points")
+    rng = np.random.default_rng(208)
+    for case in range(cases):
+        rot = Box3D(tuple(rng.uniform(-2, 2, 3)), tuple(rng.uniform(0.8, 3.0, 3)),
+                    rng.uniform(-math.pi, math.pi))
+        pts = np.empty((200, 4))
+        pts[:, :3] = rng.uniform(-4, 4, size=(200, 3))
+        pts[:, 3] = 0.0
+        rec = vertical_density(pts, rot)
+        occ_x, occ_y, occ_z = density_bins_reference(pts, rot)
+        _require(rec.s_z == len(occ_z) / 10, f"box {case}: S_Z differs from the oracle")
+        _require(rec.horizontal_occupancy == math.sqrt((len(occ_x) / 10) * (len(occ_y) / 10)),
+                 f"box {case}: horizontal occupancy differs from the oracle")
 
 
-def _check_forward_determinism():
-    cfg_doc = RunConfig()
-    rng = np.random.default_rng(106)
-    grid = GridSpec((0, 0, 0), (1.6, 1.6, 1.2), (0.1, 0.1, 0.15))
-    pts = _random_cloud(rng, 60, grid)
-    for variant in ("dense", "sparse"):
+def forward_bytes(points, grid, cfg, tensors) -> bytes:
+    """The coordinates and features of every encoder step and of the readout, concatenated."""
+    pairs, readout = forward(points, grid, cfg, tensors)
+    arrays = [a for pair in pairs for t in pair for a in (t.coords, t.features)]
+    if cfg.variant == "dense":
+        arrays.append(readout.values)
+    else:
+        arrays += [readout.coords, readout.features]
+    return b"".join(a.tobytes() for a in arrays)
+
+
+def check_determinism(cases):
+    """c09 in memory: bitwise reruns of both variants; without SFLs, bitwise branch isolation."""
+    rng = np.random.default_rng(209)
+    rerun_pts = random_cloud(rng, 150, SMALL_GRID)
+    isolation_pts = random_cloud(rng, 120, SMALL_GRID)
+    for variant in ("sparse", "dense"):
         cfg = default_backbone_config(variant)
-        tensors = resolve_weights(required_weights(grid, cfg), None, seed=cfg_doc.seed)
-        _, out1 = forward(pts, grid, cfg, tensors)
-        _, out2 = forward(pts, grid, cfg, tensors)
-        if variant == "dense":
-            _require(out1.values.tobytes() == out2.values.tobytes(), "dense rerun differs")
-        else:
-            _require(out1.features.tobytes() == out2.features.tobytes(), "sparse rerun differs")
+        tensors = resolve_weights(required_weights(SMALL_GRID, cfg), None, seed=209)
+        first = forward_bytes(rerun_pts, SMALL_GRID, cfg, tensors)
+        for rerun in range(cases):
+            _require(forward_bytes(rerun_pts, SMALL_GRID, cfg, tensors) == first,
+                     f"{variant} rerun {rerun} differs")
+
+    cfg = type(cfg)(**{**cfg.__dict__, "sfl_steps": (False,) * 4})
+    # seeded weights are keyed by name, so the dense model's tensors hold all of its
+    # weights with the fusion layers off
+    tensors = {name: tensors[name] for name in required_weights(SMALL_GRID, cfg)}
+    base = encoder_forward(isolation_pts, SMALL_GRID, cfg, tensors)
+    for kept, other in ((0, ("pillar.", "point_encoder.")), (1, ("voxel.",))):
+        jitter = {name: t + 1.0 if name.startswith(other) else t for name, t in tensors.items()}
+        moved = encoder_forward(isolation_pts, SMALL_GRID, cfg, jitter)
+        for step, (a, b) in enumerate(zip(base, moved), start=1):
+            _require(a[kept].features.tobytes() == b[kept].features.tobytes(),
+                     f"step {step}: the {('voxels', 'pillars')[kept]} moved with {other} weights")
 
 
+# (name, check, selftest cases, acceptance cases)
 SUITES = [
-    ("sparse-conv dense oracle", _check_sparse_conv),
-    ("paired downsample BEV consistency", _check_bev_consistency),
-    ("fusion pool/broadcast oracles", _check_fusion),
-    ("rotated IoU analytic + Monte-Carlo", _check_iou),
-    ("DIoU values and gradient", _check_diou),
-    ("score rectification and IoU encoding", _check_score_formulas),
-    ("vertical density binning", _check_density),
-    ("forward determinism", _check_forward_determinism),
+    ("sparse-conv dense oracle", check_sparse_conv, 30, 200),
+    ("BEV equality at every encoder step", check_bev_consistency, 5, 100),
+    ("fusion pool/broadcast oracles", check_fusion, 20, 100),
+    ("rotated IoU analytic + Monte-Carlo", check_iou, 3, 50),
+    ("DIoU values, gradient and bound", check_diou, 4, 20),
+    ("score rectification", check_rectification, 50, 50),
+    ("overall loss and IoU target encoding", check_overall_loss, 24, 24),
+    ("vertical density binning", check_density, 25, 25),
+    ("forward determinism and branch isolation", check_determinism, 1, 1),
 ]
 
 
 def run_selftest(out) -> bool:
     ok = True
-    for name, check in SUITES:
+    for name, check, cases, _ in SUITES:
         try:
-            check()
-        except AssertionError as exc:
+            check(cases)
+        except Exception as exc:  # a check that crashes fails its suite, not the run
             ok = False
-            print(f"selftest {name}: FAIL ({exc})", file=out)
+            print(f"selftest {name}: FAIL ({type(exc).__name__}: {exc})", file=out)
         else:
             print(f"selftest {name}: ok", file=out)
     return ok

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -17,12 +16,3 @@ def desk_grid():
     return GridSpec(range_min=(0.0, 0.0, 0.0), range_max=(6.4, 6.4, 2.4),
                     voxel_size=(0.1, 0.1, 0.15))
 
-
-def random_cloud(rng: np.random.Generator, n: int, spec: GridSpec, margin: float = 0.0) -> np.ndarray:
-    """Uniform points inside the grid range (shrunk by margin per axis)."""
-    lo = np.array(spec.range_min) + margin
-    hi = np.array(spec.range_max) - margin
-    pts = np.empty((n, 4))
-    pts[:, :3] = rng.uniform(lo, hi, size=(n, 3))
-    pts[:, 3] = rng.uniform(0.0, 1.0, size=n)
-    return pts

@@ -1,7 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_cloud
 from voxpillar.backbone import (BackboneConfig, DenseFeatureMap, default_backbone_config,
                                 dense_conv3x3, dense_fusion_neck, densify, encoder_forward,
                                 forward, height_compress, merge_sparse2d, required_weights,
@@ -9,6 +12,7 @@ from voxpillar.backbone import (BackboneConfig, DenseFeatureMap, default_backbon
 from voxpillar.grid import GridSpec, SparseTensor2D, SparseTensor3D
 from voxpillar.manifest import resolve_weights
 from voxpillar.reference import densify_features
+from voxpillar.selftest import forward_bytes, random_cloud
 from voxpillar.sparse_conv import ConvSpec, ConvWeights, bev_equal, build_kernel_map, paired_downsample, sparse_conv
 
 
@@ -378,18 +382,25 @@ def test_sparse_readout_single_site_sums_scales():
     np.testing.assert_allclose(got, expect, rtol=1e-9, atol=1e-12)
 
 
+@functools.cache
+def variant_model(variant):
+    return make_model("dense") if variant == "dense" else sparse_model()
+
+
 def test_whole_pipeline_determinism():
     for variant in ("dense", "sparse"):
-        grid, cfg, tensors = make_model(variant) if variant == "dense" else sparse_model()
-        rng = np.random.default_rng(92)
-        pts = random_cloud(rng, 80, grid)
-        pairs1, out1 = forward(pts, grid, cfg, tensors)
-        pairs2, out2 = forward(pts, grid, cfg, tensors)
-        if variant == "dense":
-            assert out1.values.tobytes() == out2.values.tobytes()
-        else:
-            assert out1.features.tobytes() == out2.features.tobytes()
-            np.testing.assert_array_equal(out1.coords, out2.coords)
-        for (v1, p1), (v2, p2) in zip(pairs1, pairs2):
-            assert v1.features.tobytes() == v2.features.tobytes()
-            assert p1.features.tobytes() == p2.features.tobytes()
+        grid, cfg, tensors = variant_model(variant)
+        pts = random_cloud(np.random.default_rng(92), 80, grid)
+        assert forward_bytes(pts, grid, cfg, tensors) == forward_bytes(pts, grid, cfg, tensors)
+
+
+@settings(max_examples=12)
+@given(st.integers(0, 2**32 - 1))
+def test_forward_is_bitwise_invariant_to_point_order(seed):
+    rng = np.random.default_rng(seed)
+    pts = random_cloud(rng, int(rng.integers(1, 60)), small_grid())
+    pts = np.concatenate([pts, pts[rng.integers(0, len(pts), size=int(rng.integers(1, 30)))]])
+    shuffled = pts[rng.permutation(len(pts))]
+    for variant in ("dense", "sparse"):
+        grid, cfg, tensors = variant_model(variant)
+        assert forward_bytes(shuffled, grid, cfg, tensors) == forward_bytes(pts, grid, cfg, tensors)

@@ -8,11 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_cloud
 from voxpillar.cli import _load_run, main
 from voxpillar.config import RunConfig
 from voxpillar.formats import read_dump, write_cloud
 from voxpillar.grid import GridSpec
+from voxpillar.selftest import random_cloud
 
 
 @pytest.fixture
@@ -186,7 +186,7 @@ def test_csv_outputs_byte_stable(workspace, tmp_path):
 def test_selftest_command(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count(": ok") == 8 and "FAIL" not in out
+    assert out.count(": ok") == 9 and "FAIL" not in out
 
 
 @pytest.mark.parametrize("entry", [
@@ -196,6 +196,8 @@ def test_selftest_command(capsys):
      "points": [[0, 0, 0, 0], [0, 0]]},
     {"box": {"center": [0, 0, 0], "dims": [1, 1, 1], "heading": 0.0}, "points": [["x"] * 4]},
     {"center": [0, 0, 0], "dims": [1, 1, 1], "heading": 0.0, "id": "seven"},
+    {"box": {"center": [0, 0, 0], "dims": [1, 1, 1], "heading": 0.0}, "class": ["Vehicle"]},
+    {"box": {"center": [0, 0, 0], "dims": [1, 1, 1], "heading": 0.0}, "class": 7},
 ])
 def test_malformed_boxes_exit_1_without_traceback(workspace, tmp_path, capsys, entry):
     _, _, cloud = workspace
@@ -211,6 +213,26 @@ def test_malformed_boxes_exit_1_without_traceback(workspace, tmp_path, capsys, e
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "entry 1" in err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("entry", [
+    {"shape": ["a"], "values": [0.0]},
+    {"shape": 3, "values": [0.0, 0.0, 0.0]},
+    {"shape": [2], "values": "not base64!"},
+    {"shape": [2, 2], "values": [[0.0, 0.0], [0.0]]},
+    {"shape": [-1, -2], "values": [0.0, 0.0]},
+    {"shape": [2], "values": ["1.5", "2"]},
+])
+def test_malformed_manifest_exits_1_without_traceback(workspace, capsys, entry):
+    tmp, cfg, cloud = workspace
+    weights = tmp / "weights.json"
+    weights.write_text(json.dumps({"tensors": {"point_encoder.weight": entry}}))
+    capsys.readouterr()
+    assert main(["forward", cloud, "--config", cfg, "--weights", str(weights)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "'point_encoder.weight'" in err
 
 
 @pytest.mark.parametrize("flag", ["--samples", "--trials"])

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import random_cloud
 from voxpillar.errors import ConsistencyViolation
 from voxpillar.fusion import (broadcast, build_correspondence, sparse_fusion_layer,
                               sparse_pool)
 from voxpillar.grid import (PointEncoderWeights, SparseTensor2D, SparseTensor3D,
                             build_pillar_features, build_voxel_features)
 from voxpillar.reference import dense_correspondence_matrix, groupby_max
+from voxpillar.selftest import random_cloud, random_consistent_pair
 from voxpillar.sparse_conv import ConvSpec, ConvWeights, build_kernel_map
 
 
@@ -19,21 +19,6 @@ def make_pair(voxel_coords, voxel_feats, pillar_coords, pillar_feats, extents=(4
                        features=np.asarray(pillar_feats, dtype=np.float64),
                        stride=1, extents=extents[:2])
     return v, p
-
-
-def random_pair(rng, extents=(6, 6, 4), d_v=3, d_p=5, n_cols=8):
-    cols = rng.choice(extents[0] * extents[1], size=n_cols, replace=False)
-    cols = np.sort(cols)
-    pillar_coords = np.stack(np.unravel_index(cols, extents[:2]), axis=1)
-    voxel_coords = []
-    for l, w in pillar_coords:
-        heights = np.sort(rng.choice(extents[2], size=rng.integers(1, extents[2] + 1),
-                                     replace=False))
-        voxel_coords.extend((l, w, h) for h in heights)
-    voxel_coords = np.asarray(voxel_coords, dtype=np.int64)
-    return make_pair(voxel_coords, rng.normal(size=(len(voxel_coords), d_v)),
-                     pillar_coords, rng.normal(size=(len(pillar_coords), d_p)),
-                     extents)
 
 
 def test_correspondence_basic():
@@ -56,7 +41,7 @@ def test_correspondence_bijection_when_one_voxel_per_pillar():
 def test_correspondence_matches_dense_matrix_oracle():
     rng = np.random.default_rng(40)
     for trial in range(10):
-        v, p = random_pair(rng)
+        v, p = random_consistent_pair(rng, 8)
         corr = build_correspondence(v, p)
         dense = dense_correspondence_matrix(v.coords, p.coords)
         np.testing.assert_array_equal(dense.sum(axis=1), np.ones(v.num_sites, dtype=np.int64))
@@ -108,7 +93,7 @@ def test_pool_singleton_and_pairs():
 def test_pool_matches_groupby_oracle():
     rng = np.random.default_rng(41)
     for trial in range(10):
-        v, p = random_pair(rng)
+        v, p = random_consistent_pair(rng, 8)
         corr = build_correspondence(v, p)
         pooled = sparse_pool(v, corr)
         expected = groupby_max(v.features, v.coords[:, :2])
@@ -128,7 +113,7 @@ def test_broadcast_identity_projection():
 def test_pool_of_broadcast_recovers_pillars():
     rng = np.random.default_rng(42)
     for trial in range(10):
-        v, p = random_pair(rng)
+        v, p = random_consistent_pair(rng, 8)
         corr = build_correspondence(v, p)
         copied = broadcast(p, corr)
         v_like = SparseTensor3D(coords=v.coords, features=copied, stride=1, extents=v.extents)
@@ -143,7 +128,7 @@ def zero_sfl_weights(d_v, d_p, kernel=3):
 
 def test_zero_weight_sfl_is_identity():
     rng = np.random.default_rng(43)
-    v, p = random_pair(rng)
+    v, p = random_consistent_pair(rng, 8)
     corr = build_correspondence(v, p)
     w_v2p, w_p2v = zero_sfl_weights(v.num_channels, p.num_channels)
     fv, fp = sparse_fusion_layer(v, p, corr, w_v2p, w_p2v, build_kernel_map(
@@ -172,7 +157,7 @@ def test_sfl_matches_straightline_composition():
     from voxpillar.sparse_conv import build_kernel_map, sparse_conv
 
     for trial in range(5):
-        v, p = random_pair(rng)
+        v, p = random_consistent_pair(rng, 8)
         corr = build_correspondence(v, p)
         spec_v2p = ConvSpec.submanifold(2, 3, v.num_channels, p.num_channels)
         spec_p2v = ConvSpec.submanifold(2, 3, p.num_channels, v.num_channels)

@@ -8,17 +8,7 @@ from voxpillar.geometry import (Box3D, bev_corners, clip_polygon, corners_3d,
                                 enclosing_aabb, iou3d, iou3d_matrix, point_in_box,
                                 polygon_area)
 from voxpillar.losses import diou_loss
-from voxpillar.reference import monte_carlo_iou
-
-
-def random_box_pair(rng, max_offset=1.0):
-    center = rng.uniform(-2, 2, size=3)
-    a = Box3D(center=tuple(center), dims=tuple(rng.uniform(0.8, 2.5, size=3)),
-              heading=rng.uniform(-math.pi, math.pi))
-    b = Box3D(center=tuple(center + rng.uniform(-max_offset, max_offset, size=3)),
-              dims=tuple(rng.uniform(0.8, 2.5, size=3)),
-              heading=rng.uniform(-math.pi, math.pi))
-    return a, b
+from voxpillar.selftest import iou_monte_carlo_errors, random_box_pair
 
 
 def test_box_validation():
@@ -122,11 +112,7 @@ def test_iou_uniform_scaling_containment():
 
 
 def test_iou_against_monte_carlo():
-    rng = np.random.default_rng(52)
-    for trial in range(10):
-        a, b = random_box_pair(rng)
-        mc = monte_carlo_iou(a, b, samples=200_000, seed=int(rng.integers(1 << 31)))
-        assert abs(iou3d(a, b) - mc) <= 0.02
+    assert (iou_monte_carlo_errors(10, seed=52, samples=200_000) <= 0.02).all()
 
 
 def test_enclosing_aabb_covers_both():

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_cloud
 from voxpillar.errors import EmptyGrid, InvalidTensor, ShapeMismatch
 from voxpillar.grid import (GridSpec, PointEncoderWeights, SparseTensor, assign_voxel_indices,
                             build_pillar_features, build_voxel_features, pack_coords)
 from voxpillar.reference import groupby_max, groupby_mean
+from voxpillar.selftest import random_cloud
 
 
 def identity_encoder():

@@ -3,30 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from test_geometry import random_box_pair
 from voxpillar.errors import OutOfRange, ShapeMismatch
 from voxpillar.geometry import Box3D
 from voxpillar.losses import (LossWeights, diou_center_fd_error, diou_loss,
                               encode_iou_target, finite_difference_check, focal_loss,
                               iou_l1_terms, overall_loss, rectify_score,
                               regression_l1_terms)
-
-
-def axis_aligned_overlapping_pair(rng):
-    """theta = 0 boxes with safely overlapping interiors and no face ties."""
-    while True:
-        ca = rng.uniform(-1, 1, size=3)
-        da = rng.uniform(1.0, 2.5, size=3)
-        cb = ca + rng.uniform(-0.4, 0.4, size=3)
-        db = rng.uniform(1.0, 2.5, size=3)
-        a = Box3D(center=tuple(ca), dims=tuple(da), heading=0.0)
-        b = Box3D(center=tuple(cb), dims=tuple(db), heading=0.0)
-        lo_a, hi_a = ca - da / 2, ca + da / 2
-        lo_b, hi_b = cb - db / 2, cb + db / 2
-        overlap = np.minimum(hi_a, hi_b) - np.maximum(lo_a, lo_b)
-        ties = np.minimum(np.abs(hi_a - hi_b), np.abs(lo_a - lo_b))
-        if (overlap > 0.05).all() and (ties > 0.01).all():
-            return a, b
+from voxpillar.selftest import axis_aligned_overlapping_pair, random_box_pair
 
 
 def test_diou_zero_on_identical():

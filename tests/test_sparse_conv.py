@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_cloud
 from voxpillar.errors import ConsistencyViolation, ShapeMismatch, SpecMismatch
 from voxpillar.grid import (PointEncoderWeights, SparseTensor2D, SparseTensor3D,
                             build_pillar_features, build_voxel_features)
 from voxpillar.reference import dense_conv_reference, densify_features, enumerate_regular_outputs
+from voxpillar.selftest import random_cloud
 from voxpillar.sparse_conv import (ConvSpec, ConvWeights, bev_equal, build_kernel_map,
                                    paired_downsample, sparse_conv)
 
