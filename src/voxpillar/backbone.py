@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import OutOfRange, ShapeMismatch
 from .fusion import build_correspondence, sparse_fusion_layer
 from .grid import (GridSpec, PointEncoderWeights, SparseTensor, build_pillar_features,
                    build_voxel_features, pack_coords)
@@ -25,6 +25,9 @@ VOXEL_INPUT_DIM = 4  # mean (x, y, z, intensity)
 DENSE_VOXEL_CHANNELS = (16, 32, 64, 64)
 SPARSE_VOXEL_CHANNELS = (16, 32, 64, 128)
 PILLAR_CHANNELS = (32, 64, 128, 256)
+
+# Largest float64 map the dense neck may allocate.
+NECK_MAP_BYTES_CAP = 1 << 30
 
 
 @dataclass
@@ -147,6 +150,39 @@ def sfl_convs(cfg: BackboneConfig, step: int) -> list[tuple[str, ConvSpec]]:
             (f"sfl.step{step}.p2v", ConvSpec.submanifold(2, cfg.sfl_kernel, cp, cv))]
 
 
+def neck_convs(cfg: BackboneConfig, grid: GridSpec) -> list[tuple[str, int, int, int]]:
+    """(weight prefix, input width, output width, stride) of every dense neck
+    convolution in execution order: per branch, voxel first, the 8x block and
+    then the 16x block, each `neck_layers` long; only the first 16x layer
+    downsamples.
+
+    Raises OutOfRange when the neck's largest map on this grid would exceed
+    NECK_MAP_BYTES_CAP.
+    """
+    return _neck_plan(cfg, step_extents(grid)[-1])
+
+
+def _neck_plan(cfg: BackboneConfig, extents8) -> list[tuple[str, int, int, int]]:
+    l8, w8, h8 = (int(e) for e in extents8)
+    d = cfg.neck_channels
+    widths = (h8 * cfg.voxel_channels[-1], cfg.pillar_channels[-1])
+    # the padded input of an 8x layer, or the concatenated 8x readout
+    largest = 8 * max((l8 + 2) * (w8 + 2) * max(*widths, d), l8 * w8 * 2 * d)
+    if largest > NECK_MAP_BYTES_CAP:
+        raise OutOfRange(
+            f"the dense neck needs a {largest / 2**30:.1f} GiB map on this {l8}x{w8} 8x grid, "
+            f"above the {NECK_MAP_BYTES_CAP >> 30} GiB cap; use larger voxels, a smaller "
+            f"range or the sparse variant")
+    convs = []
+    for branch, c_in in zip(("voxel", "pillar"), widths):
+        for scale in (8, 16):
+            for j in range(cfg.neck_layers):
+                stride = 2 if scale == 16 and j == 0 else 1
+                convs.append((f"neck.{branch}.s{scale}.conv{j}", c_in, d, stride))
+                c_in = d
+    return convs
+
+
 def required_weights(grid: GridSpec, cfg: BackboneConfig) -> dict[str, tuple[int, ...]]:
     """Every named tensor the configured model loads, with its shape.
 
@@ -163,19 +199,13 @@ def required_weights(grid: GridSpec, cfg: BackboneConfig) -> dict[str, tuple[int
         shapes[f"{name}.kernel"] = (spec.num_offsets, spec.in_channels, spec.out_channels)
         if spec.mode == REGULAR:
             shapes[f"{name}.bias"] = (spec.out_channels,)
-    h8 = step_extents(grid)[-1][2]
     if cfg.variant == "dense":
-        d = cfg.neck_channels
-        for branch, cin in (("voxel", h8 * cfg.voxel_channels[3]), ("pillar", cfg.pillar_channels[3])):
-            for scale in (8, 16):
-                prev = cin if scale == 8 else d
-                for j in range(cfg.neck_layers):
-                    shapes[f"neck.{branch}.s{scale}.conv{j}.kernel"] = (3, 3, prev, d)
-                    shapes[f"neck.{branch}.s{scale}.conv{j}.scale"] = (d,)
-                    shapes[f"neck.{branch}.s{scale}.conv{j}.shift"] = (d,)
-                    prev = d
+        for name, c_in, c_out, _ in neck_convs(cfg, grid):
+            shapes[f"{name}.kernel"] = (3, 3, c_in, c_out)
+            shapes[f"{name}.scale"] = (c_out,)
+            shapes[f"{name}.shift"] = (c_out,)
     else:
-        h = h8
+        h = step_extents(grid)[-1][2]
         for scale, (_, _, (cv, _), _) in zip((8, 16, 32), blocks[NUM_STEPS - 1:]):
             shapes[f"readout.voxel.proj{scale}.weight"] = (h * cv, cfg.readout_pillar_channels[-1])
             h = _downsampled(h)
@@ -271,13 +301,53 @@ def sparsify_dense(dense: DenseFeatureMap) -> SparseTensor:
                         stride=dense.stride, extents=dense.extents)
 
 
-def dense_conv3x3(x: np.ndarray, kernel: np.ndarray, stride: int = 1) -> np.ndarray:
-    """Dense 3x3 cross-correlation with padding 1 on an (L, W, C) array."""
-    h, w, _ = x.shape
+def _rows_computed_alike(rows: int, c_in: int, c_out: int) -> bool:
+    """Whether a row of a (rows, c_in) @ (c_in, c_out) product gets the same
+    bits as in any other product with these widths and at least `rows` rows.
+
+    OpenBLAS 0.3 with AVX-512 kernels was measured to hold this only on
+    its packed GEMM path, which it takes when rows * c_in * c_out exceeds
+    1e6, and only when c_out is a multiple of 8: no row differed in 600
+    such shapes, on 1 and 2 threads. Its small-matrix kernels, and the
+    packed path with other output widths, gave a row bits that depend on
+    the row count and the row's position in 10-69% of sampled shapes.
+    """
+    return rows > 1 and c_out % 8 == 0 and rows * c_in * c_out > 1_000_000
+
+
+def dense_conv3x3(x: np.ndarray, kernel: np.ndarray, stride: int = 1,
+                  mask: np.ndarray | None = None) -> np.ndarray:
+    """Dense 3x3 cross-correlation with padding 1 on an (L, W, C) array.
+
+    `mask`, used at stride 1 only, marks the output cells that may differ:
+    every cell outside it must have a window of the same values, padding
+    included. Then only the masked cells and one unmasked cell are
+    computed, and that cell's output is copied to the other unmasked
+    cells. Each computed cell takes the same products in the same order as
+    without a mask, so the output is bitwise the same where BLAS gives a
+    row the same dot product whatever the number of rows; where it may
+    not (`_rows_computed_alike`), the whole map is computed.
+    """
+    h, w, c = x.shape
+    d = kernel.shape[3]
     xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
+    if stride == 1 and mask is not None and not mask.all():
+        # the masked cells, then the first unmasked one
+        sites = np.append(np.flatnonzero(mask), np.argmin(mask))
+        if _rows_computed_alike(min(w, sites.size), c, d):
+            corner = sites + sites // w * 2  # flat index of each window's corner in xp
+            flat = xp.reshape(-1, c)
+            acc = np.zeros((sites.size, d))
+            for dy in range(3):
+                for dx in range(3):
+                    acc += flat[corner + (dy * (w + 2) + dx)] @ kernel[dy, dx]
+            out = np.empty((h * w, d))
+            out[:] = acc[-1]
+            out[sites[:-1]] = acc[:-1]
+            return out.reshape(h, w, d)
     h_out = (h + 2 - 3) // stride + 1
     w_out = (w + 2 - 3) // stride + 1
-    out = np.zeros((h_out, w_out, kernel.shape[3]))
+    out = np.zeros((h_out, w_out, d))
     for dy in range(3):
         for dx in range(3):
             window = xp[dy:dy + stride * (h_out - 1) + 1:stride,
@@ -286,11 +356,29 @@ def dense_conv3x3(x: np.ndarray, kernel: np.ndarray, stride: int = 1) -> np.ndar
     return out
 
 
-def _dense_block(x, tensors, prefix: str, layers: int, first_stride: int, activation: bool):
-    for j in range(layers):
-        stride = first_stride if j == 0 else 1
-        x = dense_conv3x3(x, tensors[f"{prefix}.conv{j}.kernel"], stride)
-        x = x * tensors[f"{prefix}.conv{j}.scale"] + tensors[f"{prefix}.conv{j}.shift"]
+def _reach(mask: np.ndarray, padding: bool) -> np.ndarray:
+    """Cells whose 3x3 window touches a True cell of `mask`, or the padding if `padding`."""
+    h, w = mask.shape
+    p = np.pad(mask, 1, constant_values=padding)
+    return np.logical_or.reduce([p[dy:dy + h, dx:dx + w] for dy in range(3) for dx in range(3)])
+
+
+def _dense_block(x, tensors, convs, activation: bool, occupied=None):
+    """Run `convs` (neck plan entries), each followed by scale, shift and optional ReLU.
+
+    With `occupied`, the BEV cells that densify filled (stride-1 blocks
+    only), each layer computes only the cells that can differ from the
+    map's one background vector. At layer 0 the background is the zero of
+    the unfilled cells and of the padding. Scale and shift then turn every
+    background cell into one vector that is in general not zero, so from
+    layer 1 on a cell whose window touches the padding may differ too.
+    """
+    mask = occupied
+    for j, (name, _, _, stride) in enumerate(convs):
+        if mask is not None:
+            mask = _reach(mask, padding=j > 0)
+        x = dense_conv3x3(x, tensors[f"{name}.kernel"], stride, mask)
+        x = x * tensors[f"{name}.scale"] + tensors[f"{name}.shift"]
         if activation:
             x = np.maximum(x, 0.0)
     return x
@@ -300,18 +388,23 @@ def dense_fusion_neck(pairs, tensors: dict[str, np.ndarray], cfg: BackboneConfig
                       activation: bool = True) -> DenseFeatureMap:
     """Combine both branches' dense maps at 8x and 16x scales.
 
-    Each branch runs a conv block per scale, same-scale maps fuse by
-    summation, and the upsampled 16x map is concatenated onto the 8x map,
-    yielding 2 * neck_channels at stride 8.
+    Each branch runs a conv block per scale, in the order of the neck
+    plan; same-scale maps fuse by summation, and the upsampled 16x map is
+    concatenated onto the 8x map, yielding 2 * neck_channels at stride 8.
     """
     voxels, pillars = _final_pair(pairs)
-    maps = {}
-    for branch, x in (("voxel", densify(voxels)), ("pillar", densify(pillars))):
-        m8 = _dense_block(x.values, tensors, f"neck.{branch}.s8", cfg.neck_layers, 1, activation)
-        m16 = _dense_block(m8, tensors, f"neck.{branch}.s16", cfg.neck_layers, 2, activation)
-        maps[branch] = (m8, m16)
-    fused8 = maps["voxel"][0] + maps["pillar"][0]
-    fused16 = maps["voxel"][1] + maps["pillar"][1]
+    convs = _neck_plan(cfg, voxels.extents)
+    m = cfg.neck_layers
+    blocks = [convs[i:i + m] for i in range(0, len(convs), m)]
+    maps = []
+    for x, block8, block16 in zip((voxels, pillars), blocks[0::2], blocks[1::2]):
+        occupied = np.zeros(x.extents[:2], dtype=bool)
+        occupied[x.coords[:, 0], x.coords[:, 1]] = True
+        m8 = _dense_block(densify(x).values, tensors, block8, activation, occupied)
+        maps.append((m8, _dense_block(m8, tensors, block16, activation)))
+    (v8, v16), (p8, p16) = maps
+    fused8 = v8 + p8
+    fused16 = v16 + p16
     up = np.repeat(np.repeat(fused16, 2, axis=0), 2, axis=1)
     up = up[:fused8.shape[0], :fused8.shape[1]]
     return DenseFeatureMap(values=np.concatenate([fused8, up], axis=2), stride=8)

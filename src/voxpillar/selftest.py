@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-from .backbone import default_backbone_config, encoder_forward, forward, required_weights
+from .backbone import (_dense_block, default_backbone_config, dense_conv3x3, encoder_forward,
+                       forward, required_weights)
 from .density import vertical_density
 from .fusion import broadcast, build_correspondence, sparse_fusion_layer, sparse_pool
 from .geometry import Box3D, iou3d
@@ -255,6 +256,48 @@ def check_density(cases):
                  f"box {case}: horizontal occupancy differs from the oracle")
 
 
+def check_neck_skip(cases):
+    """The 8x neck block, which computes only the cells that can differ from the
+    background, is bitwise equal to unmasked convolutions run layer by layer."""
+    rng = np.random.default_rng(211)
+    for case in range(cases):
+        # small maps of narrow channels, or wider ones on either side of the
+        # skip's BLAS condition
+        if case % 4 == 0:
+            l, w = (int(v) for v in rng.integers(1, 13, size=2))
+            c, d = (int(v) for v in rng.integers(1, 17, size=2))
+        else:
+            l, w = int(rng.integers(3, 13)), int(rng.integers(12, 33))
+            c = int(rng.integers(128, 641))
+            d = int(rng.integers(16, 385)) if case % 4 == 2 else 8 * int(rng.integers(2, 49))
+        layers, activation = case % 5 + 1, case % 2 == 0
+        # all cells occupied, a single cell, or a seeded share
+        share = (1.0, 0.0, rng.uniform(0.02, 0.4))[case % 3]
+        n = max(1, int(round(l * w * share)))
+        occupied = np.zeros(l * w, dtype=bool)
+        occupied[rng.choice(l * w, size=n, replace=False)] = True
+        occupied = occupied.reshape(l, w)
+        x = np.zeros((l, w, c))
+        x[occupied] = rng.normal(size=(n, c))
+        convs, tensors, c_in = [], {}, c
+        for j in range(layers):
+            name = f"neck.case{case}.conv{j}"
+            convs.append((name, c_in, d, 1))
+            tensors[f"{name}.kernel"] = rng.normal(size=(3, 3, c_in, d))
+            tensors[f"{name}.scale"] = rng.normal(size=d)
+            tensors[f"{name}.shift"] = rng.normal(size=d)
+            c_in = d
+        want = x
+        for name, _, _, _ in convs:
+            want = dense_conv3x3(want, tensors[f"{name}.kernel"])
+            want = want * tensors[f"{name}.scale"] + tensors[f"{name}.shift"]
+            if activation:
+                want = np.maximum(want, 0.0)
+        got = _dense_block(x, tensors, convs, activation, occupied)
+        _require(np.array_equal(got, want),
+                 f"case {case}: the skipping neck block differs from the dense layers")
+
+
 def forward_bytes(points, grid, cfg, tensors) -> bytes:
     """The coordinates and features of every encoder step and of the readout, concatenated."""
     pairs, readout = forward(points, grid, cfg, tensors)
@@ -303,6 +346,7 @@ SUITES = [
     ("overall loss and IoU target encoding", check_overall_loss, 24, 24),
     ("vertical density binning", check_density, 25, 25),
     ("forward determinism and branch isolation", check_determinism, 1, 1),
+    ("neck background skip equals the dense layers", check_neck_skip, 24, 100),
 ]
 
 

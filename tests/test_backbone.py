@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +8,13 @@ from hypothesis import strategies as st
 
 from voxpillar.backbone import (BackboneConfig, DenseFeatureMap, default_backbone_config,
                                 dense_conv3x3, dense_fusion_neck, densify, encoder_forward,
-                                forward, height_compress, merge_sparse2d, required_weights,
-                                sparse_readout, sparsify_dense, step_extents)
+                                forward, height_compress, merge_sparse2d, neck_convs,
+                                required_weights, sparse_readout, sparsify_dense, step_extents)
+from voxpillar.errors import OutOfRange
 from voxpillar.grid import GridSpec, SparseTensor2D, SparseTensor3D
 from voxpillar.manifest import resolve_weights
 from voxpillar.reference import densify_features
-from voxpillar.selftest import forward_bytes, random_cloud
+from voxpillar.selftest import SUITES, check_neck_skip, forward_bytes, random_cloud
 from voxpillar.sparse_conv import ConvSpec, ConvWeights, bev_equal, build_kernel_map, paired_downsample, sparse_conv
 
 
@@ -277,6 +279,38 @@ def test_dense_conv3x3_matches_manual():
                 for dx in range(3):
                     acc += xp[oy + dy, ox + dx] @ k[dy, dx]
             np.testing.assert_allclose(out[oy, ox], acc, atol=1e-12)
+
+
+def test_neck_skip_is_bitwise_equal_to_dense_layers():
+    check_neck_skip(next(full for _, check, _, full in SUITES if check is check_neck_skip))
+
+
+def test_neck_plan_order_and_strides():
+    cfg = default_backbone_config("dense")
+    convs = neck_convs(cfg, small_grid())
+    m = cfg.neck_layers
+    assert [name for name, *_ in convs[::m]] == [
+        "neck.voxel.s8.conv0", "neck.voxel.s16.conv0", "neck.pillar.s8.conv0",
+        "neck.pillar.s16.conv0"]
+    assert [stride for *_, stride in convs] == ([1] * m + [2] + [1] * (m - 1)) * 2
+    assert all(c_in == cfg.neck_channels for _, c_in, _, _ in convs[1:m])
+
+
+def test_neck_map_cap_raises_before_any_allocation():
+    # a 10 km grid at 0.1 m: the densified 8x voxel map alone would be ~160 GB
+    grid = GridSpec((0.0, 0.0, 0.0), (10_000.0, 10_000.0, 2.4), (0.1, 0.1, 0.15))
+    cfg = default_backbone_config("dense")
+    tracemalloc.start()
+    try:
+        with pytest.raises(OutOfRange, match="GiB"):
+            neck_convs(cfg, grid)
+        with pytest.raises(OutOfRange):
+            required_weights(grid, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert required_weights(grid, default_backbone_config("sparse"))  # no dense maps
 
 
 def test_merge_sparse2d_union_and_sum():

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -183,10 +184,28 @@ def test_csv_outputs_byte_stable(workspace, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_forward_on_a_grid_too_large_for_the_dense_neck_exits_1(workspace, tmp_path, capsys):
+    _, _, cloud = workspace
+    cfg_path = tmp_path / "huge.json"
+    RunConfig(grid=GridSpec((0.0, 0.0, 0.0), (10_000.0, 10_000.0, 2.4),
+                            (0.1, 0.1, 0.15))).save(cfg_path)
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(["forward", cloud, "--config", str(cfg_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "GiB" in err
+    assert peak < 16 << 20
+
+
 def test_selftest_command(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count(": ok") == 9 and "FAIL" not in out
+    assert out.count(": ok") == 10 and "FAIL" not in out
 
 
 @pytest.mark.parametrize("entry", [

@@ -2,8 +2,12 @@
 
 `tests/data/structure.json` holds, for a fixed set of grids and backbone
 configs, every `required_weights` entry and a sha256 per encoder step and
-readout on one seeded cloud. A refactor that keeps the model the same
-passes unchanged. Regenerate the table only for an intended change:
+readout on one seeded cloud. The default dense model also runs on a wide
+grid with a cloud clustered at its centre: its 64 x 64 8x neck map keeps
+background cells through the last 8x layer, so the neck's background skip
+runs, which it never does on the small grid's 2 x 2 map. A refactor that
+keeps the model the same passes unchanged.
+Regenerate the table only for an intended change:
 
     PYTHONPATH=src python tests/test_structure.py --write
 """
@@ -26,6 +30,8 @@ GRIDS = {
     "small": GridSpec((0.0, 0.0, 0.0), (1.6, 1.6, 1.2), (0.1, 0.1, 0.15)),
     "desk": GridSpec((0.0, 0.0, 0.0), (6.4, 6.4, 2.4), (0.1, 0.1, 0.15)),
 }
+# the 8x map of the 51.2 m benchmark grid; the centre cloud occupies 7 x 7 of its cells
+WIDE_GRID = GridSpec((0.0, 0.0, 0.0), (51.2, 51.2, 2.4), (0.1, 0.1, 0.15))
 
 
 def _configs() -> dict[str, BackboneConfig]:
@@ -59,14 +65,21 @@ def _sha(*arrays, stride, extents) -> str:
     return h.hexdigest()
 
 
+def _cloud(rng, n, lo, hi) -> np.ndarray:
+    pts = np.empty((n, 4))
+    pts[:, :3] = rng.uniform(lo, hi, size=(n, 3))
+    pts[:, 3] = rng.uniform(0.0, 1.0, size=n)
+    return pts
+
+
 def output_digests() -> dict[str, dict[str, str]]:
     grid = GRIDS["small"]
-    rng = np.random.default_rng(2024)
-    pts = np.empty((400, 4))
-    pts[:, :3] = rng.uniform(grid.range_min, grid.range_max, size=(400, 3))
-    pts[:, 3] = rng.uniform(0.0, 1.0, size=400)
+    pts = _cloud(np.random.default_rng(2024), 400, grid.range_min, grid.range_max)
+    runs = [(name, grid, cfg, pts) for name, cfg in _configs().items()]
+    centre = _cloud(np.random.default_rng(2025), 400, (23.6, 23.6, 0.0), (27.6, 27.6, 2.4))
+    runs.append(("wide-dense-centre", WIDE_GRID, default_backbone_config("dense"), centre))
     out = {}
-    for name, cfg in _configs().items():
+    for name, grid, cfg, pts in runs:
         tensors = resolve_weights(required_weights(grid, cfg), None, seed=7)
         pairs, readout = forward(pts, grid, cfg, tensors)
         rec = {}
