@@ -15,7 +15,7 @@ import numpy as np
 from .errors import OutOfRange, ShapeMismatch
 from .fusion import build_correspondence, sparse_fusion_layer
 from .grid import (GridSpec, PointEncoderWeights, SparseTensor, build_pillar_features,
-                   build_voxel_features, pack_coords)
+                   build_voxel_features, pack_coords, voxelize)
 from .sparse_conv import (REGULAR, ConvSpec, ConvWeights, build_kernel_map, paired_downsample,
                           sparse_conv)
 
@@ -183,15 +183,19 @@ def _neck_plan(cfg: BackboneConfig, extents8) -> list[tuple[str, int, int, int]]
     return convs
 
 
+def point_encoder_shapes(cfg: BackboneConfig) -> dict[str, tuple[int, ...]]:
+    """The point encoder's tensors, all that the step-1 tensors need."""
+    return {"point_encoder.weight": (4, cfg.point_feature_dim),
+            "point_encoder.bias": (cfg.point_feature_dim,)}
+
+
 def required_weights(grid: GridSpec, cfg: BackboneConfig) -> dict[str, tuple[int, ...]]:
     """Every named tensor the configured model loads, with its shape.
 
     Convolutions come from the block plan; a regular (downsampling)
     convolution carries a bias, a submanifold one does not.
     """
-    shapes: dict[str, tuple[int, ...]] = {}
-    shapes["point_encoder.weight"] = (4, cfg.point_feature_dim)
-    shapes["point_encoder.bias"] = (cfg.point_feature_dim,)
+    shapes = point_encoder_shapes(cfg)
     blocks = paired_blocks(cfg)
     convs = [c for block in blocks for c in block_convs(block, cfg.submanifold_layers)]
     convs += [c for s in range(1, NUM_STEPS + 1) if cfg.sfl_steps[s - 1] for c in sfl_convs(cfg, s)]
@@ -247,8 +251,9 @@ def encoder_forward(points, grid: GridSpec, cfg: BackboneConfig,
     """Run the 4-step encoder; returns the (voxel, pillar) pair after each step."""
     enc = PointEncoderWeights(weight=tensors["point_encoder.weight"],
                               bias=tensors["point_encoder.bias"])
-    voxels = build_voxel_features(points, grid)
-    pillars = build_pillar_features(points, grid, enc)
+    cloud = voxelize(points, grid)
+    voxels = build_voxel_features(cloud)
+    pillars = build_pillar_features(cloud, enc)
     pairs = []
     for s, block in enumerate(paired_blocks(cfg)[:NUM_STEPS], start=1):
         voxels, pillars, kmap = _run_block(voxels, pillars, block, cfg.submanifold_layers, tensors)
@@ -291,14 +296,6 @@ def densify(x: SparseTensor) -> DenseFeatureMap:
     values = np.zeros(tuple(x.extents) + (x.num_channels,))
     values[x.coords[:, 0], x.coords[:, 1]] = x.features
     return DenseFeatureMap(values=values, stride=x.stride)
-
-
-def sparsify_dense(dense: DenseFeatureMap) -> SparseTensor:
-    """Inverse of densify: keep the sites whose feature vector is not all zero."""
-    occupied = (dense.values != 0.0).any(axis=2)
-    coords = np.argwhere(occupied).astype(np.int64)
-    return SparseTensor(coords=coords, features=dense.values[occupied],
-                        stride=dense.stride, extents=dense.extents)
 
 
 def _rows_computed_alike(rows: int, c_in: int, c_out: int) -> bool:

@@ -7,12 +7,12 @@ import sys
 
 import numpy as np
 
-from .backbone import densify, forward, required_weights
+from .backbone import densify, forward, point_encoder_shapes, required_weights
 from .config import config_from_json, read_config_doc
 from .density import recall_by_density, vertical_density
 from .errors import VoxPillarError
 from .formats import FormatError, load_boxes, read_cloud, write_csv, write_dump
-from .grid import PointEncoderWeights, build_pillar_features, build_voxel_features
+from .grid import PointEncoderWeights, build_pillar_features, build_voxel_features, voxelize
 from .manifest import load_manifest, resolve_weights
 from .selftest import IOU_TOLERANCE, iou_monte_carlo_errors, run_selftest
 
@@ -75,36 +75,36 @@ def _load_run(args):
     return config_from_json(doc)
 
 
-def _model_tensors(cfg, weights_path):
-    required = required_weights(cfg.grid, cfg.backbone)
-    manifest = None
+def _model_tensors(cfg, weights_path, required):
     path = weights_path or cfg.weights_path
-    if path:
-        manifest = load_manifest(path)
+    manifest = load_manifest(path) if path else None
     return resolve_weights(required, manifest, seed=cfg.seed)
 
 
 def cmd_voxelize(args) -> int:
     cfg = _load_run(args)
     points = read_cloud(args.cloud)
-    tensors = _model_tensors(cfg, None)
+    # Seeded tensors are keyed by name, so resolving only the point encoder
+    # gives the same values as resolving the whole model.
+    tensors = _model_tensors(cfg, None, point_encoder_shapes(cfg.backbone))
     enc = PointEncoderWeights(weight=tensors["point_encoder.weight"],
                               bias=tensors["point_encoder.bias"])
-    voxels = build_voxel_features(points, cfg.grid)
-    pillars = build_pillar_features(points, cfg.grid, enc)
+    cloud = voxelize(points, cfg.grid)
+    voxels = build_voxel_features(cloud)
+    pillars = build_pillar_features(cloud, enc)
     write_dump(args.out, [
         ("voxels", voxels.coords, voxels.features, voxels.stride, voxels.extents),
         ("pillars", pillars.coords, pillars.features, pillars.stride, pillars.extents),
     ])
-    print(f"wrote {voxels.num_sites} voxels, {pillars.num_sites} pillars to {args.out}",
-          file=sys.stderr)
+    print(f"wrote {voxels.num_sites} voxels, {pillars.num_sites} pillars to {args.out}; "
+          f"dropped {cloud.dropped} points out of range", file=sys.stderr)
     return 0
 
 
 def cmd_forward(args) -> int:
     cfg = _load_run(args)
     points = read_cloud(args.cloud)
-    tensors = _model_tensors(cfg, args.weights)
+    tensors = _model_tensors(cfg, args.weights, required_weights(cfg.grid, cfg.backbone))
     pairs, readout = forward(points, cfg.grid, cfg.backbone, tensors)
     if args.dump_dir:
         os.makedirs(args.dump_dir, exist_ok=True)

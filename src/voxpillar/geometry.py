@@ -58,9 +58,6 @@ class Box3D:
         half = self.dims[2] / 2.0
         return self.center[2] - half, self.center[2] + half
 
-    def to_json(self) -> dict:
-        return {"center": list(self.center), "dims": list(self.dims), "heading": self.heading}
-
     @classmethod
     def from_json(cls, obj: dict) -> "Box3D":
         return cls(center=tuple(obj["center"]), dims=tuple(obj["dims"]), heading=obj["heading"])

@@ -1,8 +1,9 @@
 """Point cloud quantization into sparse voxel and pillar tensors.
 
-Both branches share the same X-Y lattice, so the set of occupied pillar
-cells always equals the bird's-eye-view projection of the occupied voxel
-cells. Downstream fusion relies on that equality being exact.
+Both branches are built from one voxelization pass on one X-Y lattice, so
+the set of occupied pillar cells equals the bird's-eye-view projection of
+the occupied voxel cells by construction. Downstream fusion relies on that
+equality being exact.
 """
 from __future__ import annotations
 
@@ -82,15 +83,9 @@ class SparseTensor:
         return self.features.shape[1]
 
     def bev_runs(self) -> np.ndarray:
-        """Bounds of the BEV column runs: (columns + 1,) int64 site indices.
-
-        Lex-sorted coordinates put the sites of one (l, w) column in one
-        contiguous run; run j is ``bounds[j]:bounds[j + 1]``.
-        """
-        c = self.coords
-        new_col = np.ones(c.shape[0], dtype=bool)
-        new_col[1:] = (c[1:, :2] != c[:-1, :2]).any(axis=1)
-        return np.append(np.flatnonzero(new_col), c.shape[0])
+        """`run_bounds` of the (l, w) columns: lex-sorted coordinates put the
+        sites of one column in one contiguous run."""
+        return run_bounds(self.coords[:, :2])
 
     def bev_coords(self) -> np.ndarray:
         """Unique (l, w) projection of the coordinates, lex sorted."""
@@ -111,10 +106,6 @@ class SparseTensor:
             raise InvalidTensor("coords not unique and lex sorted")
 
 
-# Former per-dimension names, kept for callers.
-SparseTensor3D = SparseTensor2D = SparseTensor
-
-
 @dataclass
 class PointEncoderWeights:
     """Single linear + ReLU encoder applied per point before pillar max-pooling."""
@@ -133,6 +124,14 @@ class PointEncoderWeights:
             )
         if not (np.isfinite(self.weight).all() and np.isfinite(self.bias).all()):
             raise ValueError("point encoder weights must be finite")
+
+
+def run_bounds(rows: np.ndarray) -> np.ndarray:
+    """(runs + 1,) int64 bounds of the runs of equal consecutive rows; run j
+    is ``bounds[j]:bounds[j + 1]``."""
+    new_run = np.ones(rows.shape[0], dtype=bool)
+    new_run[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return np.append(np.flatnonzero(new_run), rows.shape[0])
 
 
 def pack_coords(coords: np.ndarray, extents) -> np.ndarray:
@@ -179,53 +178,48 @@ def assign_voxel_indices(points, spec: GridSpec) -> tuple[np.ndarray, int]:
     return idx, dropped
 
 
-def build_voxel_features(points, spec: GridSpec) -> SparseTensor:
-    """One site per non-empty voxel; feature = mean (x, y, z, intensity).
+@dataclass(frozen=True)
+class VoxelizedCloud:
+    """The one voxelization pass that both branches' step-1 tensors share.
 
-    Raises EmptyGrid when no point is in range. Points are processed in a
-    canonical sorted order so the result is independent of input ordering.
+    ``points`` (K, 4) are the in-range points in canonical order: by cell,
+    then by point value, so every permutation of the input gives the same
+    rows. ``cells`` (K, 3) int64 are their voxel indices, lex sorted, and
+    ``dropped`` counts the out-of-range points.
     """
+
+    points: np.ndarray
+    cells: np.ndarray
+    dropped: int
+    spec: GridSpec
+
+
+def voxelize(points, spec: GridSpec) -> VoxelizedCloud:
+    """Assign the points to voxels and sort the kept ones; EmptyGrid if none is kept."""
     pts = as_points(points)
-    idx, _ = assign_voxel_indices(pts, spec)
+    idx, dropped = assign_voxel_indices(pts, spec)
     kept = idx[:, 0] >= 0
     if not kept.any():
         raise EmptyGrid("no point falls inside the configured range")
-    idx = idx[kept]
-    pts = pts[kept]
+    idx, pts = idx[kept], pts[kept]
     key = pack_coords(idx, spec.extents)
-    # Canonical accumulation order: by cell, then by point value, so any
-    # permutation of the input yields bitwise identical means.
     order = np.lexsort((pts[:, 3], pts[:, 2], pts[:, 1], pts[:, 0], key))
-    key = key[order]
-    pts = pts[order]
-    idx = idx[order]
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    counts = np.diff(np.r_[starts, key.size])
-    sums = np.add.reduceat(pts, starts, axis=0)
-    feats = sums / counts[:, None]
-    coords = idx[starts]
-    return SparseTensor(coords=coords, features=feats, stride=1, extents=spec.extents)
+    return VoxelizedCloud(points=pts[order], cells=idx[order], dropped=dropped, spec=spec)
 
 
-def build_pillar_features(points, spec: GridSpec, weights: PointEncoderWeights) -> SparseTensor:
-    """Per-point linear + ReLU encoding, max-pooled per pillar.
+def build_voxel_features(cloud: VoxelizedCloud) -> SparseTensor:
+    """One site per non-empty voxel; feature = mean (x, y, z, intensity)."""
+    bounds = run_bounds(cloud.cells)
+    feats = np.add.reduceat(cloud.points, bounds[:-1], axis=0) / np.diff(bounds)[:, None]
+    return SparseTensor(coords=cloud.cells[bounds[:-1]], features=feats, stride=1,
+                        extents=cloud.spec.extents)
 
-    Pillar indices are the voxel indices with the vertical component removed.
-    """
-    pts = as_points(points)
-    idx, _ = assign_voxel_indices(pts, spec)
-    kept = idx[:, 0] >= 0
-    if not kept.any():
-        raise EmptyGrid("no point falls inside the configured range")
-    pillar_idx = idx[kept][:, :2]
-    pts = pts[kept]
-    encoded = np.maximum(pts @ weights.weight + weights.bias, 0.0)
-    key = pack_coords(pillar_idx, spec.bev_extents)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    encoded = encoded[order]
-    pillar_idx = pillar_idx[order]
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    feats = np.maximum.reduceat(encoded, starts, axis=0)
-    coords = pillar_idx[starts]
-    return SparseTensor(coords=coords, features=feats, stride=1, extents=spec.bev_extents)
+
+def build_pillar_features(cloud: VoxelizedCloud, weights: PointEncoderWeights) -> SparseTensor:
+    """Per-point linear + ReLU encoding, max-pooled per pillar: a BEV column,
+    whose points the cloud's cell order already puts in one run."""
+    bounds = run_bounds(cloud.cells[:, :2])
+    encoded = np.maximum(cloud.points @ weights.weight + weights.bias, 0.0)
+    feats = np.maximum.reduceat(encoded, bounds[:-1], axis=0)
+    return SparseTensor(coords=cloud.cells[bounds[:-1], :2], features=feats, stride=1,
+                        extents=cloud.spec.bev_extents)

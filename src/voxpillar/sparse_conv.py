@@ -230,6 +230,9 @@ def sparse_conv(x, spec: ConvSpec, weights: ConvWeights, kmap: KernelMap):
     weights.check(spec)
     if x.features.shape[1] != spec.in_channels:
         raise ShapeMismatch(f"input has {x.features.shape[1]} channels, spec expects {spec.in_channels}")
+    if kmap.num_offsets != spec.num_offsets:
+        raise ShapeMismatch(f"kernel map has {kmap.num_offsets} offsets, spec expects "
+                            f"{spec.num_offsets}")
     out = np.zeros((kmap.out_coords.shape[0], spec.out_channels))
     if weights.bias is not None:
         out += weights.bias

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from voxpillar.backbone import (BackboneConfig, DenseFeatureMap, default_backbone_config,
                                 dense_conv3x3, dense_fusion_neck, densify, encoder_forward,
                                 forward, height_compress, merge_sparse2d, neck_convs,
-                                required_weights, sparse_readout, sparsify_dense, step_extents)
+                                required_weights, sparse_readout, step_extents)
+from voxpillar import grid as grid_module
 from voxpillar.errors import OutOfRange
-from voxpillar.grid import GridSpec, SparseTensor2D, SparseTensor3D
+from voxpillar.grid import GridSpec, SparseTensor
 from voxpillar.manifest import resolve_weights
 from voxpillar.reference import densify_features
 from voxpillar.selftest import SUITES, check_neck_skip, forward_bytes, random_cloud
@@ -112,21 +113,21 @@ def test_branch_isolation_without_sfl():
 
 
 def test_height_compress_single_layer_identity():
-    x = SparseTensor3D(coords=np.array([[0, 1, 0], [2, 2, 0]]),
-                       features=np.array([[1.0, 2.0], [3.0, 4.0]]),
-                       stride=8, extents=(4, 4, 1))
+    x = SparseTensor(coords=np.array([[0, 1, 0], [2, 2, 0]]),
+                     features=np.array([[1.0, 2.0], [3.0, 4.0]]),
+                     stride=8, extents=(4, 4, 1))
     out = height_compress(x)
     np.testing.assert_array_equal(out.coords, [[0, 1], [2, 2]])
     np.testing.assert_array_equal(out.features, x.features)
 
 
 def test_height_compress_zero_fill():
-    x = SparseTensor3D(coords=np.array([[1, 1, 0]]), features=np.array([[5.0, 6.0]]),
-                       stride=4, extents=(4, 4, 2))
+    x = SparseTensor(coords=np.array([[1, 1, 0]]), features=np.array([[5.0, 6.0]]),
+                     stride=4, extents=(4, 4, 2))
     out = height_compress(x)
     np.testing.assert_array_equal(out.features, [[5.0, 6.0, 0.0, 0.0]])
-    y = SparseTensor3D(coords=np.array([[1, 1, 1]]), features=np.array([[5.0, 6.0]]),
-                       stride=4, extents=(4, 4, 2))
+    y = SparseTensor(coords=np.array([[1, 1, 1]]), features=np.array([[5.0, 6.0]]),
+                     stride=4, extents=(4, 4, 2))
     np.testing.assert_array_equal(height_compress(y).features, [[0.0, 0.0, 5.0, 6.0]])
 
 
@@ -137,7 +138,7 @@ def test_height_compress_matches_dense_reshape_oracle():
     flat = np.sort(rng.choice(total, size=20, replace=False))
     coords = np.stack(np.unravel_index(flat, extents), axis=1)
     feats = rng.normal(size=(20, 2))
-    x = SparseTensor3D(coords=coords, features=feats, stride=1, extents=extents)
+    x = SparseTensor(coords=coords, features=feats, stride=1, extents=extents)
     out = height_compress(x)
     dense = densify_features(coords, feats, extents)  # (L, W, H, D)
     reshaped = dense.reshape(extents[0], extents[1], extents[2] * 2)
@@ -150,29 +151,33 @@ def test_height_compress_matches_dense_reshape_oracle():
 
 
 def test_densify_single_site():
-    x = SparseTensor2D(coords=np.array([[2, 3]]), features=np.array([[1.5, -2.5]]),
-                       stride=8, extents=(4, 5))
+    x = SparseTensor(coords=np.array([[2, 3]]), features=np.array([[1.5, -2.5]]),
+                     stride=8, extents=(4, 5))
     m = densify(x)
     assert m.values.shape == (4, 5, 2)
     np.testing.assert_array_equal(m.values[2, 3], [1.5, -2.5])
     assert np.count_nonzero(m.values) == 2
 
 
-def test_densify_resparsify_round_trip():
+@pytest.mark.parametrize("extents", [(4, 5), (4, 5, 3)], ids=["2d", "3d"])
+def test_densify_matches_reference(extents):
     rng = np.random.default_rng(84)
-    coords = np.array([[0, 0], [1, 3], [2, 2]])
-    feats = rng.normal(size=(3, 4)) + 5.0  # keep every row nonzero
-    x = SparseTensor2D(coords=coords, features=feats, stride=8, extents=(4, 4))
-    back = sparsify_dense(densify(x))
-    np.testing.assert_array_equal(back.coords, coords)
-    np.testing.assert_array_equal(back.features, feats)
+    total = int(np.prod(extents))
+    flat = np.sort(rng.choice(total, size=total // 3, replace=False))
+    coords = np.stack(np.unravel_index(flat, extents), axis=1)
+    feats = rng.normal(size=(len(coords), 2))
+    feats[0] = 0.0  # an occupied site with a zero vector stays zero
+    m = densify(SparseTensor(coords=coords, features=feats, stride=8, extents=extents))
+    want = densify_features(coords, feats, extents).reshape(extents[0], extents[1], -1)
+    assert m.stride == 8
+    assert m.values.tobytes() == want.tobytes() and m.values.shape == want.shape
 
 
 def test_densify_full_grid_keeps_values():
     rng = np.random.default_rng(85)
     coords = np.stack(np.meshgrid(np.arange(3), np.arange(3), indexing="ij"), -1).reshape(-1, 2)
     feats = rng.uniform(1.0, 2.0, size=(9, 2))
-    x = SparseTensor2D(coords=coords, features=feats, stride=8, extents=(3, 3))
+    x = SparseTensor(coords=coords, features=feats, stride=8, extents=(3, 3))
     m = densify(x)
     assert (m.values != 0).all()
 
@@ -250,8 +255,8 @@ def test_neck_linearity_without_activation():
     v, p = pairs[3]
 
     def with_features(fv, fp):
-        vv = SparseTensor3D(v.coords, fv, v.stride, v.extents)
-        pp = SparseTensor2D(p.coords, fp, p.stride, p.extents)
+        vv = SparseTensor(v.coords, fv, v.stride, v.extents)
+        pp = SparseTensor(p.coords, fp, p.stride, p.extents)
         return pairs[:3] + [(vv, pp)]
 
     fv1, fp1 = v.features, p.features
@@ -394,12 +399,12 @@ def test_sparse_readout_zeroed_coarse_scales():
 
 def test_sparse_readout_single_site_sums_scales():
     grid, cfg, tensors = sparse_model()
-    v = SparseTensor3D(coords=np.array([[0, 0, 0]]),
-                       features=np.ones((1, cfg.voxel_channels[3])),
-                       stride=8, extents=(2, 2, 1))
-    p = SparseTensor2D(coords=np.array([[0, 0]]),
-                       features=np.ones((1, cfg.pillar_channels[3])),
-                       stride=8, extents=(2, 2))
+    v = SparseTensor(coords=np.array([[0, 0, 0]]),
+                     features=np.ones((1, cfg.voxel_channels[3])),
+                     stride=8, extents=(2, 2, 1))
+    p = SparseTensor(coords=np.array([[0, 0]]),
+                     features=np.ones((1, cfg.pillar_channels[3])),
+                     stride=8, extents=(2, 2))
     pairs = [(None, None)] * 3 + [(v, p)]
     out = sparse_readout(pairs, tensors, cfg)
     expect = np.zeros(out.num_channels)
@@ -438,3 +443,21 @@ def test_forward_is_bitwise_invariant_to_point_order(seed):
     for variant in ("dense", "sparse"):
         grid, cfg, tensors = variant_model(variant)
         assert forward_bytes(shuffled, grid, cfg, tensors) == forward_bytes(pts, grid, cfg, tensors)
+
+
+def test_forward_voxelizes_and_sorts_the_points_once(monkeypatch):
+    calls = {"assign_voxel_indices": 0, "lexsort": 0, "argsort": 0, "sort": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(grid_module, "assign_voxel_indices",
+                        counted("assign_voxel_indices", grid_module.assign_voxel_indices))
+    for name in ("lexsort", "argsort", "sort"):
+        monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
+    grid, cfg, tensors = variant_model("dense")
+    forward(random_cloud(np.random.default_rng(93), 80, grid), grid, cfg, tensors)
+    assert calls == {"assign_voxel_indices": 1, "lexsort": 1, "argsort": 0, "sort": 0}

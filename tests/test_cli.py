@@ -9,10 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from voxpillar import manifest
+from voxpillar.backbone import required_weights
 from voxpillar.cli import _load_run, main
 from voxpillar.config import RunConfig
-from voxpillar.formats import read_dump, write_cloud
-from voxpillar.grid import GridSpec
+from voxpillar.formats import read_cloud, read_dump, write_cloud, write_dump
+from voxpillar.grid import (GridSpec, PointEncoderWeights, assign_voxel_indices,
+                            build_pillar_features, build_voxel_features, voxelize)
 from voxpillar.selftest import random_cloud
 
 
@@ -48,6 +51,42 @@ def test_voxelize_writes_both_tensors(workspace):
     vox_bev = {tuple(c[:2]) for c in records[0]["coords"]}
     pil = {tuple(c) for c in records[1]["coords"]}
     assert vox_bev == pil
+
+
+def test_voxelize_seeds_only_the_point_encoder_and_writes_the_same_bytes(workspace, monkeypatch):
+    tmp, cfg_path, cloud_path = workspace
+    seeded = []
+    real = manifest.seeded_tensor
+    monkeypatch.setattr(manifest, "seeded_tensor",
+                        lambda name, shape, seed: seeded.append(name) or real(name, shape, seed))
+    out = tmp / "init.vpt"
+    assert main(["voxelize", cloud_path, "--config", cfg_path, "--out", str(out)]) == 0
+    assert sorted(seeded) == ["point_encoder.bias", "point_encoder.weight"]
+    # seeded tensors are keyed by name: the whole model's point encoder is the same
+    cfg = _load_run(argparse.Namespace(config=cfg_path))
+    tensors = manifest.resolve_weights(required_weights(cfg.grid, cfg.backbone), None, cfg.seed)
+    enc = PointEncoderWeights(tensors["point_encoder.weight"], tensors["point_encoder.bias"])
+    cloud = voxelize(read_cloud(cloud_path), cfg.grid)
+    v, p = build_voxel_features(cloud), build_pillar_features(cloud, enc)
+    want = tmp / "want.vpt"
+    write_dump(want, [("voxels", v.coords, v.features, v.stride, v.extents),
+                      ("pillars", p.coords, p.features, p.stride, p.extents)])
+    assert out.read_bytes() == want.read_bytes()
+
+
+def test_voxelize_reports_the_points_dropped(workspace, capsys):
+    tmp, cfg_path, _ = workspace
+    cfg = _load_run(argparse.Namespace(config=cfg_path))
+    pts = random_cloud(np.random.default_rng(121), 100, cfg.grid)
+    pts[:7, 2] += 10.0
+    pts[7:10, 0] = cfg.grid.range_max[0]  # the range is half-open
+    cloud_path = tmp / "partly_out.vpc"
+    write_cloud(cloud_path, pts)
+    assert main(["voxelize", str(cloud_path), "--config", cfg_path,
+                 "--out", str(tmp / "init.vpt")]) == 0
+    _, dropped = assign_voxel_indices(pts, cfg.grid)
+    assert dropped == 10
+    assert f"dropped {dropped} points out of range" in capsys.readouterr().err
 
 
 def test_voxelize_bad_magic_exits_1(workspace, tmp_path, capsys):

@@ -4,20 +4,20 @@ import pytest
 from voxpillar.errors import ConsistencyViolation
 from voxpillar.fusion import (broadcast, build_correspondence, sparse_fusion_layer,
                               sparse_pool)
-from voxpillar.grid import (PointEncoderWeights, SparseTensor2D, SparseTensor3D,
-                            build_pillar_features, build_voxel_features)
+from voxpillar.grid import (PointEncoderWeights, SparseTensor, build_pillar_features,
+                            build_voxel_features, voxelize)
 from voxpillar.reference import dense_correspondence_matrix, groupby_max
 from voxpillar.selftest import random_cloud, random_consistent_pair
 from voxpillar.sparse_conv import ConvSpec, ConvWeights, build_kernel_map
 
 
 def make_pair(voxel_coords, voxel_feats, pillar_coords, pillar_feats, extents=(4, 4, 4)):
-    v = SparseTensor3D(coords=np.asarray(voxel_coords, dtype=np.int64),
-                       features=np.asarray(voxel_feats, dtype=np.float64),
-                       stride=1, extents=extents)
-    p = SparseTensor2D(coords=np.asarray(pillar_coords, dtype=np.int64),
-                       features=np.asarray(pillar_feats, dtype=np.float64),
-                       stride=1, extents=extents[:2])
+    v = SparseTensor(coords=np.asarray(voxel_coords, dtype=np.int64),
+                     features=np.asarray(voxel_feats, dtype=np.float64),
+                     stride=1, extents=extents)
+    p = SparseTensor(coords=np.asarray(pillar_coords, dtype=np.int64),
+                     features=np.asarray(pillar_feats, dtype=np.float64),
+                     stride=1, extents=extents[:2])
     return v, p
 
 
@@ -116,7 +116,7 @@ def test_pool_of_broadcast_recovers_pillars():
         v, p = random_consistent_pair(rng, 8)
         corr = build_correspondence(v, p)
         copied = broadcast(p, corr)
-        v_like = SparseTensor3D(coords=v.coords, features=copied, stride=1, extents=v.extents)
+        v_like = SparseTensor(coords=v.coords, features=copied, stride=1, extents=v.extents)
         np.testing.assert_array_equal(sparse_pool(v_like, corr), p.features)
 
 
@@ -167,7 +167,7 @@ def test_sfl_matches_straightline_composition():
                                      build_kernel_map(p.coords, spec_v2p, p.extents))
 
         kmap = build_kernel_map(p.coords, spec_v2p, p.extents)
-        pooled = SparseTensor2D(p.coords, sparse_pool(v, corr), 1, p.extents)
+        pooled = SparseTensor(p.coords, sparse_pool(v, corr), 1, p.extents)
         expect_p = p.features + sparse_conv(pooled, spec_v2p, w_v2p, kmap).features
         transformed = sparse_conv(p, spec_p2v, w_p2v, kmap)
         expect_v = v.features + broadcast(transformed, corr)
@@ -178,9 +178,10 @@ def test_sfl_matches_straightline_composition():
 def test_sfl_on_real_cloud(desk_grid):
     rng = np.random.default_rng(45)
     pts = random_cloud(rng, 200, desk_grid)
-    v = build_voxel_features(pts, desk_grid)
+    cloud = voxelize(pts, desk_grid)
+    v = build_voxel_features(cloud)
     enc = PointEncoderWeights(weight=rng.normal(size=(4, 6)), bias=rng.normal(size=6))
-    p = build_pillar_features(pts, desk_grid, enc)
+    p = build_pillar_features(cloud, enc)
     corr = build_correspondence(v, p)
     w_v2p = ConvWeights(kernel=rng.normal(size=(9, 4, 6)))
     w_p2v = ConvWeights(kernel=rng.normal(size=(9, 6, 4)))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from voxpillar.errors import EmptyGrid, InvalidTensor, ShapeMismatch
 from voxpillar.grid import (GridSpec, PointEncoderWeights, SparseTensor, assign_voxel_indices,
-                            build_pillar_features, build_voxel_features, pack_coords)
+                            build_pillar_features, build_voxel_features, pack_coords, voxelize)
 from voxpillar.reference import groupby_max, groupby_mean
 from voxpillar.selftest import random_cloud
 
@@ -69,14 +69,14 @@ def test_assign_counts_add_up(desk_grid):
 def test_voxel_mean_of_two_points():
     spec = GridSpec((0, 0, 0), (1, 1, 1), (0.1, 0.1, 0.1))
     pts = [[0.01, 0.01, 0.01, 1.0], [0.03, 0.03, 0.03, 3.0]]
-    t = build_voxel_features(pts, spec)
+    t = build_voxel_features(voxelize(pts, spec))
     assert t.num_sites == 1
     np.testing.assert_allclose(t.features[0], [0.02, 0.02, 0.02, 2.0])
 
 
 def test_voxel_singletons_passthrough(desk_grid):
     pts = np.array([[0.05, 0.05, 0.05, 1.0], [3.05, 2.05, 1.0, 0.5], [6.35, 6.35, 2.25, 0.2]])
-    t = build_voxel_features(pts, desk_grid)
+    t = build_voxel_features(voxelize(pts, desk_grid))
     assert t.num_sites == 3
     order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
     np.testing.assert_array_equal(t.features, pts[order])
@@ -85,7 +85,7 @@ def test_voxel_singletons_passthrough(desk_grid):
 def test_voxel_means_match_groupby_oracle(desk_grid):
     rng = np.random.default_rng(13)
     pts = random_cloud(rng, 500, desk_grid)
-    t = build_voxel_features(pts, desk_grid)
+    t = build_voxel_features(voxelize(pts, desk_grid))
     idx, _ = assign_voxel_indices(pts, desk_grid)
     expected = groupby_mean(pts, idx)
     assert t.num_sites == len(expected)
@@ -97,14 +97,12 @@ def test_voxel_means_match_groupby_oracle(desk_grid):
 def test_voxel_empty_grid():
     spec = GridSpec((0, 0, 0), (1, 1, 1), (0.1, 0.1, 0.1))
     with pytest.raises(EmptyGrid):
-        build_voxel_features([[5.0, 5.0, 5.0, 0.0]], spec)
-    with pytest.raises(EmptyGrid):
-        build_pillar_features([[5.0, 5.0, 5.0, 0.0]], spec, identity_encoder())
+        voxelize([[5.0, 5.0, 5.0, 0.0]], spec)
 
 
 def test_pillar_identity_encoder_single_point(desk_grid):
     pts = [[0.25, 0.35, 0.45, -0.5]]
-    t = build_pillar_features(pts, desk_grid, identity_encoder())
+    t = build_pillar_features(voxelize(pts, desk_grid), identity_encoder())
     assert t.num_sites == 1
     assert tuple(t.coords[0]) == (2, 3)
     np.testing.assert_allclose(t.features[0], [0.25, 0.35, 0.45, 0.0])  # ReLU clips intensity
@@ -116,7 +114,7 @@ def test_pillar_elementwise_max():
     w = PointEncoderWeights(weight=np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]),
                             bias=np.zeros(2))
     pts = [[0.9, 0.0, 0.1, 0.0], [0.0, 0.9, 0.2, 0.0]]  # features (0.9, 0) and (0, 0.9)
-    t = build_pillar_features(pts, spec, w)
+    t = build_pillar_features(voxelize(pts, spec), w)
     assert t.num_sites == 1
     np.testing.assert_allclose(t.features[0], [0.9, 0.9])
 
@@ -125,7 +123,7 @@ def test_pillar_matches_groupby_oracle(desk_grid):
     rng = np.random.default_rng(14)
     pts = random_cloud(rng, 400, desk_grid)
     w = PointEncoderWeights(weight=rng.normal(size=(4, 8)), bias=rng.normal(size=8))
-    t = build_pillar_features(pts, desk_grid, w)
+    t = build_pillar_features(voxelize(pts, desk_grid), w)
     idx, _ = assign_voxel_indices(pts, desk_grid)
     encoded = np.maximum(pts @ w.weight + w.bias, 0.0)
     expected = groupby_max(encoded, idx[:, :2])
@@ -146,32 +144,38 @@ def test_bev_consistency_at_stride_one(desk_grid):
     rng = np.random.default_rng(15)
     for trial in range(20):
         pts = random_cloud(rng, rng.integers(1, 300), desk_grid)
-        voxels = build_voxel_features(pts, desk_grid)
-        pillars = build_pillar_features(pts, desk_grid, identity_encoder())
+        cloud = voxelize(pts, desk_grid)
+        voxels = build_voxel_features(cloud)
+        pillars = build_pillar_features(cloud, identity_encoder())
         np.testing.assert_array_equal(voxels.bev_coords(), pillars.coords)
 
 
 def test_permutation_invariance(desk_grid):
     rng = np.random.default_rng(16)
     pts = random_cloud(rng, 300, desk_grid)
+    # clusters of ~10 points per voxel, where a sum's bits depend on its order
+    cluster = np.repeat(pts[:10], 10, axis=0) + rng.uniform(-0.01, 0.01, size=(100, 4))
+    pts = np.concatenate([pts, cluster])
     w = PointEncoderWeights(weight=rng.normal(size=(4, 6)), bias=rng.normal(size=6))
-    v0 = build_voxel_features(pts, desk_grid)
-    p0 = build_pillar_features(pts, desk_grid, w)
+    cloud = voxelize(pts, desk_grid)
+    v0 = build_voxel_features(cloud)
+    p0 = build_pillar_features(cloud, w)
     for trial in range(5):
-        perm = rng.permutation(len(pts))
-        v1 = build_voxel_features(pts[perm], desk_grid)
-        p1 = build_pillar_features(pts[perm], desk_grid, w)
+        moved = voxelize(pts[rng.permutation(len(pts))], desk_grid)
+        v1 = build_voxel_features(moved)
+        p1 = build_pillar_features(moved, w)
         np.testing.assert_array_equal(v0.coords, v1.coords)
         np.testing.assert_array_equal(p0.coords, p1.coords)
-        np.testing.assert_allclose(v0.features, v1.features, atol=1e-6)
-        np.testing.assert_array_equal(p0.features, p1.features)  # max is exact
+        np.testing.assert_array_equal(v0.features, v1.features)
+        np.testing.assert_array_equal(p0.features, p1.features)
 
 
 def test_features_finite(desk_grid):
     rng = np.random.default_rng(17)
     pts = random_cloud(rng, 100, desk_grid)
-    v = build_voxel_features(pts, desk_grid)
-    p = build_pillar_features(pts, desk_grid, identity_encoder())
+    cloud = voxelize(pts, desk_grid)
+    v = build_voxel_features(cloud)
+    p = build_pillar_features(cloud, identity_encoder())
     assert np.isfinite(v.features).all()
     assert np.isfinite(p.features).all()
 
@@ -238,3 +242,72 @@ def test_bev_runs_empty_and_single_site():
     single = _tensor([[2, 1, 0]])
     np.testing.assert_array_equal(single.bev_runs(), [0, 1])
     np.testing.assert_array_equal(single.bev_coords(), [[2, 1]])
+
+
+# Cells of 1/4 and points on a 1/16 lattice: many points lie on cell faces,
+# and every product, sum and mean below is exact, so the engine and the
+# per-point references must agree bitwise whatever order they add in.
+EDGE_GRID = GridSpec((-1.0, -1.0, -0.5), (1.0, 1.0, 0.5), (0.25, 0.25, 0.25))
+
+
+def _just_outside(axis: int, side: int) -> float:
+    lo, hi = EDGE_GRID.range_min[axis], EDGE_GRID.range_max[axis]
+    return [np.nextafter(lo, -np.inf), lo - 1 / 16, hi, np.nextafter(hi, np.inf)][side]
+
+
+@st.composite
+def edge_clouds(draw):
+    """(points, encoder, permutation) with faces, exact duplicates and
+    points just outside the range."""
+    n = draw(st.integers(1, 30))
+    ticks = [draw(st.lists(st.integers(int(lo * 16), int(hi * 16) - 1), min_size=n, max_size=n))
+             for lo, hi in zip(EDGE_GRID.range_min, EDGE_GRID.range_max)]
+    intensity = draw(st.lists(st.integers(0, 16), min_size=n, max_size=n))
+    pts = np.column_stack([np.array(ticks).T / 16, np.array(intensity) / 16])
+    dups = draw(st.lists(st.integers(0, n - 1), max_size=10))
+    outside = pts[draw(st.lists(st.integers(0, n - 1), max_size=6))]
+    for row in outside:
+        axis = draw(st.integers(0, 2))
+        row[axis] = _just_outside(axis, draw(st.integers(0, 3)))
+    pts = np.concatenate([pts, pts[dups], outside])
+    d = draw(st.integers(1, 5))
+    quarters = st.integers(-8, 8)
+    weight = np.array(draw(st.lists(quarters, min_size=4 * d, max_size=4 * d))).reshape(4, d) / 4
+    bias = np.array(draw(st.lists(quarters, min_size=d, max_size=d))) / 4
+    perm = np.array(draw(st.permutations(range(len(pts)))))
+    return pts, PointEncoderWeights(weight=weight, bias=bias), perm
+
+
+def _same(a: SparseTensor, b: SparseTensor) -> bool:
+    return (a.coords.tobytes() == b.coords.tobytes() and a.features.tobytes() == b.features.tobytes()
+            and a.extents == b.extents)
+
+
+@settings(max_examples=150)
+@given(edge_clouds())
+def test_shared_pass_matches_per_point_references(case):
+    pts, enc, perm = case
+    cloud = voxelize(pts, EDGE_GRID)
+    v = build_voxel_features(cloud)
+    p = build_pillar_features(cloud, enc)
+    v.validate()
+    p.validate()
+    xyz = pts[:, :3]
+    outside = ((xyz < EDGE_GRID.range_min) | (xyz >= EDGE_GRID.range_max)).any(axis=1)
+    idx, dropped = assign_voxel_indices(pts, EDGE_GRID)
+    assert cloud.dropped == dropped == int(outside.sum())
+
+    means = groupby_mean(pts, idx)
+    assert [tuple(c) for c in v.coords] == sorted(means)
+    for coord, feat in zip(v.coords, v.features):
+        assert feat.tobytes() == means[tuple(coord)].tobytes()
+    maxima = groupby_max(np.maximum(pts @ enc.weight + enc.bias, 0.0), idx[:, :2])
+    assert [tuple(c) for c in p.coords] == sorted(maxima)
+    for coord, feat in zip(p.coords, p.features):
+        assert feat.tobytes() == maxima[tuple(coord)].tobytes()
+    np.testing.assert_array_equal(p.coords, v.bev_coords())
+
+    moved = voxelize(pts[perm], EDGE_GRID)
+    assert moved.dropped == cloud.dropped
+    assert _same(build_voxel_features(moved), v)
+    assert _same(build_pillar_features(moved, enc), p)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from voxpillar.errors import ConsistencyViolation, ShapeMismatch, SpecMismatch
-from voxpillar.grid import (PointEncoderWeights, SparseTensor2D, SparseTensor3D,
-                            build_pillar_features, build_voxel_features)
+from voxpillar.grid import (PointEncoderWeights, SparseTensor, build_pillar_features,
+                            build_voxel_features, voxelize)
 from voxpillar.reference import dense_conv_reference, densify_features, enumerate_regular_outputs
 from voxpillar.selftest import random_cloud
 from voxpillar.sparse_conv import (ConvSpec, ConvWeights, bev_equal, build_kernel_map,
@@ -16,8 +16,7 @@ def random_sparse(rng, extents, density, channels, ndim, stride=1):
     flat = rng.choice(total, size=n, replace=False)
     coords = np.stack(np.unravel_index(np.sort(flat), extents), axis=1).astype(np.int64)
     feats = rng.normal(size=(len(coords), channels))
-    cls = SparseTensor3D if ndim == 3 else SparseTensor2D
-    return cls(coords=coords, features=feats, stride=stride, extents=tuple(extents))
+    return SparseTensor(coords=coords, features=feats, stride=stride, extents=tuple(extents))
 
 
 def random_conv_weights(rng, spec, bias=False):
@@ -47,8 +46,8 @@ def test_spec_validation():
 
 
 def test_subm_isolated_site_single_triple():
-    x = SparseTensor3D(coords=np.array([[4, 4, 4]]), features=np.ones((1, 2)),
-                       stride=1, extents=(9, 9, 9))
+    x = SparseTensor(coords=np.array([[4, 4, 4]]), features=np.ones((1, 2)),
+                     stride=1, extents=(9, 9, 9))
     spec = ConvSpec.submanifold(3, 3, 2, 2)
     kmap = build_kernel_map(x.coords, spec, x.extents)
     np.testing.assert_array_equal(kmap.out_coords, x.coords)
@@ -132,14 +131,14 @@ def test_2d_matches_dense_oracle():
 def test_linearity():
     rng = np.random.default_rng(25)
     x = random_sparse(rng, (10, 10, 10), 0.15, 4, 3)
-    y = SparseTensor3D(coords=x.coords, features=rng.normal(size=x.features.shape),
-                       stride=1, extents=x.extents)
+    y = SparseTensor(coords=x.coords, features=rng.normal(size=x.features.shape),
+                     stride=1, extents=x.extents)
     spec = ConvSpec.submanifold(3, 3, 4, 4)
     w = random_conv_weights(rng, spec)
     kmap = build_kernel_map(x.coords, spec, x.extents)
     a, b = 0.7, -1.3
-    mixed = SparseTensor3D(coords=x.coords, features=a * x.features + b * y.features,
-                           stride=1, extents=x.extents)
+    mixed = SparseTensor(coords=x.coords, features=a * x.features + b * y.features,
+                         stride=1, extents=x.extents)
     lhs = sparse_conv(mixed, spec, w, kmap).features
     rhs = a * sparse_conv(x, spec, w, kmap).features + b * sparse_conv(y, spec, w, kmap).features
     np.testing.assert_allclose(lhs, rhs, rtol=1e-5, atol=1e-9)
@@ -208,16 +207,27 @@ def test_conv_shape_mismatch():
         sparse_conv(x, spec, bad, kmap)
 
 
+@pytest.mark.parametrize("map_kernel, spec_kernel", [(3, 5), (5, 3)])
+def test_conv_rejects_kernel_map_of_another_size(map_kernel, spec_kernel):
+    rng = np.random.default_rng(29)
+    x = random_sparse(rng, (8, 8), 0.3, 2, 2)
+    spec = ConvSpec.submanifold(2, spec_kernel, 2, 3)
+    kmap = build_kernel_map(x.coords, ConvSpec.submanifold(2, map_kernel, 2, 3), x.extents)
+    with pytest.raises(ShapeMismatch):
+        sparse_conv(x, spec, random_conv_weights(rng, spec), kmap)
+    assert_matches_dense(x, spec, random_conv_weights(rng, spec))  # its own map is accepted
+
+
 def _paired_specs(cin_v, cout_v, cin_p, cout_p):
     return (ConvSpec.regular(3, 3, 2, 1, cin_v, cout_v),
             ConvSpec.regular(2, 3, 2, 1, cin_p, cout_p))
 
 
 def test_paired_single_site():
-    voxels = SparseTensor3D(coords=np.array([[4, 4, 0]]), features=np.ones((1, 2)),
-                            stride=1, extents=(8, 8, 4))
-    pillars = SparseTensor2D(coords=np.array([[4, 4]]), features=np.ones((1, 3)),
-                             stride=1, extents=(8, 8))
+    voxels = SparseTensor(coords=np.array([[4, 4, 0]]), features=np.ones((1, 2)),
+                          stride=1, extents=(8, 8, 4))
+    pillars = SparseTensor(coords=np.array([[4, 4]]), features=np.ones((1, 3)),
+                           stride=1, extents=(8, 8))
     rng = np.random.default_rng(29)
     s3, s2 = _paired_specs(2, 2, 3, 3)
     v, p = paired_downsample(voxels, pillars, s3, s2,
@@ -232,8 +242,9 @@ def test_paired_consistency_over_random_clouds(desk_grid):
     enc = PointEncoderWeights(weight=rng.normal(size=(4, 4)), bias=np.zeros(4))
     for trial in range(30):
         pts = random_cloud(rng, rng.integers(5, 200), desk_grid)
-        voxels = build_voxel_features(pts, desk_grid)
-        pillars = build_pillar_features(pts, desk_grid, enc)
+        cloud = voxelize(pts, desk_grid)
+        voxels = build_voxel_features(cloud)
+        pillars = build_pillar_features(cloud, enc)
         s3, s2 = _paired_specs(4, 4, 4, 4)
         v, p = paired_downsample(voxels, pillars, s3, s2,
                                  random_conv_weights(rng, s3), random_conv_weights(rng, s2))
@@ -244,8 +255,9 @@ def test_paired_chained_strides(desk_grid):
     rng = np.random.default_rng(31)
     pts = random_cloud(rng, 150, desk_grid)
     enc = PointEncoderWeights(weight=rng.normal(size=(4, 4)), bias=np.zeros(4))
-    v = build_voxel_features(pts, desk_grid)
-    p = build_pillar_features(pts, desk_grid, enc)
+    cloud = voxelize(pts, desk_grid)
+    v = build_voxel_features(cloud)
+    p = build_pillar_features(cloud, enc)
     for expected_stride in (2, 4, 8):
         s3, s2 = _paired_specs(v.num_channels, 4, p.num_channels, 4)
         v, p = paired_downsample(v, p, s3, s2,
@@ -255,10 +267,10 @@ def test_paired_chained_strides(desk_grid):
 
 
 def test_paired_rejects_mismatched_specs():
-    voxels = SparseTensor3D(coords=np.array([[0, 0, 0]]), features=np.ones((1, 1)),
-                            stride=1, extents=(4, 4, 4))
-    pillars = SparseTensor2D(coords=np.array([[0, 0]]), features=np.ones((1, 1)),
-                             stride=1, extents=(4, 4))
+    voxels = SparseTensor(coords=np.array([[0, 0, 0]]), features=np.ones((1, 1)),
+                          stride=1, extents=(4, 4, 4))
+    pillars = SparseTensor(coords=np.array([[0, 0]]), features=np.ones((1, 1)),
+                           stride=1, extents=(4, 4))
     s3 = ConvSpec.regular(3, 3, 2, 1, 1, 1)
     s2 = ConvSpec.regular(2, 3, 2, 0, 1, 1)  # padding differs in X-Y
     w3 = ConvWeights(kernel=np.zeros((27, 1, 1)))
@@ -268,10 +280,10 @@ def test_paired_rejects_mismatched_specs():
 
 
 def test_paired_rejects_inconsistent_inputs():
-    voxels = SparseTensor3D(coords=np.array([[0, 0, 0]]), features=np.ones((1, 1)),
-                            stride=1, extents=(4, 4, 4))
-    pillars = SparseTensor2D(coords=np.array([[1, 1]]), features=np.ones((1, 1)),
-                             stride=1, extents=(4, 4))
+    voxels = SparseTensor(coords=np.array([[0, 0, 0]]), features=np.ones((1, 1)),
+                          stride=1, extents=(4, 4, 4))
+    pillars = SparseTensor(coords=np.array([[1, 1]]), features=np.ones((1, 1)),
+                           stride=1, extents=(4, 4))
     s3, s2 = _paired_specs(1, 1, 1, 1)
     w3 = ConvWeights(kernel=np.zeros((27, 1, 1)))
     w2 = ConvWeights(kernel=np.zeros((9, 1, 1)))
