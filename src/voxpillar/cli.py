@@ -11,7 +11,8 @@ from .backbone import densify, forward, point_encoder_shapes, required_weights
 from .config import config_from_json, read_config_doc
 from .density import recall_by_density, vertical_density
 from .errors import VoxPillarError
-from .formats import FormatError, load_boxes, read_cloud, write_csv, write_dump
+from .formats import (FormatError, _atomic_write_bytes, dump_record_bytes, load_boxes,
+                      read_cloud, write_csv, write_dump)
 from .grid import PointEncoderWeights, build_pillar_features, build_voxel_features, voxelize
 from .manifest import load_manifest, resolve_weights
 from .selftest import IOU_TOLERANCE, iou_monte_carlo_errors, run_selftest
@@ -106,6 +107,8 @@ def cmd_forward(args) -> int:
     points = read_cloud(args.cloud)
     tensors = _model_tensors(cfg, args.weights, required_weights(cfg.grid, cfg.backbone))
     pairs, readout = forward(points, cfg.grid, cfg.backbone, tensors)
+    # encoding the readout checks it is finite, with or without an output file
+    readout_bytes = dump_record_bytes(*_readout_record(cfg, readout))
     if args.dump_dir:
         os.makedirs(args.dump_dir, exist_ok=True)
         for step, (v, p) in enumerate(pairs, start=1):
@@ -113,9 +116,9 @@ def cmd_forward(args) -> int:
                 (f"step{step}.voxels", v.coords, v.features, v.stride, v.extents),
                 (f"step{step}.pillars", p.coords, p.features, p.stride, p.extents),
             ])
-        _dump_readout(os.path.join(args.dump_dir, "readout.vpt"), cfg, readout)
+        _atomic_write_bytes(os.path.join(args.dump_dir, "readout.vpt"), readout_bytes)
     if args.out:
-        _dump_readout(args.out, cfg, readout)
+        _atomic_write_bytes(args.out, readout_bytes)
     if cfg.backbone.variant == "dense":
         shape = readout.values.shape
         print(f"dense readout {shape[0]}x{shape[1]}x{shape[2]} at stride {readout.stride}",
@@ -126,16 +129,16 @@ def cmd_forward(args) -> int:
     return 0
 
 
-def _dump_readout(path, cfg, readout):
+def _readout_record(cfg, readout):
+    """The readout as one dump record (name, coords, features, stride, extents)."""
     if cfg.backbone.variant == "dense":
         l, w = readout.extents
         coords = np.stack(np.meshgrid(np.arange(l), np.arange(w), indexing="ij"),
                           axis=-1).reshape(-1, 2)
         feats = readout.values.reshape(l * w, readout.num_channels)
-        write_dump(path, [("readout.dense", coords, feats, readout.stride, (l, w))])
-    else:
-        write_dump(path, [("readout.sparse", readout.coords, readout.features,
-                           readout.stride, readout.extents)])
+        return "readout.dense", coords, feats, readout.stride, (l, w)
+    return ("readout.sparse", readout.coords, readout.features, readout.stride,
+            readout.extents)
 
 
 def cmd_density(args) -> int:

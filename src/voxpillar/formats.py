@@ -12,7 +12,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, InvalidTensor
 from .geometry import Box3D
 
 CLOUD_MAGIC = b"VPF1"
@@ -47,8 +47,17 @@ def read_cloud(path) -> np.ndarray:
 
 def dump_record_bytes(name: str, coords: np.ndarray, features: np.ndarray,
                       stride: int, extents) -> bytes:
-    """One dump record: a JSON header line, then u32 coords and f32 features."""
+    """One dump record: a JSON header line, then u32 coords and f32 features.
+
+    Raises `InvalidTensor`, naming the record, when a feature is not finite
+    as f32 (a value past the f32 range becomes inf in the cast).
+    """
     coords = np.asarray(coords, dtype=np.int64)
+    with np.errstate(over="ignore"):
+        feats = np.asarray(features, dtype="<f4")
+    if not np.isfinite(feats).all():
+        raise InvalidTensor(f"record {name!r}: {int((~np.isfinite(feats)).sum())} features are "
+                            f"not finite as f32")
     header = {
         "name": name,
         "stride": int(stride),
@@ -57,7 +66,7 @@ def dump_record_bytes(name: str, coords: np.ndarray, features: np.ndarray,
         "count": int(coords.shape[0]),
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n"
-    body = coords.astype("<u4").tobytes() + np.asarray(features, dtype="<f4").tobytes()
+    body = coords.astype("<u4").tobytes() + feats.tobytes()
     return head + body
 
 

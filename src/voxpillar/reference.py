@@ -53,29 +53,54 @@ def dense_conv_reference(coords, features, extents, spec: ConvSpec, weights: Con
     return out
 
 
-def enumerate_regular_outputs(coords, spec: ConvSpec, extents) -> set[tuple[int, ...]]:
-    """Active regular-conv outputs by trying every (input, offset, output) triple."""
-    out_extents = tuple(
-        (int(e) + 2 * p - k) // s + 1
-        for e, k, s, p in zip(extents, spec.kernel, spec.stride, spec.padding))
-    active = set()
-    for c in np.asarray(coords, dtype=np.int64):
+def enumerate_kernel_map(coords, spec: ConvSpec, extents) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel-map triples and output coordinates by trying every (input, offset) pair.
+
+    Input c feeds output o through offset k when c + padding - k = o * stride
+    on every axis with o inside the output extents. Submanifold mode uses
+    the centre padding, and an output must also be an input site. Returns
+    the (in, out, offset) triples sorted by (offset, out, in) as a (T, 3)
+    int64 array, and the sorted output coordinates as (M, ndim) int64 (the
+    input coordinates in submanifold mode).
+    """
+    coords = [tuple(int(v) for v in c) for c in np.asarray(coords, dtype=np.int64)]
+    if spec.mode == SUBMANIFOLD:
+        padding = tuple((k - 1) // 2 for k in spec.kernel)
+        out_extents = tuple(int(e) for e in extents)
+    else:
+        padding = spec.padding
+        out_extents = tuple(
+            (int(e) + 2 * p - k) // s + 1
+            for e, k, s, p in zip(extents, spec.kernel, spec.stride, spec.padding))
+    found = []  # (in index, output coordinate, offset index)
+    for i, c in enumerate(coords):
         for k_idx in range(spec.num_offsets):
             off = np.unravel_index(k_idx, spec.kernel)
             o = []
-            ok = True
             for axis in range(spec.ndim):
-                t = int(c[axis]) + spec.padding[axis] - off[axis]
-                if t % spec.stride[axis] != 0:
-                    ok = False
+                t = c[axis] + padding[axis] - int(off[axis])
+                s = spec.stride[axis]
+                if t % s != 0 or not 0 <= t // s < out_extents[axis]:
                     break
-                o.append(t // spec.stride[axis])
-                if not 0 <= o[-1] < out_extents[axis]:
-                    ok = False
-                    break
-            if ok:
-                active.add(tuple(o))
-    return active
+                o.append(t // s)
+            else:
+                found.append((i, tuple(o), k_idx))
+    if spec.mode == SUBMANIFOLD:
+        sites = set(coords)
+        found = [f for f in found if f[1] in sites]
+        outputs = sorted(sites)
+    else:
+        outputs = sorted({o for _, o, _ in found})
+    index = {o: j for j, o in enumerate(outputs)}
+    triples = sorted(((k_idx, index[o], i) for i, o, k_idx in found))
+    triples = np.array([(i, j, k_idx) for k_idx, j, i in triples],
+                       dtype=np.int64).reshape(-1, 3)
+    return triples, np.array(outputs, dtype=np.int64).reshape(-1, spec.ndim)
+
+
+def enumerate_regular_outputs(coords, spec: ConvSpec, extents) -> set[tuple[int, ...]]:
+    """Active regular-conv outputs by trying every (input, offset, output) triple."""
+    return {tuple(int(v) for v in o) for o in enumerate_kernel_map(coords, spec, extents)[1]}
 
 
 def groupby_mean(points: np.ndarray, indices: np.ndarray) -> dict[tuple, np.ndarray]:

@@ -20,7 +20,8 @@ from .losses import (LossWeights, diou_center_fd_error, diou_loss, encode_iou_ta
                      iou_l1_terms, overall_loss, rectify_score, regression_l1_terms)
 from .manifest import resolve_weights
 from .reference import (dense_conv_reference, dense_correspondence_matrix,
-                        density_bins_reference, groupby_max, monte_carlo_iou)
+                        density_bins_reference, enumerate_kernel_map, groupby_max,
+                        monte_carlo_iou)
 from .sparse_conv import ConvSpec, ConvWeights, bev_equal, build_kernel_map, sparse_conv
 
 SMALL_GRID = GridSpec((0.0, 0.0, 0.0), (1.6, 1.6, 1.2), (0.1, 0.1, 0.15))
@@ -125,6 +126,54 @@ def check_sparse_conv(cases):
         dense = dense_conv_reference(x.coords, x.features, x.extents, spec, w)
         _require(np.allclose(out.features, dense[tuple(out.coords.T)], rtol=1e-5, atol=1e-8),
                  f"case {case}: sparse conv differs from the dense oracle")
+
+
+def kernel_map_case(rng, case) -> tuple[np.ndarray, ConvSpec, tuple[int, ...]]:
+    """Coordinates, spec and extents of one kernel-map case.
+
+    The case number cycles through 3D and 2D, submanifold and regular, and
+    four site sets: one site, the full grid, border sites only and a random
+    share. Kernels are drawn from 1, 3 and 5 per axis, regular strides from
+    1-3 and paddings from 0-2.
+    """
+    ndim = 3 if case % 2 == 0 else 2
+    kernel = tuple(int(v) for v in rng.choice((1, 3, 5), size=ndim))
+    if case % 4 < 2:
+        spec = ConvSpec.submanifold(ndim, kernel, 1, 1)
+    else:
+        spec = ConvSpec.regular(ndim, kernel, tuple(int(v) for v in rng.integers(1, 4, size=ndim)),
+                                tuple(int(v) for v in rng.integers(0, 3, size=ndim)), 1, 1)
+    hi = 6 if ndim == 3 else 11
+    extents = tuple(int(rng.integers(max(1, k - 2 * p), hi + 1))
+                    for k, p in zip(spec.kernel, spec.padding))
+    grid = np.stack(np.unravel_index(np.arange(int(np.prod(extents))), extents), axis=1)
+    kind = case // 4 % 4
+    if kind == 0:
+        keep = np.zeros(grid.shape[0], dtype=bool)
+        keep[rng.integers(grid.shape[0])] = True
+    elif kind == 1:
+        keep = np.ones(grid.shape[0], dtype=bool)
+    elif kind == 2:
+        keep = ((grid == 0) | (grid == np.array(extents) - 1)).any(axis=1)
+        keep &= rng.uniform(size=grid.shape[0]) < 0.6
+    else:
+        keep = rng.uniform(size=grid.shape[0]) < rng.uniform(0.05, 0.5)
+    return grid[keep].astype(np.int64), spec, extents
+
+
+def check_kernel_map(cases):
+    """Kernel-map triples and output coordinates equal the brute-force enumeration byte for byte."""
+    rng = np.random.default_rng(212)
+    for case in range(cases):
+        coords, spec, extents = kernel_map_case(rng, case)
+        kmap = build_kernel_map(coords, spec, extents)
+        triples, out_coords = enumerate_kernel_map(coords, spec, extents)
+        _require(kmap.triples.shape == triples.shape
+                 and kmap.triples.tobytes() == triples.tobytes(),
+                 f"case {case}: kernel-map triples differ from the enumeration")
+        _require(kmap.out_coords.shape == out_coords.shape
+                 and kmap.out_coords.tobytes() == out_coords.tobytes(),
+                 f"case {case}: kernel-map output coordinates differ from the enumeration")
 
 
 def check_bev_consistency(cases):
@@ -338,6 +387,7 @@ def check_determinism(cases):
 # (name, check, selftest cases, acceptance cases)
 SUITES = [
     ("sparse-conv dense oracle", check_sparse_conv, 30, 200),
+    ("kernel maps equal the brute-force enumeration", check_kernel_map, 16, 400),
     ("BEV equality at every encoder step", check_bev_consistency, 5, 100),
     ("fusion pool/broadcast oracles", check_fusion, 20, 100),
     ("rotated IoU analytic + Monte-Carlo", check_iou, 3, 50),

@@ -113,6 +113,11 @@ class KernelMap:
     output index appears at most once (submanifold: one source per output
     per offset; regular: o = (c + padding - k) / stride is injective in c),
     which is what makes the indexed scatter in `sparse_conv` exact.
+
+    In a submanifold map `out_coords` are the input coordinates, and the
+    centre segment (offset `num_offsets // 2`) is the identity: triple
+    (i, i) for every site i, in site order. `sparse_conv` relies on that to
+    apply the centre tap without a gather or a scatter.
     """
 
     triples: np.ndarray  # (T, 3) int64 columns in_idx, out_idx, offset_idx
@@ -139,84 +144,125 @@ def conv_output_extents(extents, spec: ConvSpec) -> tuple[int, ...]:
     return out
 
 
-def _lookup(sorted_keys: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Index of each query key in sorted_keys, -1 when absent."""
-    pos = np.searchsorted(sorted_keys, query)
-    pos_clipped = np.minimum(pos, sorted_keys.size - 1) if sorted_keys.size else pos
-    hit = np.zeros(query.shape, dtype=bool)
-    if sorted_keys.size:
-        hit = sorted_keys[pos_clipped] == query
-    return np.where(hit, pos_clipped, -1)
+def _axis_taps(coords_in: np.ndarray, spec: ConvSpec, padding, out_extents):
+    """Per axis a and kernel tap t: which inputs reach an output through t, and where.
+
+    Input coordinate c reaches output o = (c + padding - t) / stride along
+    the axis when the division is exact and o lies in [0, out_extents[a]).
+    Returns masks[a][t] (bool, per input) and outs[a][t] (o, meaningful
+    where the mask holds).
+    """
+    masks, outs = [], []
+    for axis in range(spec.ndim):
+        c = coords_in[:, axis]
+        s = spec.stride[axis]
+        m_axis, o_axis = [], []
+        for t in range(spec.kernel[axis]):
+            shifted = c + (padding[axis] - t)
+            o = shifted // s
+            ok = (o >= 0) & (o < out_extents[axis])
+            if s > 1:
+                ok &= o * s == shifted
+            m_axis.append(ok)
+            o_axis.append(o)
+        masks.append(m_axis)
+        outs.append(o_axis)
+    return masks, outs
+
+
+def _offset_mask(masks, offset) -> np.ndarray:
+    ok = masks[0][offset[0]]
+    for axis in range(1, len(masks)):
+        ok = ok & masks[axis][offset[axis]]
+    return ok
+
+
+def _triples(in_idx: np.ndarray, out_idx: np.ndarray, sizes) -> np.ndarray:
+    """(T, 3) triples from the input and output columns and each offset's segment size."""
+    triples = np.empty((in_idx.size, 3), dtype=np.int64)
+    triples[:, 0] = in_idx
+    triples[:, 1] = out_idx
+    triples[:, 2] = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    return triples
 
 
 def build_kernel_map(coords_in: np.ndarray, spec: ConvSpec, in_extents) -> KernelMap:
     """Enumerate every valid (input, output, offset) pairing.
 
-    Regular mode: output o is active iff some input c and offset k satisfy
-    c + padding - k = o * stride with o inside the output extents.
-    Submanifold mode: output coordinates equal input coordinates and inputs
-    are gathered from the kernel window centered at each output.
+    Input c feeds output o through offset k iff c + padding - k = o * stride
+    with o inside the output extents. Submanifold maps use the centre
+    padding, whatever `spec.padding` holds, and stride 1, and keep only the
+    outputs that are input sites.
+    `coords_in` must be unique and lex sorted, as `SparseTensor`
+    coordinates are.
 
-    `coords_in` must be unique and lex sorted, as `SparseTensor` coordinates
-    are. Triples then come out in (offset, output, input) order without a
-    sort: submanifold outputs are enumerated in ascending order with one
-    input each, and for a fixed offset the regular map c -> (c + p - k) / s
-    is strictly monotone per axis, so lex-sorted inputs give lex-sorted
-    outputs.
+    Per-axis tap masks: no offset does (N, ndim) arithmetic. `_axis_taps`
+    finds, once per axis and tap, the inputs that stay in bounds (and on
+    the stride lattice) and their output coordinate; an offset's candidates
+    are the AND of one mask per axis.
+
+    Regular mode: each offset packs the output keys of its candidates only,
+    and one `np.unique` over all of them gives the output set and indices.
+
+    Submanifold mode:
+    - linear key shift: packing is linear, so the site an in-bounds input
+      reaches through offset k has key in_key + delta[k], delta[k] being
+      the packed (centre - k); a `searchsorted` over the input keys finds
+      it, for the first K // 2 offsets only;
+    - identity centre: offset K // 2 is triple (i, i) for every site i, in
+      order, which `sparse_conv` relies on;
+    - mirror rule: offsets k and K - 1 - k shift by opposite vectors, so i
+      feeds j through k iff j feeds i through K - 1 - k, and the mirror
+      segment is k's pairs swapped.
+
+    Triples come out in (offset, output, input) order without a sort: for a
+    fixed offset o is strictly monotone per axis in c, so lex-sorted inputs
+    give lex-sorted outputs. In a submanifold segment the output index thus
+    rises with the input index, so a mirror segment is in order as well.
     """
     coords_in = np.asarray(coords_in, dtype=np.int64)
     in_extents = tuple(int(e) for e in in_extents)
+    out_extents = conv_output_extents(in_extents, spec)
     offsets = kernel_offsets(spec.kernel)
-    n_in = coords_in.shape[0]
+    num_offsets = offsets.shape[0]
+    padding = spec.padding if spec.mode == REGULAR else tuple((k - 1) // 2 for k in spec.kernel)
+    masks, outs = _axis_taps(coords_in, spec, padding, out_extents)
+    mult = [int(np.prod(out_extents[axis + 1:])) for axis in range(spec.ndim)]
 
     if spec.mode == SUBMANIFOLD:
-        center = (np.asarray(spec.kernel, dtype=np.int64) - 1) // 2
         in_keys = pack_coords(coords_in, in_extents)
-        parts = []
-        for k_idx in range(offsets.shape[0]):
-            src = coords_in + offsets[k_idx] - center  # input feeding each output site
-            ok = ((src >= 0) & (src < np.asarray(in_extents))).all(axis=1)
-            if not ok.any():
-                continue
-            src_idx = np.full(n_in, -1, dtype=np.int64)
-            src_idx[ok] = _lookup(in_keys, pack_coords(src[ok], in_extents))
-            hit = src_idx >= 0
-            if not hit.any():
-                continue
-            out_idx = np.flatnonzero(hit)
-            tri = np.empty((out_idx.size, 3), dtype=np.int64)
-            tri[:, 0] = src_idx[hit]
-            tri[:, 1] = out_idx
-            tri[:, 2] = k_idx
-            parts.append(tri)
-        triples = np.concatenate(parts, axis=0) if parts else np.empty((0, 3), dtype=np.int64)
-        return KernelMap(triples, coords_in.copy(), in_extents, offsets.shape[0])
+        # one sentinel past the end, so a search that runs off the keys misses
+        probe = np.append(in_keys, -1)
+        delta = (np.asarray(padding) - offsets) @ np.asarray(mult, dtype=np.int64)
+        half = num_offsets // 2
+        segments = [None] * num_offsets
+        for k_idx in range(half):
+            cand = np.flatnonzero(_offset_mask(masks, offsets[k_idx]))
+            key = in_keys[cand] + delta[k_idx]
+            pos = np.searchsorted(in_keys, key)
+            hit = probe[pos] == key
+            src, dst = cand[hit], pos[hit]
+            segments[k_idx] = (src, dst)
+            segments[num_offsets - 1 - k_idx] = (dst, src)
+        sites = np.arange(coords_in.shape[0], dtype=np.int64)
+        segments[half] = (sites, sites)
+        triples = _triples(np.concatenate([src for src, _ in segments]),
+                           np.concatenate([dst for _, dst in segments]),
+                           [src.size for src, _ in segments])
+        return KernelMap(triples, coords_in.copy(), in_extents, num_offsets)
 
-    out_extents = conv_output_extents(in_extents, spec)
-    stride = np.asarray(spec.stride, dtype=np.int64)
-    padding = np.asarray(spec.padding, dtype=np.int64)
-    cand_in, cand_out, cand_k = [], [], []
-    for k_idx in range(offsets.shape[0]):
-        t = coords_in + padding - offsets[k_idx]
-        ok = (t % stride == 0).all(axis=1)
-        o = t // stride
-        ok &= ((o >= 0) & (o < np.asarray(out_extents))).all(axis=1)
-        if not ok.any():
-            continue
-        cand_in.append(np.flatnonzero(ok))
-        cand_out.append(o[ok])
-        cand_k.append(np.full(int(ok.sum()), k_idx, dtype=np.int64))
-    if not cand_in:
-        empty = np.empty((0, spec.ndim), dtype=np.int64)
-        return KernelMap(np.empty((0, 3), dtype=np.int64), empty, out_extents, offsets.shape[0])
-    in_idx = np.concatenate(cand_in)
-    out_xy = np.concatenate(cand_out, axis=0)
-    k_col = np.concatenate(cand_k)
-    out_key = pack_coords(out_xy, out_extents)
-    uniq_keys, out_idx = np.unique(out_key, return_inverse=True)
+    cands, keys = [], []
+    for offset in offsets:
+        cand = np.flatnonzero(_offset_mask(masks, offset))
+        key = outs[0][offset[0]][cand] * mult[0]
+        for axis in range(1, spec.ndim):
+            key += outs[axis][offset[axis]][cand] * mult[axis]
+        cands.append(cand)
+        keys.append(key)
+    uniq_keys, out_idx = np.unique(np.concatenate(keys), return_inverse=True)
     out_coords = np.stack(np.unravel_index(uniq_keys, out_extents), axis=1).astype(np.int64)
-    triples = np.stack([in_idx, out_idx, k_col], axis=1)
-    return KernelMap(triples, out_coords, out_extents, offsets.shape[0])
+    triples = _triples(np.concatenate(cands), out_idx, [cand.size for cand in cands])
+    return KernelMap(triples, out_coords, out_extents, num_offsets)
 
 
 def sparse_conv(x, spec: ConvSpec, weights: ConvWeights, kmap: KernelMap):
@@ -225,7 +271,9 @@ def sparse_conv(x, spec: ConvSpec, weights: ConvWeights, kmap: KernelMap):
     out[o] = bias + sum over triples (i, o, k) of kernel[k].T @ x[i]. Offsets
     are added in ascending order and no output repeats within one, so a plain
     indexed add is exact and every output row sees the same additions on
-    every run.
+    every run. A submanifold map's centre segment is the identity, so that
+    tap is `x.features @ kernel[centre]` added to every row in place: the
+    same product on the same rows, without the gather and the scatter.
     """
     weights.check(spec)
     if x.features.shape[1] != spec.in_channels:
@@ -233,20 +281,25 @@ def sparse_conv(x, spec: ConvSpec, weights: ConvWeights, kmap: KernelMap):
     if kmap.num_offsets != spec.num_offsets:
         raise ShapeMismatch(f"kernel map has {kmap.num_offsets} offsets, spec expects "
                             f"{spec.num_offsets}")
+    if spec.stride[0] != spec.stride[1]:
+        raise SpecMismatch("X-Y strides must match to track the tensor stride")
+    centre = -1
+    if spec.mode == SUBMANIFOLD:
+        if kmap.out_coords.shape[0] != x.num_sites:
+            raise ShapeMismatch(f"submanifold kernel map has {kmap.out_coords.shape[0]} sites, "
+                                f"input has {x.num_sites}")
+        centre = kmap.num_offsets // 2
     out = np.zeros((kmap.out_coords.shape[0], spec.out_channels))
     if weights.bias is not None:
         out += weights.bias
     tri = kmap.triples
-    if tri.shape[0]:
-        bounds = np.searchsorted(tri[:, 2], np.arange(kmap.num_offsets + 1))
-        for k_idx in range(kmap.num_offsets):
-            lo, hi = bounds[k_idx], bounds[k_idx + 1]
-            if lo == hi:
-                continue
-            contrib = x.features[tri[lo:hi, 0]] @ weights.kernel[k_idx]
-            out[tri[lo:hi, 1]] += contrib
-    if spec.stride[0] != spec.stride[1]:
-        raise SpecMismatch("X-Y strides must match to track the tensor stride")
+    bounds = np.searchsorted(tri[:, 2], np.arange(kmap.num_offsets + 1))
+    for k_idx in range(kmap.num_offsets):
+        lo, hi = bounds[k_idx], bounds[k_idx + 1]
+        if k_idx == centre:
+            out += x.features @ weights.kernel[k_idx]
+        elif lo < hi:
+            out[tri[lo:hi, 1]] += x.features[tri[lo:hi, 0]] @ weights.kernel[k_idx]
     new_stride = x.stride * spec.stride[0]
     return SparseTensor(coords=kmap.out_coords.copy(), features=out, stride=new_stride,
                         extents=kmap.out_extents)

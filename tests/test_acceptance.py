@@ -11,8 +11,8 @@ from voxpillar.config import RunConfig
 from voxpillar.formats import read_dump, write_cloud
 from voxpillar.selftest import (SMALL_GRID, SUITES, check_bev_consistency, check_density,
                                 check_determinism, check_diou, check_fusion, check_iou,
-                                check_overall_loss, check_rectification, check_sparse_conv,
-                                random_cloud)
+                                check_kernel_map, check_overall_loss, check_rectification,
+                                check_sparse_conv, random_cloud)
 
 FULL_CASES = {check: cases for _, check, _, cases in SUITES}
 
@@ -32,6 +32,11 @@ def _accept(num, name, check):
 
 def test_c01_sparse_conv_oracle_equivalence():
     _accept(1, "sparse-conv matches densify-convolve-mask oracle (200 cases)", check_sparse_conv)
+
+
+def test_c01_kernel_maps_equal_the_enumeration():
+    _accept(1, "kernel maps equal the brute-force enumeration byte for byte (400 cases)",
+            check_kernel_map)
 
 
 def test_c02_bev_consistency_all_steps():

@@ -244,7 +244,7 @@ def test_forward_on_a_grid_too_large_for_the_dense_neck_exits_1(workspace, tmp_p
 def test_selftest_command(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count(": ok") == 10 and "FAIL" not in out
+    assert out.count(": ok") == 11 and "FAIL" not in out
 
 
 @pytest.mark.parametrize("entry", [
@@ -291,6 +291,28 @@ def test_malformed_manifest_exits_1_without_traceback(workspace, capsys, entry):
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "'point_encoder.weight'" in err
+
+
+# the forward's own matmuls overflow and warn; the run must still end in one error line
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("variant", ["dense", "sparse"])
+def test_forward_with_a_readout_not_finite_exits_1(workspace, capsys, variant):
+    tmp, cfg, cloud = workspace
+    run = _load_run(argparse.Namespace(config=cfg, variant=variant))
+    weights = tmp / "huge.json"
+    # finite f32 weights whose products overflow, so no readout value is finite
+    manifest.save_manifest(weights, {name: np.full(shape, 3e38) for name, shape
+                                     in required_weights(run.grid, run.backbone).items()})
+    out = tmp / "readout.vpt"
+    for extra in ([], ["--out", str(out)]):
+        capsys.readouterr()
+        assert main(["forward", cloud, "--config", cfg, "--variant", variant,
+                     "--weights", str(weights)] + extra) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert f"'readout.{variant}'" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--samples", "--trials"])

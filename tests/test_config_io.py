@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from voxpillar.backbone import default_backbone_config, required_weights
 from voxpillar.config import RunConfig, config_from_json, load_config
-from voxpillar.errors import FormatError, ShapeMismatch
+from voxpillar.errors import FormatError, InvalidTensor, ShapeMismatch
 from voxpillar.formats import (load_boxes, read_cloud, read_dump, write_cloud, write_csv,
                                write_dump)
 from voxpillar.grid import GridSpec
@@ -114,6 +114,18 @@ def test_dump_truncation_detected(tmp_path):
     path.write_bytes(data[:-4])
     with pytest.raises(FormatError):
         read_dump(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39],
+                         ids=["nan", "inf", "-inf", "past-f32"])
+def test_dump_rejects_features_not_finite_as_f32(tmp_path, value):
+    feats = np.ones((2, 3))
+    feats[1, 2] = value
+    path = tmp_path / "t.vpt"
+    with pytest.raises(InvalidTensor, match="'b'"):
+        write_dump(path, [("a", np.array([[1, 2], [3, 4]]), np.ones((2, 3)), 1, (4, 4)),
+                          ("b", np.array([[1, 2], [3, 4]]), feats, 1, (4, 4))])
+    assert not path.exists()
 
 
 def _one_record_header(**changes):

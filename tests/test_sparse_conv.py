@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxpillar.errors import ConsistencyViolation, ShapeMismatch, SpecMismatch
 from voxpillar.grid import (PointEncoderWeights, SparseTensor, build_pillar_features,
                             build_voxel_features, voxelize)
-from voxpillar.reference import dense_conv_reference, densify_features, enumerate_regular_outputs
+from voxpillar.reference import (dense_conv_reference, densify_features, enumerate_kernel_map,
+                                 enumerate_regular_outputs)
 from voxpillar.selftest import random_cloud
 from voxpillar.sparse_conv import (ConvSpec, ConvWeights, bev_equal, build_kernel_map,
                                    paired_downsample, sparse_conv)
@@ -216,6 +219,70 @@ def test_conv_rejects_kernel_map_of_another_size(map_kernel, spec_kernel):
     with pytest.raises(ShapeMismatch):
         sparse_conv(x, spec, random_conv_weights(rng, spec), kmap)
     assert_matches_dense(x, spec, random_conv_weights(rng, spec))  # its own map is accepted
+
+
+def test_submanifold_conv_rejects_a_map_of_other_sites():
+    rng = np.random.default_rng(34)
+    x = random_sparse(rng, (8, 8), 0.2, 2, 2)
+    spec = ConvSpec.submanifold(2, 3, 2, 3)
+    # a stride-1 regular map dilates the sites, so its centre segment is no identity
+    dilated = build_kernel_map(x.coords, ConvSpec.regular(2, 3, 1, 1, 2, 3), x.extents)
+    assert dilated.out_coords.shape[0] > x.num_sites
+    with pytest.raises(ShapeMismatch):
+        sparse_conv(x, spec, random_conv_weights(rng, spec), dilated)
+
+
+def test_conv_rejects_unequal_xy_strides_before_computing(monkeypatch):
+    rng = np.random.default_rng(33)
+    x = random_sparse(rng, (9, 9), 0.3, 2, 2)
+    spec = ConvSpec.regular(2, 3, (2, 1), 1, 2, 3)
+    kmap = build_kernel_map(x.coords, spec, x.extents)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the convolution ran before the stride check")
+
+    monkeypatch.setattr(np, "searchsorted", no_search)
+    with pytest.raises(SpecMismatch, match="X-Y strides"):
+        sparse_conv(x, spec, random_conv_weights(rng, spec), kmap)
+
+
+@st.composite
+def sparse_conv_cases(draw):
+    """A sparse tensor and a ConvSpec: 2D or 3D, either mode, odd or even kernels,
+    equal X-Y strides of 1-3 and paddings of 0-2."""
+    ndim = draw(st.sampled_from((2, 3)))
+    cin, cout = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    padding = tuple(draw(st.integers(0, 2)) for _ in range(ndim))
+    if draw(st.booleans()):
+        # submanifold maps use the centre padding whatever the spec's padding holds
+        kernel = tuple(draw(st.sampled_from((1, 3, 5))) for _ in range(ndim))
+        spec = ConvSpec(ndim, kernel, (1,) * ndim, padding, cin, cout, "submanifold")
+    else:
+        kernel = tuple(draw(st.integers(1, 5)) for _ in range(ndim))
+        xy_stride = draw(st.integers(1, 3))
+        stride = (xy_stride, xy_stride) + tuple(draw(st.integers(1, 3)) for _ in range(ndim - 2))
+        spec = ConvSpec.regular(ndim, kernel, stride, padding, cin, cout)
+    extents = tuple(draw(st.integers(max(1, k - 2 * p), 7 if ndim == 3 else 12))
+                    for k, p in zip(kernel, padding))
+    total = int(np.prod(extents))
+    flat = sorted(draw(st.sets(st.integers(0, total - 1), min_size=1, max_size=min(total, 80))))
+    coords = np.stack(np.unravel_index(flat, extents), axis=1).astype(np.int64)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = SparseTensor(coords=coords, features=rng.normal(size=(len(coords), cin)), stride=1,
+                     extents=extents)
+    return x, spec, random_conv_weights(rng, spec, bias=spec.mode == "regular")
+
+
+@settings(max_examples=150)
+@given(sparse_conv_cases())
+def test_kernel_maps_and_conv_agree_with_the_oracles(case):
+    x, spec, weights = case
+    kmap = build_kernel_map(x.coords, spec, x.extents)
+    triples, out_coords = enumerate_kernel_map(x.coords, spec, x.extents)
+    assert kmap.triples.shape == triples.shape and kmap.triples.tobytes() == triples.tobytes()
+    assert kmap.out_coords.shape == out_coords.shape
+    assert kmap.out_coords.tobytes() == out_coords.tobytes()
+    assert_matches_dense(x, spec, weights)
 
 
 def _paired_specs(cin_v, cout_v, cin_p, cout_p):
