@@ -16,8 +16,8 @@ from .errors import OutOfRange, ShapeMismatch
 from .fusion import build_correspondence, sparse_fusion_layer
 from .grid import (GridSpec, PointEncoderWeights, SparseTensor, build_pillar_features,
                    build_voxel_features, pack_coords, voxelize)
-from .sparse_conv import (REGULAR, ConvSpec, ConvWeights, build_kernel_map, paired_downsample,
-                          sparse_conv)
+from .sparse_conv import (REGULAR, ConvSpec, ConvWeights, build_kernel_map, conv_output_extents,
+                          paired_downsample, sparse_conv)
 
 NUM_STEPS = 4
 VOXEL_INPUT_DIM = 4  # mean (x, y, z, intensity)
@@ -95,21 +95,6 @@ class DenseFeatureMap:
         return self.values.shape[2]
 
 
-def _downsampled(extent: int) -> int:
-    # kernel 3, stride 2, padding 1
-    return (extent + 2 - 3) // 2 + 1
-
-
-def step_extents(grid: GridSpec) -> list[tuple[int, int, int]]:
-    """Voxel grid shape at each of the 4 encoder steps."""
-    ext = grid.extents
-    out = [ext]
-    for _ in range(NUM_STEPS - 1):
-        ext = tuple(_downsampled(e) for e in ext)
-        out.append(ext)
-    return out
-
-
 def paired_blocks(cfg: BackboneConfig) -> list[tuple]:
     """The model's paired voxel/pillar blocks in execution order.
 
@@ -150,19 +135,27 @@ def sfl_convs(cfg: BackboneConfig, step: int) -> list[tuple[str, ConvSpec]]:
             (f"sfl.step{step}.p2v", ConvSpec.submanifold(2, cfg.sfl_kernel, cp, cv))]
 
 
-def neck_convs(cfg: BackboneConfig, grid: GridSpec) -> list[tuple[str, int, int, int]]:
+def block_extents(grid: GridSpec, cfg: BackboneConfig) -> list[tuple[int, ...]]:
+    """Voxel grid extents after each paired block, from its downsample's spec."""
+    ext, out = grid.extents, []
+    for block in paired_blocks(cfg):
+        # without submanifold layers, which keep the extents, a block is its downsamples
+        for _, spec in block_convs(block, 0):
+            if spec.ndim == 3:
+                ext = conv_output_extents(ext, spec)
+        out.append(ext)
+    return out
+
+
+def neck_convs(cfg: BackboneConfig, extents8) -> list[tuple[str, int, int, int]]:
     """(weight prefix, input width, output width, stride) of every dense neck
     convolution in execution order: per branch, voxel first, the 8x block and
     then the 16x block, each `neck_layers` long; only the first 16x layer
-    downsamples.
+    downsamples. `extents8` is the voxel grid after the last encoder step.
 
     Raises OutOfRange when the neck's largest map on this grid would exceed
     NECK_MAP_BYTES_CAP.
     """
-    return _neck_plan(cfg, step_extents(grid)[-1])
-
-
-def _neck_plan(cfg: BackboneConfig, extents8) -> list[tuple[str, int, int, int]]:
     l8, w8, h8 = (int(e) for e in extents8)
     d = cfg.neck_channels
     widths = (h8 * cfg.voxel_channels[-1], cfg.pillar_channels[-1])
@@ -189,36 +182,38 @@ def point_encoder_shapes(cfg: BackboneConfig) -> dict[str, tuple[int, ...]]:
             "point_encoder.bias": (cfg.point_feature_dim,)}
 
 
-def required_weights(grid: GridSpec, cfg: BackboneConfig) -> dict[str, tuple[int, ...]]:
-    """Every named tensor the configured model loads, with its shape.
+def conv_shapes(name: str, spec: ConvSpec) -> dict[str, tuple[int, ...]]:
+    """Names and shapes of one convolution's tensors: its kernel, then a bias
+    if it is a regular (downsampling) one."""
+    shapes = {f"{name}.kernel": (spec.num_offsets, spec.in_channels, spec.out_channels)}
+    if spec.mode == REGULAR:
+        shapes[f"{name}.bias"] = (spec.out_channels,)
+    return shapes
 
-    Convolutions come from the block plan; a regular (downsampling)
-    convolution carries a bias, a submanifold one does not.
-    """
+
+def required_weights(grid: GridSpec, cfg: BackboneConfig) -> dict[str, tuple[int, ...]]:
+    """Every named tensor the configured model loads, with its shape."""
     shapes = point_encoder_shapes(cfg)
     blocks = paired_blocks(cfg)
     convs = [c for block in blocks for c in block_convs(block, cfg.submanifold_layers)]
     convs += [c for s in range(1, NUM_STEPS + 1) if cfg.sfl_steps[s - 1] for c in sfl_convs(cfg, s)]
     for name, spec in convs:
-        shapes[f"{name}.kernel"] = (spec.num_offsets, spec.in_channels, spec.out_channels)
-        if spec.mode == REGULAR:
-            shapes[f"{name}.bias"] = (spec.out_channels,)
+        shapes.update(conv_shapes(name, spec))
+    extents = block_extents(grid, cfg)[NUM_STEPS - 1:]
     if cfg.variant == "dense":
-        for name, c_in, c_out, _ in neck_convs(cfg, grid):
+        for name, c_in, c_out, _ in neck_convs(cfg, extents[0]):
             shapes[f"{name}.kernel"] = (3, 3, c_in, c_out)
             shapes[f"{name}.scale"] = (c_out,)
             shapes[f"{name}.shift"] = (c_out,)
     else:
-        h = step_extents(grid)[-1][2]
-        for scale, (_, _, (cv, _), _) in zip((8, 16, 32), blocks[NUM_STEPS - 1:]):
-            shapes[f"readout.voxel.proj{scale}.weight"] = (h * cv, cfg.readout_pillar_channels[-1])
-            h = _downsampled(h)
+        for scale, (_, _, (cv, _), _), ext in zip((8, 16, 32), blocks[NUM_STEPS - 1:], extents):
+            shapes[f"readout.voxel.proj{scale}.weight"] = (ext[2] * cv,
+                                                           cfg.readout_pillar_channels[-1])
     return shapes
 
 
 def _weights(tensors, name: str, spec: ConvSpec) -> ConvWeights:
-    return ConvWeights(kernel=tensors[f"{name}.kernel"],
-                       bias=tensors[f"{name}.bias"] if spec.mode == REGULAR else None)
+    return ConvWeights(*(tensors[key] for key in conv_shapes(name, spec)))
 
 
 def _run_block(voxels, pillars, block, layers: int, tensors):
@@ -246,14 +241,18 @@ def _run_block(voxels, pillars, block, layers: int, tensors):
     return x[3], x[2], kmaps[2]
 
 
-def encoder_forward(points, grid: GridSpec, cfg: BackboneConfig,
-                    tensors: dict[str, np.ndarray]):
-    """Run the 4-step encoder; returns the (voxel, pillar) pair after each step."""
+def step1_tensors(points, grid: GridSpec, tensors: dict[str, np.ndarray]):
+    """Voxelize once and build both step-1 tensors: returns (cloud, voxels, pillars)."""
     enc = PointEncoderWeights(weight=tensors["point_encoder.weight"],
                               bias=tensors["point_encoder.bias"])
     cloud = voxelize(points, grid)
-    voxels = build_voxel_features(cloud)
-    pillars = build_pillar_features(cloud, enc)
+    return cloud, build_voxel_features(cloud), build_pillar_features(cloud, enc)
+
+
+def encoder_forward(points, grid: GridSpec, cfg: BackboneConfig,
+                    tensors: dict[str, np.ndarray]):
+    """Run the 4-step encoder; returns the (voxel, pillar) pair after each step."""
+    _, voxels, pillars = step1_tensors(points, grid, tensors)
     pairs = []
     for s, block in enumerate(paired_blocks(cfg)[:NUM_STEPS], start=1):
         voxels, pillars, kmap = _run_block(voxels, pillars, block, cfg.submanifold_layers, tensors)
@@ -263,8 +262,8 @@ def encoder_forward(points, grid: GridSpec, cfg: BackboneConfig,
                 kmap = build_kernel_map(pillars.coords, s_v2p, pillars.extents)
             corr = build_correspondence(voxels, pillars)
             voxels, pillars = sparse_fusion_layer(
-                voxels, pillars, corr, _weights(tensors, n_v2p, s_v2p),
-                _weights(tensors, n_p2v, s_p2v), kmap)
+                voxels, pillars, corr, (s_v2p, _weights(tensors, n_v2p, s_v2p)),
+                (s_p2v, _weights(tensors, n_p2v, s_p2v)), kmap)
         pairs.append((voxels, pillars))
     return pairs
 
@@ -390,7 +389,7 @@ def dense_fusion_neck(pairs, tensors: dict[str, np.ndarray], cfg: BackboneConfig
     concatenated onto the 8x map, yielding 2 * neck_channels at stride 8.
     """
     voxels, pillars = _final_pair(pairs)
-    convs = _neck_plan(cfg, voxels.extents)
+    convs = neck_convs(cfg, voxels.extents)
     m = cfg.neck_layers
     blocks = [convs[i:i + m] for i in range(0, len(convs), m)]
     maps = []

@@ -7,13 +7,12 @@ import sys
 
 import numpy as np
 
-from .backbone import densify, forward, point_encoder_shapes, required_weights
+from .backbone import forward, point_encoder_shapes, required_weights, step1_tensors
 from .config import config_from_json, read_config_doc
 from .density import recall_by_density, vertical_density
 from .errors import VoxPillarError
 from .formats import (FormatError, _atomic_write_bytes, dump_record_bytes, load_boxes,
                       read_cloud, write_csv, write_dump)
-from .grid import PointEncoderWeights, build_pillar_features, build_voxel_features, voxelize
 from .manifest import load_manifest, resolve_weights
 from .selftest import IOU_TOLERANCE, iou_monte_carlo_errors, run_selftest
 
@@ -88,11 +87,7 @@ def cmd_voxelize(args) -> int:
     # Seeded tensors are keyed by name, so resolving only the point encoder
     # gives the same values as resolving the whole model.
     tensors = _model_tensors(cfg, None, point_encoder_shapes(cfg.backbone))
-    enc = PointEncoderWeights(weight=tensors["point_encoder.weight"],
-                              bias=tensors["point_encoder.bias"])
-    cloud = voxelize(points, cfg.grid)
-    voxels = build_voxel_features(cloud)
-    pillars = build_pillar_features(cloud, enc)
+    cloud, voxels, pillars = step1_tensors(points, cfg.grid, tensors)
     write_dump(args.out, [
         ("voxels", voxels.coords, voxels.features, voxels.stride, voxels.extents),
         ("pillars", pillars.coords, pillars.features, pillars.stride, pillars.extents),
@@ -106,8 +101,10 @@ def cmd_forward(args) -> int:
     cfg = _load_run(args)
     points = read_cloud(args.cloud)
     tensors = _model_tensors(cfg, args.weights, required_weights(cfg.grid, cfg.backbone))
-    pairs, readout = forward(points, cfg.grid, cfg.backbone, tensors)
-    # encoding the readout checks it is finite, with or without an output file
+    # Overflowing weights give a readout that is not finite. Encoding it reports that,
+    # with or without an output file, as the one error line, so NumPy's warnings are off.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs, readout = forward(points, cfg.grid, cfg.backbone, tensors)
     readout_bytes = dump_record_bytes(*_readout_record(cfg, readout))
     if args.dump_dir:
         os.makedirs(args.dump_dir, exist_ok=True)

@@ -7,7 +7,6 @@ Neither branch gains or loses sites.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +35,6 @@ class VoxelPillarCorrespondence:
     @property
     def num_voxels(self) -> int:
         return self.voxel_to_pillar.size
-
-    def voxels_of(self, j: int) -> np.ndarray:
-        return np.arange(self.pillar_start[j], self.pillar_start[j + 1])
 
 
 def build_correspondence(voxels: SparseTensor, pillars: SparseTensor) -> VoxelPillarCorrespondence:
@@ -78,27 +74,21 @@ def broadcast(pillars: SparseTensor, corr: VoxelPillarCorrespondence) -> np.ndar
 
 def sparse_fusion_layer(voxels: SparseTensor, pillars: SparseTensor,
                         corr: VoxelPillarCorrespondence,
-                        w_v2p: ConvWeights, w_p2v: ConvWeights,
+                        v2p: tuple[ConvSpec, ConvWeights], p2v: tuple[ConvSpec, ConvWeights],
                         kmap: KernelMap) -> tuple[SparseTensor, SparseTensor]:
     """Fuse the branches: pool-conv-add one way, conv-broadcast-add the other.
 
-    w_v2p transforms pooled voxel features (D_v -> D_p); w_p2v transforms
-    pillar features (D_p -> D_v) before broadcasting. Both are bias-free 2D
-    submanifold convolutions on the pillar lattice through `kmap`, a
-    square-kernel submanifold map of the pillar coordinates (the pillar
-    stack's own map when the kernel is 3); coordinate sets are unchanged
+    The (spec, weights) pair `v2p` transforms pooled voxel features (D_v ->
+    D_p); `p2v` transforms pillar features (D_p -> D_v) before broadcasting.
+    Both are bias-free 2D submanifold convolutions through `kmap`, the
+    pillar coordinates' map for their kernel; coordinate sets are unchanged
     on both branches.
     """
-    if kmap.out_coords.shape != pillars.coords.shape:
-        raise ShapeMismatch("kernel map was built for a different pillar tensor")
-    d_v = voxels.num_channels
-    d_p = pillars.num_channels
-    kernel = math.isqrt(kmap.num_offsets)
-    spec_v2p = ConvSpec.submanifold(2, kernel, d_v, d_p)
-    spec_p2v = ConvSpec.submanifold(2, kernel, d_p, d_v)
-    w_v2p.check(spec_v2p)
-    w_p2v.check(spec_p2v)
-
+    (spec_v2p, w_v2p), (spec_p2v, w_p2v) = v2p, p2v
+    # sparse_conv checks the input widths; a wrong output width could broadcast
+    widths = (pillars.num_channels, voxels.num_channels)
+    if (spec_v2p.out_channels, spec_p2v.out_channels) != widths:
+        raise ShapeMismatch(f"fusion convolutions must give the (pillar, voxel) widths {widths}")
     pooled = sparse_pool(voxels, corr)
     pooled_tensor = SparseTensor(pillars.coords, pooled, pillars.stride, pillars.extents)
     to_pillar = sparse_conv(pooled_tensor, spec_v2p, w_v2p, kmap)

@@ -8,11 +8,14 @@ import zlib
 
 import numpy as np
 
-from .errors import FormatError, ShapeMismatch
+from .errors import FormatError, OutOfRange, ShapeMismatch
 from .formats import _atomic_write_bytes, _is_count
 
 # Tensors at or below this element count are stored as inline JSON arrays.
 _INLINE_LIMIT = 64
+
+# Largest seeded model, in float64 bytes, that resolve_weights generates.
+SEEDED_BYTES_CAP = 1 << 30
 
 
 def load_manifest(path) -> dict[str, np.ndarray]:
@@ -90,9 +93,14 @@ def resolve_weights(required: dict[str, tuple[int, ...]], manifest: dict[str, np
     """All model tensors, either validated from a manifest or seeded.
 
     A provided manifest must cover every required name with matching shapes;
-    with no manifest every tensor is generated from the seed.
+    with no manifest every tensor is generated from the seed, after checking
+    that the whole model fits SEEDED_BYTES_CAP.
     """
     if manifest is None:
+        size = 8 * sum(math.prod(shape) for shape in required.values())
+        if size > SEEDED_BYTES_CAP:
+            raise OutOfRange(f"the seeded model needs {size / 2**30:.3g} GiB of weights, above "
+                             f"the {SEEDED_BYTES_CAP >> 30} GiB cap; use smaller channel widths")
         return {name: seeded_tensor(name, shape, seed) for name, shape in required.items()}
     missing = sorted(set(required) - set(manifest))
     if missing:

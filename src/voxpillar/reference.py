@@ -24,30 +24,22 @@ def densify_features(coords: np.ndarray, features: np.ndarray, extents) -> np.nd
 def dense_conv_reference(coords, features, extents, spec: ConvSpec, weights: ConvWeights) -> np.ndarray:
     """Dense cross-correlation over the densified grid.
 
-    Regular mode applies the padded strided convolution everywhere; the
-    caller masks the result to the active output sites. Submanifold mode
-    uses the implied center padding and stride 1.
+    Applies the spec's padded, strided convolution everywhere (a
+    submanifold spec has the centre padding and stride 1); the caller masks
+    the result to the active output sites.
     """
     dense = densify_features(coords, features, extents)
-    if spec.mode == SUBMANIFOLD:
-        padding = tuple((k - 1) // 2 for k in spec.kernel)
-        stride = (1,) * spec.ndim
-        out_extents = tuple(int(e) for e in extents)
-    else:
-        padding = spec.padding
-        stride = spec.stride
-        out_extents = tuple(
-            (int(e) + 2 * p - k) // s + 1
-            for e, k, s, p in zip(extents, spec.kernel, spec.stride, spec.padding))
-    pad_width = [(p, p) for p in padding] + [(0, 0)]
-    padded = np.pad(dense, pad_width)
+    out_extents = tuple(
+        (int(e) + 2 * p - k) // s + 1
+        for e, k, s, p in zip(extents, spec.kernel, spec.stride, spec.padding))
+    padded = np.pad(dense, [(p, p) for p in spec.padding] + [(0, 0)])
     out = np.zeros(out_extents + (spec.out_channels,))
     if weights.bias is not None:
         out += weights.bias
     for k_idx in range(spec.num_offsets):
         off = np.unravel_index(k_idx, spec.kernel)
         window = padded
-        for axis, (o, s, e) in enumerate(zip(off, stride, out_extents)):
+        for axis, (o, s, e) in enumerate(zip(off, spec.stride, out_extents)):
             window = np.take(window, o + s * np.arange(e), axis=axis)
         out += window @ weights.kernel[k_idx]
     return out
@@ -57,28 +49,23 @@ def enumerate_kernel_map(coords, spec: ConvSpec, extents) -> tuple[np.ndarray, n
     """Kernel-map triples and output coordinates by trying every (input, offset) pair.
 
     Input c feeds output o through offset k when c + padding - k = o * stride
-    on every axis with o inside the output extents. Submanifold mode uses
-    the centre padding, and an output must also be an input site. Returns
-    the (in, out, offset) triples sorted by (offset, out, in) as a (T, 3)
-    int64 array, and the sorted output coordinates as (M, ndim) int64 (the
-    input coordinates in submanifold mode).
+    on every axis with o inside the output extents. In submanifold mode an
+    output must also be an input site. Returns the (in, out, offset) triples
+    sorted by (offset, out, in) as a (T, 3) int64 array, and the sorted
+    output coordinates as (M, ndim) int64 (the input coordinates in
+    submanifold mode).
     """
     coords = [tuple(int(v) for v in c) for c in np.asarray(coords, dtype=np.int64)]
-    if spec.mode == SUBMANIFOLD:
-        padding = tuple((k - 1) // 2 for k in spec.kernel)
-        out_extents = tuple(int(e) for e in extents)
-    else:
-        padding = spec.padding
-        out_extents = tuple(
-            (int(e) + 2 * p - k) // s + 1
-            for e, k, s, p in zip(extents, spec.kernel, spec.stride, spec.padding))
+    out_extents = tuple(
+        (int(e) + 2 * p - k) // s + 1
+        for e, k, s, p in zip(extents, spec.kernel, spec.stride, spec.padding))
     found = []  # (in index, output coordinate, offset index)
     for i, c in enumerate(coords):
         for k_idx in range(spec.num_offsets):
             off = np.unravel_index(k_idx, spec.kernel)
             o = []
             for axis in range(spec.ndim):
-                t = c[axis] + padding[axis] - int(off[axis])
+                t = c[axis] + spec.padding[axis] - int(off[axis])
                 s = spec.stride[axis]
                 if t % s != 0 or not 0 <= t // s < out_extents[axis]:
                     break

@@ -208,9 +208,9 @@ def check_fusion(cases):
         v_like = SparseTensor(v.coords, copied, 1, v.extents)
         _require((sparse_pool(v_like, corr) == p.features).all(),
                  f"pair {case}: pool of broadcast is not the pillars")
-        w_v2p = ConvWeights(kernel=np.zeros((9, v.num_channels, p.num_channels)))
-        w_p2v = ConvWeights(kernel=np.zeros((9, p.num_channels, v.num_channels)))
-        fv, fp = sparse_fusion_layer(v, p, corr, w_v2p, w_p2v, build_kernel_map(
+        convs = [(ConvSpec.submanifold(2, 3, a, b), ConvWeights(kernel=np.zeros((9, a, b))))
+                 for a, b in ((v.num_channels, p.num_channels), (p.num_channels, v.num_channels))]
+        fv, fp = sparse_fusion_layer(v, p, corr, *convs, build_kernel_map(
             p.coords, ConvSpec.submanifold(2, 3, 1, 1), p.extents))
         _require(fv.features.tobytes() == v.features.tobytes(),
                  f"pair {case}: zero fusion changed the voxels")

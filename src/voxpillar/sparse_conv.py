@@ -48,8 +48,9 @@ class ConvSpec:
         if self.mode == SUBMANIFOLD:
             if any(s != 1 for s in self.stride):
                 raise SpecMismatch("submanifold convolution requires stride 1 on every axis")
-            if any(k % 2 == 0 for k in self.kernel):
-                raise SpecMismatch("submanifold convolution requires odd kernel on every axis")
+            if any(k != 2 * p + 1 for k, p in zip(self.kernel, self.padding)):
+                raise SpecMismatch(f"submanifold convolution requires an odd kernel and its centre "
+                                   f"padding on every axis, got {self.kernel} and {self.padding}")
 
     @property
     def num_offsets(self) -> int:
@@ -133,8 +134,7 @@ def kernel_offsets(kernel: tuple[int, ...]) -> np.ndarray:
 
 
 def conv_output_extents(extents, spec: ConvSpec) -> tuple[int, ...]:
-    if spec.mode == SUBMANIFOLD:
-        return tuple(int(e) for e in extents)
+    """Grid extents after `spec`; a submanifold spec keeps them."""
     out = tuple(
         (int(e) + 2 * p - k) // s + 1
         for e, k, s, p in zip(extents, spec.kernel, spec.stride, spec.padding)
@@ -144,7 +144,7 @@ def conv_output_extents(extents, spec: ConvSpec) -> tuple[int, ...]:
     return out
 
 
-def _axis_taps(coords_in: np.ndarray, spec: ConvSpec, padding, out_extents):
+def _axis_taps(coords_in: np.ndarray, spec: ConvSpec, out_extents):
     """Per axis a and kernel tap t: which inputs reach an output through t, and where.
 
     Input coordinate c reaches output o = (c + padding - t) / stride along
@@ -158,7 +158,7 @@ def _axis_taps(coords_in: np.ndarray, spec: ConvSpec, padding, out_extents):
         s = spec.stride[axis]
         m_axis, o_axis = [], []
         for t in range(spec.kernel[axis]):
-            shifted = c + (padding[axis] - t)
+            shifted = c + (spec.padding[axis] - t)
             o = shifted // s
             ok = (o >= 0) & (o < out_extents[axis])
             if s > 1:
@@ -190,9 +190,8 @@ def build_kernel_map(coords_in: np.ndarray, spec: ConvSpec, in_extents) -> Kerne
     """Enumerate every valid (input, output, offset) pairing.
 
     Input c feeds output o through offset k iff c + padding - k = o * stride
-    with o inside the output extents. Submanifold maps use the centre
-    padding, whatever `spec.padding` holds, and stride 1, and keep only the
-    outputs that are input sites.
+    with o inside the output extents. Submanifold maps (centre padding,
+    stride 1) keep only the outputs that are input sites.
     `coords_in` must be unique and lex sorted, as `SparseTensor`
     coordinates are.
 
@@ -225,15 +224,14 @@ def build_kernel_map(coords_in: np.ndarray, spec: ConvSpec, in_extents) -> Kerne
     out_extents = conv_output_extents(in_extents, spec)
     offsets = kernel_offsets(spec.kernel)
     num_offsets = offsets.shape[0]
-    padding = spec.padding if spec.mode == REGULAR else tuple((k - 1) // 2 for k in spec.kernel)
-    masks, outs = _axis_taps(coords_in, spec, padding, out_extents)
+    masks, outs = _axis_taps(coords_in, spec, out_extents)
     mult = [int(np.prod(out_extents[axis + 1:])) for axis in range(spec.ndim)]
 
     if spec.mode == SUBMANIFOLD:
         in_keys = pack_coords(coords_in, in_extents)
         # one sentinel past the end, so a search that runs off the keys misses
         probe = np.append(in_keys, -1)
-        delta = (np.asarray(padding) - offsets) @ np.asarray(mult, dtype=np.int64)
+        delta = (np.asarray(spec.padding) - offsets) @ np.asarray(mult, dtype=np.int64)
         half = num_offsets // 2
         segments = [None] * num_offsets
         for k_idx in range(half):

@@ -1,15 +1,17 @@
+import collections
 import functools
 import tracemalloc
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxpillar.backbone import (BackboneConfig, DenseFeatureMap, default_backbone_config,
-                                dense_conv3x3, dense_fusion_neck, densify, encoder_forward,
-                                forward, height_compress, merge_sparse2d, neck_convs,
-                                required_weights, sparse_readout, step_extents)
+from voxpillar.backbone import (NUM_STEPS, BackboneConfig, DenseFeatureMap, block_extents,
+                                default_backbone_config, dense_conv3x3, dense_fusion_neck,
+                                densify, encoder_forward, forward, height_compress,
+                                merge_sparse2d, neck_convs, required_weights, sparse_readout)
 from voxpillar import grid as grid_module
 from voxpillar.errors import OutOfRange
 from voxpillar.grid import GridSpec, SparseTensor
@@ -17,6 +19,7 @@ from voxpillar.manifest import resolve_weights
 from voxpillar.reference import densify_features
 from voxpillar.selftest import SUITES, check_neck_skip, forward_bytes, random_cloud
 from voxpillar.sparse_conv import ConvSpec, ConvWeights, bev_equal, build_kernel_map, paired_downsample, sparse_conv
+from test_structure import GRIDS, _configs
 
 
 def small_grid():
@@ -35,7 +38,9 @@ def make_model(variant="dense", grid=None, seed=3, **overrides):
 
 
 def test_step_extents_halve():
-    assert step_extents(small_grid()) == [(16, 16, 8), (8, 8, 4), (4, 4, 2), (2, 2, 1)]
+    steps = [(16, 16, 8), (8, 8, 4), (4, 4, 2), (2, 2, 1)]
+    assert block_extents(small_grid(), default_backbone_config("dense")) == steps
+    assert block_extents(small_grid(), default_backbone_config("sparse")) == steps + [(1, 1, 1)] * 2
 
 
 def test_config_validation():
@@ -292,7 +297,7 @@ def test_neck_skip_is_bitwise_equal_to_dense_layers():
 
 def test_neck_plan_order_and_strides():
     cfg = default_backbone_config("dense")
-    convs = neck_convs(cfg, small_grid())
+    convs = neck_convs(cfg, block_extents(small_grid(), cfg)[NUM_STEPS - 1])
     m = cfg.neck_layers
     assert [name for name, *_ in convs[::m]] == [
         "neck.voxel.s8.conv0", "neck.voxel.s16.conv0", "neck.pillar.s8.conv0",
@@ -308,7 +313,7 @@ def test_neck_map_cap_raises_before_any_allocation():
     tracemalloc.start()
     try:
         with pytest.raises(OutOfRange, match="GiB"):
-            neck_convs(cfg, grid)
+            neck_convs(cfg, block_extents(grid, cfg)[NUM_STEPS - 1])
         with pytest.raises(OutOfRange):
             required_weights(grid, cfg)
         peak = tracemalloc.get_traced_memory()[1]
@@ -461,3 +466,31 @@ def test_forward_voxelizes_and_sorts_the_points_once(monkeypatch):
     grid, cfg, tensors = variant_model("dense")
     forward(random_cloud(np.random.default_rng(93), 80, grid), grid, cfg, tensors)
     assert calls == {"assign_voxel_indices": 1, "lexsort": 1, "argsort": 0, "sort": 0}
+
+
+class RecordingTensors(Mapping):
+    """A read-only tensor mapping that counts how often each name is read."""
+
+    def __init__(self, tensors):
+        self.tensors = tensors
+        self.reads = collections.Counter()
+
+    def __getitem__(self, name):
+        self.reads[name] += 1
+        return self.tensors[name]
+
+    def __iter__(self):
+        return iter(self.tensors)
+
+    def __len__(self):
+        return len(self.tensors)
+
+
+@pytest.mark.parametrize("name", sorted(_configs()))
+def test_forward_reads_each_required_weight_once(name):
+    # both variants' defaults and the mixed configs pinned by tests/test_structure.py
+    grid, cfg = GRIDS["small"], _configs()[name]
+    tensors = RecordingTensors(resolve_weights(required_weights(grid, cfg), None, seed=7))
+    forward(random_cloud(np.random.default_rng(94), 200, grid), grid, cfg, tensors)
+    assert set(tensors.reads) == set(required_weights(grid, cfg))
+    assert set(tensors.reads.values()) == {1}

@@ -293,8 +293,8 @@ def test_malformed_manifest_exits_1_without_traceback(workspace, capsys, entry):
     assert "'point_encoder.weight'" in err
 
 
-# the forward's own matmuls overflow and warn; the run must still end in one error line
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# the forward's own matmuls overflow; a NumPy warning would be a second line, so it fails here
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("variant", ["dense", "sparse"])
 def test_forward_with_a_readout_not_finite_exits_1(workspace, capsys, variant):
     tmp, cfg, cloud = workspace
@@ -313,6 +313,24 @@ def test_forward_with_a_readout_not_finite_exits_1(workspace, capsys, variant):
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert f"'readout.{variant}'" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["forward", "voxelize"])
+@pytest.mark.parametrize("dim", [10**12, 10**18])
+def test_a_seeded_model_above_the_cap_exits_1(workspace, capsys, monkeypatch, command, dim):
+    tmp, _, cloud = workspace
+    cfg = tmp / "huge.json"
+    cfg.write_text(json.dumps({"backbone": {"point_feature_dim": dim}}))
+
+    def no_tensor(*args):
+        raise AssertionError("a tensor was generated")
+
+    monkeypatch.setattr(manifest, "seeded_tensor", no_tensor)
+    assert main([command, cloud, "--config", str(cfg), "--out", str(tmp / "out.vpt")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "GiB" in err
+    assert not (tmp / "out.vpt").exists()
 
 
 @pytest.mark.parametrize("flag", ["--samples", "--trials"])

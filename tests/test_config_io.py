@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from voxpillar.backbone import default_backbone_config, required_weights
 from voxpillar.config import RunConfig, config_from_json, load_config
-from voxpillar.errors import FormatError, InvalidTensor, ShapeMismatch
+from voxpillar import manifest
+from voxpillar.errors import FormatError, InvalidTensor, OutOfRange, ShapeMismatch
 from voxpillar.formats import (load_boxes, read_cloud, read_dump, write_cloud, write_csv,
                                write_dump)
 from voxpillar.grid import GridSpec
-from voxpillar.manifest import (load_manifest, resolve_weights, save_manifest,
+from voxpillar.manifest import (SEEDED_BYTES_CAP, load_manifest, resolve_weights, save_manifest,
                                 seeded_tensor)
 
 
@@ -244,6 +246,31 @@ def test_manifest_round_trip(tmp_path):
         np.testing.assert_allclose(back[name], tensors[name], rtol=0, atol=1e-7)
 
 
+# -0.0, the smallest and largest f32 subnormals and the largest f32, on both signs
+F32_EDGES = np.array([-0.0, 2.0**-149, 2.0**-126 - 2.0**-149, float(np.finfo(np.float32).max)])
+F32_EDGES = np.concatenate([F32_EDGES, -F32_EDGES])
+
+
+@settings(max_examples=60)
+@given(st.lists(hnp.arrays(np.float32,
+                           st.sampled_from([(), (0,), (3, 0), (1,), (8, 8), (65,), (5, 13),
+                                            (2, 3, 11)]),
+                           elements=st.floats(width=32, allow_nan=False, allow_infinity=False)),
+                min_size=1, max_size=3))
+def test_manifest_round_trip_is_bitwise(tmp_path_factory, arrays):
+    # 0-d and zero-size tensors, inline ones (at most 64 values) and base64 ones
+    tensors = {f"t{i}": a.astype(np.float64) for i, a in enumerate(arrays)}
+    tensors["edges.inline"] = F32_EDGES
+    tensors["edges.base64"] = np.tile(F32_EDGES, 9)
+    path = tmp_path_factory.mktemp("manifest") / "weights.json"
+    save_manifest(path, tensors)
+    back = load_manifest(path)
+    assert sorted(back) == sorted(tensors)
+    for name, want in tensors.items():
+        assert back[name].dtype == np.float64 and back[name].shape == want.shape, name
+        assert back[name].tobytes() == want.tobytes(), name
+
+
 def test_manifest_validation(tmp_path):
     path = tmp_path / "weights.json"
     path.write_text(json.dumps({"tensors": {"a": {"shape": [2, 2], "values": [1, 2, 3]}}}))
@@ -273,6 +300,16 @@ def test_resolve_weights_seeded_and_manifest():
     bad[first] = np.zeros((1,))
     with pytest.raises(ShapeMismatch):
         resolve_weights(required, bad, seed=0)
+
+
+def test_seeded_model_is_capped_before_any_tensor(monkeypatch):
+    generated = []
+    monkeypatch.setattr(manifest, "seeded_tensor", lambda name, *_: generated.append(name))
+    at_cap = {"a.kernel": (SEEDED_BYTES_CAP // 16, 2)}
+    assert sorted(resolve_weights(at_cap, None, seed=0)) == ["a.kernel"]
+    with pytest.raises(OutOfRange, match="GiB"):
+        resolve_weights({**at_cap, "b.bias": (1,)}, None, seed=0)
+    assert generated == ["a.kernel"]
 
 
 def test_seeded_tensor_name_keyed():

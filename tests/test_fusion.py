@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from voxpillar.errors import ConsistencyViolation
+from voxpillar.errors import ConsistencyViolation, ShapeMismatch
 from voxpillar.fusion import (broadcast, build_correspondence, sparse_fusion_layer,
                               sparse_pool)
 from voxpillar.grid import (PointEncoderWeights, SparseTensor, build_pillar_features,
@@ -25,8 +25,7 @@ def test_correspondence_basic():
     v, p = make_pair([[0, 0, 0], [0, 0, 1], [1, 1, 0]], np.zeros((3, 1)),
                      [[0, 0], [1, 1]], np.zeros((2, 1)))
     corr = build_correspondence(v, p)
-    np.testing.assert_array_equal(corr.voxels_of(0), [0, 1])
-    np.testing.assert_array_equal(corr.voxels_of(1), [2])
+    np.testing.assert_array_equal(corr.pillar_start, [0, 2, 3])
     np.testing.assert_array_equal(corr.voxel_to_pillar, [0, 0, 1])
 
 
@@ -49,7 +48,8 @@ def test_correspondence_matches_dense_matrix_oracle():
         for i in range(v.num_sites):
             assert dense[i, corr.voxel_to_pillar[i]] == 1
         for j in range(p.num_sites):
-            np.testing.assert_array_equal(np.flatnonzero(dense[:, j]), corr.voxels_of(j))
+            np.testing.assert_array_equal(np.flatnonzero(dense[:, j]),
+                                          np.arange(*corr.pillar_start[j:j + 2]))
 
 
 def test_correspondence_rejects_inconsistent():
@@ -126,17 +126,33 @@ def zero_sfl_weights(d_v, d_p, kernel=3):
             ConvWeights(kernel=np.zeros((k2, d_p, d_v))))
 
 
+def sfl(w_v2p, w_p2v):
+    """The (spec, weights) pairs of a 3x3 fusion layer with these weights."""
+    return [(ConvSpec.submanifold(2, 3, *w.kernel.shape[1:]), w) for w in (w_v2p, w_p2v)]
+
+
 def test_zero_weight_sfl_is_identity():
     rng = np.random.default_rng(43)
     v, p = random_consistent_pair(rng, 8)
     corr = build_correspondence(v, p)
     w_v2p, w_p2v = zero_sfl_weights(v.num_channels, p.num_channels)
-    fv, fp = sparse_fusion_layer(v, p, corr, w_v2p, w_p2v, build_kernel_map(
+    fv, fp = sparse_fusion_layer(v, p, corr, *sfl(w_v2p, w_p2v), build_kernel_map(
         p.coords, ConvSpec.submanifold(2, 3, 1, 1), p.extents))
     assert fv.features.tobytes() == v.features.tobytes()
     assert fp.features.tobytes() == p.features.tobytes()
     np.testing.assert_array_equal(fv.coords, v.coords)
     np.testing.assert_array_equal(fp.coords, p.coords)
+
+
+def test_sfl_rejects_a_conv_that_does_not_give_the_other_branch_width():
+    rng = np.random.default_rng(46)
+    v, p = random_consistent_pair(rng, 8)  # 3 voxel and 5 pillar channels
+    corr = build_correspondence(v, p)
+    kmap = build_kernel_map(p.coords, ConvSpec.submanifold(2, 3, 1, 1), p.extents)
+    # a 1-wide p2v output would broadcast over the 3 voxel channels unnoticed
+    convs = sfl(ConvWeights(kernel=np.zeros((9, 3, 5))), ConvWeights(kernel=np.zeros((9, 5, 1))))
+    with pytest.raises(ShapeMismatch, match="widths"):
+        sparse_fusion_layer(v, p, corr, *convs, kmap)
 
 
 def test_identity_transform_one_voxel_per_pillar():
@@ -146,7 +162,7 @@ def test_identity_transform_one_voxel_per_pillar():
     corr = build_correspondence(v, p)
     spec = ConvSpec.submanifold(2, 3, 2, 2)
     ident = ConvWeights.identity(spec)
-    fv, fp = sparse_fusion_layer(v, p, corr, ident, ident, build_kernel_map(
+    fv, fp = sparse_fusion_layer(v, p, corr, *sfl(ident, ident), build_kernel_map(
         p.coords, ConvSpec.submanifold(2, 3, 1, 1), p.extents))
     np.testing.assert_array_equal(fv.features, v.features + p.features)
     np.testing.assert_array_equal(fp.features, p.features + v.features)
@@ -163,7 +179,7 @@ def test_sfl_matches_straightline_composition():
         spec_p2v = ConvSpec.submanifold(2, 3, p.num_channels, v.num_channels)
         w_v2p = ConvWeights(kernel=rng.normal(size=(9, v.num_channels, p.num_channels)))
         w_p2v = ConvWeights(kernel=rng.normal(size=(9, p.num_channels, v.num_channels)))
-        fv, fp = sparse_fusion_layer(v, p, corr, w_v2p, w_p2v,
+        fv, fp = sparse_fusion_layer(v, p, corr, *sfl(w_v2p, w_p2v),
                                      build_kernel_map(p.coords, spec_v2p, p.extents))
 
         kmap = build_kernel_map(p.coords, spec_v2p, p.extents)
@@ -185,7 +201,7 @@ def test_sfl_on_real_cloud(desk_grid):
     corr = build_correspondence(v, p)
     w_v2p = ConvWeights(kernel=rng.normal(size=(9, 4, 6)))
     w_p2v = ConvWeights(kernel=rng.normal(size=(9, 6, 4)))
-    fv, fp = sparse_fusion_layer(v, p, corr, w_v2p, w_p2v, build_kernel_map(
+    fv, fp = sparse_fusion_layer(v, p, corr, *sfl(w_v2p, w_p2v), build_kernel_map(
         p.coords, ConvSpec.submanifold(2, 3, 1, 1), p.extents))
     np.testing.assert_array_equal(fv.coords, v.coords)
     np.testing.assert_array_equal(fp.coords, p.coords)

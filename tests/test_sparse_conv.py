@@ -48,6 +48,16 @@ def test_spec_validation():
     assert spec.padding == (1, 1, 1) and spec.num_offsets == 27
 
 
+@pytest.mark.parametrize("kernel, padding", [((3, 3), (0, 0)), ((3, 3), (1, 2)),
+                                             ((1, 5), (1, 2)), ((5, 5, 1), (1, 2, 0))])
+def test_submanifold_spec_requires_the_centre_padding(kernel, padding):
+    ndim = len(kernel)
+    with pytest.raises(SpecMismatch, match="centre padding"):
+        ConvSpec(ndim, kernel, (1,) * ndim, padding, 4, 4, "submanifold")
+    spec = ConvSpec(ndim, kernel, (1,) * ndim, tuple(k // 2 for k in kernel), 4, 4, "submanifold")
+    assert spec == ConvSpec.submanifold(ndim, kernel, 4, 4)
+
+
 def test_subm_isolated_site_single_triple():
     x = SparseTensor(coords=np.array([[4, 4, 4]]), features=np.ones((1, 2)),
                      stride=1, extents=(9, 9, 9))
@@ -248,22 +258,21 @@ def test_conv_rejects_unequal_xy_strides_before_computing(monkeypatch):
 
 @st.composite
 def sparse_conv_cases(draw):
-    """A sparse tensor and a ConvSpec: 2D or 3D, either mode, odd or even kernels,
-    equal X-Y strides of 1-3 and paddings of 0-2."""
+    """A sparse tensor and a ConvSpec: 2D or 3D, submanifold with odd kernels, or
+    regular with kernels of 1-5, equal X-Y strides of 1-3 and paddings of 0-2."""
     ndim = draw(st.sampled_from((2, 3)))
     cin, cout = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    padding = tuple(draw(st.integers(0, 2)) for _ in range(ndim))
     if draw(st.booleans()):
-        # submanifold maps use the centre padding whatever the spec's padding holds
         kernel = tuple(draw(st.sampled_from((1, 3, 5))) for _ in range(ndim))
-        spec = ConvSpec(ndim, kernel, (1,) * ndim, padding, cin, cout, "submanifold")
+        spec = ConvSpec.submanifold(ndim, kernel, cin, cout)
     else:
         kernel = tuple(draw(st.integers(1, 5)) for _ in range(ndim))
         xy_stride = draw(st.integers(1, 3))
         stride = (xy_stride, xy_stride) + tuple(draw(st.integers(1, 3)) for _ in range(ndim - 2))
+        padding = tuple(draw(st.integers(0, 2)) for _ in range(ndim))
         spec = ConvSpec.regular(ndim, kernel, stride, padding, cin, cout)
     extents = tuple(draw(st.integers(max(1, k - 2 * p), 7 if ndim == 3 else 12))
-                    for k, p in zip(kernel, padding))
+                    for k, p in zip(spec.kernel, spec.padding))
     total = int(np.prod(extents))
     flat = sorted(draw(st.sets(st.integers(0, total - 1), min_size=1, max_size=min(total, 80))))
     coords = np.stack(np.unravel_index(flat, extents), axis=1).astype(np.int64)
