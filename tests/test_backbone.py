@@ -40,7 +40,8 @@ def make_model(variant="dense", grid=None, seed=3, **overrides):
 def test_step_extents_halve():
     steps = [(16, 16, 8), (8, 8, 4), (4, 4, 2), (2, 2, 1)]
     assert block_extents(small_grid(), default_backbone_config("dense")) == steps
-    assert block_extents(small_grid(), default_backbone_config("sparse")) == steps + [(1, 1, 1)] * 2
+    readout = [(1, 1, 1), (1, 1, 1)]  # the sparse variant's 16x and 32x blocks
+    assert block_extents(small_grid(), default_backbone_config("sparse")) == steps + readout
 
 
 def test_config_validation():
