@@ -297,20 +297,6 @@ def densify(x: SparseTensor) -> DenseFeatureMap:
     return DenseFeatureMap(values=values, stride=x.stride)
 
 
-def _rows_computed_alike(rows: int, c_in: int, c_out: int) -> bool:
-    """Whether a row of a (rows, c_in) @ (c_in, c_out) product gets the same
-    bits as in any other product with these widths and at least `rows` rows.
-
-    OpenBLAS 0.3 with AVX-512 kernels was measured to hold this only on
-    its packed GEMM path, which it takes when rows * c_in * c_out exceeds
-    1e6, and only when c_out is a multiple of 8: no row differed in 600
-    such shapes, on 1 and 2 threads. Its small-matrix kernels, and the
-    packed path with other output widths, gave a row bits that depend on
-    the row count and the row's position in 10-69% of sampled shapes.
-    """
-    return rows > 1 and c_out % 8 == 0 and rows * c_in * c_out > 1_000_000
-
-
 def dense_conv3x3(x: np.ndarray, kernel: np.ndarray, stride: int = 1,
                   mask: np.ndarray | None = None) -> np.ndarray:
     """Dense 3x3 cross-correlation with padding 1 on an (L, W, C) array.
@@ -320,9 +306,10 @@ def dense_conv3x3(x: np.ndarray, kernel: np.ndarray, stride: int = 1,
     included. Then only the masked cells and one unmasked cell are
     computed, and that cell's output is copied to the other unmasked
     cells. Each computed cell takes the same products in the same order as
-    without a mask, so the output is bitwise the same where BLAS gives a
-    row the same dot product whatever the number of rows; where it may
-    not (`_rows_computed_alike`), the whole map is computed.
+    without a mask, but BLAS may round a GEMM row differently when the
+    number of rows changes, so the result may differ from the full map in
+    the last bits (`selftest.check_neck_skip` states the bound); reruns are
+    bitwise equal.
     """
     h, w, c = x.shape
     d = kernel.shape[3]
@@ -330,17 +317,16 @@ def dense_conv3x3(x: np.ndarray, kernel: np.ndarray, stride: int = 1,
     if stride == 1 and mask is not None and not mask.all():
         # the masked cells, then the first unmasked one
         sites = np.append(np.flatnonzero(mask), np.argmin(mask))
-        if _rows_computed_alike(min(w, sites.size), c, d):
-            corner = sites + sites // w * 2  # flat index of each window's corner in xp
-            flat = xp.reshape(-1, c)
-            acc = np.zeros((sites.size, d))
-            for dy in range(3):
-                for dx in range(3):
-                    acc += flat[corner + (dy * (w + 2) + dx)] @ kernel[dy, dx]
-            out = np.empty((h * w, d))
-            out[:] = acc[-1]
-            out[sites[:-1]] = acc[:-1]
-            return out.reshape(h, w, d)
+        corner = sites + sites // w * 2  # flat index of each window's corner in xp
+        flat = xp.reshape(-1, c)
+        acc = np.zeros((sites.size, d))
+        for dy in range(3):
+            for dx in range(3):
+                acc += flat[corner + (dy * (w + 2) + dx)] @ kernel[dy, dx]
+        out = np.empty((h * w, d))
+        out[:] = acc[-1]
+        out[sites[:-1]] = acc[:-1]
+        return out.reshape(h, w, d)
     h_out = (h + 2 - 3) // stride + 1
     w_out = (w + 2 - 3) // stride + 1
     out = np.zeros((h_out, w_out, d))

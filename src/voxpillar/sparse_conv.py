@@ -95,15 +95,6 @@ class ConvWeights:
         if self.kernel.shape != expect:
             raise ShapeMismatch(f"kernel shape {self.kernel.shape}, spec expects {expect}")
 
-    @classmethod
-    def identity(cls, spec: ConvSpec):
-        """Center-tap identity kernel (requires in_channels == out_channels)."""
-        if spec.in_channels != spec.out_channels:
-            raise ShapeMismatch("identity kernel needs matching channel counts")
-        k = np.zeros((spec.num_offsets, spec.in_channels, spec.out_channels))
-        k[spec.num_offsets // 2] = np.eye(spec.in_channels)
-        return cls(kernel=k)
-
 
 @dataclass
 class KernelMap:

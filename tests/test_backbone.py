@@ -1,11 +1,12 @@
 import collections
 import functools
+import itertools
 import tracemalloc
 from collections.abc import Mapping
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from voxpillar.backbone import (NUM_STEPS, BackboneConfig, DenseFeatureMap, block_extents,
@@ -13,10 +14,10 @@ from voxpillar.backbone import (NUM_STEPS, BackboneConfig, DenseFeatureMap, bloc
                                 densify, encoder_forward, forward, height_compress,
                                 merge_sparse2d, neck_convs, required_weights, sparse_readout)
 from voxpillar import grid as grid_module
-from voxpillar.errors import OutOfRange
+from voxpillar.errors import EmptyGrid, OutOfRange
 from voxpillar.grid import GridSpec, SparseTensor
 from voxpillar.manifest import resolve_weights
-from voxpillar.reference import densify_features
+from voxpillar.reference import dense_conv_reference, densify_features
 from voxpillar.selftest import SUITES, check_neck_skip, forward_bytes, random_cloud
 from voxpillar.sparse_conv import ConvSpec, ConvWeights, bev_equal, build_kernel_map, paired_downsample, sparse_conv
 from test_structure import GRIDS, _configs
@@ -278,21 +279,28 @@ def test_neck_linearity_without_activation():
 
 def test_dense_conv3x3_matches_manual():
     rng = np.random.default_rng(89)
-    x = rng.normal(size=(5, 6, 2))
-    k = rng.normal(size=(3, 3, 2, 3))
-    out = dense_conv3x3(x, k, stride=1)
-    assert out.shape == (5, 6, 3)
-    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
-    for oy in range(5):
-        for ox in range(6):
-            acc = np.zeros(3)
-            for dy in range(3):
-                for dx in range(3):
-                    acc += xp[oy + dy, ox + dx] @ k[dy, dx]
-            np.testing.assert_allclose(out[oy, ox], acc, atol=1e-12)
+    for (l, w), stride in itertools.product([(5, 6), (7, 3), (1, 9), (4, 4)], (1, 2)):
+        x = rng.normal(size=(l, w, 2))
+        k = rng.normal(size=(3, 3, 2, 3))
+        out = dense_conv3x3(x, k, stride=stride)
+        assert out.shape == ((l - 1) // stride + 1, (w - 1) // stride + 1, 3)
+        xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
+        for oy in range(out.shape[0]):
+            for ox in range(out.shape[1]):
+                acc = np.zeros(3)
+                for dy in range(3):
+                    for dx in range(3):
+                        acc += xp[stride * oy + dy, stride * ox + dx] @ k[dy, dx]
+                np.testing.assert_allclose(out[oy, ox], acc, atol=1e-12)
+        # every cell as a site, through the sparse conv oracle
+        coords = np.indices((l, w)).reshape(2, -1).T
+        want = dense_conv_reference(coords, x.reshape(-1, 2), (l, w),
+                                    ConvSpec.regular(2, 3, stride, 1, 2, 3),
+                                    ConvWeights(kernel=k.reshape(9, 2, 3)))
+        np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
 
 
-def test_neck_skip_is_bitwise_equal_to_dense_layers():
+def test_neck_skip_matches_dense_layers_within_tolerance():
     check_neck_skip(next(full for _, check, _, full in SUITES if check is check_neck_skip))
 
 
@@ -449,6 +457,27 @@ def test_forward_is_bitwise_invariant_to_point_order(seed):
     for variant in ("dense", "sparse"):
         grid, cfg, tensors = variant_model(variant)
         assert forward_bytes(shuffled, grid, cfg, tensors) == forward_bytes(pts, grid, cfg, tensors)
+
+
+def _clouds(grid):
+    """Clouds of 1-80 points inside `grid`, with intensities in [0, 1]."""
+    point = st.tuples(*(st.floats(lo, hi, exclude_max=True)
+                        for lo, hi in zip(grid.range_min, grid.range_max)),
+                      st.floats(0.0, 1.0))
+    return st.lists(point, min_size=1, max_size=80).map(np.array)
+
+
+@settings(max_examples=25)
+@given(_clouds(small_grid()))
+def test_voxel_bev_equals_the_pillar_set_at_every_step(pts):
+    for variant in ("dense", "sparse"):
+        grid, cfg, tensors = variant_model(variant)
+        try:
+            pairs = encoder_forward(pts, grid, cfg, tensors)
+        except EmptyGrid:  # every point rounded onto the range's upper bound
+            reject()
+        for step, (v, p) in enumerate(pairs, start=1):
+            assert bev_equal(v, p), (variant, step)
 
 
 def test_forward_voxelizes_and_sorts_the_points_once(monkeypatch):

@@ -9,6 +9,7 @@ from voxpillar.grid import (PointEncoderWeights, SparseTensor, build_pillar_feat
 from voxpillar.reference import dense_correspondence_matrix, groupby_max
 from voxpillar.selftest import random_cloud, random_consistent_pair
 from voxpillar.sparse_conv import ConvSpec, ConvWeights, build_kernel_map
+from test_sparse_conv import identity_weights
 
 
 def make_pair(voxel_coords, voxel_feats, pillar_coords, pillar_feats, extents=(4, 4, 4)):
@@ -161,7 +162,7 @@ def test_identity_transform_one_voxel_per_pillar():
                      [[0, 0], [2, 3]], [[10.0, 20.0], [30.0, 40.0]])
     corr = build_correspondence(v, p)
     spec = ConvSpec.submanifold(2, 3, 2, 2)
-    ident = ConvWeights.identity(spec)
+    ident = identity_weights(spec)
     fv, fp = sparse_fusion_layer(v, p, corr, *sfl(ident, ident), build_kernel_map(
         p.coords, ConvSpec.submanifold(2, 3, 1, 1), p.extents))
     np.testing.assert_array_equal(fv.features, v.features + p.features)
