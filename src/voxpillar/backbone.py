@@ -16,6 +16,7 @@ from .errors import OutOfRange, ShapeMismatch
 from .fusion import build_correspondence, sparse_fusion_layer
 from .grid import (GridSpec, PointEncoderWeights, SparseTensor, build_pillar_features,
                    build_voxel_features, pack_coords, voxelize)
+from .manifest import check_seeded_size
 from .sparse_conv import (REGULAR, ConvSpec, ConvWeights, build_kernel_map, conv_output_extents,
                           paired_downsample, sparse_conv)
 
@@ -191,8 +192,41 @@ def conv_shapes(name: str, spec: ConvSpec) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def weight_count(grid: GridSpec, cfg: BackboneConfig) -> int:
+    """The number of weight values in `required_weights`, in closed form.
+
+    It reads only the block list and block extents, whose lengths are fixed,
+    so its cost does not grow with `submanifold_layers` or `neck_layers`.
+    """
+    layers, blocks = cfg.submanifold_layers, paired_blocks(cfg)
+    count = 5 * cfg.point_feature_dim  # the point encoder's (4, P) weight and bias
+    for _, cin, cout, down in blocks:
+        for taps, c_in, c_out in ((27, cin[0], cout[0]), (9, cin[1], cout[1])):
+            if down:  # a kernel and a bias
+                count += taps * c_in * c_out + c_out
+                c_in = c_out
+            count += taps * c_out * (c_in + (layers - 1) * c_out)
+    count += sum(2 * cfg.sfl_kernel ** 2 * cv * cp for cv, cp, on
+                 in zip(cfg.voxel_channels, cfg.pillar_channels, cfg.sfl_steps) if on)
+    extents = block_extents(grid, cfg)[NUM_STEPS - 1:]
+    if cfg.variant == "dense":
+        d, m = cfg.neck_channels, cfg.neck_layers
+        for c_in in (extents[0][2] * cfg.voxel_channels[-1], cfg.pillar_channels[-1]):
+            # 2m 3x3 layers, the first reading c_in, each with a scale and a shift
+            count += 9 * d * (c_in + (2 * m - 1) * d) + 4 * m * d
+    else:
+        count += sum(ext[2] * cout[0] * cfg.readout_pillar_channels[-1]
+                     for (_, _, cout, _), ext in zip(blocks[NUM_STEPS - 1:], extents))
+    return count
+
+
 def required_weights(grid: GridSpec, cfg: BackboneConfig) -> dict[str, tuple[int, ...]]:
-    """Every named tensor the configured model loads, with its shape."""
+    """Every named tensor the configured model loads, with its shape.
+
+    Raises OutOfRange when the weights would exceed SEEDED_BYTES_CAP, before
+    the plan is enumerated.
+    """
+    check_seeded_size(weight_count(grid, cfg))
     shapes = point_encoder_shapes(cfg)
     blocks = paired_blocks(cfg)
     convs = [c for block in blocks for c in block_convs(block, cfg.submanifold_layers)]

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ShapeMismatch
 from .geometry import CIRCLE_MARGIN, Box3D, iou3d_matrix
 
 NUM_BINS = 10
@@ -27,19 +28,19 @@ def vertical_density(points, box: Box3D, box_id: int = 0) -> DensityRecord:
     Points are mapped into the box frame first; points exactly on a face
     count as inside. S_X and S_Y are computed the same way along the box
     axes and combined into the horizontal occupancy sqrt(S_X * S_Y).
+    `points` is (N, k >= 3), of which only x, y and z are read, or empty.
 
-    Only points near the box are mapped. A BEV prefilter keeps the points
-    whose x offset from the center, and then whose (x, y) offset, lies
-    within the circumscribed radius hypot(l, w) / 2, widened by
+    This is the one-box call of `density_records`' arithmetic, for a whole
+    cloud: only points near the box are mapped. A BEV prefilter keeps the
+    points whose x offset from the center, and then whose (x, y) offset,
+    lies within the circumscribed radius hypot(l, w) / 2, widened by
     `CIRCLE_MARGIN`. Every in-box point lies within that radius, and the
     rounding of the frame mapping is far below the margin, so the prefilter
     drops no point that the exact in-box test keeps; the survivors go
     through the same arithmetic, so the record is bitwise the same as
     mapping the whole cloud.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.size == 0:
-        pts = pts.reshape(0, 4)
+    pts = _xyz(points, box_id)
     cx, cy, cz = box.center
     reach = 0.5 * math.hypot(box.dims[0], box.dims[1]) * (1.0 + CIRCLE_MARGIN)
     dx = pts[:, 0] - cx
@@ -48,18 +49,72 @@ def vertical_density(points, box: Box3D, box_id: int = 0) -> DensityRecord:
     dy = pts[near, 1] - cy
     keep = dx * dx + dy * dy <= reach * reach
     near, dx, dy = near[keep], dx[keep], dy[keep]
-    c, s = math.cos(-box.heading), math.sin(-box.heading)
-    local = np.column_stack((c * dx - s * dy, s * dx + c * dy, pts[near, 2] - cz))
-    half = np.array(box.dims) / 2.0
-    local = local[(np.abs(local) <= half).all(axis=1)]
+    _, bins = _frame_bins(dx, dy, pts[near, 2] - cz, math.cos(-box.heading),
+                          math.sin(-box.heading), np.array(box.dims) / 2.0)
+    return _records(np.zeros(len(bins), dtype=np.int64), bins, [box_id])[0]
+
+
+def density_records(boxes, point_lists) -> list[DensityRecord]:
+    """The record of every box from its own point list, in one pass.
+
+    Record i has box_id i and is bitwise the record that
+    `vertical_density(point_lists[i], boxes[i], i)` gives: the lists are
+    concatenated with an owner index per point, each box's parameters are
+    gathered per point, and every point goes through the same frame mapping,
+    in-box test and binning at once. No prefilter is needed, as each list
+    holds its own box's points.
+    """
+    if len(boxes) != len(point_lists):
+        raise ValueError("boxes and point lists must align")
+    lists = [_xyz(pts, i)[:, :3] for i, pts in enumerate(point_lists)]
+    owner = np.repeat(np.arange(len(lists)), [len(pts) for pts in lists])
+    pts = np.concatenate(lists) if lists else np.empty((0, 3))
+    offsets = pts - np.array([b.center for b in boxes]).reshape(-1, 3)[owner]
+    cos = np.array([math.cos(-b.heading) for b in boxes])[owner]
+    sin = np.array([math.sin(-b.heading) for b in boxes])[owner]
+    half = (np.array([b.dims for b in boxes]).reshape(-1, 3) / 2.0)[owner]
+    inside, bins = _frame_bins(offsets[:, 0], offsets[:, 1], offsets[:, 2], cos, sin, half)
+    return _records(owner[inside], bins, range(len(boxes)))
+
+
+def _xyz(points, index: int) -> np.ndarray:
+    """`points` as a float64 (N, k >= 3) array; an empty list gives (0, 3)."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.size == 0:
+        return pts.reshape(0, 3)
+    if pts.ndim != 2 or pts.shape[1] < 3:
+        raise ShapeMismatch(f"ground truth {index}: points must be rows of at least 3 numbers "
+                            f"(x, y, z, ...), got shape {pts.shape}")
+    return pts
+
+
+def _frame_bins(dx, dy, dz, cos, sin, half):
+    """Map offsets from box centers into box frames and bin the in-box ones.
+
+    `cos`, `sin` and `half` are one box's (floats and a (3,) array), which
+    broadcast, or one per offset ((n,) and (n, 3) arrays); each element goes
+    through the same operations either way. Returns the in-box mask of the
+    offsets and the (kept, 3) bin of each kept one.
+    """
+    local = np.column_stack((cos * dx - sin * dy, sin * dx + cos * dy, dz))
+    inside = (np.abs(local) <= half).all(axis=1)
+    if half.ndim == 2:
+        half = half[inside]
     # 10 uniform bins of [-half, half] per axis; the +half face belongs to the top bin
-    bins = np.floor((local + half) / (2.0 * half) * NUM_BINS).astype(np.int64)
+    bins = np.floor((local[inside] + half) / (2.0 * half) * NUM_BINS).astype(np.int64)
     np.clip(bins, 0, NUM_BINS - 1, out=bins)
-    occupied = np.zeros((3, NUM_BINS), dtype=bool)
-    occupied[[0, 1, 2], bins] = True
-    s_x, s_y, s_z = occupied.sum(axis=1) / NUM_BINS
-    return DensityRecord(box_id=box_id, s_z=float(s_z), point_count=local.shape[0],
-                         horizontal_occupancy=math.sqrt(s_x * s_y))
+    return inside, bins
+
+
+def _records(owner, bins, box_ids) -> list[DensityRecord]:
+    """One record per box id from the owner index and bins of the in-box points."""
+    occupied = np.zeros((len(box_ids), 3, NUM_BINS), dtype=bool)
+    occupied[owner[:, None], [0, 1, 2], bins] = True
+    shares = (occupied.sum(axis=2) / NUM_BINS).tolist()
+    counts = np.bincount(owner, minlength=len(box_ids)).tolist()
+    return [DensityRecord(box_id=box_id, s_z=s_z, point_count=count,
+                          horizontal_occupancy=math.sqrt(s_x * s_y))
+            for box_id, (s_x, s_y, s_z), count in zip(box_ids, shares, counts)]
 
 
 def greedy_match(gt_boxes, pred_boxes, threshold: float) -> list[int | None]:
@@ -112,9 +167,8 @@ def recall_by_density(gt_boxes, gt_classes, gt_points, pred_boxes, pred_classes,
                 recalled[g_idx[local_gi]] = True
 
     by_sz: dict[float, list[int]] = {}
-    for i, (box, pts) in enumerate(zip(gt_boxes, gt_points)):
-        rec = vertical_density(pts, box, box_id=i)
-        by_sz.setdefault(rec.s_z, []).append(i)
+    for rec in density_records(gt_boxes, gt_points):
+        by_sz.setdefault(rec.s_z, []).append(rec.box_id)
     rows = []
     for s_z in sorted(by_sz):
         idx = by_sz[s_z]

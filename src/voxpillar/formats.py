@@ -161,6 +161,8 @@ def load_boxes(path) -> list[dict]:
         if points.ndim != 2 or points.shape[1] != 4:
             raise FormatError(f"{path}: entry {i} points must be rows of 4 numbers "
                               f"(x, y, z, intensity), got shape {points.shape}")
+        if not np.isfinite(points).all():
+            raise FormatError(f"{path}: entry {i} points contain non-finite values")
         cls = entry.get("class", "Vehicle")
         if not isinstance(cls, str):
             raise FormatError(f"{path}: entry {i} class must be a string, got {cls!r}")

@@ -88,6 +88,15 @@ def seeded_tensor(name: str, shape: tuple[int, ...], seed: int) -> np.ndarray:
     return rng.normal(0.0, scale, size=shape).astype("<f4").astype(np.float64)
 
 
+def check_seeded_size(count: int):
+    """Raise OutOfRange when `count` float64 weights exceed SEEDED_BYTES_CAP."""
+    size = 8 * count
+    if size > SEEDED_BYTES_CAP:
+        raise OutOfRange(f"the model needs {size / 2**30:.3g} GiB of float64 weights, above the "
+                         f"{SEEDED_BYTES_CAP >> 30} GiB cap; use fewer layers or smaller "
+                         f"channel widths")
+
+
 def resolve_weights(required: dict[str, tuple[int, ...]], manifest: dict[str, np.ndarray] | None,
                     seed: int) -> dict[str, np.ndarray]:
     """All model tensors, either validated from a manifest or seeded.
@@ -97,10 +106,7 @@ def resolve_weights(required: dict[str, tuple[int, ...]], manifest: dict[str, np
     that the whole model fits SEEDED_BYTES_CAP.
     """
     if manifest is None:
-        size = 8 * sum(math.prod(shape) for shape in required.values())
-        if size > SEEDED_BYTES_CAP:
-            raise OutOfRange(f"the seeded model needs {size / 2**30:.3g} GiB of weights, above "
-                             f"the {SEEDED_BYTES_CAP >> 30} GiB cap; use smaller channel widths")
+        check_seeded_size(sum(math.prod(shape) for shape in required.values()))
         return {name: seeded_tensor(name, shape, seed) for name, shape in required.items()}
     missing = sorted(set(required) - set(manifest))
     if missing:

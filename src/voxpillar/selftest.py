@@ -12,7 +12,7 @@ import numpy as np
 
 from .backbone import (_dense_block, default_backbone_config, encoder_forward, forward,
                        required_weights)
-from .density import vertical_density
+from .density import density_records, vertical_density
 from .fusion import broadcast, build_correspondence, sparse_fusion_layer, sparse_pool
 from .geometry import Box3D, iou3d
 from .grid import GridSpec, SparseTensor
@@ -286,7 +286,8 @@ def check_overall_loss(cases):
 
 
 def check_density(cases):
-    """c08: k stacked points give S_Z = k/10 exactly; rotated binning matches the oracle."""
+    """c08: k stacked points give S_Z = k/10 exactly; rotated binning matches the oracle;
+    the batched records of all cases equal the one-box records."""
     box = Box3D((0.4, -0.7, 0.2), (1.1, 2.3, 1.7), 0.35)
     h = box.dims[2]
     z0 = box.center[2] - h / 2
@@ -295,17 +296,23 @@ def check_density(cases):
                         for i in range(k)]).reshape(-1, 4)
         _require(vertical_density(pts, box).s_z == k / 10, f"{k} stacked points")
     rng = np.random.default_rng(208)
+    boxes, lists = [box], [np.empty((0, 4))]
     for case in range(cases):
         rot = Box3D(tuple(rng.uniform(-2, 2, 3)), tuple(rng.uniform(0.8, 3.0, 3)),
                     rng.uniform(-math.pi, math.pi))
         pts = np.empty((200, 4))
         pts[:, :3] = rng.uniform(-4, 4, size=(200, 3))
         pts[:, 3] = 0.0
+        boxes.append(rot)
+        lists.append(pts)
         rec = vertical_density(pts, rot)
         occ_x, occ_y, occ_z = density_bins_reference(pts, rot)
         _require(rec.s_z == len(occ_z) / 10, f"box {case}: S_Z differs from the oracle")
         _require(rec.horizontal_occupancy == math.sqrt((len(occ_x) / 10) * (len(occ_y) / 10)),
                  f"box {case}: horizontal occupancy differs from the oracle")
+    one_box = [vertical_density(pts, b, box_id=i) for i, (b, pts) in enumerate(zip(boxes, lists))]
+    _require(density_records(boxes, lists) == one_box,
+             "the batched records differ from the one-box records")
 
 
 def check_neck_skip(cases):

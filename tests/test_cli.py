@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -256,6 +257,11 @@ def test_selftest_command(capsys):
     {"center": [0, 0, 0], "dims": [1, 1, 1], "heading": 0.0, "id": "seven"},
     {"box": {"center": [0, 0, 0], "dims": [1, 1, 1], "heading": 0.0}, "class": ["Vehicle"]},
     {"box": {"center": [0, 0, 0], "dims": [1, 1, 1], "heading": 0.0}, "class": 7},
+    # json writes these as NaN and Infinity, which Python's json reads back
+    {"box": {"center": [0, 0, 0], "dims": [1, 1, 1], "heading": 0.0},
+     "points": [[0, 0, 0, 0], [0, 0, float("nan"), 0]]},
+    {"box": {"center": [0, 0, 0], "dims": [1, 1, 1], "heading": 0.0},
+     "points": [[float("-inf"), 0, 0, 0]]},
 ])
 def test_malformed_boxes_exit_1_without_traceback(workspace, tmp_path, capsys, entry):
     _, _, cloud = workspace
@@ -329,6 +335,21 @@ def test_a_seeded_model_above_the_cap_exits_1(workspace, capsys, monkeypatch, co
     assert main([command, cloud, "--config", str(cfg), "--out", str(tmp / "out.vpt")]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "GiB" in err
+    assert not (tmp / "out.vpt").exists()
+
+
+@pytest.mark.parametrize("command", ["forward", "voxelize"])
+@pytest.mark.parametrize("field", ["submanifold_layers", "neck_layers"])
+def test_a_model_of_10_to_the_8_layers_exits_1_at_once(workspace, capsys, command, field):
+    tmp, _, cloud = workspace
+    cfg = tmp / "deep.json"
+    cfg.write_text(json.dumps({"backbone": {field: 10**8}}))
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main([command, cloud, "--config", str(cfg), "--out", str(tmp / "out.vpt")]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and "GiB" in err
     assert not (tmp / "out.vpt").exists()
 

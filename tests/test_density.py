@@ -1,10 +1,12 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxpillar.density import greedy_match, recall_by_density, vertical_density
+from voxpillar.density import density_records, greedy_match, recall_by_density, vertical_density
+from voxpillar.errors import ShapeMismatch
 from voxpillar.geometry import Box3D
 from voxpillar.reference import density_bins_reference, greedy_match_reference
 
@@ -181,3 +183,82 @@ def test_prefilter_matches_per_point_oracle(case):
     inside = [vertical_density(p[None], box).point_count for p in pts]
     assert inside == [len(density_bins_reference(p[None], box)[2]) for p in pts]
     assert rec.point_count == sum(inside)
+
+
+@st.composite
+def boxes_with_point_lists(draw):
+    """0-6 boxes with their boundary points as (N, 3), (N, 4) or (N, 5) lists, some empty."""
+    boxes, lists = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        box, pts = draw(box_with_boundary_points())
+        if draw(st.booleans()):
+            pts = pts[:0]
+        width = draw(st.sampled_from([3, 4, 5]))
+        boxes.append(box)
+        lists.append(np.pad(pts, ((0, 0), (0, 1)))[:, :width])
+    return boxes, lists
+
+
+@settings(max_examples=100)
+@given(boxes_with_point_lists())
+def test_batched_records_equal_one_box_records_bitwise(scene):
+    boxes, lists = scene
+    want = [vertical_density(pts, box, box_id=i) for i, (box, pts) in enumerate(zip(boxes, lists))]
+    assert repr(density_records(boxes, lists)) == repr(want)
+
+
+def _recall_scene(seed):
+    """Ground truths of 3 classes with in-box points, and jittered predictions of most."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 13))
+    classes = [str(c) for c in rng.choice(["Vehicle", "Pedestrian", "Cyclist"], size=n)]
+    boxes = [box_at(center=tuple(rng.uniform(-8, 8, 3)), dims=tuple(rng.uniform(0.5, 4.0, 3)),
+                    heading=rng.uniform(-math.pi, math.pi)) for _ in range(n)]
+    points = []
+    for box in boxes:
+        local = rng.uniform(-0.5, 0.5, size=(int(rng.integers(0, 30)), 3)) * box.dims
+        c, s = math.cos(box.heading), math.sin(box.heading)
+        world = np.column_stack((c * local[:, 0] - s * local[:, 1],
+                                 s * local[:, 0] + c * local[:, 1], local[:, 2])) + box.center
+        points.append(np.column_stack((world, np.zeros(len(world)))))
+    kept = [i for i in range(n) if rng.random() < 0.8]
+    preds = [Box3D(tuple(np.array(boxes[i].center) + rng.normal(0, 0.2, 3)), boxes[i].dims,
+                   boxes[i].heading + rng.normal(0, 0.1)) for i in kept]
+    return boxes, classes, points, preds, [classes[i] for i in kept]
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
+def test_recall_rows_do_not_depend_on_ground_truth_order(seed, random):
+    boxes, classes, points, preds, pred_classes = _recall_scene(seed)
+    order = list(range(len(boxes)))
+    random.shuffle(order)
+    thresholds = {"Vehicle": 0.5, "Pedestrian": 0.3, "Cyclist": 0.3}
+    want = recall_by_density(boxes, classes, points, preds, pred_classes, thresholds)
+    got = recall_by_density([boxes[i] for i in order], [classes[i] for i in order],
+                            [points[i] for i in order], preds, pred_classes, thresholds)
+    assert got == want
+
+
+@pytest.mark.parametrize("bad", [[1.0, 2.0, 3.0, 0.0], np.zeros((3, 2)), np.zeros((2, 3, 4))])
+def test_malformed_point_lists_raise_shape_mismatch(bad):
+    boxes = [box_at(), box_at(center=(5.0, 0.0, 0.0))]
+    good = points_at_bin_centers(boxes[0], range(4))
+    with pytest.raises(ShapeMismatch, match="ground truth 1"):
+        recall_by_density(boxes, ["Vehicle"] * 2, [good, bad], boxes, ["Vehicle"] * 2, 0.5)
+    with pytest.raises(ShapeMismatch, match="ground truth 1"):
+        density_records(boxes, [good, bad])
+    with pytest.raises(ShapeMismatch, match="ground truth 7"):
+        vertical_density(bad, boxes[1], box_id=7)
+
+
+def test_empty_lists_and_extra_columns_are_accepted():
+    box = box_at()
+    pts = points_at_bin_centers(box, range(6))
+    want = vertical_density(pts, box)
+    for variant in (pts[:, :3], np.column_stack((pts, pts)), pts.tolist()):
+        assert vertical_density(variant, box) == want
+        assert density_records([box], [variant]) == [want]
+    for empty in ([], np.empty((0, 2)), np.empty((0,))):
+        assert vertical_density(empty, box).point_count == 0
+        assert density_records([box], [empty])[0].point_count == 0
