@@ -30,6 +30,11 @@ PILLAR_CHANNELS = (32, 64, 128, 256)
 # Largest float64 map the dense neck may allocate.
 NECK_MAP_BYTES_CAP = 1 << 30
 
+# Most submanifold_layers or neck_layers a config may ask for (the paper uses
+# 2 and 5). SEEDED_BYTES_CAP bounds bytes only, and a model of 1-channel
+# widths would pass it with hundreds of thousands of layers.
+MAX_LAYERS = 64
+
 
 @dataclass
 class BackboneConfig:
@@ -62,11 +67,13 @@ class BackboneConfig:
                            ("readout_pillar_channels", self.readout_pillar_channels, 2)):
             if len(t) != n:
                 raise ValueError(f"{name} must have {n} entries, got {t}")
-        if self.submanifold_layers < 1:
-            raise ValueError("submanifold_layers must be at least 1")
+        for name in ("submanifold_layers", "neck_layers"):
+            if not 1 <= getattr(self, name) <= MAX_LAYERS:
+                raise ValueError(f"{name} must lie in [1, {MAX_LAYERS}], "
+                                 f"got {getattr(self, name)}")
         if self.sfl_kernel % 2 == 0 or self.sfl_kernel < 1:
             raise ValueError("sfl_kernel must be odd and positive")
-        if self.point_feature_dim < 1 or self.neck_layers < 1 or self.neck_channels < 1:
+        if self.point_feature_dim < 1 or self.neck_channels < 1:
             raise ValueError("dimensions must be positive")
         if self.variant == "sparse":
             widths = {self.pillar_channels[-1], *self.readout_pillar_channels}

@@ -4,7 +4,9 @@ from __future__ import annotations
 import base64
 import json
 import math
+import os
 import zlib
+from concurrent.futures import ThreadPoolExecutor, as_completed
 
 import numpy as np
 
@@ -75,17 +77,67 @@ def save_manifest(path, tensors: dict[str, np.ndarray]):
 
 
 def seeded_tensor(name: str, shape: tuple[int, ...], seed: int) -> np.ndarray:
-    """Deterministic pseudo-random weights for one named tensor.
+    """Deterministic pseudo-random weights for one named tensor: `fill_seeded` on a new array."""
+    values = np.empty(shape)
+    fill_seeded(name, values, seed)
+    return values
+
+
+def fill_seeded(name: str, values: np.ndarray, seed: int):
+    """Fill the C-contiguous float64 array `values` with the seeded weights of tensor `name`.
 
     The stream is keyed by (seed, crc32(name)) so a tensor's values do not
-    depend on the order weights are materialized in.
+    depend on the order weights are materialized in; that is what makes
+    filling several tensors at once from different threads exact. The
+    values equal, bit for bit,
+    rng.normal(0.0, scale, shape).astype("<f4").astype(np.float64): NumPy
+    computes loc + scale * z, and `+= 0.0` keeps that sum's sign of zero.
     """
+    shape = values.shape
     rng = np.random.default_rng([seed & 0xFFFFFFFF, zlib.crc32(name.encode("utf-8"))])
     fan_in = int(np.prod(shape[:-1])) if len(shape) > 1 else int(shape[0])
     scale = 1.0 / np.sqrt(max(fan_in, 1))
+    rng.standard_normal(out=values)
+    values *= scale
+    values += 0.0
     # float32 round-trip keeps seeded and manifest-loaded weights on the
     # same value lattice
-    return rng.normal(0.0, scale, size=shape).astype("<f4").astype(np.float64)
+    values[...] = values.astype("<f4")
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _seed_tensors(required: dict[str, tuple[int, ...]], seed: int,
+                  workers: int) -> dict[str, np.ndarray]:
+    """Every required tensor seeded, filled by `workers` threads, largest first.
+
+    The outputs are allocated here, in `required` order, and the workers only
+    fill them, so concurrency adds no copy. With one worker (or none) the
+    calling thread fills them and no thread starts. The first fill to raise
+    propagates its exception; the fills not yet started are cancelled and
+    every worker has exited before this returns or raises.
+    """
+    out = {name: np.empty(shape) for name, shape in required.items()}
+    order = sorted(out, key=lambda name: out[name].size, reverse=True)
+    if workers <= 1:
+        for name in order:
+            fill_seeded(name, out[name], seed)
+        return out
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(fill_seeded, name, out[name], seed) for name in order]
+        try:
+            for future in as_completed(futures):
+                future.result()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    return out
 
 
 def check_seeded_size(count: int):
@@ -103,11 +155,13 @@ def resolve_weights(required: dict[str, tuple[int, ...]], manifest: dict[str, np
 
     A provided manifest must cover every required name with matching shapes;
     with no manifest every tensor is generated from the seed, after checking
-    that the whole model fits SEEDED_BYTES_CAP.
+    that the whole model fits SEEDED_BYTES_CAP, on as many threads as the
+    process has CPUs (at most one per tensor). The values do not depend on
+    the thread count.
     """
     if manifest is None:
         check_seeded_size(sum(math.prod(shape) for shape in required.values()))
-        return {name: seeded_tensor(name, shape, seed) for name, shape in required.items()}
+        return _seed_tensors(required, seed, min(_cpu_count(), len(required)))
     missing = sorted(set(required) - set(manifest))
     if missing:
         raise ShapeMismatch(f"weight manifest is missing tensors: {', '.join(missing)}")

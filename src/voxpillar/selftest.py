@@ -18,7 +18,7 @@ from .geometry import Box3D, iou3d
 from .grid import GridSpec, SparseTensor
 from .losses import (LossWeights, diou_center_fd_error, diou_loss, encode_iou_target, focal_loss,
                      iou_l1_terms, overall_loss, rectify_score, regression_l1_terms)
-from .manifest import resolve_weights
+from .manifest import _seed_tensors, resolve_weights
 from .reference import (dense_conv_reference, dense_correspondence_matrix,
                         density_bins_reference, enumerate_kernel_map, groupby_max,
                         monte_carlo_iou)
@@ -360,14 +360,33 @@ def forward_bytes(points, grid, cfg, tensors) -> bytes:
     return b"".join(a.tobytes() for a in arrays)
 
 
+def require_same_tensors(one: dict, other: dict, what: str):
+    """Fail unless the two tensor mappings hold the same names in the same order, each tensor
+    with the same dtype, shape and bytes."""
+    _require(list(one) == list(other), f"{what}: the tensor names or their order differ")
+    for name, a in one.items():
+        b = other[name]
+        _require(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(),
+                 f"{what}: tensor {name!r} differs")
+
+
+def check_seeding_threads(required: dict, seed: int):
+    """Seeded weights filled on one thread and on four threads are the same."""
+    require_same_tensors(_seed_tensors(required, seed, 1), _seed_tensors(required, seed, 4),
+                         f"seed {seed}, 1 and 4 seeding threads")
+
+
 def check_determinism(cases):
-    """c09 in memory: bitwise reruns of both variants; without SFLs, bitwise branch isolation."""
+    """c09 in memory: bitwise reruns of both variants and seeding alike on one thread and on
+    several; without SFLs, bitwise branch isolation."""
     rng = np.random.default_rng(209)
     rerun_pts = random_cloud(rng, 150, SMALL_GRID)
     isolation_pts = random_cloud(rng, 120, SMALL_GRID)
     for variant in ("sparse", "dense"):
         cfg = default_backbone_config(variant)
-        tensors = resolve_weights(required_weights(SMALL_GRID, cfg), None, seed=209)
+        required = required_weights(SMALL_GRID, cfg)
+        check_seeding_threads(required, 209)
+        tensors = resolve_weights(required, None, seed=209)
         first = forward_bytes(rerun_pts, SMALL_GRID, cfg, tensors)
         for rerun in range(cases):
             _require(forward_bytes(rerun_pts, SMALL_GRID, cfg, tensors) == first,

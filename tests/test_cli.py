@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from voxpillar import manifest
-from voxpillar.backbone import required_weights
+from voxpillar.backbone import MAX_LAYERS, BackboneConfig, required_weights, weight_count
 from voxpillar.cli import _load_run, main
 from voxpillar.config import RunConfig
 from voxpillar.formats import read_cloud, read_dump, write_cloud, write_dump
@@ -57,9 +57,9 @@ def test_voxelize_writes_both_tensors(workspace):
 def test_voxelize_seeds_only_the_point_encoder_and_writes_the_same_bytes(workspace, monkeypatch):
     tmp, cfg_path, cloud_path = workspace
     seeded = []
-    real = manifest.seeded_tensor
-    monkeypatch.setattr(manifest, "seeded_tensor",
-                        lambda name, shape, seed: seeded.append(name) or real(name, shape, seed))
+    real = manifest.fill_seeded
+    monkeypatch.setattr(manifest, "fill_seeded",
+                        lambda name, values, seed: seeded.append(name) or real(name, values, seed))
     out = tmp / "init.vpt"
     assert main(["voxelize", cloud_path, "--config", cfg_path, "--out", str(out)]) == 0
     assert sorted(seeded) == ["point_encoder.bias", "point_encoder.weight"]
@@ -331,7 +331,7 @@ def test_a_seeded_model_above_the_cap_exits_1(workspace, capsys, monkeypatch, co
     def no_tensor(*args):
         raise AssertionError("a tensor was generated")
 
-    monkeypatch.setattr(manifest, "seeded_tensor", no_tensor)
+    monkeypatch.setattr(manifest, "fill_seeded", no_tensor)
     assert main([command, cloud, "--config", str(cfg), "--out", str(tmp / "out.vpt")]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -350,7 +350,35 @@ def test_a_model_of_10_to_the_8_layers_exits_1_at_once(workspace, capsys, comman
     assert main([command, cloud, "--config", str(cfg), "--out", str(tmp / "out.vpt")]) == 1
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "GiB" in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert f"{field} must lie in [1, {MAX_LAYERS}]" in err
+    assert not (tmp / "out.vpt").exists()
+
+
+THIN_BACKBONE = {"voxel_channels": [1] * 4, "pillar_channels": [1] * 4, "point_feature_dim": 1,
+                 "neck_channels": 1}
+
+
+@pytest.mark.parametrize("command", ["forward", "voxelize"])
+@pytest.mark.parametrize("field", ["submanifold_layers", "neck_layers"])
+def test_a_thin_model_under_the_byte_cap_is_refused_by_its_layer_count(workspace, capsys,
+                                                                       command, field):
+    tmp, _, cloud = workspace
+    grid = RunConfig().grid
+
+    def count(layers):
+        return weight_count(grid, BackboneConfig(**{**THIN_BACKBONE, field: layers}))
+
+    # the count grows linearly with the layers, and the byte cap alone admits 900,000
+    assert 8 * (count(1) + (900_000 - 1) * (count(2) - count(1))) < manifest.SEEDED_BYTES_CAP
+    cfg = tmp / "thin.json"
+    cfg.write_text(json.dumps({"backbone": {**THIN_BACKBONE, field: 900_000}}))
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main([command, cloud, "--config", str(cfg), "--out", str(tmp / "out.vpt")]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and field in err
     assert not (tmp / "out.vpt").exists()
 
 

@@ -1,4 +1,6 @@
 import json
+import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from voxpillar.formats import (load_boxes, read_cloud, read_dump, write_cloud, w
 from voxpillar.grid import GridSpec
 from voxpillar.manifest import (SEEDED_BYTES_CAP, load_manifest, resolve_weights, save_manifest,
                                 seeded_tensor)
+from voxpillar.selftest import SMALL_GRID, check_seeding_threads, require_same_tensors
 
 
 def test_config_round_trip(tmp_path):
@@ -304,7 +307,7 @@ def test_resolve_weights_seeded_and_manifest():
 
 def test_seeded_model_is_capped_before_any_tensor(monkeypatch):
     generated = []
-    monkeypatch.setattr(manifest, "seeded_tensor", lambda name, *_: generated.append(name))
+    monkeypatch.setattr(manifest, "fill_seeded", lambda name, *_: generated.append(name))
     at_cap = {"a.kernel": (SEEDED_BYTES_CAP // 16, 2)}
     assert sorted(resolve_weights(at_cap, None, seed=0)) == ["a.kernel"]
     with pytest.raises(OutOfRange, match="GiB"):
@@ -318,3 +321,78 @@ def test_seeded_tensor_name_keyed():
     assert a.tobytes() != b.tobytes()
     again = seeded_tensor("layer.a", (4, 4), seed=1)
     assert a.tobytes() == again.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+@pytest.mark.parametrize("shape", [(5,), (3, 4), (27, 6, 2), (0, 3)])
+def test_the_in_place_fill_equals_the_scaled_normal_draw(seed, shape):
+    name = "layer.kernel"
+    rng = np.random.default_rng([seed & 0xFFFFFFFF, zlib.crc32(name.encode("utf-8"))])
+    scale = 1.0 / np.sqrt(max(int(np.prod(shape[:-1])) if len(shape) > 1 else shape[0], 1))
+    want = rng.normal(0.0, scale, size=shape).astype("<f4").astype(np.float64)
+    got = seeded_tensor(name, shape, seed)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _fills_recorded(monkeypatch):
+    """Patch the fill to record the thread that runs each call."""
+    threads = []
+    real = manifest.fill_seeded
+    monkeypatch.setattr(manifest, "fill_seeded", lambda name, values, seed: threads.append(
+        threading.get_ident()) or real(name, values, seed))
+    return threads
+
+
+@pytest.mark.parametrize("variant", ["dense", "sparse"])
+def test_one_and_four_seeding_threads_give_the_same_tensors(monkeypatch, variant):
+    required = required_weights(SMALL_GRID, default_backbone_config(variant))
+    seed = 2**32 + 5  # wider than the stream's 32-bit seed word
+    check_seeding_threads(required, seed)
+    threads = _fills_recorded(monkeypatch)
+    runs = {}
+    for cpus in (1, 4):
+        monkeypatch.setattr(manifest, "_cpu_count", lambda: cpus)
+        threads.clear()
+        runs[cpus] = resolve_weights(required, None, seed=seed)
+        assert len(threads) == len(required)
+        # one CPU fills on the calling thread; four start a pool
+        assert (set(threads) == {threading.get_ident()}) == (cpus == 1)
+    require_same_tensors(runs[1], runs[4], "1 and 4 CPUs")
+    assert list(runs[1]) == list(required)
+
+
+def test_a_failing_fill_propagates_and_leaves_no_thread(monkeypatch):
+    required = required_weights(SMALL_GRID, default_backbone_config("dense"))
+    failing = sorted(required)[len(required) // 2]
+    error = RuntimeError("fill failed")
+    real = manifest.fill_seeded
+
+    def fill(name, values, seed):
+        if name == failing:
+            raise error
+        real(name, values, seed)
+
+    monkeypatch.setattr(manifest, "fill_seeded", fill)
+    baseline = threading.active_count()
+    for cpus in (1, 4):
+        monkeypatch.setattr(manifest, "_cpu_count", lambda: cpus)
+        with pytest.raises(RuntimeError) as exc:
+            resolve_weights(required, None, seed=3)
+        assert exc.value is error
+        assert threading.active_count() == baseline
+
+
+def test_an_empty_model_seeds_nothing(monkeypatch):
+    for cpus in (1, 4):
+        monkeypatch.setattr(manifest, "_cpu_count", lambda: cpus)
+        assert resolve_weights({}, None, seed=0) == {}
+
+
+def test_the_cpu_count_falls_back_without_affinity(monkeypatch):
+    assert manifest._cpu_count() >= 1
+    monkeypatch.delattr(manifest.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(manifest.os, "cpu_count", lambda: None)
+    assert manifest._cpu_count() == 1
+    monkeypatch.setattr(manifest.os, "cpu_count", lambda: 3)
+    assert manifest._cpu_count() == 3
