@@ -8,10 +8,14 @@ a two-scale conv neck; the sparse readout keeps everything sparse through
 """
 from __future__ import annotations
 
+import contextlib
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from . import manifest
 from .errors import OutOfRange, ShapeMismatch
 from .fusion import build_correspondence, sparse_fusion_layer
 from .grid import (GridSpec, PointEncoderWeights, SparseTensor, build_pillar_features,
@@ -326,57 +330,116 @@ def height_compress(x: SparseTensor) -> SparseTensor:
                         extents=x.extents[:2])
 
 
-def densify(x: SparseTensor) -> DenseFeatureMap:
-    """Scatter sparse features onto a zero dense BEV map.
-
-    3D input is height-compressed first.
-    """
+def bev_array(x: SparseTensor, pad: int = 0) -> np.ndarray:
+    """Sparse features scattered onto a zero (L + 2 pad, W + 2 pad, C) BEV array, inside a
+    border of `pad` zero cells. 3D input is height-compressed first."""
     if x.coords.shape[1] == 3:
         x = height_compress(x)
-    values = np.zeros(tuple(x.extents) + (x.num_channels,))
-    values[x.coords[:, 0], x.coords[:, 1]] = x.features
-    return DenseFeatureMap(values=values, stride=x.stride)
+    l, w = x.extents
+    values = np.zeros((l + 2 * pad, w + 2 * pad, x.num_channels))
+    values[pad:pad + l, pad:pad + w][x.coords[:, 0], x.coords[:, 1]] = x.features
+    return values
 
 
-def dense_conv3x3(x: np.ndarray, kernel: np.ndarray, stride: int = 1,
-                  mask: np.ndarray | None = None) -> np.ndarray:
-    """Dense 3x3 cross-correlation with padding 1 on an (L, W, C) array.
+def densify(x: SparseTensor) -> DenseFeatureMap:
+    """Scatter sparse features onto a zero dense BEV map; 3D input is height-compressed first."""
+    return DenseFeatureMap(values=bev_array(x), stride=x.stride)
+
+
+@dataclass
+class DenseLayer:
+    """Every array one `dense_conv3x3` call reads or writes besides its kernel.
+
+    `padded` is the (L+2, W+2, C) input inside a zero border and `out` an
+    (L'+2, W'+2, D) map with a zero border whose interior the call
+    overwrites, so one layer's `out` can be the next layer's `padded`.
+    `prod` takes one tap's products. With the background skip, `corner` is
+    the flat index in `padded` of each computed cell's window corner (the
+    masked cells, then one unmasked cell), `idx` takes index arrays and
+    `rows` gathered window rows, and `acc` holds the computed cells'
+    zero-started sums.
+    """
+
+    padded: np.ndarray
+    out: np.ndarray
+    stride: int
+    prod: np.ndarray
+    corner: np.ndarray | None = None
+    idx: np.ndarray | None = None
+    rows: np.ndarray | None = None
+    acc: np.ndarray | None = None
+
+
+def dense_layer(padded: np.ndarray, d: int, stride: int = 1,
+                mask: np.ndarray | None = None, spare=None) -> DenseLayer:
+    """Allocate the arrays of a 3x3 convolution to width `d` of the zero-bordered `padded`.
 
     `mask`, used at stride 1 only, marks the output cells that may differ:
     every cell outside it must have a window of the same values, padding
-    included. Then only the masked cells and one unmasked cell are
-    computed, and that cell's output is copied to the other unmasked
-    cells. Each computed cell takes the same products in the same order as
-    without a mask, but BLAS may round a GEMM row differently when the
-    number of rows changes, so the result may differ from the full map in
-    the last bits (`selftest.check_neck_skip` states the bound); reruns are
-    bitwise equal.
+    included. Then only the masked cells and one unmasked cell are computed.
+    `spare`, a zero-bordered map that nothing reads any more, becomes `out`
+    when it has the output's shape.
     """
-    h, w, c = x.shape
-    d = kernel.shape[3]
-    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
+    h, w, c = padded.shape[0] - 2, padded.shape[1] - 2, padded.shape[2]
+    h_out = (h + 2 - 3) // stride + 1
+    w_out = (w + 2 - 3) // stride + 1
+    shape = (h_out + 2, w_out + 2, d)
+    out = spare if spare is not None and spare.shape == shape else np.zeros(shape)
     if stride == 1 and mask is not None and not mask.all():
         # the masked cells, then the first unmasked one
         sites = np.append(np.flatnonzero(mask), np.argmin(mask))
-        corner = sites + sites // w * 2  # flat index of each window's corner in xp
+        n = sites.size
+        return DenseLayer(padded, out, stride, prod=np.empty((n, d)),
+                          corner=sites + sites // w * 2, idx=np.empty(n, dtype=np.intp),
+                          rows=np.empty((n, c)), acc=np.zeros((n, d)))
+    return DenseLayer(padded, out, stride, prod=np.empty((h_out, w_out, d)))
+
+
+def dense_conv3x3(x, kernel: np.ndarray, stride: int = 1,
+                  mask: np.ndarray | None = None) -> np.ndarray:
+    """Dense 3x3 cross-correlation with padding 1 on an (L, W, C) array.
+
+    `x` is that array, or a `DenseLayer` from `dense_layer`, which holds the
+    padded input, the stride, the mask's cells and every array the call
+    writes; then the call allocates no feature-sized array. The result is
+    the (L', W', D) interior of the layer's `out`.
+
+    With a mask (see `dense_layer`) only the masked cells and one unmasked
+    cell are computed, and that cell's output is copied to the other
+    unmasked cells. Each computed cell takes the same products in the same
+    order as without a mask, but BLAS may round a GEMM row differently when
+    the number of rows changes, so the result may differ from the full map
+    in the last bits (`selftest.check_neck_skip` states the bound); reruns
+    are bitwise equal.
+    """
+    layer = x if isinstance(x, DenseLayer) else dense_layer(
+        np.pad(x, ((1, 1), (1, 1), (0, 0))), kernel.shape[3], stride, mask)
+    xp, stride = layer.padded, layer.stride
+    w, c = xp.shape[1] - 2, xp.shape[2]
+    inner = layer.out[1:-1, 1:-1]
+    if layer.corner is not None:
         flat = xp.reshape(-1, c)
-        acc = np.zeros((sites.size, d))
         for dy in range(3):
             for dx in range(3):
-                acc += flat[corner + (dy * (w + 2) + dx)] @ kernel[dy, dx]
-        out = np.empty((h * w, d))
-        out[:] = acc[-1]
-        out[sites[:-1]] = acc[:-1]
-        return out.reshape(h, w, d)
-    h_out = (h + 2 - 3) // stride + 1
-    w_out = (w + 2 - 3) // stride + 1
-    out = np.zeros((h_out, w_out, d))
+                np.add(layer.corner, dy * (w + 2) + dx, out=layer.idx)
+                # mode="raise" would buffer `out`; the indices are always valid
+                np.take(flat, layer.idx, axis=0, out=layer.rows, mode="clip")
+                np.matmul(layer.rows, kernel[dy, dx], out=layer.prod)
+                layer.acc += layer.prod
+        inner[...] = layer.acc[-1]
+        # each computed cell's centre, flat in `out`, which has `padded`'s width at stride 1
+        np.add(layer.corner, w + 3, out=layer.idx)
+        layer.out.reshape(-1, layer.out.shape[2])[layer.idx[:-1]] = layer.acc[:-1]
+        return inner
+    h_out, w_out = inner.shape[:2]
+    inner[...] = 0.0
     for dy in range(3):
         for dx in range(3):
             window = xp[dy:dy + stride * (h_out - 1) + 1:stride,
                         dx:dx + stride * (w_out - 1) + 1:stride]
-            out += window @ kernel[dy, dx]
-    return out
+            np.matmul(window, kernel[dy, dx], out=layer.prod)
+            inner += layer.prod
+    return inner
 
 
 def _reach(mask: np.ndarray, padding: bool) -> np.ndarray:
@@ -386,25 +449,63 @@ def _reach(mask: np.ndarray, padding: bool) -> np.ndarray:
     return np.logical_or.reduce([p[dy:dy + h, dx:dx + w] for dy in range(3) for dx in range(3)])
 
 
-def _dense_block(x, tensors, convs, activation: bool, occupied=None):
-    """Run `convs` (neck plan entries), each followed by scale, shift and optional ReLU.
+def _neck_layer(layer: DenseLayer, tensors, name: str, activation: bool):
+    """One neck layer in place: convolution, scale, shift and optional ReLU."""
+    y = dense_conv3x3(layer, tensors[f"{name}.kernel"])
+    y *= tensors[f"{name}.scale"]
+    y += tensors[f"{name}.shift"]
+    if activation:
+        np.maximum(y, 0.0, out=y)
 
-    With `occupied`, the BEV cells that densify filled (stride-1 blocks
-    only), each layer computes only the cells that can differ from the
-    map's one background vector. At layer 0 the background is the zero of
-    the unfilled cells and of the padding. Scale and shift then turn every
-    background cell into one vector that is in general not zero, so from
-    layer 1 on a cell whose window touches the padding may differ too.
+
+def _dense_block(maps: list, convs: list, occupied: list, tensors, activation: bool,
+                 pool=None):
+    """Run lane i's neck `convs[i]` on the zero-bordered (L+2, W+2, C) map `maps[i]`.
+
+    The lanes run in lockstep: layer j of every lane runs before layer j+1
+    of any. Each entry of `maps` is replaced by its lane's padded output as
+    the layers go, and a map the block wrote is reused as the output two
+    layers on, so a block allocates two maps per lane. The calling
+    thread allocates every array the layers write; it runs lane 0 itself
+    and, given `pool` (one thread), the other lanes there, so that thread
+    allocates no feature-sized array. Without `pool` the lanes run here in
+    order. The pool has finished each layer before the next starts and
+    before this returns or raises; a lane 0 error wins over the pool's.
+
+    `occupied[i]`, for a stride-1 block, holds the BEV cells densify filled
+    (else None): each layer then computes only the cells that can differ
+    from the map's one background vector. At layer 0 the background is the
+    zero of the unfilled cells and of the padding. Scale and shift then
+    turn every background cell into one vector that is in general not zero,
+    so from layer 1 on a cell whose window touches the padding may differ
+    too.
     """
-    mask = occupied
-    for j, (name, _, _, stride) in enumerate(convs):
-        if mask is not None:
-            mask = _reach(mask, padding=j > 0)
-        x = dense_conv3x3(x, tensors[f"{name}.kernel"], stride, mask)
-        x = x * tensors[f"{name}.scale"] + tensors[f"{name}.shift"]
-        if activation:
-            x = np.maximum(x, 0.0)
-    return x
+    masks = list(occupied)
+    spares = [None] * len(maps)
+    for j in range(len(convs[0])):
+        runs = []
+        for i, lane in enumerate(convs):
+            name, _, d, stride = lane[j]
+            if masks[i] is not None:
+                masks[i] = _reach(masks[i], padding=j > 0)
+            layer = dense_layer(maps[i], d, stride, masks[i], spares[i])
+            # this layer's input is free after it, unless it is the block's input, which
+            # the caller may still read (the 8x maps are)
+            spares[i] = maps[i] if j > 0 else None
+            maps[i] = layer.out
+            runs.append(partial(_neck_layer, layer, tensors, name, activation))
+        del layer  # so the next layer allocates while only `runs` holds this one's arrays
+        if pool is None:
+            for run in runs:
+                run()
+            continue
+        helpers = [pool.submit(run) for run in runs[1:]]
+        try:
+            runs[0]()
+        finally:
+            wait(helpers)
+        for helper in helpers:
+            helper.result()
 
 
 def dense_fusion_neck(pairs, tensors: dict[str, np.ndarray], cfg: BackboneConfig,
@@ -414,18 +515,28 @@ def dense_fusion_neck(pairs, tensors: dict[str, np.ndarray], cfg: BackboneConfig
     Each branch runs a conv block per scale, in the order of the neck
     plan; same-scale maps fuse by summation, and the upsampled 16x map is
     concatenated onto the 8x map, yielding 2 * neck_channels at stride 8.
+    The two branches' layers run at the same time when the process may use
+    two CPUs (see `_dense_block`); the values do not depend on it.
     """
+    return _fusion_neck(pairs, tensors, cfg, activation, lanes=min(2, manifest._cpu_count()))
+
+
+def _fusion_neck(pairs, tensors, cfg: BackboneConfig, activation: bool,
+                 lanes: int) -> DenseFeatureMap:
+    """`dense_fusion_neck` with the branches on `lanes` (1 or 2) threads."""
     voxels, pillars = _final_pair(pairs)
     convs = neck_convs(cfg, voxels.extents)
     m = cfg.neck_layers
     blocks = [convs[i:i + m] for i in range(0, len(convs), m)]
-    maps = []
-    for x, block8, block16 in zip((voxels, pillars), blocks[0::2], blocks[1::2]):
-        occupied = np.zeros(x.extents[:2], dtype=bool)
-        occupied[x.coords[:, 0], x.coords[:, 1]] = True
-        m8 = _dense_block(densify(x).values, tensors, block8, activation, occupied)
-        maps.append((m8, _dense_block(m8, tensors, block16, activation)))
-    (v8, v16), (p8, p16) = maps
+    occupied = [np.zeros(x.extents[:2], dtype=bool) for x in (voxels, pillars)]
+    for cells, x in zip(occupied, (voxels, pillars)):
+        cells[x.coords[:, 0], x.coords[:, 1]] = True
+    maps = [bev_array(x, pad=1) for x in (voxels, pillars)]
+    with ThreadPoolExecutor(1) if lanes > 1 else contextlib.nullcontext() as pool:
+        _dense_block(maps, blocks[0::2], occupied, tensors, activation, pool)
+        v8, p8 = (x[1:-1, 1:-1] for x in maps)
+        _dense_block(maps, blocks[1::2], [None, None], tensors, activation, pool)
+    v16, p16 = (x[1:-1, 1:-1] for x in maps)
     fused8 = v8 + p8
     fused16 = v16 + p16
     up = np.repeat(np.repeat(fused16, 2, axis=0), 2, axis=1)

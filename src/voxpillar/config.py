@@ -12,6 +12,10 @@ from .losses import LossWeights
 
 DEFAULT_IOU_THRESHOLDS = {"Vehicle": 0.8, "Pedestrian": 0.55, "Cyclist": 0.55}
 
+# Seeded weight streams are keyed by a 32-bit seed word (`manifest.fill_seeded`),
+# so a wider or negative seed would silently alias another model.
+SEED_LIMIT = 2**32
+
 
 @dataclass
 class RunConfig:
@@ -25,6 +29,8 @@ class RunConfig:
     weights_path: str | None = None
 
     def __post_init__(self):
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise FormatError(f"seed must lie in [0, 2**32), got {self.seed}")
         for name, thr in self.iou_thresholds.items():
             if not 0.0 < thr < 1.0:
                 raise FormatError(f"iou threshold for {name} must lie in (0, 1), got {thr}")

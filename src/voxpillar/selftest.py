@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from .backbone import (_dense_block, default_backbone_config, encoder_forward, forward,
-                       required_weights)
+from .backbone import (_dense_block, _fusion_neck, default_backbone_config, encoder_forward,
+                       forward, required_weights)
 from .density import density_records, vertical_density
 from .fusion import broadcast, build_correspondence, sparse_fusion_layer, sparse_pool
 from .geometry import Box3D, iou3d
@@ -315,6 +315,13 @@ def check_density(cases):
              "the batched records differ from the one-box records")
 
 
+def neck_block(x, tensors, convs, activation, occupied=None) -> np.ndarray:
+    """One lane of neck `convs` on the (L, W, C) map `x`, on the calling thread."""
+    maps = [np.pad(x, ((1, 1), (1, 1), (0, 0)))]
+    _dense_block(maps, [convs], [occupied], tensors, activation)
+    return maps[0][1:-1, 1:-1]
+
+
 def check_neck_skip(cases):
     """The 8x neck block, which computes only the cells that can differ from the
     background, equals unmasked convolutions run layer by layer within
@@ -340,12 +347,12 @@ def check_neck_skip(cases):
             tensors[f"{name}.scale"] = rng.normal(size=d)
             tensors[f"{name}.shift"] = rng.normal(size=d)
             c_in = d
-        want = _dense_block(x, tensors, convs, activation)
-        got = _dense_block(x, tensors, convs, activation, occupied)
+        want = neck_block(x, tensors, convs, activation)
+        got = neck_block(x, tensors, convs, activation, occupied)
         err = np.abs(got - want).max()
         _require(err <= NECK_SKIP_RTOL * max(1.0, np.abs(want).max()),
                  f"case {case}: the skipping neck block differs from the dense layers by {err}")
-        _require(_dense_block(x, tensors, convs, activation, occupied).tobytes() == got.tobytes(),
+        _require(neck_block(x, tensors, convs, activation, occupied).tobytes() == got.tobytes(),
                  f"case {case}: the skipping neck block differs on a rerun")
 
 
@@ -376,9 +383,17 @@ def check_seeding_threads(required: dict, seed: int):
                          f"seed {seed}, 1 and 4 seeding threads")
 
 
+def check_neck_lanes(pairs, tensors, cfg, what: str):
+    """The dense neck of the encoder `pairs` gives the same bytes on one lane and on two."""
+    one, two = (_fusion_neck(pairs, tensors, cfg, True, lanes).values for lanes in (1, 2))
+    _require(one.shape == two.shape and one.tobytes() == two.tobytes(),
+             f"{what}: the dense neck differs on one and two lanes")
+
+
 def check_determinism(cases):
-    """c09 in memory: bitwise reruns of both variants and seeding alike on one thread and on
-    several; without SFLs, bitwise branch isolation."""
+    """c09 in memory: bitwise reruns of both variants, seeding alike on one thread and on
+    several, and the dense neck alike on one lane and on two; without SFLs, bitwise branch
+    isolation."""
     rng = np.random.default_rng(209)
     rerun_pts = random_cloud(rng, 150, SMALL_GRID)
     isolation_pts = random_cloud(rng, 120, SMALL_GRID)
@@ -391,6 +406,9 @@ def check_determinism(cases):
         for rerun in range(cases):
             _require(forward_bytes(rerun_pts, SMALL_GRID, cfg, tensors) == first,
                      f"{variant} rerun {rerun} differs")
+        if variant == "dense":
+            check_neck_lanes(encoder_forward(rerun_pts, SMALL_GRID, cfg, tensors), tensors, cfg,
+                             "seed 209")
 
     cfg = type(cfg)(**{**cfg.__dict__, "sfl_steps": (False,) * 4})
     # seeded weights are keyed by name, so the dense model's tensors hold all of its

@@ -1,6 +1,8 @@
 import collections
 import functools
 import itertools
+import sys
+import threading
 import tracemalloc
 from collections.abc import Mapping
 
@@ -13,12 +15,14 @@ from voxpillar.backbone import (NUM_STEPS, BackboneConfig, DenseFeatureMap, bloc
                                 default_backbone_config, dense_conv3x3, dense_fusion_neck,
                                 densify, encoder_forward, forward, height_compress,
                                 merge_sparse2d, neck_convs, required_weights, sparse_readout)
+from voxpillar import backbone, manifest
 from voxpillar import grid as grid_module
 from voxpillar.errors import EmptyGrid, OutOfRange
 from voxpillar.grid import GridSpec, SparseTensor
 from voxpillar.manifest import resolve_weights
 from voxpillar.reference import dense_conv_reference, densify_features
-from voxpillar.selftest import SUITES, check_neck_skip, forward_bytes, random_cloud
+from voxpillar.selftest import (SUITES, check_neck_lanes, check_neck_skip, forward_bytes,
+                                random_cloud)
 from voxpillar.sparse_conv import ConvSpec, ConvWeights, bev_equal, build_kernel_map, paired_downsample, sparse_conv
 from test_structure import GRIDS, _configs
 
@@ -524,3 +528,128 @@ def test_forward_reads_each_required_weight_once(name):
     forward(random_cloud(np.random.default_rng(94), 200, grid), grid, cfg, tensors)
     assert set(tensors.reads) == set(required_weights(grid, cfg))
     assert set(tensors.reads.values()) == {1}
+
+
+def _wrap_dense_conv(monkeypatch, before):
+    """Wrap backbone.dense_conv3x3 as the benchmark's tracer does, replacing every voxpillar
+    module attribute that refers to it; `before()` runs ahead of each call."""
+    real = backbone.dense_conv3x3
+
+    def wrapped(*args, **kwargs):
+        before()
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "voxpillar" or name.startswith("voxpillar.")):
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, wrapped)
+
+
+def test_the_neck_runs_4m_convs_with_the_same_bytes_on_any_cpu_count(monkeypatch):
+    grid, cfg, tensors = variant_model("dense")
+    pts = random_cloud(np.random.default_rng(95), 150, grid)
+    check_neck_lanes(encoder_forward(pts, grid, cfg, tensors), tensors, cfg, "small grid")
+    threads = []
+    _wrap_dense_conv(monkeypatch, lambda: threads.append(threading.get_ident()))
+    runs = {}
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(manifest, "_cpu_count", lambda: cpus)
+        threads.clear()
+        baseline = threading.active_count()
+        runs[cpus] = forward_bytes(pts, grid, cfg, tensors)
+        assert len(threads) == 4 * cfg.neck_layers
+        assert threading.active_count() == baseline
+        # one CPU runs both branches here; more run the pillar branch on one helper thread
+        helpers = set(threads) - {threading.get_ident()}
+        assert len(helpers) == (cpus > 1)
+    assert runs[1] == runs[2] == runs[4]
+
+
+def _neck_case(l, w, h, cells, seed):
+    """Final encoder pairs on an l x w x h 8x grid with voxels at `cells`, a thin dense
+    config of 3 neck layers per block, and its seeded neck tensors."""
+    voxel_coords = np.array(sorted(cells), dtype=np.int64)
+    pillar_coords = np.unique(voxel_coords[:, :2], axis=0)
+    rng = np.random.default_rng(seed)
+    cfg = BackboneConfig(voxel_channels=(4, 4, 4, 3), pillar_channels=(4, 4, 4, 5),
+                         neck_channels=6, neck_layers=3)
+    voxels = SparseTensor(voxel_coords, rng.normal(size=(len(voxel_coords), 3)), 8, (l, w, h))
+    pillars = SparseTensor(pillar_coords, rng.normal(size=(len(pillar_coords), 5)), 8, (l, w))
+    tensors = {}
+    for name, c_in, d, _ in neck_convs(cfg, voxels.extents):
+        tensors[f"{name}.kernel"] = rng.normal(size=(3, 3, c_in, d))
+        tensors[f"{name}.scale"] = rng.normal(size=d)
+        tensors[f"{name}.shift"] = rng.normal(size=d)
+    return [(voxels, pillars)] * NUM_STEPS, tensors, cfg
+
+
+def _neck_layer_by_layer(pairs, tensors, cfg):
+    """The dense neck as one dense_conv3x3 call per layer on fresh arrays, branch after branch."""
+    maps = []
+    for branch, x in zip(("voxel", "pillar"), pairs[-1]):
+        y, mask = densify(x).values, np.zeros(x.extents[:2], dtype=bool)
+        mask[x.coords[:, 0], x.coords[:, 1]] = True
+        for scale in (8, 16):
+            for j in range(cfg.neck_layers):
+                name = f"neck.{branch}.s{scale}.conv{j}"
+                stride = 2 if scale == 16 and j == 0 else 1
+                mask = backbone._reach(mask, padding=j > 0) if scale == 8 else None
+                y = dense_conv3x3(y, tensors[f"{name}.kernel"], stride, mask)
+                y = np.maximum(y * tensors[f"{name}.scale"] + tensors[f"{name}.shift"], 0.0)
+            maps.append(y)
+    v8, v16, p8, p16 = maps
+    up = np.repeat(np.repeat(v16 + p16, 2, axis=0), 2, axis=1)[:v8.shape[0], :v8.shape[1]]
+    return np.concatenate([v8 + p8, up], axis=2)
+
+
+def _neck_matches_layer_by_layer(pairs, tensors, cfg):
+    check_neck_lanes(pairs, tensors, cfg, "neck case")
+    want = _neck_layer_by_layer(pairs, tensors, cfg)
+    got = dense_fusion_neck(pairs, tensors, cfg).values
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 3), st.data())
+def test_the_neck_gives_the_same_bytes_on_one_and_two_lanes_for_any_occupancy(l, w, h, data):
+    cells = data.draw(st.sets(st.tuples(st.integers(0, l - 1), st.integers(0, w - 1),
+                                        st.integers(0, h - 1)), min_size=1))
+    _neck_matches_layer_by_layer(*_neck_case(l, w, h, cells, len(cells)))
+
+
+@pytest.mark.parametrize("extents", [(1, 1, 1), (1, 1, 2), (2, 1, 1), (1, 3, 2)])
+def test_the_neck_equals_its_layers_on_the_smallest_maps(extents):
+    # a 1 x 1 8x map has the 16x map's shape, so no 16x layer may write over it
+    l, w, h = extents
+    full = set(itertools.product(range(l), range(w), range(h)))
+    for cells in (full, {(0, 0, 0)}):
+        _neck_matches_layer_by_layer(*_neck_case(l, w, h, cells, len(cells)))
+
+
+def test_a_failing_neck_layer_propagates_and_leaves_no_thread(monkeypatch):
+    grid, cfg, tensors = variant_model("dense")
+    pairs = encoder_forward(random_cloud(np.random.default_rng(96), 120, grid), grid, cfg,
+                            tensors)
+    caller = threading.get_ident()
+    errors = {"voxel": RuntimeError("voxel layer failed"),
+              "pillar": RuntimeError("pillar layer failed")}
+    failing = set()
+
+    def fail():
+        # on two CPUs the pillar branch is the one that runs off the calling thread
+        branch = "voxel" if threading.get_ident() == caller else "pillar"
+        if branch in failing:
+            raise errors[branch]
+
+    _wrap_dense_conv(monkeypatch, fail)
+    baseline = threading.active_count()
+    for cpus, fails, raised in ((2, {"pillar"}, "pillar"), (2, {"voxel", "pillar"}, "voxel"),
+                                (1, {"voxel"}, "voxel")):
+        monkeypatch.setattr(manifest, "_cpu_count", lambda: cpus)
+        failing.clear()
+        failing.update(fails)
+        with pytest.raises(RuntimeError) as exc:
+            dense_fusion_neck(pairs, tensors, cfg)
+        assert exc.value is errors[raised]
+        assert threading.active_count() == baseline

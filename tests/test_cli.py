@@ -434,3 +434,23 @@ def test_selftest_fails_under_python_optimize():
     lines = proc.stdout.splitlines()
     assert lines[0] == "1 False"
     assert "selftest sparse-conv dense oracle: FAIL" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["forward", "voxelize"])
+def test_config_seeds_outside_32_bits_exit_1(workspace, capsys, command):
+    tmp, _, cloud = workspace
+    cfg = tmp / "seeded.json"
+    out = tmp / "out.vpt"
+    for seed in (0, 2**32 - 1):
+        cfg.write_text(json.dumps({"seed": seed}))
+        assert main([command, cloud, "--config", str(cfg), "--out", str(out)]) == 0
+    out.unlink()
+    capsys.readouterr()
+    # the weight streams key by the seed's low 32 bits: these would alias 2**32 - 1, 0 and 0
+    for seed in (-1, 2**32, 2**70):
+        cfg.write_text(json.dumps({"seed": seed}))
+        assert main([command, cloud, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "seed" in err
+        assert not out.exists()
