@@ -9,7 +9,6 @@ a two-scale conv neck; the sparse readout keeps everything sparse through
 from __future__ import annotations
 
 import contextlib
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
 
@@ -21,8 +20,8 @@ from .fusion import build_correspondence, sparse_fusion_layer
 from .grid import (GridSpec, PointEncoderWeights, SparseTensor, build_pillar_features,
                    build_voxel_features, pack_coords, voxelize)
 from .manifest import check_seeded_size
-from .sparse_conv import (REGULAR, ConvSpec, ConvWeights, build_kernel_map, conv_output_extents,
-                          paired_downsample, sparse_conv)
+from .sparse_conv import (REGULAR, ConvSpec, ConvWeights, Lanes, build_kernel_map, conv_arrays,
+                          conv_output_extents, paired_downsample, sparse_conv)
 
 NUM_STEPS = 4
 VOXEL_INPUT_DIM = 4  # mean (x, y, z, intensity)
@@ -261,29 +260,38 @@ def _weights(tensors, name: str, spec: ConvSpec) -> ConvWeights:
     return ConvWeights(*(tensors[key] for key in conv_shapes(name, spec)))
 
 
-def _run_block(voxels, pillars, block, layers: int, tensors):
+def _open(lanes: Lanes | None):
+    """A context giving `lanes`, or, when None, lanes on up to two of the process's CPUs
+    that close on exit."""
+    if lanes is not None:
+        return contextlib.nullcontext(lanes)
+    return Lanes(min(2, manifest._cpu_count()))
+
+
+def _run_block(voxels, pillars, block, layers: int, tensors, lanes: Lanes):
     """Run one paired block; returns (voxels, pillars, pillar submanifold map).
 
-    Each branch's submanifold layers share one kernel map. The pillar map
-    is returned so the fusion layer that follows can reuse it: same
-    coordinates, 3x3 kernel and mode.
+    The voxel and the pillar branch are lanes 0 and 1 of `lanes`, layer by
+    layer; this thread builds the kernel maps and allocates each layer's
+    arrays. Each branch's submanifold layers share one kernel map. The
+    pillar map is returned so the fusion layer that follows can reuse it:
+    same coordinates, 3x3 kernel and mode.
     """
     convs = block_convs(block, layers)
     downs = [(name, spec) for name, spec in convs if spec.mode == REGULAR]
     if downs:
         (n3, s3), (n2, s2) = downs
         voxels, pillars = paired_downsample(voxels, pillars, s3, s2, _weights(tensors, n3, s3),
-                                            _weights(tensors, n2, s2))
-    x = {3: voxels, 2: pillars}
-    kmaps = {}
-    for name, spec in convs:
-        if spec.mode == REGULAR:
-            continue
-        t = x[spec.ndim]
-        if spec.ndim not in kmaps:
-            kmaps[spec.ndim] = build_kernel_map(t.coords, spec, t.extents)
-        x[spec.ndim] = sparse_conv(t, spec, _weights(tensors, name, spec), kmaps[spec.ndim])
-    return x[3], x[2], kmaps[2]
+                                            _weights(tensors, n2, s2), lanes)
+    x = [voxels, pillars]
+    branches = [[(name, spec) for name, spec in convs
+                 if spec.mode != REGULAR and spec.ndim == ndim] for ndim in (3, 2)]
+    kmaps = [build_kernel_map(t.coords, lane[0][1], t.extents) for t, lane in zip(x, branches)]
+    for j in range(layers):
+        x = lanes.run(*(partial(sparse_conv, t, spec, _weights(tensors, name, spec), kmap,
+                                conv_arrays(t, spec, kmap))
+                        for t, kmap, (name, spec) in zip(x, kmaps, (b[j] for b in branches))))
+    return x[0], x[1], kmaps[1]
 
 
 def step1_tensors(points, grid: GridSpec, tensors: dict[str, np.ndarray]):
@@ -295,21 +303,28 @@ def step1_tensors(points, grid: GridSpec, tensors: dict[str, np.ndarray]):
 
 
 def encoder_forward(points, grid: GridSpec, cfg: BackboneConfig,
-                    tensors: dict[str, np.ndarray]):
-    """Run the 4-step encoder; returns the (voxel, pillar) pair after each step."""
+                    tensors: dict[str, np.ndarray], lanes: Lanes | None = None):
+    """Run the 4-step encoder; returns the (voxel, pillar) pair after each step.
+
+    The voxel and the pillar convolutions of each block and fusion layer
+    run as lanes 0 and 1 of `lanes`; when None the call opens lanes on up
+    to two of the process's CPUs. The values do not depend on it.
+    """
     _, voxels, pillars = step1_tensors(points, grid, tensors)
     pairs = []
-    for s, block in enumerate(paired_blocks(cfg)[:NUM_STEPS], start=1):
-        voxels, pillars, kmap = _run_block(voxels, pillars, block, cfg.submanifold_layers, tensors)
-        if cfg.sfl_steps[s - 1]:
-            (n_v2p, s_v2p), (n_p2v, s_p2v) = sfl_convs(cfg, s)
-            if s_v2p.num_offsets != kmap.num_offsets:
-                kmap = build_kernel_map(pillars.coords, s_v2p, pillars.extents)
-            corr = build_correspondence(voxels, pillars)
-            voxels, pillars = sparse_fusion_layer(
-                voxels, pillars, corr, (s_v2p, _weights(tensors, n_v2p, s_v2p)),
-                (s_p2v, _weights(tensors, n_p2v, s_p2v)), kmap)
-        pairs.append((voxels, pillars))
+    with _open(lanes) as lanes:
+        for s, block in enumerate(paired_blocks(cfg)[:NUM_STEPS], start=1):
+            voxels, pillars, kmap = _run_block(voxels, pillars, block, cfg.submanifold_layers,
+                                               tensors, lanes)
+            if cfg.sfl_steps[s - 1]:
+                (n_v2p, s_v2p), (n_p2v, s_p2v) = sfl_convs(cfg, s)
+                if s_v2p.num_offsets != kmap.num_offsets:
+                    kmap = build_kernel_map(pillars.coords, s_v2p, pillars.extents)
+                corr = build_correspondence(voxels, pillars)
+                voxels, pillars = sparse_fusion_layer(
+                    voxels, pillars, corr, (s_v2p, _weights(tensors, n_v2p, s_v2p)),
+                    (s_p2v, _weights(tensors, n_p2v, s_p2v)), kmap, lanes)
+            pairs.append((voxels, pillars))
     return pairs
 
 
@@ -357,7 +372,8 @@ class DenseLayer:
     the flat index in `padded` of each computed cell's window corner (the
     masked cells, then one unmasked cell), `idx` takes index arrays and
     `rows` gathered window rows, and `acc` holds the computed cells'
-    zero-started sums.
+    zero-started sums; these may be leading views of arrays that the
+    layers of a block share (`_skip_arrays`).
     """
 
     padded: np.ndarray
@@ -370,13 +386,28 @@ class DenseLayer:
     acc: np.ndarray | None = None
 
 
+def _skips(stride: int, mask: np.ndarray | None) -> bool:
+    """Whether a layer computes only its masked cells and one unmasked cell."""
+    return stride == 1 and mask is not None and not mask.all()
+
+
+def _skip_arrays(n: int, c: int, d: int) -> dict:
+    """The `prod`, `idx`, `rows` and `acc` arrays of skipping layers from width `c` to
+    width `d` that compute at most `n` cells."""
+    return {"prod": np.empty((n, d)), "idx": np.empty(n, dtype=np.intp),
+            "rows": np.empty((n, c)), "acc": np.empty((n, d))}
+
+
 def dense_layer(padded: np.ndarray, d: int, stride: int = 1,
-                mask: np.ndarray | None = None, spare=None) -> DenseLayer:
+                mask: np.ndarray | None = None, spare=None, scratch: dict | None = None
+                ) -> DenseLayer:
     """Allocate the arrays of a 3x3 convolution to width `d` of the zero-bordered `padded`.
 
     `mask`, used at stride 1 only, marks the output cells that may differ:
     every cell outside it must have a window of the same values, padding
-    included. Then only the masked cells and one unmasked cell are computed.
+    included. Then only the masked cells and one unmasked cell are computed,
+    in leading views of `scratch` (from `_skip_arrays`) when given; `acc`
+    is zeroed here.
     `spare`, a zero-bordered map that nothing reads any more, becomes `out`
     when it has the output's shape.
     """
@@ -385,13 +416,16 @@ def dense_layer(padded: np.ndarray, d: int, stride: int = 1,
     w_out = (w + 2 - 3) // stride + 1
     shape = (h_out + 2, w_out + 2, d)
     out = spare if spare is not None and spare.shape == shape else np.zeros(shape)
-    if stride == 1 and mask is not None and not mask.all():
+    if _skips(stride, mask):
         # the masked cells, then the first unmasked one
         sites = np.append(np.flatnonzero(mask), np.argmin(mask))
         n = sites.size
-        return DenseLayer(padded, out, stride, prod=np.empty((n, d)),
-                          corner=sites + sites // w * 2, idx=np.empty(n, dtype=np.intp),
-                          rows=np.empty((n, c)), acc=np.zeros((n, d)))
+        arrays = scratch or _skip_arrays(n, c, d)
+        acc = arrays["acc"][:n]
+        acc[...] = 0.0
+        return DenseLayer(padded, out, stride, prod=arrays["prod"][:n],
+                          corner=sites + sites // w * 2, idx=arrays["idx"][:n],
+                          rows=arrays["rows"][:n], acc=acc)
     return DenseLayer(padded, out, stride, prod=np.empty((h_out, w_out, d)))
 
 
@@ -458,19 +492,31 @@ def _neck_layer(layer: DenseLayer, tensors, name: str, activation: bool):
         np.maximum(y, 0.0, out=y)
 
 
+def _lane_masks(cells: np.ndarray | None, layers: int) -> list:
+    """Each layer's mask in a lane whose block input fills the BEV cells `cells` (all None
+    when None): the cells that can differ from the background. They only grow."""
+    masks = []
+    for j in range(layers):
+        if cells is not None:
+            cells = _reach(cells, padding=j > 0)
+        masks.append(cells)
+    return masks
+
+
 def _dense_block(maps: list, convs: list, occupied: list, tensors, activation: bool,
-                 pool=None):
+                 lanes: Lanes):
     """Run lane i's neck `convs[i]` on the zero-bordered (L+2, W+2, C) map `maps[i]`.
 
-    The lanes run in lockstep: layer j of every lane runs before layer j+1
-    of any. Each entry of `maps` is replaced by its lane's padded output as
-    the layers go, and a map the block wrote is reused as the output two
-    layers on, so a block allocates two maps per lane. The calling
-    thread allocates every array the layers write; it runs lane 0 itself
-    and, given `pool` (one thread), the other lanes there, so that thread
-    allocates no feature-sized array. Without `pool` the lanes run here in
-    order. The pool has finished each layer before the next starts and
-    before this returns or raises; a lane 0 error wins over the pool's.
+    The lanes of `lanes` run in lockstep: layer j of every lane runs before
+    layer j+1 of any. Each entry of `maps` is replaced by its lane's padded
+    output as the layers go, and a map the block wrote is reused as the
+    output two layers on, so a block allocates two maps per lane. The
+    calling thread allocates every array the layers write. From layer 1 on,
+    a lane's skipping layers share one set of `_skip_arrays`, sized for the
+    last mask, the largest, so that they do not grow layer by layer on the
+    heap; every GEMM keeps its row count. Layer 0, whose input may be
+    wider and whose mask is the smallest, has its own, freed with the
+    block's input maps.
 
     `occupied[i]`, for a stride-1 block, holds the BEV cells densify filled
     (else None): each layer then computes only the cells that can differ
@@ -480,50 +526,37 @@ def _dense_block(maps: list, convs: list, occupied: list, tensors, activation: b
     so from layer 1 on a cell whose window touches the padding may differ
     too.
     """
-    masks = list(occupied)
-    spares = [None] * len(maps)
+    masks = [_lane_masks(cells, len(lane)) for lane, cells in zip(convs, occupied)]
+    spares, scratch = [None] * len(maps), [None] * len(maps)
     for j in range(len(convs[0])):
         runs = []
         for i, lane in enumerate(convs):
-            name, _, d, stride = lane[j]
-            if masks[i] is not None:
-                masks[i] = _reach(masks[i], padding=j > 0)
-            layer = dense_layer(maps[i], d, stride, masks[i], spares[i])
+            name, c, d, stride = lane[j]
+            if j == 1:
+                cells = [int(m.sum()) + 1 for (*_, s), m in zip(lane[1:], masks[i][1:])
+                         if _skips(s, m)]
+                scratch[i] = _skip_arrays(max(cells), c, d) if cells else None
+            layer = dense_layer(maps[i], d, stride, masks[i][j], spares[i], scratch[i])
             # this layer's input is free after it, unless it is the block's input, which
             # the caller may still read (the 8x maps are)
             spares[i] = maps[i] if j > 0 else None
             maps[i] = layer.out
             runs.append(partial(_neck_layer, layer, tensors, name, activation))
         del layer  # so the next layer allocates while only `runs` holds this one's arrays
-        if pool is None:
-            for run in runs:
-                run()
-            continue
-        helpers = [pool.submit(run) for run in runs[1:]]
-        try:
-            runs[0]()
-        finally:
-            wait(helpers)
-        for helper in helpers:
-            helper.result()
+        lanes.run(*runs)
 
 
 def dense_fusion_neck(pairs, tensors: dict[str, np.ndarray], cfg: BackboneConfig,
-                      activation: bool = True) -> DenseFeatureMap:
+                      activation: bool = True, lanes: Lanes | None = None) -> DenseFeatureMap:
     """Combine both branches' dense maps at 8x and 16x scales.
 
     Each branch runs a conv block per scale, in the order of the neck
     plan; same-scale maps fuse by summation, and the upsampled 16x map is
     concatenated onto the 8x map, yielding 2 * neck_channels at stride 8.
-    The two branches' layers run at the same time when the process may use
-    two CPUs (see `_dense_block`); the values do not depend on it.
+    The two branches' layers are lanes 0 and 1 of `lanes` (see
+    `_dense_block`); when None the call opens lanes on up to two of the
+    process's CPUs. The values do not depend on it.
     """
-    return _fusion_neck(pairs, tensors, cfg, activation, lanes=min(2, manifest._cpu_count()))
-
-
-def _fusion_neck(pairs, tensors, cfg: BackboneConfig, activation: bool,
-                 lanes: int) -> DenseFeatureMap:
-    """`dense_fusion_neck` with the branches on `lanes` (1 or 2) threads."""
     voxels, pillars = _final_pair(pairs)
     convs = neck_convs(cfg, voxels.extents)
     m = cfg.neck_layers
@@ -532,10 +565,10 @@ def _fusion_neck(pairs, tensors, cfg: BackboneConfig, activation: bool,
     for cells, x in zip(occupied, (voxels, pillars)):
         cells[x.coords[:, 0], x.coords[:, 1]] = True
     maps = [bev_array(x, pad=1) for x in (voxels, pillars)]
-    with ThreadPoolExecutor(1) if lanes > 1 else contextlib.nullcontext() as pool:
-        _dense_block(maps, blocks[0::2], occupied, tensors, activation, pool)
+    with _open(lanes) as lanes:
+        _dense_block(maps, blocks[0::2], occupied, tensors, activation, lanes)
         v8, p8 = (x[1:-1, 1:-1] for x in maps)
-        _dense_block(maps, blocks[1::2], [None, None], tensors, activation, pool)
+        _dense_block(maps, blocks[1::2], [None, None], tensors, activation, lanes)
     v16, p16 = (x[1:-1, 1:-1] for x in maps)
     fused8 = v8 + p8
     fused16 = v16 + p16
@@ -566,19 +599,22 @@ def merge_sparse2d(entries, extents, stride: int) -> SparseTensor:
                         extents=tuple(extents))
 
 
-def sparse_readout(pairs, tensors: dict[str, np.ndarray], cfg: BackboneConfig) -> SparseTensor:
+def sparse_readout(pairs, tensors: dict[str, np.ndarray], cfg: BackboneConfig,
+                   lanes: Lanes | None = None) -> SparseTensor:
     """Fully sparse multi-scale readout on the 8x BEV lattice.
 
     Extra paired blocks produce 16x and 32x features; voxels are height
     compressed and projected to the pillar width per scale; everything is
     mapped back to the 8x lattice (coordinate times the stride ratio) and
-    summed over the union of sites.
+    summed over the union of sites. The blocks run their branches as lanes
+    0 and 1 of `lanes`, as `encoder_forward` does.
     """
     voxels, pillars = _final_pair(pairs)
     scales = [(voxels, pillars)]
-    for block in paired_blocks(cfg)[NUM_STEPS:]:
-        v, p, _ = _run_block(*scales[-1], block, cfg.submanifold_layers, tensors)
-        scales.append((v, p))
+    with _open(lanes) as lanes:
+        for block in paired_blocks(cfg)[NUM_STEPS:]:
+            v, p, _ = _run_block(*scales[-1], block, cfg.submanifold_layers, tensors, lanes)
+            scales.append((v, p))
     entries = []
     for v, p in scales:
         ratio = v.stride // 8
@@ -593,11 +629,19 @@ def sparse_readout(pairs, tensors: dict[str, np.ndarray], cfg: BackboneConfig) -
     return merge_sparse2d(entries, pillars.extents, stride=8)
 
 
-def forward(points, grid: GridSpec, cfg: BackboneConfig, tensors: dict[str, np.ndarray]):
-    """Whole-pipeline pass: encoder pairs plus the variant's readout."""
-    pairs = encoder_forward(points, grid, cfg, tensors)
-    if cfg.variant == "dense":
-        readout = dense_fusion_neck(pairs, tensors, cfg)
-    else:
-        readout = sparse_readout(pairs, tensors, cfg)
+def forward(points, grid: GridSpec, cfg: BackboneConfig, tensors: dict[str, np.ndarray],
+            lanes: Lanes | None = None):
+    """Whole-pipeline pass: encoder pairs plus the variant's readout.
+
+    The voxel and the pillar work run as lanes 0 and 1 of `lanes`; when
+    None the pass opens lanes on up to two of the process's CPUs, so one
+    helper thread at most serves the whole pass. The values do not depend
+    on it.
+    """
+    with _open(lanes) as lanes:
+        pairs = encoder_forward(points, grid, cfg, tensors, lanes)
+        if cfg.variant == "dense":
+            readout = dense_fusion_neck(pairs, tensors, cfg, lanes=lanes)
+        else:
+            readout = sparse_readout(pairs, tensors, cfg, lanes)
     return pairs, readout

@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from .backbone import (_dense_block, _fusion_neck, default_backbone_config, encoder_forward,
-                       forward, required_weights)
+from .backbone import (_dense_block, default_backbone_config, encoder_forward, forward,
+                       required_weights)
 from .density import density_records, vertical_density
 from .fusion import broadcast, build_correspondence, sparse_fusion_layer, sparse_pool
 from .geometry import Box3D, iou3d
@@ -22,7 +22,7 @@ from .manifest import _seed_tensors, resolve_weights
 from .reference import (dense_conv_reference, dense_correspondence_matrix,
                         density_bins_reference, enumerate_kernel_map, groupby_max,
                         monte_carlo_iou)
-from .sparse_conv import ConvSpec, ConvWeights, bev_equal, build_kernel_map, sparse_conv
+from .sparse_conv import ConvSpec, ConvWeights, Lanes, bev_equal, build_kernel_map, sparse_conv
 
 SMALL_GRID = GridSpec((0.0, 0.0, 0.0), (1.6, 1.6, 1.2), (0.1, 0.1, 0.15))
 IOU_TOLERANCE = 0.01
@@ -318,7 +318,7 @@ def check_density(cases):
 def neck_block(x, tensors, convs, activation, occupied=None) -> np.ndarray:
     """One lane of neck `convs` on the (L, W, C) map `x`, on the calling thread."""
     maps = [np.pad(x, ((1, 1), (1, 1), (0, 0)))]
-    _dense_block(maps, [convs], [occupied], tensors, activation)
+    _dense_block(maps, [convs], [occupied], tensors, activation, Lanes())
     return maps[0][1:-1, 1:-1]
 
 
@@ -356,9 +356,9 @@ def check_neck_skip(cases):
                  f"case {case}: the skipping neck block differs on a rerun")
 
 
-def forward_bytes(points, grid, cfg, tensors) -> bytes:
+def forward_bytes(points, grid, cfg, tensors, lanes=None) -> bytes:
     """The coordinates and features of every encoder step and of the readout, concatenated."""
-    pairs, readout = forward(points, grid, cfg, tensors)
+    pairs, readout = forward(points, grid, cfg, tensors, lanes)
     arrays = [a for pair in pairs for t in pair for a in (t.coords, t.features)]
     if cfg.variant == "dense":
         arrays.append(readout.values)
@@ -383,16 +383,19 @@ def check_seeding_threads(required: dict, seed: int):
                          f"seed {seed}, 1 and 4 seeding threads")
 
 
-def check_neck_lanes(pairs, tensors, cfg, what: str):
-    """The dense neck of the encoder `pairs` gives the same bytes on one lane and on two."""
-    one, two = (_fusion_neck(pairs, tensors, cfg, True, lanes).values for lanes in (1, 2))
-    _require(one.shape == two.shape and one.tobytes() == two.tobytes(),
-             f"{what}: the dense neck differs on one and two lanes")
+def check_lanes(points, grid, cfg, tensors, what: str):
+    """`forward` gives the same bytes on one lane and on two: every encoder step and the
+    readout, dense neck or sparse 16x/32x blocks."""
+    runs = []
+    for count in (1, 2):
+        with Lanes(count) as lanes:
+            runs.append(forward_bytes(points, grid, cfg, tensors, lanes))
+    _require(runs[0] == runs[1], f"{what}: forward differs on one and two lanes")
 
 
 def check_determinism(cases):
     """c09 in memory: bitwise reruns of both variants, seeding alike on one thread and on
-    several, and the dense neck alike on one lane and on two; without SFLs, bitwise branch
+    several, and forward alike on one lane and on two; without SFLs, bitwise branch
     isolation."""
     rng = np.random.default_rng(209)
     rerun_pts = random_cloud(rng, 150, SMALL_GRID)
@@ -406,9 +409,7 @@ def check_determinism(cases):
         for rerun in range(cases):
             _require(forward_bytes(rerun_pts, SMALL_GRID, cfg, tensors) == first,
                      f"{variant} rerun {rerun} differs")
-        if variant == "dense":
-            check_neck_lanes(encoder_forward(rerun_pts, SMALL_GRID, cfg, tensors), tensors, cfg,
-                             "seed 209")
+        check_lanes(rerun_pts, SMALL_GRID, cfg, tensors, f"{variant}, seed 209")
 
     cfg = type(cfg)(**{**cfg.__dict__, "sfl_steps": (False,) * 4})
     # seeded weights are keyed by name, so the dense model's tensors hold all of its

@@ -8,7 +8,10 @@ results bitwise reproducible.
 """
 from __future__ import annotations
 
+import contextvars
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -110,12 +113,16 @@ class KernelMap:
     centre segment (offset `num_offsets // 2`) is the identity: triple
     (i, i) for every site i, in site order. `sparse_conv` relies on that to
     apply the centre tap without a gather or a scatter.
+
+    `build_kernel_map` stores the triples column-major, so each column is a
+    contiguous index array.
     """
 
     triples: np.ndarray  # (T, 3) int64 columns in_idx, out_idx, offset_idx
     out_coords: np.ndarray  # (M, ndim) int64
     out_extents: tuple[int, ...]
     num_offsets: int
+    in_sites: int  # the number of input sites the map was built on
 
 
 def kernel_offsets(kernel: tuple[int, ...]) -> np.ndarray:
@@ -169,8 +176,9 @@ def _offset_mask(masks, offset) -> np.ndarray:
 
 
 def _triples(in_idx: np.ndarray, out_idx: np.ndarray, sizes) -> np.ndarray:
-    """(T, 3) triples from the input and output columns and each offset's segment size."""
-    triples = np.empty((in_idx.size, 3), dtype=np.int64)
+    """(T, 3) column-major triples from the input and output columns and each offset's
+    segment size."""
+    triples = np.empty((in_idx.size, 3), dtype=np.int64, order="F")
     triples[:, 0] = in_idx
     triples[:, 1] = out_idx
     triples[:, 2] = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
@@ -238,7 +246,7 @@ def build_kernel_map(coords_in: np.ndarray, spec: ConvSpec, in_extents) -> Kerne
         triples = _triples(np.concatenate([src for src, _ in segments]),
                            np.concatenate([dst for _, dst in segments]),
                            [src.size for src, _ in segments])
-        return KernelMap(triples, coords_in.copy(), in_extents, num_offsets)
+        return KernelMap(triples, coords_in.copy(), in_extents, num_offsets, coords_in.shape[0])
 
     cands, keys = [], []
     for offset in offsets:
@@ -251,47 +259,158 @@ def build_kernel_map(coords_in: np.ndarray, spec: ConvSpec, in_extents) -> Kerne
     uniq_keys, out_idx = np.unique(np.concatenate(keys), return_inverse=True)
     out_coords = np.stack(np.unravel_index(uniq_keys, out_extents), axis=1).astype(np.int64)
     triples = _triples(np.concatenate(cands), out_idx, [cand.size for cand in cands])
-    return KernelMap(triples, out_coords, out_extents, num_offsets)
+    return KernelMap(triples, out_coords, out_extents, num_offsets, coords_in.shape[0])
 
 
-def sparse_conv(x, spec: ConvSpec, weights: ConvWeights, kmap: KernelMap):
-    """Apply one sparse convolution through a prebuilt kernel map.
-
-    out[o] = bias + sum over triples (i, o, k) of kernel[k].T @ x[i]. Offsets
-    are added in ascending order and no output repeats within one, so a plain
-    indexed add is exact and every output row sees the same additions on
-    every run. A submanifold map's centre segment is the identity, so that
-    tap is `x.features @ kernel[centre]` added to every row in place: the
-    same product on the same rows, without the gather and the scatter.
-    """
-    weights.check(spec)
+def _check_conv(x, spec: ConvSpec, kmap: KernelMap):
     if x.features.shape[1] != spec.in_channels:
-        raise ShapeMismatch(f"input has {x.features.shape[1]} channels, spec expects {spec.in_channels}")
+        raise ShapeMismatch(f"input has {x.features.shape[1]} channels, spec expects "
+                            f"{spec.in_channels}")
     if kmap.num_offsets != spec.num_offsets:
         raise ShapeMismatch(f"kernel map has {kmap.num_offsets} offsets, spec expects "
                             f"{spec.num_offsets}")
     if spec.stride[0] != spec.stride[1]:
         raise SpecMismatch("X-Y strides must match to track the tensor stride")
-    centre = -1
-    if spec.mode == SUBMANIFOLD:
-        if kmap.out_coords.shape[0] != x.num_sites:
-            raise ShapeMismatch(f"submanifold kernel map has {kmap.out_coords.shape[0]} sites, "
-                                f"input has {x.num_sites}")
-        centre = kmap.num_offsets // 2
-    out = np.zeros((kmap.out_coords.shape[0], spec.out_channels))
-    if weights.bias is not None:
-        out += weights.bias
+    if kmap.in_sites != x.num_sites:
+        raise ShapeMismatch(f"kernel map was built on {kmap.in_sites} sites, input has "
+                            f"{x.num_sites}")
+    if spec.mode == SUBMANIFOLD and kmap.out_coords.shape[0] != x.num_sites:
+        raise ShapeMismatch(f"submanifold kernel map has {kmap.out_coords.shape[0]} sites, "
+                            f"input has {x.num_sites}")
+
+
+@dataclass
+class ConvArrays:
+    """Every array one `sparse_conv` call writes, sized by `conv_arrays` for `spec` and `kmap`.
+
+    `out` takes the output features and `coords` the output coordinates.
+    `src` and `dst`, the map's input and output columns, and `bounds`, each
+    offset's segment of them, are read only. Per offset, `rows` takes the
+    gathered input rows, `prod` their products (the centre tap's products
+    of every site too) and `acc` the read-modify-write of the output rows;
+    each is used through its leading rows.
+    """
+
+    spec: ConvSpec
+    kmap: KernelMap
+    out: np.ndarray
+    coords: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    bounds: np.ndarray
+    rows: np.ndarray
+    prod: np.ndarray
+    acc: np.ndarray
+
+
+def conv_arrays(x, spec: ConvSpec, kmap: KernelMap) -> ConvArrays:
+    """Allocate, on the calling thread, the arrays of `sparse_conv(x, spec, weights, kmap)`."""
+    _check_conv(x, spec, kmap)
     tri = kmap.triples
     bounds = np.searchsorted(tri[:, 2], np.arange(kmap.num_offsets + 1))
+    sizes = np.diff(bounds)
+    centre_rows = 0
+    if spec.mode == SUBMANIFOLD:
+        sizes[kmap.num_offsets // 2] = 0
+        centre_rows = x.num_sites
+    n = int(sizes.max(initial=0))
+    m, c_in, c_out = kmap.out_coords.shape[0], spec.in_channels, spec.out_channels
+    return ConvArrays(spec, kmap, out=np.empty((m, c_out)), coords=kmap.out_coords.copy(),
+                      src=np.ascontiguousarray(tri[:, 0]), dst=np.ascontiguousarray(tri[:, 1]),
+                      bounds=bounds, rows=np.empty((n, c_in)),
+                      prod=np.empty((max(n, centre_rows), c_out)), acc=np.empty((n, c_out)))
+
+
+def sparse_conv(x, spec: ConvSpec, weights: ConvWeights, kmap: KernelMap,
+                arrays: ConvArrays | None = None):
+    """Apply one sparse convolution through a prebuilt kernel map.
+
+    out[o] = bias + sum over triples (i, o, k) of kernel[k].T @ x[i]. The
+    output starts at zero, takes the bias, and then each offset in
+    ascending order; no output repeats within one offset, so a plain
+    indexed add is exact and every output row sees the same additions on
+    every run. A submanifold map's centre segment is the identity, so that
+    tap is `x.features @ kernel[centre]` added to every row in place: the
+    same product on the same rows, without the gather and the scatter.
+
+    `arrays`, from `conv_arrays(x, spec, kmap)`, holds every array the
+    call writes. The call then allocates no feature-sized array and only
+    fills them through `out=` and in-place NumPy calls, so a helper thread
+    can run it (see `Lanes`). Without `arrays` it allocates its own. The
+    call overwrites every value it reads back, so arrays may be reused for
+    the same spec and map; the output tensor holds `arrays.out`.
+    """
+    weights.check(spec)
+    if arrays is None:
+        arrays = conv_arrays(x, spec, kmap)
+    else:
+        _check_conv(x, spec, kmap)
+        if arrays.kmap is not kmap or arrays.spec != spec:
+            raise ShapeMismatch("the arrays were sized for another kernel map or spec")
+    centre = kmap.num_offsets // 2 if spec.mode == SUBMANIFOLD else -1
+    out, bounds = arrays.out, arrays.bounds
+    # zeros, then the bias: 0.0 + bias turns a -0.0 entry into +0.0, a copy would not
+    out.fill(0.0)
+    if weights.bias is not None:
+        out += weights.bias
     for k_idx in range(kmap.num_offsets):
         lo, hi = bounds[k_idx], bounds[k_idx + 1]
         if k_idx == centre:
-            out += x.features @ weights.kernel[k_idx]
+            prod = arrays.prod[:x.num_sites]
+            np.matmul(x.features, weights.kernel[k_idx], out=prod)
+            out += prod
         elif lo < hi:
-            out[tri[lo:hi, 1]] += x.features[tri[lo:hi, 0]] @ weights.kernel[k_idx]
-    new_stride = x.stride * spec.stride[0]
-    return SparseTensor(coords=kmap.out_coords.copy(), features=out, stride=new_stride,
+            n = hi - lo
+            rows, prod, acc = arrays.rows[:n], arrays.prod[:n], arrays.acc[:n]
+            dst = arrays.dst[lo:hi]
+            # mode="raise" would buffer `out`; the map's indices are always valid
+            np.take(x.features, arrays.src[lo:hi], axis=0, out=rows, mode="clip")
+            np.matmul(rows, weights.kernel[k_idx], out=prod)
+            np.take(out, dst, axis=0, out=acc, mode="clip")
+            acc += prod
+            out[dst] = acc
+    return SparseTensor(coords=arrays.coords, features=out, stride=x.stride * spec.stride[0],
                         extents=kmap.out_extents)
+
+
+class Lanes:
+    """Lockstep lanes: `run` makes one call per lane and returns their results
+    once every call has finished.
+
+    Lane 0 runs on the calling thread. Given `count` 2 or more, the other
+    lanes run on one helper thread, started at the first `run` and joined
+    when the lanes close (`with Lanes(2) as lanes:`); with one, they run
+    after lane 0 on the calling thread and no thread starts. The helper
+    allocates nothing: the caller allocates every array a call writes
+    (`conv_arrays`, `dense_layer`), and the calls only fill them, since
+    glibc keeps what a thread frees in that thread's own malloc arena.
+    A call makes the same NumPy and BLAS calls on either thread, so the
+    values do not depend on the lanes; a helper call runs in a copy of the
+    caller's context, so `np.errstate` holds there too. A lane 0 error wins
+    over a helper's.
+    """
+
+    def __init__(self, count: int = 1):
+        self._pool = ThreadPoolExecutor(1) if count > 1 else None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._pool is not None:
+            self._pool.shutdown()
+        return False
+
+    def run(self, *calls) -> list:
+        if self._pool is None:
+            return [call() for call in calls]
+        helpers = [self._pool.submit(contextvars.copy_context().run, call)
+                   for call in calls[1:]]
+        try:
+            first = calls[0]()
+        finally:
+            wait(helpers)
+        return [first, *(helper.result() for helper in helpers)]
 
 
 def bev_equal(voxels: SparseTensor, pillars: SparseTensor) -> bool:
@@ -300,11 +419,13 @@ def bev_equal(voxels: SparseTensor, pillars: SparseTensor) -> bool:
 
 
 def paired_downsample(voxels, pillars, spec3d: ConvSpec, spec2d: ConvSpec,
-                      w3d: ConvWeights, w2d: ConvWeights):
+                      w3d: ConvWeights, w2d: ConvWeights, lanes: Lanes | None = None):
     """Downsample both branches with X-Y-equalized regular convolutions.
 
     The shared X-Y geometry makes the output BEV occupancy of the two
     branches provably identical; the postcondition is still asserted.
+    The voxel and the pillar convolution are lanes 0 and 1 of `lanes`, or
+    run in that order here when it is None.
     """
     if spec3d.mode != REGULAR or spec2d.mode != REGULAR:
         raise SpecMismatch("paired downsampling requires regular mode on both branches")
@@ -316,8 +437,9 @@ def paired_downsample(voxels, pillars, spec3d: ConvSpec, spec2d: ConvSpec,
         raise ConsistencyViolation("input voxel/pillar BEV occupancy differs")
     kmap3 = build_kernel_map(voxels.coords, spec3d, voxels.extents)
     kmap2 = build_kernel_map(pillars.coords, spec2d, pillars.extents)
-    out_v = sparse_conv(voxels, spec3d, w3d, kmap3)
-    out_p = sparse_conv(pillars, spec2d, w2d, kmap2)
+    out_v, out_p = (lanes or Lanes()).run(
+        *(partial(sparse_conv, x, spec, w, kmap, conv_arrays(x, spec, kmap))
+          for x, spec, w, kmap in ((voxels, spec3d, w3d, kmap3), (pillars, spec2d, w2d, kmap2))))
     if not bev_equal(out_v, out_p):
         raise ConsistencyViolation("downsampled voxel/pillar BEV occupancy diverged")
     return out_v, out_p

@@ -16,14 +16,15 @@ from voxpillar.backbone import (NUM_STEPS, BackboneConfig, DenseFeatureMap, bloc
                                 densify, encoder_forward, forward, height_compress,
                                 merge_sparse2d, neck_convs, required_weights, sparse_readout)
 from voxpillar import backbone, manifest
+from voxpillar import sparse_conv as sparse_conv_module
 from voxpillar import grid as grid_module
 from voxpillar.errors import EmptyGrid, OutOfRange
 from voxpillar.grid import GridSpec, SparseTensor
 from voxpillar.manifest import resolve_weights
 from voxpillar.reference import dense_conv_reference, densify_features
-from voxpillar.selftest import (SUITES, check_neck_lanes, check_neck_skip, forward_bytes,
-                                random_cloud)
-from voxpillar.sparse_conv import ConvSpec, ConvWeights, bev_equal, build_kernel_map, paired_downsample, sparse_conv
+from voxpillar.selftest import SUITES, check_lanes, check_neck_skip, forward_bytes, random_cloud
+from voxpillar.sparse_conv import (ConvSpec, ConvWeights, Lanes, bev_equal, build_kernel_map,
+                                   paired_downsample, sparse_conv)
 from test_structure import GRIDS, _configs
 
 
@@ -530,13 +531,12 @@ def test_forward_reads_each_required_weight_once(name):
     assert set(tensors.reads.values()) == {1}
 
 
-def _wrap_dense_conv(monkeypatch, before):
-    """Wrap backbone.dense_conv3x3 as the benchmark's tracer does, replacing every voxpillar
-    module attribute that refers to it; `before()` runs ahead of each call."""
-    real = backbone.dense_conv3x3
+def _wrap(monkeypatch, real, before):
+    """Wrap the engine function `real` as the benchmark's tracer does, replacing every
+    voxpillar module attribute that refers to it; `before(*args)` runs ahead of each call."""
 
     def wrapped(*args, **kwargs):
-        before()
+        before(*args)
         return real(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -549,9 +549,9 @@ def _wrap_dense_conv(monkeypatch, before):
 def test_the_neck_runs_4m_convs_with_the_same_bytes_on_any_cpu_count(monkeypatch):
     grid, cfg, tensors = variant_model("dense")
     pts = random_cloud(np.random.default_rng(95), 150, grid)
-    check_neck_lanes(encoder_forward(pts, grid, cfg, tensors), tensors, cfg, "small grid")
+    check_lanes(pts, grid, cfg, tensors, "small grid")
     threads = []
-    _wrap_dense_conv(monkeypatch, lambda: threads.append(threading.get_ident()))
+    _wrap(monkeypatch, backbone.dense_conv3x3, lambda *_: threads.append(threading.get_ident()))
     runs = {}
     for cpus in (1, 2, 4):
         monkeypatch.setattr(manifest, "_cpu_count", lambda: cpus)
@@ -604,10 +604,11 @@ def _neck_layer_by_layer(pairs, tensors, cfg):
 
 
 def _neck_matches_layer_by_layer(pairs, tensors, cfg):
-    check_neck_lanes(pairs, tensors, cfg, "neck case")
     want = _neck_layer_by_layer(pairs, tensors, cfg)
-    got = dense_fusion_neck(pairs, tensors, cfg).values
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for count in (1, 2):
+        with Lanes(count) as lanes:
+            got = dense_fusion_neck(pairs, tensors, cfg, lanes=lanes).values
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -636,13 +637,13 @@ def test_a_failing_neck_layer_propagates_and_leaves_no_thread(monkeypatch):
               "pillar": RuntimeError("pillar layer failed")}
     failing = set()
 
-    def fail():
+    def fail(*_):
         # on two CPUs the pillar branch is the one that runs off the calling thread
         branch = "voxel" if threading.get_ident() == caller else "pillar"
         if branch in failing:
             raise errors[branch]
 
-    _wrap_dense_conv(monkeypatch, fail)
+    _wrap(monkeypatch, backbone.dense_conv3x3, fail)
     baseline = threading.active_count()
     for cpus, fails, raised in ((2, {"pillar"}, "pillar"), (2, {"voxel", "pillar"}, "voxel"),
                                 (1, {"voxel"}, "voxel")):
@@ -651,5 +652,65 @@ def test_a_failing_neck_layer_propagates_and_leaves_no_thread(monkeypatch):
         failing.update(fails)
         with pytest.raises(RuntimeError) as exc:
             dense_fusion_neck(pairs, tensors, cfg)
+        assert exc.value is errors[raised]
+        assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("variant", ["dense", "sparse"])
+def test_the_branches_run_as_lanes_with_the_same_bytes_on_any_cpu_count(monkeypatch, variant):
+    grid, cfg, tensors = variant_model(variant)
+    pts = random_cloud(np.random.default_rng(97), 150, grid)
+    # ConvWeights keeps a float64 kernel as is, so a kernel's identity names its conv
+    names = {id(t): name.removesuffix(".kernel") for name, t in tensors.items()
+             if name.endswith(".kernel") and not name.startswith("neck.")}
+    pillar_lane = {name for name in names.values()
+                   if name.startswith(("pillar.", "readout.pillar.")) or name.endswith(".v2p")}
+    caller = threading.get_ident()
+    calls = []
+    _wrap(monkeypatch, sparse_conv_module.sparse_conv,
+          lambda x, spec, w, *_: calls.append((threading.get_ident(), names[id(w.kernel)])))
+    for real in (sparse_conv_module.conv_arrays, backbone.dense_layer):
+        _wrap(monkeypatch, real,
+              lambda *_, name=real.__name__: calls.append((threading.get_ident(), name)))
+    runs = {}
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(manifest, "_cpu_count", lambda: cpus)
+        calls.clear()
+        baseline = threading.active_count()
+        runs[cpus] = forward_bytes(pts, grid, cfg, tensors)
+        assert threading.active_count() == baseline
+        called = collections.Counter(name for _, name in calls)
+        # every sparse conv once, each with its arrays allocated here
+        assert called.pop("conv_arrays") == len(names)
+        assert called.pop("dense_layer", 0) == (4 * cfg.neck_layers if variant == "dense" else 0)
+        assert called == collections.Counter(names.values())
+        helper = {name for thread, name in calls if thread != caller}
+        assert helper == (pillar_lane if cpus > 1 else set())
+    assert runs[1] == runs[2] == runs[4]
+
+
+def test_a_failing_pillar_conv_propagates_and_leaves_no_thread(monkeypatch):
+    grid, cfg, tensors = variant_model("sparse")
+    pts = random_cloud(np.random.default_rng(98), 120, grid)
+    caller = threading.get_ident()
+    errors = {"voxel": RuntimeError("voxel conv failed"),
+              "pillar": RuntimeError("pillar conv failed")}
+    failing = set()
+
+    def fail(*_):
+        # on two CPUs the pillar lane is the one that runs off the calling thread
+        lane = "voxel" if threading.get_ident() == caller else "pillar"
+        if lane in failing:
+            raise errors[lane]
+
+    _wrap(monkeypatch, sparse_conv_module.sparse_conv, fail)
+    baseline = threading.active_count()
+    for cpus, fails, raised in ((2, {"pillar"}, "pillar"), (2, {"voxel", "pillar"}, "voxel"),
+                                (1, {"voxel"}, "voxel")):
+        monkeypatch.setattr(manifest, "_cpu_count", lambda: cpus)
+        failing.clear()
+        failing.update(fails)
+        with pytest.raises(RuntimeError) as exc:
+            forward(pts, grid, cfg, tensors)
         assert exc.value is errors[raised]
         assert threading.active_count() == baseline

@@ -10,7 +10,7 @@ from voxpillar.reference import (dense_conv_reference, densify_features, enumera
                                  enumerate_regular_outputs)
 from voxpillar.selftest import random_cloud
 from voxpillar.sparse_conv import (ConvSpec, ConvWeights, bev_equal, build_kernel_map,
-                                   paired_downsample, sparse_conv)
+                                   conv_arrays, paired_downsample, sparse_conv)
 
 
 def random_sparse(rng, extents, density, channels, ndim, stride=1):
@@ -189,6 +189,19 @@ def test_triples_sorted_and_unique():
         assert (np.diff(packed) > 0).all()
 
 
+def _scatter_add_at(x, spec, weights, kmap):
+    """sparse_conv as zeros, the bias, then one np.add.at per offset in ascending order."""
+    out = np.zeros((kmap.out_coords.shape[0], spec.out_channels))
+    if weights.bias is not None:
+        out += weights.bias
+    tri = kmap.triples
+    for k_idx in range(kmap.num_offsets):
+        seg = tri[tri[:, 2] == k_idx]
+        if seg.size:
+            np.add.at(out, seg[:, 1], x.features[seg[:, 0]] @ weights.kernel[k_idx])
+    return out
+
+
 @pytest.mark.parametrize("spec, extents", [
     (ConvSpec.submanifold(2, 3, 3, 4), (12, 11)),
     (ConvSpec.submanifold(3, 3, 3, 4), (8, 7, 6)),
@@ -207,14 +220,8 @@ def test_scatter_exact_against_add_at(spec, extents):
         out_per_offset = tri[:, 2] * kmap.out_coords.shape[0] + tri[:, 1]
         assert np.unique(out_per_offset).size == out_per_offset.size
         w = random_conv_weights(rng, spec, bias=True)
-        expected = np.zeros((kmap.out_coords.shape[0], spec.out_channels))
-        expected += w.bias
-        for k_idx in range(kmap.num_offsets):
-            seg = tri[tri[:, 2] == k_idx]
-            if seg.size:
-                np.add.at(expected, seg[:, 1], x.features[seg[:, 0]] @ w.kernel[k_idx])
         out = sparse_conv(x, spec, w, kmap)
-        assert out.features.tobytes() == expected.tobytes()
+        assert out.features.tobytes() == _scatter_add_at(x, spec, w, kmap).tobytes()
 
 
 def test_conv_shape_mismatch():
@@ -299,6 +306,56 @@ def test_kernel_maps_and_conv_agree_with_the_oracles(case):
     assert kmap.out_coords.shape == out_coords.shape
     assert kmap.out_coords.tobytes() == out_coords.tobytes()
     assert_matches_dense(x, spec, weights)
+
+
+@settings(max_examples=100)
+@given(sparse_conv_cases(), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_caller_allocated_arrays_give_the_allocating_bytes(case, empty, with_bias, seed):
+    x, spec, weights = case
+    rng = np.random.default_rng(seed)
+    if empty:
+        x = SparseTensor(x.coords[:0], x.features[:0], x.stride, x.extents)
+    # zeroed input rows and -0.0 bias entries: the output starts at zero and then takes
+    # the bias, as `_scatter_add_at` does
+    features = x.features * (rng.uniform(size=(x.num_sites, 1)) < 0.7)
+    x = SparseTensor(x.coords, features, x.stride, x.extents)
+    bias = np.where(rng.uniform(size=spec.out_channels) < 0.5, -0.0,
+                    rng.normal(size=spec.out_channels))
+    weights = ConvWeights(weights.kernel, bias if with_bias else None)
+    kmap = build_kernel_map(x.coords, spec, x.extents)
+    want = sparse_conv(x, spec, weights, kmap)
+    assert want.features.tobytes() == _scatter_add_at(x, spec, weights, kmap).tobytes()
+
+    arrays = conv_arrays(x, spec, kmap)
+    for written in (arrays.out, arrays.rows, arrays.prod, arrays.acc):
+        written.fill(np.nan)
+    other = ConvWeights(rng.normal(size=weights.kernel.shape), rng.normal(size=spec.out_channels))
+    sparse_conv(x, spec, other, kmap, arrays)  # leaves its values in the arrays
+    got = sparse_conv(x, spec, weights, kmap, arrays)
+    assert got.features is arrays.out
+    assert got.coords.tobytes() == want.coords.tobytes()
+    assert got.features.tobytes() == want.features.tobytes()
+    dense = dense_conv_reference(x.coords, x.features, x.extents, spec, weights)
+    np.testing.assert_allclose(got.features, dense[tuple(got.coords.T)], rtol=1e-5, atol=1e-8)
+
+
+def test_conv_rejects_arrays_or_a_map_of_another_input():
+    rng = np.random.default_rng(35)
+    x = random_sparse(rng, (9, 9), 0.3, 2, 2)
+    spec = ConvSpec.regular(2, 3, 2, 1, 2, 3)
+    w = random_conv_weights(rng, spec, bias=True)
+    kmap = build_kernel_map(x.coords, spec, x.extents)
+    fewer = SparseTensor(x.coords[:-1], x.features[:-1], x.stride, x.extents)
+    with pytest.raises(ShapeMismatch, match="built on"):
+        sparse_conv(fewer, spec, w, kmap)
+    with pytest.raises(ShapeMismatch, match="built on"):
+        conv_arrays(fewer, spec, kmap)
+    arrays = conv_arrays(x, spec, kmap)
+    with pytest.raises(ShapeMismatch, match="sized for another"):
+        sparse_conv(x, spec, w, build_kernel_map(x.coords, spec, x.extents), arrays)
+    wider = ConvSpec.regular(2, 3, 2, 1, 2, 4)
+    with pytest.raises(ShapeMismatch, match="sized for another"):
+        sparse_conv(x, wider, random_conv_weights(rng, wider), kmap, arrays)
 
 
 def _paired_specs(cin_v, cout_v, cin_p, cout_p):
