@@ -31,22 +31,31 @@ def vertical_density(points, box: Box3D, box_id: int = 0) -> DensityRecord:
     `points` is (N, k >= 3), of which only x, y and z are read, or empty.
 
     This is the one-box call of `density_records`' arithmetic, for a whole
-    cloud: only points near the box are mapped. A BEV prefilter keeps the
-    points whose x offset from the center, and then whose (x, y) offset,
-    lies within the circumscribed radius hypot(l, w) / 2, widened by
-    `CIRCLE_MARGIN`. Every in-box point lies within that radius, and the
-    rounding of the frame mapping is far below the margin, so the prefilter
-    drops no point that the exact in-box test keeps; the survivors go
-    through the same arithmetic, so the record is bitwise the same as
-    mapping the whole cloud.
+    cloud: only points near the box are mapped. With `reach` the
+    circumscribed radius hypot(l, w) / 2 widened by `CIRCLE_MARGIN`, an x-y
+    band keeps the points within `reach` of cx in x and of cy in y (four
+    comparisons into one bool mask), and a circle test those whose (x, y)
+    offset lies within `reach`. An in-box point's |x - cx| and |y - cy|
+    exceed hypot(l, w) / 2 by at most the rounding of the frame mapping,
+    far less than the margin, and rounding is monotone, so
+    fl(cx - reach) <= x <= fl(cx + reach) (likewise y) and the circle test
+    hold for every in-box point. The survivors go through the same per-point
+    arithmetic, so the record is bitwise the same as mapping the whole cloud.
+    The band's four passes read contiguous columns of a column-major cloud,
+    as `formats.read_cloud` returns; on a row-major one they are strided and
+    each touches the whole cloud, giving the same record in about 3.5 times
+    the time (100k points).
     """
     pts = _xyz(points, box_id)
     cx, cy, cz = box.center
     reach = 0.5 * math.hypot(box.dims[0], box.dims[1]) * (1.0 + CIRCLE_MARGIN)
-    dx = pts[:, 0] - cx
-    near = np.flatnonzero(np.abs(dx) <= reach)
-    dx = dx[near]
-    dy = pts[near, 1] - cy
+    x, y = pts[:, 0], pts[:, 1]
+    band = x >= cx - reach
+    band &= x <= cx + reach
+    band &= y >= cy - reach
+    band &= y <= cy + reach
+    near = np.flatnonzero(band)
+    dx, dy = pts[near, 0] - cx, pts[near, 1] - cy
     keep = dx * dx + dy * dy <= reach * reach
     near, dx, dy = near[keep], dx[keep], dy[keep]
     _, bins = _frame_bins(dx, dy, pts[near, 2] - cz, math.cos(-box.heading),

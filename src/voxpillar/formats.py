@@ -28,6 +28,9 @@ def write_cloud(path, points: np.ndarray):
 
 
 def read_cloud(path) -> np.ndarray:
+    """The (N, 4) float64 points of a cloud file, exactly its f32 values, column-major
+    so that per-coordinate passes such as `density.vertical_density`'s x-y band read
+    memory in order."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -39,7 +42,8 @@ def read_cloud(path) -> np.ndarray:
     expected = 8 + count * 16
     if len(data) != expected:
         raise FormatError(f"{path}: {len(data)} bytes, expected {expected} for {count} points")
-    pts = np.frombuffer(data, dtype="<f4", offset=8).reshape(count, 4).astype(np.float64)
+    pts = np.frombuffer(data, dtype="<f4", offset=8).reshape(count, 4)
+    pts = pts.astype(np.float64, order="F")
     if not np.isfinite(pts).all():
         raise FormatError(f"{path}: cloud contains non-finite values")
     return pts

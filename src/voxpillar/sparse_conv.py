@@ -288,7 +288,8 @@ class ConvArrays:
     offset's segment of them, are read only. Per offset, `rows` takes the
     gathered input rows, `prod` their products (the centre tap's products
     of every site too) and `acc` the read-modify-write of the output rows;
-    each is used through its leading rows.
+    each is used through its leading rows. `rows` is dead once the offset's
+    product is taken, so `rows` and `acc` are leading views of one buffer.
     """
 
     spec: ConvSpec
@@ -315,10 +316,12 @@ def conv_arrays(x, spec: ConvSpec, kmap: KernelMap) -> ConvArrays:
         centre_rows = x.num_sites
     n = int(sizes.max(initial=0))
     m, c_in, c_out = kmap.out_coords.shape[0], spec.in_channels, spec.out_channels
+    shared = np.empty(n * max(c_in, c_out))
     return ConvArrays(spec, kmap, out=np.empty((m, c_out)), coords=kmap.out_coords.copy(),
                       src=np.ascontiguousarray(tri[:, 0]), dst=np.ascontiguousarray(tri[:, 1]),
-                      bounds=bounds, rows=np.empty((n, c_in)),
-                      prod=np.empty((max(n, centre_rows), c_out)), acc=np.empty((n, c_out)))
+                      bounds=bounds, rows=shared[:n * c_in].reshape(n, c_in),
+                      prod=np.empty((max(n, centre_rows), c_out)),
+                      acc=shared[:n * c_out].reshape(n, c_out))
 
 
 def sparse_conv(x, spec: ConvSpec, weights: ConvWeights, kmap: KernelMap,

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from voxpillar import manifest
+from voxpillar import cli, manifest
 from voxpillar.backbone import MAX_LAYERS, BackboneConfig, required_weights, weight_count
 from voxpillar.cli import _load_run, main
 from voxpillar.config import RunConfig
@@ -159,6 +159,28 @@ def test_density_csv(workspace, tmp_path):
     assert lines[0] == "box_id,s_z,point_count,horizontal_occupancy"
     cells = lines[1].split(",")
     assert cells[0] == "0" and float(cells[1]) == 1.0 and cells[2] == "10"
+
+
+def test_density_csv_is_the_same_from_a_row_major_cloud(tmp_path, monkeypatch):
+    grid = GridSpec((0.0, 0.0, 0.0), (6.4, 6.4, 2.4), (0.1, 0.1, 0.15))
+    rng = np.random.default_rng(121)
+    cloud_path = tmp_path / "cloud.vpc"
+    write_cloud(cloud_path, random_cloud(rng, 3000, grid))
+    boxes = [{"center": list(rng.uniform(1.0, 5.4, 2)) + [1.2],
+              "dims": list(rng.uniform(0.3, 2.5, 3)), "heading": float(rng.uniform(-3.1, 3.1))}
+             for _ in range(12)]
+    boxes_path = tmp_path / "boxes.json"
+    boxes_path.write_text(json.dumps(boxes))
+
+    def density_csv(name):
+        out = tmp_path / f"{name}.csv"
+        assert main(["density", str(cloud_path), str(boxes_path), "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    column_major = density_csv("column_major")
+    assert all(int(line.split(",")[2]) > 0 for line in column_major.decode().splitlines()[1:])
+    monkeypatch.setattr(cli, "read_cloud", lambda path: np.ascontiguousarray(read_cloud(path)))
+    assert density_csv("row_major") == column_major
 
 
 def test_density_out_onto_a_directory_exits_1_and_leaves_no_temp_file(workspace, capsys):

@@ -17,7 +17,8 @@ from voxpillar.formats import (load_boxes, read_cloud, read_dump, write_cloud, w
 from voxpillar.grid import GridSpec
 from voxpillar.manifest import (SEEDED_BYTES_CAP, load_manifest, resolve_weights, save_manifest,
                                 seeded_tensor)
-from voxpillar.selftest import SMALL_GRID, check_seeding_threads, require_same_tensors
+from voxpillar.selftest import (SMALL_GRID, check_seeding_threads, forward_bytes, random_cloud,
+                                require_same_tensors)
 
 
 def test_config_round_trip(tmp_path):
@@ -75,6 +76,29 @@ def test_cloud_round_trip(tmp_path):
     write_cloud(path, pts)
     back = read_cloud(path)
     np.testing.assert_allclose(back, pts.astype(np.float32), rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("count", [0, 1, 150])
+def test_read_cloud_returns_the_written_f4_values_column_major(tmp_path, count):
+    pts = random_cloud(np.random.default_rng(112), count, SMALL_GRID)
+    path = tmp_path / "cloud.vpc"
+    write_cloud(path, pts)
+    back = read_cloud(path)
+    assert back.dtype == np.float64 and back.shape == (count, 4) and back.flags.f_contiguous
+    assert back.tobytes() == pts.astype("<f4").astype(np.float64).tobytes()
+
+
+@pytest.mark.parametrize("variant", ["dense", "sparse"])
+def test_forward_gives_the_same_bytes_on_the_read_cloud_and_a_row_major_copy(tmp_path, variant):
+    cfg = default_backbone_config(variant)
+    tensors = resolve_weights(required_weights(SMALL_GRID, cfg), None, seed=113)
+    path = tmp_path / "cloud.vpc"
+    write_cloud(path, random_cloud(np.random.default_rng(113), 150, SMALL_GRID))
+    cloud = read_cloud(path)
+    row_major = np.ascontiguousarray(cloud)
+    assert not row_major.flags.f_contiguous
+    assert forward_bytes(cloud, SMALL_GRID, cfg, tensors) == \
+        forward_bytes(row_major, SMALL_GRID, cfg, tensors)
 
 
 def test_cloud_bad_magic(tmp_path):

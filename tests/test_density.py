@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from voxpillar.density import density_records, greedy_match, recall_by_density, vertical_density
 from voxpillar.errors import ShapeMismatch
-from voxpillar.geometry import Box3D
+from voxpillar.geometry import CIRCLE_MARGIN, Box3D
 from voxpillar.reference import density_bins_reference, greedy_match_reference
 
 
@@ -183,6 +184,62 @@ def test_prefilter_matches_per_point_oracle(case):
     inside = [vertical_density(p[None], box).point_count for p in pts]
     assert inside == [len(density_bins_reference(p[None], box)[2]) for p in pts]
     assert rec.point_count == sum(inside)
+
+
+@st.composite
+def box_in_background_cloud(draw):
+    """A `box_with_boundary_points` case among background points and points exactly
+    on the edges of the x-y band, cx +- reach and cy +- reach, as a row-major cloud."""
+    box, pts = draw(box_with_boundary_points())
+    cx, cy, cz = box.center
+    reach = 0.5 * math.hypot(box.dims[0], box.dims[1]) * (1.0 + CIRCLE_MARGIN)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 40))
+    along = rng.uniform(-1.0, 1.0, n) * reach
+    edge_x = np.where(rng.random(n) < 0.5, cx - reach, cx + reach)
+    edge_y = np.where(rng.random(n) < 0.5, cy - reach, cy + reach)
+    on_x = rng.random(n) < 0.5
+    z = cz + rng.uniform(-0.5, 0.5, n) * box.dims[2]
+    edges = np.column_stack((np.where(on_x, edge_x, cx + along),
+                             np.where(on_x, cy + along, edge_y), z, np.zeros(n)))
+    m = draw(st.integers(0, 200))
+    background = np.column_stack((cx + rng.uniform(-3.0, 3.0, m) * reach,
+                                  cy + rng.uniform(-3.0, 3.0, m) * reach,
+                                  cz + rng.uniform(-1.0, 1.0, m) * box.dims[2], rng.random(m)))
+    cloud = np.concatenate((pts, edges, background))
+    return box, cloud[rng.permutation(len(cloud))]
+
+
+@settings(max_examples=150)
+@given(box_in_background_cloud())
+def test_band_prefilter_gives_the_same_record_in_either_layout(case):
+    box, cloud = case
+    assert cloud.flags.c_contiguous
+    rec = vertical_density(cloud, box)
+    column_major = np.asfortranarray(cloud)
+    assert repr(vertical_density(column_major, box)) == repr(rec)
+    # the whole cloud mapped without a prefilter
+    assert repr(density_records([box], [cloud])[0]) == repr(rec)
+    occ_x, occ_y, occ_z = density_bins_reference(cloud, box)
+    assert rec.s_z == len(occ_z) / 10
+    assert rec.horizontal_occupancy == math.sqrt((len(occ_x) / 10) * (len(occ_y) / 10))
+
+
+def test_one_box_on_a_column_major_cloud_allocates_under_4_bytes_per_point():
+    # A float temporary over the cloud would take 8 bytes per point, a copy 32.
+    rng = np.random.default_rng(74)
+    n = 100_000
+    cloud = np.asfortranarray(np.column_stack((rng.uniform(0.0, 100.0, (n, 2)),
+                                               rng.uniform(0.0, 3.0, n), rng.random(n))))
+    box = box_at(center=(50.0, 50.0, 1.5), dims=(4.5, 1.9, 1.6), heading=0.3)
+    tracemalloc.start()
+    try:
+        rec = vertical_density(cloud, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.point_count > 0
+    assert peak < 4 * n
 
 
 @st.composite

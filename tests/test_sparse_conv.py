@@ -327,6 +327,8 @@ def test_caller_allocated_arrays_give_the_allocating_bytes(case, empty, with_bia
     assert want.features.tobytes() == _scatter_add_at(x, spec, weights, kmap).tobytes()
 
     arrays = conv_arrays(x, spec, kmap)
+    # `rows` is dead once an offset's product is taken, so `acc` reuses its buffer
+    assert arrays.rows.base is arrays.acc.base is not None
     for written in (arrays.out, arrays.rows, arrays.prod, arrays.acc):
         written.fill(np.nan)
     other = ConvWeights(rng.normal(size=weights.kernel.shape), rng.normal(size=spec.out_channels))
