@@ -9,6 +9,7 @@ a two-scale conv neck; the sparse readout keeps everything sparse through
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -19,9 +20,8 @@ from .errors import OutOfRange, ShapeMismatch
 from .fusion import build_correspondence, sparse_fusion_layer
 from .grid import (GridSpec, PointEncoderWeights, SparseTensor, build_pillar_features,
                    build_voxel_features, pack_coords, voxelize)
-from .manifest import check_seeded_size
-from .sparse_conv import (REGULAR, ConvSpec, ConvWeights, Lanes, build_kernel_map, conv_arrays,
-                          conv_output_extents, paired_downsample, sparse_conv)
+from .sparse_conv import (REGULAR, ConvSpec, ConvWeights, Lanes, build_kernel_map,
+                          conv_output_extents, paired_downsample)
 
 NUM_STEPS = 4
 VOXEL_INPUT_DIM = 4  # mean (x, y, z, intensity)
@@ -202,41 +202,11 @@ def conv_shapes(name: str, spec: ConvSpec) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def weight_count(grid: GridSpec, cfg: BackboneConfig) -> int:
-    """The number of weight values in `required_weights`, in closed form.
-
-    It reads only the block list and block extents, whose lengths are fixed,
-    so its cost does not grow with `submanifold_layers` or `neck_layers`.
-    """
-    layers, blocks = cfg.submanifold_layers, paired_blocks(cfg)
-    count = 5 * cfg.point_feature_dim  # the point encoder's (4, P) weight and bias
-    for _, cin, cout, down in blocks:
-        for taps, c_in, c_out in ((27, cin[0], cout[0]), (9, cin[1], cout[1])):
-            if down:  # a kernel and a bias
-                count += taps * c_in * c_out + c_out
-                c_in = c_out
-            count += taps * c_out * (c_in + (layers - 1) * c_out)
-    count += sum(2 * cfg.sfl_kernel ** 2 * cv * cp for cv, cp, on
-                 in zip(cfg.voxel_channels, cfg.pillar_channels, cfg.sfl_steps) if on)
-    extents = block_extents(grid, cfg)[NUM_STEPS - 1:]
-    if cfg.variant == "dense":
-        d, m = cfg.neck_channels, cfg.neck_layers
-        for c_in in (extents[0][2] * cfg.voxel_channels[-1], cfg.pillar_channels[-1]):
-            # 2m 3x3 layers, the first reading c_in, each with a scale and a shift
-            count += 9 * d * (c_in + (2 * m - 1) * d) + 4 * m * d
-    else:
-        count += sum(ext[2] * cout[0] * cfg.readout_pillar_channels[-1]
-                     for (_, _, cout, _), ext in zip(blocks[NUM_STEPS - 1:], extents))
-    return count
-
-
 def required_weights(grid: GridSpec, cfg: BackboneConfig) -> dict[str, tuple[int, ...]]:
     """Every named tensor the configured model loads, with its shape.
 
-    Raises OutOfRange when the weights would exceed SEEDED_BYTES_CAP, before
-    the plan is enumerated.
+    Raises OutOfRange when the weights would exceed SEEDED_BYTES_CAP.
     """
-    check_seeded_size(weight_count(grid, cfg))
     shapes = point_encoder_shapes(cfg)
     blocks = paired_blocks(cfg)
     convs = [c for block in blocks for c in block_convs(block, cfg.submanifold_layers)]
@@ -253,6 +223,7 @@ def required_weights(grid: GridSpec, cfg: BackboneConfig) -> dict[str, tuple[int
         for scale, (_, _, (cv, _), _), ext in zip((8, 16, 32), blocks[NUM_STEPS - 1:], extents):
             shapes[f"readout.voxel.proj{scale}.weight"] = (ext[2] * cv,
                                                            cfg.readout_pillar_channels[-1])
+    manifest.check_seeded_size(sum(math.prod(shape) for shape in shapes.values()))
     return shapes
 
 
@@ -260,22 +231,14 @@ def _weights(tensors, name: str, spec: ConvSpec) -> ConvWeights:
     return ConvWeights(*(tensors[key] for key in conv_shapes(name, spec)))
 
 
-def _open(lanes: Lanes | None):
-    """A context giving `lanes`, or, when None, lanes on up to two of the process's CPUs
-    that close on exit."""
-    if lanes is not None:
-        return contextlib.nullcontext(lanes)
-    return Lanes(min(2, manifest._cpu_count()))
-
-
 def _run_block(voxels, pillars, block, layers: int, tensors, lanes: Lanes):
     """Run one paired block; returns (voxels, pillars, pillar submanifold map).
 
     The voxel and the pillar branch are lanes 0 and 1 of `lanes`, layer by
-    layer; this thread builds the kernel maps and allocates each layer's
-    arrays. Each branch's submanifold layers share one kernel map. The
-    pillar map is returned so the fusion layer that follows can reuse it:
-    same coordinates, 3x3 kernel and mode.
+    layer; this thread builds the kernel maps and, in `Lanes.convs`, each
+    layer's arrays. Each branch's submanifold layers share one kernel map.
+    The pillar map is returned so the fusion layer that follows can reuse
+    it: same coordinates, 3x3 kernel and mode.
     """
     convs = block_convs(block, layers)
     downs = [(name, spec) for name, spec in convs if spec.mode == REGULAR]
@@ -288,9 +251,8 @@ def _run_block(voxels, pillars, block, layers: int, tensors, lanes: Lanes):
                  if spec.mode != REGULAR and spec.ndim == ndim] for ndim in (3, 2)]
     kmaps = [build_kernel_map(t.coords, lane[0][1], t.extents) for t, lane in zip(x, branches)]
     for j in range(layers):
-        x = lanes.run(*(partial(sparse_conv, t, spec, _weights(tensors, name, spec), kmap,
-                                conv_arrays(t, spec, kmap))
-                        for t, kmap, (name, spec) in zip(x, kmaps, (b[j] for b in branches))))
+        x = lanes.convs(*((t, spec, _weights(tensors, name, spec), kmap)
+                          for t, kmap, (name, spec) in zip(x, kmaps, (b[j] for b in branches))))
     return x[0], x[1], kmaps[1]
 
 
@@ -303,28 +265,27 @@ def step1_tensors(points, grid: GridSpec, tensors: dict[str, np.ndarray]):
 
 
 def encoder_forward(points, grid: GridSpec, cfg: BackboneConfig,
-                    tensors: dict[str, np.ndarray], lanes: Lanes | None = None):
+                    tensors: dict[str, np.ndarray], lanes: Lanes = Lanes()):
     """Run the 4-step encoder; returns the (voxel, pillar) pair after each step.
 
     The voxel and the pillar convolutions of each block and fusion layer
-    run as lanes 0 and 1 of `lanes`; when None the call opens lanes on up
-    to two of the process's CPUs. The values do not depend on it.
+    run as lanes 0 and 1 of `lanes`, by default one lane on this thread.
+    The values do not depend on it.
     """
     _, voxels, pillars = step1_tensors(points, grid, tensors)
     pairs = []
-    with _open(lanes) as lanes:
-        for s, block in enumerate(paired_blocks(cfg)[:NUM_STEPS], start=1):
-            voxels, pillars, kmap = _run_block(voxels, pillars, block, cfg.submanifold_layers,
-                                               tensors, lanes)
-            if cfg.sfl_steps[s - 1]:
-                (n_v2p, s_v2p), (n_p2v, s_p2v) = sfl_convs(cfg, s)
-                if s_v2p.num_offsets != kmap.num_offsets:
-                    kmap = build_kernel_map(pillars.coords, s_v2p, pillars.extents)
-                corr = build_correspondence(voxels, pillars)
-                voxels, pillars = sparse_fusion_layer(
-                    voxels, pillars, corr, (s_v2p, _weights(tensors, n_v2p, s_v2p)),
-                    (s_p2v, _weights(tensors, n_p2v, s_p2v)), kmap, lanes)
-            pairs.append((voxels, pillars))
+    for s, block in enumerate(paired_blocks(cfg)[:NUM_STEPS], start=1):
+        voxels, pillars, kmap = _run_block(voxels, pillars, block, cfg.submanifold_layers,
+                                           tensors, lanes)
+        if cfg.sfl_steps[s - 1]:
+            (n_v2p, s_v2p), (n_p2v, s_p2v) = sfl_convs(cfg, s)
+            if s_v2p.num_offsets != kmap.num_offsets:
+                kmap = build_kernel_map(pillars.coords, s_v2p, pillars.extents)
+            corr = build_correspondence(voxels, pillars)
+            voxels, pillars = sparse_fusion_layer(
+                voxels, pillars, corr, (s_v2p, _weights(tensors, n_v2p, s_v2p)),
+                (s_p2v, _weights(tensors, n_p2v, s_p2v)), kmap, lanes)
+        pairs.append((voxels, pillars))
     return pairs
 
 
@@ -547,15 +508,15 @@ def _dense_block(maps: list, convs: list, occupied: list, tensors, activation: b
 
 
 def dense_fusion_neck(pairs, tensors: dict[str, np.ndarray], cfg: BackboneConfig,
-                      activation: bool = True, lanes: Lanes | None = None) -> DenseFeatureMap:
+                      activation: bool = True, lanes: Lanes = Lanes()) -> DenseFeatureMap:
     """Combine both branches' dense maps at 8x and 16x scales.
 
     Each branch runs a conv block per scale, in the order of the neck
     plan; same-scale maps fuse by summation, and the upsampled 16x map is
     concatenated onto the 8x map, yielding 2 * neck_channels at stride 8.
     The two branches' layers are lanes 0 and 1 of `lanes` (see
-    `_dense_block`); when None the call opens lanes on up to two of the
-    process's CPUs. The values do not depend on it.
+    `_dense_block`), by default one lane on this thread. The values do not
+    depend on it.
     """
     voxels, pillars = _final_pair(pairs)
     convs = neck_convs(cfg, voxels.extents)
@@ -565,10 +526,9 @@ def dense_fusion_neck(pairs, tensors: dict[str, np.ndarray], cfg: BackboneConfig
     for cells, x in zip(occupied, (voxels, pillars)):
         cells[x.coords[:, 0], x.coords[:, 1]] = True
     maps = [bev_array(x, pad=1) for x in (voxels, pillars)]
-    with _open(lanes) as lanes:
-        _dense_block(maps, blocks[0::2], occupied, tensors, activation, lanes)
-        v8, p8 = (x[1:-1, 1:-1] for x in maps)
-        _dense_block(maps, blocks[1::2], [None, None], tensors, activation, lanes)
+    _dense_block(maps, blocks[0::2], occupied, tensors, activation, lanes)
+    v8, p8 = (x[1:-1, 1:-1] for x in maps)
+    _dense_block(maps, blocks[1::2], [None, None], tensors, activation, lanes)
     v16, p16 = (x[1:-1, 1:-1] for x in maps)
     fused8 = v8 + p8
     fused16 = v16 + p16
@@ -600,7 +560,7 @@ def merge_sparse2d(entries, extents, stride: int) -> SparseTensor:
 
 
 def sparse_readout(pairs, tensors: dict[str, np.ndarray], cfg: BackboneConfig,
-                   lanes: Lanes | None = None) -> SparseTensor:
+                   lanes: Lanes = Lanes()) -> SparseTensor:
     """Fully sparse multi-scale readout on the 8x BEV lattice.
 
     Extra paired blocks produce 16x and 32x features; voxels are height
@@ -611,10 +571,9 @@ def sparse_readout(pairs, tensors: dict[str, np.ndarray], cfg: BackboneConfig,
     """
     voxels, pillars = _final_pair(pairs)
     scales = [(voxels, pillars)]
-    with _open(lanes) as lanes:
-        for block in paired_blocks(cfg)[NUM_STEPS:]:
-            v, p, _ = _run_block(*scales[-1], block, cfg.submanifold_layers, tensors, lanes)
-            scales.append((v, p))
+    for block in paired_blocks(cfg)[NUM_STEPS:]:
+        v, p, _ = _run_block(*scales[-1], block, cfg.submanifold_layers, tensors, lanes)
+        scales.append((v, p))
     entries = []
     for v, p in scales:
         ratio = v.stride // 8
@@ -633,12 +592,15 @@ def forward(points, grid: GridSpec, cfg: BackboneConfig, tensors: dict[str, np.n
             lanes: Lanes | None = None):
     """Whole-pipeline pass: encoder pairs plus the variant's readout.
 
-    The voxel and the pillar work run as lanes 0 and 1 of `lanes`; when
-    None the pass opens lanes on up to two of the process's CPUs, so one
-    helper thread at most serves the whole pass. The values do not depend
-    on it.
+    The voxel and the pillar work run as lanes 0 and 1 of `lanes`. Only
+    this function opens lanes: when None, on up to two of the process's
+    CPUs (one helper thread at most serves the whole pass), closed on
+    return; lanes the caller passes stay open. The values do not depend on
+    them.
     """
-    with _open(lanes) as lanes:
+    with contextlib.ExitStack() as stack:
+        if lanes is None:
+            lanes = stack.enter_context(Lanes(min(2, manifest._cpu_count())))
         pairs = encoder_forward(points, grid, cfg, tensors, lanes)
         if cfg.variant == "dense":
             readout = dense_fusion_neck(pairs, tensors, cfg, lanes=lanes)

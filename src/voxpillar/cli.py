@@ -7,14 +7,13 @@ import sys
 
 import numpy as np
 
-from .backbone import (forward, point_encoder_shapes, required_weights, step1_tensors,
-                       weight_count)
+from .backbone import forward, point_encoder_shapes, required_weights, step1_tensors
 from .config import config_from_json, read_config_doc
 from .density import recall_by_density, vertical_density
 from .errors import VoxPillarError
 from .formats import (FormatError, _atomic_write_bytes, dump_record_bytes, load_boxes,
                       read_cloud, write_csv, write_dump)
-from .manifest import check_seeded_size, load_manifest, resolve_weights
+from .manifest import load_manifest, resolve_weights
 from .selftest import IOU_TOLERANCE, iou_monte_carlo_errors, run_selftest
 
 
@@ -73,10 +72,7 @@ def _load_run(args):
     backbone = doc.get("backbone", {}) if isinstance(doc, dict) else None
     if getattr(args, "variant", None) and isinstance(backbone, dict):
         doc["backbone"] = {**backbone, "variant": args.variant}
-    cfg = config_from_json(doc)
-    # refuse a model too large to seed before any command reads its input
-    check_seeded_size(weight_count(cfg.grid, cfg.backbone))
-    return cfg
+    return config_from_json(doc)
 
 
 def _model_tensors(cfg, weights_path, required):

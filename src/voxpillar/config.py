@@ -60,8 +60,14 @@ def _take(obj: dict, allowed: set[str], context: str) -> dict:
     return obj
 
 
+def _number(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):  # JSON true reads as 1
+        raise FormatError(f"expected a number, got {value!r}")
+    return value
+
+
 def _as_int(value) -> int:
-    if isinstance(value, float) and not value.is_integer():
+    if isinstance(_number(value), float) and not value.is_integer():
         raise FormatError(f"expected an integer, got {value}")
     return int(value)
 
@@ -71,13 +77,17 @@ def _coerce(kind: str, value):
     if kind == "int":
         return _as_int(value)
     if kind == "float":
-        return float(value)
+        return float(_number(value))
     if kind == "tuple[int, ...]":
         return tuple(_as_int(v) for v in value)
+    if kind == "tuple[bool, ...]" and not all(isinstance(v, bool) for v in value):
+        raise FormatError(f"expected a list of true and false, got {value!r}")
+    if kind.startswith("tuple[float"):
+        return tuple(float(_number(v)) for v in value)
     if kind.startswith("tuple"):
         return tuple(value)
     if kind.startswith("dict"):
-        return {str(k): float(v) for k, v in value.items()}
+        return {str(k): float(_number(v)) for k, v in value.items()}
     return value
 
 
@@ -96,6 +106,8 @@ def config_from_json(doc: dict) -> RunConfig:
     try:
         bb_doc = dict(doc.get("backbone", {}))
         paths_doc = _take(dict(doc.get("paths", {})), {"weights"}, "paths")
+        if not isinstance(paths_doc.get("weights"), (str, type(None))):
+            raise FormatError(f"paths.weights must be a string or null, got {paths_doc['weights']!r}")
         return RunConfig(
             seed=_as_int(doc.get("seed", 0)),
             grid=_section(GridSpec, doc.get("grid", {}), RunConfig().grid, "grid"),

@@ -8,13 +8,12 @@ Neither branch gains or loses sites.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import ConsistencyViolation, ShapeMismatch
 from .grid import SparseTensor
-from .sparse_conv import ConvSpec, ConvWeights, KernelMap, Lanes, conv_arrays, sparse_conv
+from .sparse_conv import ConvSpec, ConvWeights, KernelMap, Lanes
 
 
 @dataclass
@@ -76,7 +75,7 @@ def broadcast(pillars: SparseTensor, corr: VoxelPillarCorrespondence) -> np.ndar
 def sparse_fusion_layer(voxels: SparseTensor, pillars: SparseTensor,
                         corr: VoxelPillarCorrespondence,
                         v2p: tuple[ConvSpec, ConvWeights], p2v: tuple[ConvSpec, ConvWeights],
-                        kmap: KernelMap, lanes: Lanes | None = None
+                        kmap: KernelMap, lanes: Lanes = Lanes()
                         ) -> tuple[SparseTensor, SparseTensor]:
     """Fuse the branches: pool-conv-add one way, conv-broadcast-add the other.
 
@@ -85,7 +84,7 @@ def sparse_fusion_layer(voxels: SparseTensor, pillars: SparseTensor,
     Both are bias-free 2D submanifold convolutions through `kmap`, the
     pillar coordinates' map for their kernel; coordinate sets are unchanged
     on both branches. `p2v`, which feeds the voxels, and `v2p` are lanes 0
-    and 1 of `lanes`, or run in that order here when it is None.
+    and 1 of `lanes`.
     """
     (spec_v2p, w_v2p), (spec_p2v, w_p2v) = v2p, p2v
     # sparse_conv checks the input widths; a wrong output width could broadcast
@@ -94,9 +93,8 @@ def sparse_fusion_layer(voxels: SparseTensor, pillars: SparseTensor,
         raise ShapeMismatch(f"fusion convolutions must give the (pillar, voxel) widths {widths}")
     pooled = sparse_pool(voxels, corr)
     pooled_tensor = SparseTensor(pillars.coords, pooled, pillars.stride, pillars.extents)
-    transformed, to_pillar = (lanes or Lanes()).run(
-        *(partial(sparse_conv, x, spec, w, kmap, conv_arrays(x, spec, kmap))
-          for x, spec, w in ((pillars, spec_p2v, w_p2v), (pooled_tensor, spec_v2p, w_v2p))))
+    transformed, to_pillar = lanes.convs((pillars, spec_p2v, w_p2v, kmap),
+                                         (pooled_tensor, spec_v2p, w_v2p, kmap))
     to_voxel = broadcast(transformed, corr)
 
     fused_voxels = SparseTensor(voxels.coords, voxels.features + to_voxel,

@@ -76,13 +76,6 @@ def save_manifest(path, tensors: dict[str, np.ndarray]):
     _atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def seeded_tensor(name: str, shape: tuple[int, ...], seed: int) -> np.ndarray:
-    """Deterministic pseudo-random weights for one named tensor: `fill_seeded` on a new array."""
-    values = np.empty(shape)
-    fill_seeded(name, values, seed)
-    return values
-
-
 def fill_seeded(name: str, values: np.ndarray, seed: int):
     """Fill the C-contiguous float64 array `values` with the seeded weights of tensor `name`.
 

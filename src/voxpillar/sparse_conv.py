@@ -9,6 +9,7 @@ results bitwise reproducible.
 from __future__ import annotations
 
 import contextvars
+import math
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
@@ -57,7 +58,7 @@ class ConvSpec:
 
     @property
     def num_offsets(self) -> int:
-        return int(np.prod(self.kernel))
+        return math.prod(self.kernel)
 
     @classmethod
     def submanifold(cls, ndim, kernel, in_channels, out_channels):
@@ -385,8 +386,8 @@ class Lanes:
     when the lanes close (`with Lanes(2) as lanes:`); with one, they run
     after lane 0 on the calling thread and no thread starts. The helper
     allocates nothing: the caller allocates every array a call writes
-    (`conv_arrays`, `dense_layer`), and the calls only fill them, since
-    glibc keeps what a thread frees in that thread's own malloc arena.
+    (`conv_arrays` in `convs`, `dense_layer`), and the calls only fill them,
+    since glibc keeps what a thread frees in that thread's own malloc arena.
     A call makes the same NumPy and BLAS calls on either thread, so the
     values do not depend on the lanes; a helper call runs in a copy of the
     caller's context, so `np.errstate` holds there too. A lane 0 error wins
@@ -415,6 +416,12 @@ class Lanes:
             wait(helpers)
         return [first, *(helper.result() for helper in helpers)]
 
+    def convs(self, *calls) -> list:
+        """`sparse_conv(x, spec, weights, kmap)` for each (x, spec, weights, kmap) of
+        `calls`, one per lane, after allocating every call's `conv_arrays` here."""
+        return self.run(*(partial(sparse_conv, x, spec, w, kmap, conv_arrays(x, spec, kmap))
+                          for x, spec, w, kmap in calls))
+
 
 def bev_equal(voxels: SparseTensor, pillars: SparseTensor) -> bool:
     bev = voxels.bev_coords()
@@ -422,13 +429,12 @@ def bev_equal(voxels: SparseTensor, pillars: SparseTensor) -> bool:
 
 
 def paired_downsample(voxels, pillars, spec3d: ConvSpec, spec2d: ConvSpec,
-                      w3d: ConvWeights, w2d: ConvWeights, lanes: Lanes | None = None):
+                      w3d: ConvWeights, w2d: ConvWeights, lanes: Lanes = Lanes()):
     """Downsample both branches with X-Y-equalized regular convolutions.
 
     The shared X-Y geometry makes the output BEV occupancy of the two
     branches provably identical; the postcondition is still asserted.
-    The voxel and the pillar convolution are lanes 0 and 1 of `lanes`, or
-    run in that order here when it is None.
+    The voxel and the pillar convolution are lanes 0 and 1 of `lanes`.
     """
     if spec3d.mode != REGULAR or spec2d.mode != REGULAR:
         raise SpecMismatch("paired downsampling requires regular mode on both branches")
@@ -440,9 +446,7 @@ def paired_downsample(voxels, pillars, spec3d: ConvSpec, spec2d: ConvSpec,
         raise ConsistencyViolation("input voxel/pillar BEV occupancy differs")
     kmap3 = build_kernel_map(voxels.coords, spec3d, voxels.extents)
     kmap2 = build_kernel_map(pillars.coords, spec2d, pillars.extents)
-    out_v, out_p = (lanes or Lanes()).run(
-        *(partial(sparse_conv, x, spec, w, kmap, conv_arrays(x, spec, kmap))
-          for x, spec, w, kmap in ((voxels, spec3d, w3d, kmap3), (pillars, spec2d, w2d, kmap2))))
+    out_v, out_p = lanes.convs((voxels, spec3d, w3d, kmap3), (pillars, spec2d, w2d, kmap2))
     if not bev_equal(out_v, out_p):
         raise ConsistencyViolation("downsampled voxel/pillar BEV occupancy diverged")
     return out_v, out_p

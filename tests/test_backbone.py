@@ -647,13 +647,51 @@ def test_a_failing_neck_layer_propagates_and_leaves_no_thread(monkeypatch):
     baseline = threading.active_count()
     for cpus, fails, raised in ((2, {"pillar"}, "pillar"), (2, {"voxel", "pillar"}, "voxel"),
                                 (1, {"voxel"}, "voxel")):
-        monkeypatch.setattr(manifest, "_cpu_count", lambda: cpus)
         failing.clear()
         failing.update(fails)
-        with pytest.raises(RuntimeError) as exc:
-            dense_fusion_neck(pairs, tensors, cfg)
+        with Lanes(cpus) as lanes, pytest.raises(RuntimeError) as exc:
+            dense_fusion_neck(pairs, tensors, cfg, lanes=lanes)
         assert exc.value is errors[raised]
         assert threading.active_count() == baseline
+
+
+def test_the_parts_of_forward_called_alone_run_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(manifest, "_cpu_count", lambda: 4)
+    threads = []
+    for real in (sparse_conv_module.sparse_conv, backbone.dense_conv3x3):
+        _wrap(monkeypatch, real, lambda *_: threads.append(threading.get_ident()))
+    baseline = threading.active_count()
+    for variant in ("dense", "sparse"):
+        grid, cfg, tensors = variant_model(variant)
+        pairs = encoder_forward(random_cloud(np.random.default_rng(99), 120, grid), grid, cfg,
+                                tensors)
+        if variant == "dense":
+            dense_fusion_neck(pairs, tensors, cfg)
+        else:
+            sparse_readout(pairs, tensors, cfg)
+        assert threads and set(threads) == {threading.get_ident()}
+        assert threading.active_count() == baseline
+        threads.clear()
+
+
+@pytest.mark.parametrize("variant", ["dense", "sparse"])
+def test_forward_leaves_the_callers_lanes_open(monkeypatch, variant):
+    grid, cfg, tensors = variant_model(variant)
+    pts = random_cloud(np.random.default_rng(100), 150, grid)
+    names = {id(t): name.removesuffix(".kernel") for name, t in tensors.items()
+             if name.endswith(".kernel") and not name.startswith("neck.")}
+    pillar_lane = {name for name in names.values()
+                   if name.startswith(("pillar.", "readout.pillar.")) or name.endswith(".v2p")}
+    caller = threading.get_ident()
+    helper = set()
+    _wrap(monkeypatch, sparse_conv_module.sparse_conv,
+          lambda x, spec, w, *_: threading.get_ident() != caller and helper.add(names[id(w.kernel)]))
+    want = forward_bytes(pts, grid, cfg, tensors, Lanes())
+    with Lanes(2) as lanes:
+        for _ in range(2):
+            helper.clear()
+            assert forward_bytes(pts, grid, cfg, tensors, lanes) == want
+            assert helper == pillar_lane
 
 
 @pytest.mark.parametrize("variant", ["dense", "sparse"])

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from voxpillar import cli, manifest
-from voxpillar.backbone import MAX_LAYERS, BackboneConfig, required_weights, weight_count
+from voxpillar.backbone import MAX_LAYERS, BackboneConfig, required_weights
 from voxpillar.cli import _load_run, main
 from voxpillar.config import RunConfig
 from voxpillar.formats import read_cloud, read_dump, write_cloud, write_dump
@@ -361,6 +362,44 @@ def test_a_seeded_model_above_the_cap_exits_1(workspace, capsys, monkeypatch, co
     assert not (tmp / "out.vpt").exists()
 
 
+def test_a_fusion_kernel_past_int64_is_refused_by_forward_not_voxelize(workspace, capsys):
+    tmp, cfg, cloud = workspace
+    doc = json.loads(Path(cfg).read_text())
+    doc["backbone"]["sfl_kernel"] = 4294967295  # its 2D kernel has about 1.8e19 taps
+    wide = tmp / "wide.json"
+    wide.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["forward", cloud, "--config", str(wide), "--out", str(tmp / "out.vpt")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "GiB" in err
+    assert not (tmp / "out.vpt").exists()
+    # voxelize seeds only the point encoder, whose tensors are keyed by name
+    for config, out in ((cfg, "want.vpt"), (wide, "got.vpt")):
+        assert main(["voxelize", cloud, "--config", str(config), "--out", str(tmp / out)]) == 0
+    assert (tmp / "got.vpt").read_bytes() == (tmp / "want.vpt").read_bytes()
+
+
+@pytest.mark.parametrize("doc", [
+    {"paths": {"weights": 2}}, {"paths": {"weights": [1]}}, {"paths": {"weights": 0}},
+    {"backbone": {"sfl_steps": "abcd"}}, {"backbone": {"sfl_steps": [1, 1, 0, 1]}},
+    {"seed": True}, {"seed": "3"}, {"grid": {"voxel_size": [True, 0.1, 0.15]}},
+    {"backbone": {"neck_layers": True}}, {"backbone": {"voxel_channels": [16, 32, True, 64]}},
+    {"loss": {"gamma": False}}, {"iou_thresholds": {"Vehicle": True}},
+])
+@pytest.mark.parametrize("command", ["forward", "voxelize"])
+def test_a_config_value_of_the_wrong_json_type_exits_1(workspace, capsys, command, doc):
+    tmp, _, cloud = workspace
+    cfg = tmp / "typed.json"
+    cfg.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([command, cloud, "--config", str(cfg), "--out", str(tmp / "out.vpt")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not (tmp / "out.vpt").exists()
+
+
 @pytest.mark.parametrize("command", ["forward", "voxelize"])
 @pytest.mark.parametrize("field", ["submanifold_layers", "neck_layers"])
 def test_a_model_of_10_to_the_8_layers_exits_1_at_once(workspace, capsys, command, field):
@@ -389,7 +428,8 @@ def test_a_thin_model_under_the_byte_cap_is_refused_by_its_layer_count(workspace
     grid = RunConfig().grid
 
     def count(layers):
-        return weight_count(grid, BackboneConfig(**{**THIN_BACKBONE, field: layers}))
+        shapes = required_weights(grid, BackboneConfig(**{**THIN_BACKBONE, field: layers}))
+        return sum(math.prod(shape) for shape in shapes.values())
 
     # the count grows linearly with the layers, and the byte cap alone admits 900,000
     assert 8 * (count(1) + (900_000 - 1) * (count(2) - count(1))) < manifest.SEEDED_BYTES_CAP

@@ -1,15 +1,18 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voxpillar import sparse_conv as sparse_conv_module
 from voxpillar.errors import ConsistencyViolation, ShapeMismatch, SpecMismatch
 from voxpillar.grid import (PointEncoderWeights, SparseTensor, build_pillar_features,
                             build_voxel_features, voxelize)
 from voxpillar.reference import (dense_conv_reference, densify_features, enumerate_kernel_map,
                                  enumerate_regular_outputs)
 from voxpillar.selftest import random_cloud
-from voxpillar.sparse_conv import (ConvSpec, ConvWeights, bev_equal, build_kernel_map,
+from voxpillar.sparse_conv import (ConvSpec, ConvWeights, Lanes, bev_equal, build_kernel_map,
                                    conv_arrays, paired_downsample, sparse_conv)
 
 
@@ -53,6 +56,13 @@ def test_spec_validation():
         ConvSpec(2, (3, 3), (1, 1), (1, 1), 4, 8, "banana")
     spec = ConvSpec.submanifold(3, 3, 4, 8)
     assert spec.padding == (1, 1, 1) and spec.num_offsets == 27
+
+
+def test_num_offsets_is_exact_past_int64():
+    # (2**32 - 1)**2 = 2**64 - 2**33 + 1, which int64 arithmetic wraps to -8,589,934,591
+    spec = ConvSpec.submanifold(2, 2**32 - 1, 16, 32)
+    assert spec.num_offsets == (2**32 - 1) ** 2 > 2**63
+    assert ConvSpec.regular(3, 2**21 + 1, 1, 0, 1, 1).num_offsets == (2**21 + 1) ** 3 > 2**63
 
 
 @pytest.mark.parametrize("kernel, padding", [((3, 3), (0, 0)), ((3, 3), (1, 2)),
@@ -358,6 +368,28 @@ def test_conv_rejects_arrays_or_a_map_of_another_input():
     wider = ConvSpec.regular(2, 3, 2, 1, 2, 4)
     with pytest.raises(ShapeMismatch, match="sized for another"):
         sparse_conv(x, wider, random_conv_weights(rng, wider), kmap, arrays)
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_lanes_convs_allocate_here_and_equal_sparse_conv(monkeypatch, count):
+    rng = np.random.default_rng(36)
+    calls = []
+    for ndim, extents, mode in ((3, (6, 6, 4), "submanifold"), (2, (6, 6), "regular")):
+        spec = (ConvSpec.submanifold(ndim, 3, 3, 5) if mode == "submanifold"
+                else ConvSpec.regular(ndim, 3, 2, 1, 3, 5))
+        x = random_sparse(rng, extents, 0.3, 3, ndim)
+        calls.append((x, spec, random_conv_weights(rng, spec, bias=mode == "regular"),
+                      build_kernel_map(x.coords, spec, x.extents)))
+    threads = []
+    monkeypatch.setattr(sparse_conv_module, "conv_arrays",
+                        lambda *args: threads.append(threading.get_ident()) or conv_arrays(*args))
+    with Lanes(count) as lanes:
+        got = lanes.convs(*calls)
+    assert threads == [threading.get_ident()] * 2
+    for out, (x, spec, weights, kmap) in zip(got, calls):
+        want = sparse_conv(x, spec, weights, kmap)
+        assert out.coords.tobytes() == want.coords.tobytes()
+        assert out.features.tobytes() == want.features.tobytes()
 
 
 def _paired_specs(cin_v, cout_v, cin_p, cout_p):

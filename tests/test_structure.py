@@ -22,7 +22,6 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import json
-import math
 import os
 import platform
 import subprocess
@@ -32,8 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from voxpillar.backbone import (BackboneConfig, default_backbone_config, forward, required_weights,
-                                weight_count)
+from voxpillar.backbone import BackboneConfig, default_backbone_config, forward, required_weights
 from voxpillar.grid import GridSpec
 from voxpillar.manifest import resolve_weights
 from voxpillar.selftest import SUITES, check_neck_skip
@@ -150,14 +148,6 @@ def test_required_weights_match_committed_table():
     assert sorted(got) == sorted(want)
     for key in want:
         assert got[key] == want[key], key
-
-
-@pytest.mark.parametrize("grid", sorted(GRIDS))
-@pytest.mark.parametrize("config", sorted(_configs()))
-def test_weight_count_is_the_size_of_required_weights(grid, config):
-    cfg = _configs()[config]
-    shapes = required_weights(GRIDS[grid], cfg)
-    assert weight_count(GRIDS[grid], cfg) == sum(math.prod(shape) for shape in shapes.values())
 
 
 def test_step_and_readout_digests_match_committed():
