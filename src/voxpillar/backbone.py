@@ -444,11 +444,18 @@ def _reach(mask: np.ndarray, padding: bool) -> np.ndarray:
     return np.logical_or.reduce([p[dy:dy + h, dx:dx + w] for dy in range(3) for dx in range(3)])
 
 
-def _neck_layer(layer: DenseLayer, tensors, name: str, activation: bool):
+def _neck_tensors(tensors, name: str) -> tuple[np.ndarray, ...]:
+    """A neck layer's kernel, scale and shift, widened to float64."""
+    return tuple(np.asarray(tensors[f"{name}.{key}"], dtype=np.float64)
+                 for key in ("kernel", "scale", "shift"))
+
+
+def _neck_layer(layer: DenseLayer, kernel: np.ndarray, scale: np.ndarray, shift: np.ndarray,
+                activation: bool):
     """One neck layer in place: convolution, scale, shift and optional ReLU."""
-    y = dense_conv3x3(layer, tensors[f"{name}.kernel"])
-    y *= tensors[f"{name}.scale"]
-    y += tensors[f"{name}.shift"]
+    y = dense_conv3x3(layer, kernel)
+    y *= scale
+    y += shift
     if activation:
         np.maximum(y, 0.0, out=y)
 
@@ -472,12 +479,12 @@ def _dense_block(maps: list, convs: list, occupied: list, tensors, activation: b
     layer j+1 of any. Each entry of `maps` is replaced by its lane's padded
     output as the layers go, and a map the block wrote is reused as the
     output two layers on, so a block allocates two maps per lane. The
-    calling thread allocates every array the layers write. From layer 1 on,
-    a lane's skipping layers share one set of `_skip_arrays`, sized for the
-    last mask, the largest, so that they do not grow layer by layer on the
-    heap; every GEMM keeps its row count. Layer 0, whose input may be
-    wider and whose mask is the smallest, has its own, freed with the
-    block's input maps.
+    calling thread allocates every array the layers write and widens their
+    tensors to float64. From layer 1 on, a lane's skipping layers share one
+    set of `_skip_arrays`, sized for the last mask, the largest, so that
+    they do not grow layer by layer on the heap; every GEMM keeps its row
+    count. Layer 0, whose input may be wider and whose mask is the
+    smallest, has its own, freed with the block's input maps.
 
     `occupied[i]`, for a stride-1 block, holds the BEV cells densify filled
     (else None): each layer then computes only the cells that can differ
@@ -502,7 +509,7 @@ def _dense_block(maps: list, convs: list, occupied: list, tensors, activation: b
             # the caller may still read (the 8x maps are)
             spares[i] = maps[i] if j > 0 else None
             maps[i] = layer.out
-            runs.append(partial(_neck_layer, layer, tensors, name, activation))
+            runs.append(partial(_neck_layer, layer, *_neck_tensors(tensors, name), activation))
         del layer  # so the next layer allocates while only `runs` holds this one's arrays
         lanes.run(*runs)
 
@@ -578,7 +585,7 @@ def sparse_readout(pairs, tensors: dict[str, np.ndarray], cfg: BackboneConfig,
     for v, p in scales:
         ratio = v.stride // 8
         compressed = height_compress(v)
-        proj = tensors[f"readout.voxel.proj{v.stride}.weight"]
+        proj = np.asarray(tensors[f"readout.voxel.proj{v.stride}.weight"], dtype=np.float64)
         if proj.shape[0] != compressed.num_channels:
             raise ShapeMismatch(
                 f"projection for scale {v.stride} expects {proj.shape[0]} channels, "

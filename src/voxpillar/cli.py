@@ -76,8 +76,11 @@ def _load_run(args):
 
 
 def _model_tensors(cfg, weights_path, required):
-    path = weights_path or cfg.weights_path
-    manifest = load_manifest(path) if path else None
+    path = cfg.weights_path if weights_path is None else weights_path
+    if path == "":
+        raise FormatError("the weights path is empty; name a manifest, or omit the path to "
+                          "use seeded weights")
+    manifest = load_manifest(path) if path is not None else None
     return resolve_weights(required, manifest, seed=cfg.seed)
 
 

@@ -108,7 +108,8 @@ class SparseTensor:
 
 @dataclass
 class PointEncoderWeights:
-    """Single linear + ReLU encoder applied per point before pillar max-pooling."""
+    """Single linear + ReLU encoder applied per point before pillar max-pooling; its
+    tensors are widened to float64 here."""
 
     weight: np.ndarray  # (4, D)
     bias: np.ndarray  # (D,)

@@ -19,12 +19,18 @@ _INLINE_LIMIT = 64
 # Largest seeded model, in float64 bytes, that resolve_weights generates.
 SEEDED_BYTES_CAP = 1 << 30
 
+# Values per draw when seeding: the stream passes through one float64 buffer
+# of this length, so no tensor-sized float64 array is ever allocated.
+_SEED_CHUNK = 1 << 16
+
 
 def load_manifest(path) -> dict[str, np.ndarray]:
     """Read a weight manifest: {"tensors": {name: {"shape", "values"}}}.
 
     Values are either a base64 string of little-endian f32 or a nested JSON
-    array for small tensors.
+    array for small tensors. A base64 tensor stays float32 (read only, on
+    the file's bytes); an inline array becomes float64, since a hand-written
+    value need not be a float32 one.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -46,7 +52,7 @@ def load_manifest(path) -> dict[str, np.ndarray]:
         try:
             if isinstance(values, str):
                 raw = base64.b64decode(values.encode("ascii"), validate=True)
-                arr = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+                arr = np.frombuffer(raw, dtype="<f4")
             else:
                 arr = np.asarray(values)
                 if arr.dtype.kind not in "iuf":  # strings, bools, nulls, objects
@@ -77,25 +83,32 @@ def save_manifest(path, tensors: dict[str, np.ndarray]):
 
 
 def fill_seeded(name: str, values: np.ndarray, seed: int):
-    """Fill the C-contiguous float64 array `values` with the seeded weights of tensor `name`.
+    """Fill the C-contiguous float32 or float64 array `values` with the seeded weights of
+    tensor `name`.
 
     The stream is keyed by (seed, crc32(name)) so a tensor's values do not
     depend on the order weights are materialized in; that is what makes
     filling several tensors at once from different threads exact. The
-    values equal, bit for bit,
-    rng.normal(0.0, scale, shape).astype("<f4").astype(np.float64): NumPy
-    computes loc + scale * z, and `+= 0.0` keeps that sum's sign of zero.
+    values equal, bit for bit, rng.normal(0.0, scale, shape).astype("<f4")
+    (widened when `values` is float64): NumPy computes loc + scale * z, and
+    `+= 0.0` keeps that sum's sign of zero. The stream is drawn _SEED_CHUNK
+    values at a time, which gives the same values as one draw.
     """
     shape = values.shape
     rng = np.random.default_rng([seed & 0xFFFFFFFF, zlib.crc32(name.encode("utf-8"))])
     fan_in = int(np.prod(shape[:-1])) if len(shape) > 1 else int(shape[0])
     scale = 1.0 / np.sqrt(max(fan_in, 1))
-    rng.standard_normal(out=values)
-    values *= scale
-    values += 0.0
-    # float32 round-trip keeps seeded and manifest-loaded weights on the
-    # same value lattice
-    values[...] = values.astype("<f4")
+    flat = values.reshape(-1)
+    draw = np.empty(min(flat.size, _SEED_CHUNK))
+    for lo in range(0, flat.size, _SEED_CHUNK):
+        n = min(_SEED_CHUNK, flat.size - lo)
+        z = draw[:n]
+        rng.standard_normal(out=z)
+        z *= scale
+        z += 0.0
+        # float32 rounding keeps seeded and manifest-loaded weights on the same value
+        # lattice; storing into a float32 array rounds already
+        flat[lo:lo + n] = z if flat.dtype == np.float32 else z.astype("<f4")
 
 
 def _cpu_count() -> int:
@@ -116,7 +129,7 @@ def _seed_tensors(required: dict[str, tuple[int, ...]], seed: int,
     propagates its exception; the fills not yet started are cancelled and
     every worker has exited before this returns or raises.
     """
-    out = {name: np.empty(shape) for name, shape in required.items()}
+    out = {name: np.empty(shape, dtype=np.float32) for name, shape in required.items()}
     order = sorted(out, key=lambda name: out[name].size, reverse=True)
     if workers <= 1:
         for name in order:
@@ -147,10 +160,13 @@ def resolve_weights(required: dict[str, tuple[int, ...]], manifest: dict[str, np
     """All model tensors, either validated from a manifest or seeded.
 
     A provided manifest must cover every required name with matching shapes;
-    with no manifest every tensor is generated from the seed, after checking
-    that the whole model fits SEEDED_BYTES_CAP, on as many threads as the
-    process has CPUs (at most one per tensor). The values do not depend on
-    the thread count.
+    its float32 tensors are returned as they are and any other becomes
+    float64. With no manifest every tensor is generated from the seed as
+    float32, after checking that the whole model fits SEEDED_BYTES_CAP, on
+    as many threads as the process has CPUs (at most one per tensor). The
+    values do not depend on the thread count. Each layer widens its own
+    tensors to float64 when it runs, so a model is stored at 4 bytes a
+    weight and computed in float64.
     """
     if manifest is None:
         check_seeded_size(sum(math.prod(shape) for shape in required.values()))
@@ -163,5 +179,5 @@ def resolve_weights(required: dict[str, tuple[int, ...]], manifest: dict[str, np
         arr = manifest[name]
         if tuple(arr.shape) != tuple(shape):
             raise ShapeMismatch(f"tensor {name!r} has shape {arr.shape}, model expects {shape}")
-        out[name] = np.asarray(arr, dtype=np.float64)
+        out[name] = arr if arr.dtype == np.float32 else np.asarray(arr, dtype=np.float64)
     return out

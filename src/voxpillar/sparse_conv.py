@@ -77,7 +77,8 @@ class ConvWeights:
     """Kernel tensor (num_offsets, in_channels, out_channels) plus optional bias.
 
     Offsets are enumerated row-major over the kernel axes (first axis slowest),
-    matching `kernel_offsets`.
+    matching `kernel_offsets`. Both are widened to float64 here, so weights
+    stored as float32 are copied on the thread that builds this.
     """
 
     kernel: np.ndarray
@@ -385,8 +386,9 @@ class Lanes:
     lanes run on one helper thread, started at the first `run` and joined
     when the lanes close (`with Lanes(2) as lanes:`); with one, they run
     after lane 0 on the calling thread and no thread starts. The helper
-    allocates nothing: the caller allocates every array a call writes
-    (`conv_arrays` in `convs`, `dense_layer`), and the calls only fill them,
+    allocates nothing: the caller widens every weight a call reads and
+    allocates every array it writes (`conv_arrays` in `convs`,
+    `dense_layer`), and the calls only fill them,
     since glibc keeps what a thread frees in that thread's own malloc arena.
     A call makes the same NumPy and BLAS calls on either thread, so the
     values do not depend on the lanes; a helper call runs in a copy of the

@@ -452,6 +452,28 @@ def test_whole_pipeline_determinism():
         assert forward_bytes(pts, grid, cfg, tensors) == forward_bytes(pts, grid, cfg, tensors)
 
 
+@pytest.mark.parametrize("variant", ["dense", "sparse"])
+def test_forward_gives_the_same_bytes_on_float32_weights_and_their_float64_widening(variant):
+    grid, cfg, tensors = variant_model(variant)
+    assert {t.dtype for t in tensors.values()} == {np.dtype(np.float32)}
+    wide = {name: t.astype(np.float64) for name, t in tensors.items()}
+    pts = random_cloud(np.random.default_rng(91), 150, grid)
+    assert forward_bytes(pts, grid, cfg, tensors) == forward_bytes(pts, grid, cfg, wide)
+
+
+@pytest.mark.parametrize("variant", ["dense", "sparse"])
+def test_every_layer_widens_its_tensors_on_the_calling_thread(monkeypatch, variant):
+    grid, cfg, tensors = variant_model(variant)
+    threads = []
+    for real in (backbone._weights, backbone._neck_tensors):
+        _wrap(monkeypatch, real, lambda *_: threads.append(threading.get_ident()))
+    with Lanes(2) as lanes:
+        forward(random_cloud(np.random.default_rng(90), 150, grid), grid, cfg, tensors, lanes)
+    assert len(threads) == len(_sparse_convs(tensors)) + (
+        4 * cfg.neck_layers if variant == "dense" else 0)
+    assert set(threads) == {threading.get_ident()}
+
+
 @settings(max_examples=12)
 @given(st.integers(0, 2**32 - 1))
 def test_forward_is_bitwise_invariant_to_point_order(seed):
@@ -674,14 +696,35 @@ def test_the_parts_of_forward_called_alone_run_on_the_calling_thread(monkeypatch
         threads.clear()
 
 
+def _sparse_convs(tensors) -> set:
+    """The name of every sparse conv of the model that `tensors` hold."""
+    return {name.removesuffix(".kernel") for name in tensors
+            if name.endswith(".kernel") and not name.startswith("neck.")}
+
+
+def _conv_names(monkeypatch, tensors) -> tuple[dict, set, set]:
+    """Each sparse conv's name keyed by the identity of the float64 kernel that `forward`
+    widens for it, filled in as `forward` builds them; every sparse conv's name; and the
+    names of the pillar lane's convs."""
+    names = {}
+    real = backbone._weights
+
+    def named(tensors, name, spec):
+        weights = real(tensors, name, spec)
+        names[id(weights.kernel)] = name
+        return weights
+
+    monkeypatch.setattr(backbone, "_weights", named)
+    convs = _sparse_convs(tensors)
+    return names, convs, {name for name in convs if name.startswith(
+        ("pillar.", "readout.pillar.")) or name.endswith(".v2p")}
+
+
 @pytest.mark.parametrize("variant", ["dense", "sparse"])
 def test_forward_leaves_the_callers_lanes_open(monkeypatch, variant):
     grid, cfg, tensors = variant_model(variant)
     pts = random_cloud(np.random.default_rng(100), 150, grid)
-    names = {id(t): name.removesuffix(".kernel") for name, t in tensors.items()
-             if name.endswith(".kernel") and not name.startswith("neck.")}
-    pillar_lane = {name for name in names.values()
-                   if name.startswith(("pillar.", "readout.pillar.")) or name.endswith(".v2p")}
+    names, _, pillar_lane = _conv_names(monkeypatch, tensors)
     caller = threading.get_ident()
     helper = set()
     _wrap(monkeypatch, sparse_conv_module.sparse_conv,
@@ -698,11 +741,7 @@ def test_forward_leaves_the_callers_lanes_open(monkeypatch, variant):
 def test_the_branches_run_as_lanes_with_the_same_bytes_on_any_cpu_count(monkeypatch, variant):
     grid, cfg, tensors = variant_model(variant)
     pts = random_cloud(np.random.default_rng(97), 150, grid)
-    # ConvWeights keeps a float64 kernel as is, so a kernel's identity names its conv
-    names = {id(t): name.removesuffix(".kernel") for name, t in tensors.items()
-             if name.endswith(".kernel") and not name.startswith("neck.")}
-    pillar_lane = {name for name in names.values()
-                   if name.startswith(("pillar.", "readout.pillar.")) or name.endswith(".v2p")}
+    names, convs, pillar_lane = _conv_names(monkeypatch, tensors)
     caller = threading.get_ident()
     calls = []
     _wrap(monkeypatch, sparse_conv_module.sparse_conv,
@@ -719,9 +758,9 @@ def test_the_branches_run_as_lanes_with_the_same_bytes_on_any_cpu_count(monkeypa
         assert threading.active_count() == baseline
         called = collections.Counter(name for _, name in calls)
         # every sparse conv once, each with its arrays allocated here
-        assert called.pop("conv_arrays") == len(names)
+        assert called.pop("conv_arrays") == len(convs)
         assert called.pop("dense_layer", 0) == (4 * cfg.neck_layers if variant == "dense" else 0)
-        assert called == collections.Counter(names.values())
+        assert called == collections.Counter(convs)
         helper = {name for thread, name in calls if thread != caller}
         assert helper == (pillar_lane if cpus > 1 else set())
     assert runs[1] == runs[2] == runs[4]

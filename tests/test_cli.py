@@ -322,6 +322,30 @@ def test_malformed_manifest_exits_1_without_traceback(workspace, capsys, entry):
     assert "'point_encoder.weight'" in err
 
 
+@pytest.mark.parametrize("command", ["forward", "voxelize"])
+def test_an_empty_weights_path_exits_1(workspace, capsys, monkeypatch, command):
+    tmp, cfg, cloud = workspace
+    doc = json.loads(Path(cfg).read_text())
+    doc["paths"] = {"weights": ""}
+    empty = tmp / "empty.json"
+    empty.write_text(json.dumps(doc))
+    runs = [["--config", str(empty)]]
+    if command == "forward":
+        runs.append(["--config", cfg, "--weights", ""])
+
+    def no_tensor(*args):
+        raise AssertionError("a tensor was generated")
+
+    monkeypatch.setattr(manifest, "fill_seeded", no_tensor)
+    for run in runs:
+        capsys.readouterr()
+        assert main([command, cloud, *run, "--out", str(tmp / "out.vpt")]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "empty" in err
+        assert not (tmp / "out.vpt").exists()
+
+
 # the forward's own matmuls overflow; a NumPy warning would be a second line, so it fails here
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("variant", ["dense", "sparse"])

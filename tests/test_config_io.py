@@ -1,5 +1,7 @@
+import base64
 import json
 import threading
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -294,8 +296,28 @@ def test_manifest_round_trip_is_bitwise(tmp_path_factory, arrays):
     back = load_manifest(path)
     assert sorted(back) == sorted(tensors)
     for name, want in tensors.items():
-        assert back[name].dtype == np.float64 and back[name].shape == want.shape, name
-        assert back[name].tobytes() == want.tobytes(), name
+        # base64 tensors stay float32; inline ones (at most 64 values) become float64
+        dtype = np.float64 if want.size <= manifest._INLINE_LIMIT else np.float32
+        assert back[name].dtype == dtype and back[name].shape == want.shape, name
+        assert back[name].tobytes() == want.astype(dtype).tobytes(), name
+
+
+def test_manifests_keep_base64_tensors_float32_and_inline_arrays_float64(tmp_path):
+    path = tmp_path / "weights.json"
+    doc = {"tensors": {
+        "inline": {"shape": [2], "values": [0.1, 3]},
+        "base64": {"shape": [2], "values": base64.b64encode(
+            np.array([0.1, -0.0], dtype="<f4").tobytes()).decode("ascii")}}}
+    path.write_text(json.dumps(doc))
+    back = load_manifest(path)
+    assert back["inline"].dtype == np.float64 and back["inline"].tolist() == [0.1, 3.0]
+    assert back["base64"].dtype == np.float32
+    assert back["base64"].tobytes() == np.array([0.1, -0.0], dtype="<f4").tobytes()
+    # resolve_weights keeps a float32 tensor and widens any other to float64
+    required = {"inline": (2,), "base64": (2,), "ints": (1,)}
+    resolved = resolve_weights(required, {**back, "ints": np.array([3])}, seed=0)
+    assert resolved["base64"] is back["base64"]
+    assert [resolved[n].dtype for n in required] == [np.float64, np.float32, np.float64]
 
 
 def test_manifest_validation(tmp_path):
@@ -348,17 +370,45 @@ def test_seeded_tensor_name_keyed():
     assert a.tobytes() == again.tobytes()
 
 
+CHUNK = manifest._SEED_CHUNK
+
+
 @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
-@pytest.mark.parametrize("shape", [(5,), (3, 4), (27, 6, 2), (0, 3)])
+@pytest.mark.parametrize("shape", [(5,), (3, 4), (27, 6, 2), (0, 3), (1,), (CHUNK - 1,),
+                                   (CHUNK,), (CHUNK + 1,), (3 * CHUNK + 5,), (3, CHUNK // 2 + 1)])
 def test_the_in_place_fill_equals_the_scaled_normal_draw(seed, shape):
     name = "layer.kernel"
-    rng = np.random.default_rng([seed & 0xFFFFFFFF, zlib.crc32(name.encode("utf-8"))])
     scale = 1.0 / np.sqrt(max(int(np.prod(shape[:-1])) if len(shape) > 1 else shape[0], 1))
-    want = rng.normal(0.0, scale, size=shape).astype("<f4").astype(np.float64)
-    got = np.empty(shape)
-    fill_seeded(name, got, seed)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    # a float64 output holds the same float32 values, widened
+    for dtype in (np.float32, np.float64):
+        rng = np.random.default_rng([seed & 0xFFFFFFFF, zlib.crc32(name.encode("utf-8"))])
+        want = rng.normal(0.0, scale, size=shape).astype("<f4").astype(dtype)
+        got = np.empty(shape, dtype=dtype)
+        fill_seeded(name, got, seed)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["dense", "sparse"])
+def test_seeded_tensors_are_float32(variant):
+    tensors = resolve_weights(required_weights(SMALL_GRID, default_backbone_config(variant)),
+                              None, seed=5)
+    assert {t.dtype for t in tensors.values()} == {np.dtype(np.float32)}
+
+
+def test_seeding_the_sparse_model_peaks_below_4_bytes_a_weight():
+    # the nearfield benchmark's 25.6 m grid; float64 storage would need 8 bytes a weight
+    grid = GridSpec((0.0, 0.0, 0.0), (25.6, 25.6, 2.4), (0.1, 0.1, 0.15))
+    required = required_weights(grid, default_backbone_config("sparse"))
+    count = sum(int(np.prod(shape)) for shape in required.values())
+    tracemalloc.start()
+    try:
+        tensors = resolve_weights(required, None, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tensors) == len(required)
+    assert peak < 4 * count + (8 << 20), f"{peak} bytes for {count} weights"
 
 
 def _fills_recorded(monkeypatch):
