@@ -373,8 +373,7 @@ def dense_layer(padded: np.ndarray, d: int, stride: int = 1,
     when it has the output's shape.
     """
     h, w, c = padded.shape[0] - 2, padded.shape[1] - 2, padded.shape[2]
-    h_out = (h + 2 - 3) // stride + 1
-    w_out = (w + 2 - 3) // stride + 1
+    h_out, w_out = ((n - 1) // stride + 1 for n in (h, w))
     shape = (h_out + 2, w_out + 2, d)
     out = spare if spare is not None and spare.shape == shape else np.zeros(shape)
     if _skips(stride, mask):
@@ -390,14 +389,12 @@ def dense_layer(padded: np.ndarray, d: int, stride: int = 1,
     return DenseLayer(padded, out, stride, prod=np.empty((h_out, w_out, d)))
 
 
-def dense_conv3x3(x, kernel: np.ndarray, stride: int = 1,
-                  mask: np.ndarray | None = None) -> np.ndarray:
-    """Dense 3x3 cross-correlation with padding 1 on an (L, W, C) array.
+def dense_conv3x3(layer: DenseLayer, kernel: np.ndarray) -> np.ndarray:
+    """Dense 3x3 cross-correlation with padding 1 of the layer that `dense_layer` built.
 
-    `x` is that array, or a `DenseLayer` from `dense_layer`, which holds the
-    padded input, the stride, the mask's cells and every array the call
-    writes; then the call allocates no feature-sized array. The result is
-    the (L', W', D) interior of the layer's `out`.
+    `layer` holds the padded input, the stride, the mask's cells and every
+    array the call writes, so the call allocates no feature-sized array.
+    The result is the (L', W', D) interior of the layer's `out`.
 
     With a mask (see `dense_layer`) only the masked cells and one unmasked
     cell are computed, and that cell's output is copied to the other
@@ -407,8 +404,6 @@ def dense_conv3x3(x, kernel: np.ndarray, stride: int = 1,
     in the last bits (`selftest.check_neck_skip` states the bound); reruns
     are bitwise equal.
     """
-    layer = x if isinstance(x, DenseLayer) else dense_layer(
-        np.pad(x, ((1, 1), (1, 1), (0, 0))), kernel.shape[3], stride, mask)
     xp, stride = layer.padded, layer.stride
     w, c = xp.shape[1] - 2, xp.shape[2]
     inner = layer.out[1:-1, 1:-1]

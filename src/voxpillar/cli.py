@@ -8,11 +8,11 @@ import sys
 import numpy as np
 
 from .backbone import forward, point_encoder_shapes, required_weights, step1_tensors
-from .config import config_from_json, read_config_doc
+from .config import config_from_json
 from .density import recall_by_density, vertical_density
 from .errors import VoxPillarError
-from .formats import (FormatError, _atomic_write_bytes, dump_record_bytes, load_boxes,
-                      read_cloud, write_csv, write_dump)
+from .formats import (FormatError, _atomic_write_bytes, _read_json, dump_record_bytes,
+                      load_boxes, read_cloud, write_csv, write_dump)
 from .manifest import load_manifest, resolve_weights
 from .selftest import IOU_TOLERANCE, iou_monte_carlo_errors, run_selftest
 
@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_run(args):
-    doc = read_config_doc(args.config)
+    doc = _read_json(args.config, "config")
     # --variant replaces the file's variant; channel plans the file does not
     # pin take that variant's defaults
     backbone = doc.get("backbone", {}) if isinstance(doc, dict) else None

@@ -1,12 +1,11 @@
 """Run configuration: grid, backbone, loss knobs, thresholds, seed, paths."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 
 from .backbone import BackboneConfig, default_backbone_config
 from .errors import FormatError
-from .formats import _atomic_write_bytes
+from .formats import _atomic_write_json, _read_json
 from .grid import GridSpec
 from .losses import LossWeights
 
@@ -42,8 +41,7 @@ class RunConfig:
                 "paths": {"weights": self.weights_path}}
 
     def save(self, path):
-        text = json.dumps(self.to_json(), indent=1, sort_keys=True) + "\n"
-        _atomic_write_bytes(path, text.encode("utf-8"))
+        _atomic_write_json(path, self.to_json())
 
 
 def _section_doc(obj) -> dict:
@@ -123,14 +121,5 @@ def config_from_json(doc: dict) -> RunConfig:
         raise FormatError(f"invalid configuration: {exc}") from exc
 
 
-def read_config_doc(path):
-    """The parsed JSON of a config file, not yet validated."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"cannot read config {path}: {exc}") from exc
-
-
 def load_config(path) -> RunConfig:
-    return config_from_json(read_config_doc(path))
+    return config_from_json(_read_json(path, "config"))

@@ -5,6 +5,7 @@ plus rename so partially written outputs never appear under the final name.
 """
 from __future__ import annotations
 
+import codecs
 import contextlib
 import json
 import os
@@ -138,11 +139,7 @@ def load_boxes(path) -> list[dict]:
     wrapper carrying "box" plus optional "class", "id", "score", "points".
     Returns dicts with keys box/class/id/score/points.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"cannot read boxes {path}: {exc}") from exc
+    doc = _read_json(path, "boxes")
     if not isinstance(doc, list):
         raise FormatError(f"{path}: expected a JSON array of boxes")
     out = []
@@ -193,14 +190,37 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _atomic_write_bytes(path, payload: bytes):
+@contextlib.contextmanager
+def _atomic_file(path):
+    """A binary temp file to write, renamed onto `path` unless the block raises."""
     path = os.fspath(path)
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(payload)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+
+
+def _atomic_write_bytes(path, payload: bytes):
+    with _atomic_file(path) as fh:
+        fh.write(payload)
+
+
+def _atomic_write_json(path, doc):
+    """Stream `json.dumps(doc, indent=1, sort_keys=True) + "\n"` into `path` as UTF-8."""
+    with _atomic_file(path) as fh:
+        json.dump(doc, codecs.getwriter("utf-8")(fh), indent=1, sort_keys=True)
+        fh.write(b"\n")
+
+
+def _read_json(path, what: str):
+    """The parsed JSON of file `path`; FormatError, naming it as a `what`, if unreadable."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+        raise FormatError(f"cannot read {what} {path}: {exc}") from exc

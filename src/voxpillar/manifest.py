@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import base64
-import json
 import math
 import os
 import zlib
@@ -11,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 import numpy as np
 
 from .errors import FormatError, OutOfRange, ShapeMismatch
-from .formats import _atomic_write_bytes, _is_count
+from .formats import _atomic_write_json, _is_count, _read_json
 
 # Tensors at or below this element count are stored as inline JSON arrays.
 _INLINE_LIMIT = 64
@@ -32,11 +31,7 @@ def load_manifest(path) -> dict[str, np.ndarray]:
     the file's bytes); an inline array becomes float64, since a hand-written
     value need not be a float32 one.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"cannot read weight manifest {path}: {exc}") from exc
+    doc = _read_json(path, "weight manifest")
     if not isinstance(doc, dict) or "tensors" not in doc or not isinstance(doc["tensors"], dict):
         raise FormatError(f"weight manifest {path} must contain a 'tensors' object")
     tensors = {}
@@ -70,16 +65,19 @@ def load_manifest(path) -> dict[str, np.ndarray]:
 
 
 def save_manifest(path, tensors: dict[str, np.ndarray]):
+    """Write `tensors` as a manifest, streamed into the file. A tensor above _INLINE_LIMIT
+    values is base64 of its f32 bytes (a float32 tensor's own; any other dtype is rounded
+    through float64), a smaller one a JSON array of its float64 values."""
     doc = {"tensors": {}}
     for name in sorted(tensors):
-        arr = np.asarray(tensors[name], dtype=np.float64)
+        arr = np.asarray(tensors[name])
         if arr.size <= _INLINE_LIMIT:
-            values = arr.tolist()
+            values = arr.astype(np.float64).tolist()
         else:
-            values = base64.b64encode(arr.astype("<f4").tobytes()).decode("ascii")
+            arr = arr if arr.dtype == np.dtype("<f4") else np.asarray(arr, np.float64).astype("<f4")
+            values = base64.b64encode(np.ascontiguousarray(arr)).decode("ascii")
         doc["tensors"][name] = {"shape": list(arr.shape), "values": values}
-    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
-    _atomic_write_bytes(path, text.encode("utf-8"))
+    _atomic_write_json(path, doc)
 
 
 def fill_seeded(name: str, values: np.ndarray, seed: int):

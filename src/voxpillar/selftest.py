@@ -165,7 +165,8 @@ def kernel_map_case(rng, case) -> tuple[np.ndarray, ConvSpec, tuple[int, ...]]:
 
 
 def check_kernel_map(cases):
-    """Kernel-map triples and output coordinates equal the brute-force enumeration byte for byte."""
+    """Kernel-map triples and output coordinates equal the brute-force enumeration byte for
+    byte, and the segment bounds split the enumeration's triples by offset."""
     rng = np.random.default_rng(212)
     for case in range(cases):
         coords, spec, extents = kernel_map_case(rng, case)
@@ -177,6 +178,9 @@ def check_kernel_map(cases):
         _require(kmap.out_coords.shape == out_coords.shape
                  and kmap.out_coords.tobytes() == out_coords.tobytes(),
                  f"case {case}: kernel-map output coordinates differ from the enumeration")
+        want = np.searchsorted(triples[:, 2], np.arange(spec.num_offsets + 1))
+        _require(kmap.bounds.shape == want.shape and (kmap.bounds == want).all(),
+                 f"case {case}: kernel-map segment bounds differ from the offset column")
 
 
 def check_bev_consistency(cases):

@@ -111,16 +111,17 @@ class KernelMap:
     per offset; regular: o = (c + padding - k) / stride is injective in c),
     which is what makes the indexed scatter in `sparse_conv` exact.
 
-    In a submanifold map `out_coords` are the input coordinates, and the
-    centre segment (offset `num_offsets // 2`) is the identity: triple
-    (i, i) for every site i, in site order. `sparse_conv` relies on that to
-    apply the centre tap without a gather or a scatter.
+    In a submanifold map `out_coords` is the int64 input coordinate array,
+    not a copy, and the centre segment (offset `num_offsets // 2`) is the
+    identity: triple (i, i) for every site i, in site order. `sparse_conv`
+    relies on that to apply the centre tap without a gather or a scatter.
 
     `build_kernel_map` stores the triples column-major, so each column is a
-    contiguous index array.
+    contiguous index array; offset k's segment is `bounds[k]:bounds[k + 1]`.
     """
 
     triples: np.ndarray  # (T, 3) int64 columns in_idx, out_idx, offset_idx
+    bounds: np.ndarray  # (num_offsets + 1,) int64 segment starts, then T
     out_coords: np.ndarray  # (M, ndim) int64
     out_extents: tuple[int, ...]
     num_offsets: int
@@ -177,14 +178,14 @@ def _offset_mask(masks, offset) -> np.ndarray:
     return ok
 
 
-def _triples(in_idx: np.ndarray, out_idx: np.ndarray, sizes) -> np.ndarray:
-    """(T, 3) column-major triples from the input and output columns and each offset's
-    segment size."""
+def _triples(in_idx: np.ndarray, out_idx: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """(T, 3) column-major triples and their segment bounds, from the input and output
+    columns and each offset's segment size."""
     triples = np.empty((in_idx.size, 3), dtype=np.int64, order="F")
     triples[:, 0] = in_idx
     triples[:, 1] = out_idx
     triples[:, 2] = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-    return triples
+    return triples, np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
 
 
 def build_kernel_map(coords_in: np.ndarray, spec: ConvSpec, in_extents) -> KernelMap:
@@ -245,10 +246,10 @@ def build_kernel_map(coords_in: np.ndarray, spec: ConvSpec, in_extents) -> Kerne
             segments[num_offsets - 1 - k_idx] = (dst, src)
         sites = np.arange(coords_in.shape[0], dtype=np.int64)
         segments[half] = (sites, sites)
-        triples = _triples(np.concatenate([src for src, _ in segments]),
-                           np.concatenate([dst for _, dst in segments]),
-                           [src.size for src, _ in segments])
-        return KernelMap(triples, coords_in.copy(), in_extents, num_offsets, coords_in.shape[0])
+        triples, bounds = _triples(np.concatenate([src for src, _ in segments]),
+                                   np.concatenate([dst for _, dst in segments]),
+                                   [src.size for src, _ in segments])
+        return KernelMap(triples, bounds, coords_in, in_extents, num_offsets, coords_in.shape[0])
 
     cands, keys = [], []
     for offset in offsets:
@@ -260,8 +261,8 @@ def build_kernel_map(coords_in: np.ndarray, spec: ConvSpec, in_extents) -> Kerne
         keys.append(key)
     uniq_keys, out_idx = np.unique(np.concatenate(keys), return_inverse=True)
     out_coords = np.stack(np.unravel_index(uniq_keys, out_extents), axis=1).astype(np.int64)
-    triples = _triples(np.concatenate(cands), out_idx, [cand.size for cand in cands])
-    return KernelMap(triples, out_coords, out_extents, num_offsets, coords_in.shape[0])
+    triples, bounds = _triples(np.concatenate(cands), out_idx, [cand.size for cand in cands])
+    return KernelMap(triples, bounds, out_coords, out_extents, num_offsets, coords_in.shape[0])
 
 
 def _check_conv(x, spec: ConvSpec, kmap: KernelMap):
@@ -285,22 +286,16 @@ def _check_conv(x, spec: ConvSpec, kmap: KernelMap):
 class ConvArrays:
     """Every array one `sparse_conv` call writes, sized by `conv_arrays` for `spec` and `kmap`.
 
-    `out` takes the output features and `coords` the output coordinates.
-    `src` and `dst`, the map's input and output columns, and `bounds`, each
-    offset's segment of them, are read only. Per offset, `rows` takes the
-    gathered input rows, `prod` their products (the centre tap's products
-    of every site too) and `acc` the read-modify-write of the output rows;
-    each is used through its leading rows. `rows` is dead once the offset's
-    product is taken, so `rows` and `acc` are leading views of one buffer.
+    `out` takes the output features. Per offset, `rows` takes the gathered
+    input rows, `prod` their products (the centre tap's products of every
+    site too) and `acc` the read-modify-write of the output rows; each is
+    used through its leading rows. `rows` is dead once the offset's product
+    is taken, so `rows` and `acc` are leading views of one buffer.
     """
 
     spec: ConvSpec
     kmap: KernelMap
     out: np.ndarray
-    coords: np.ndarray
-    src: np.ndarray
-    dst: np.ndarray
-    bounds: np.ndarray
     rows: np.ndarray
     prod: np.ndarray
     acc: np.ndarray
@@ -309,20 +304,17 @@ class ConvArrays:
 def conv_arrays(x, spec: ConvSpec, kmap: KernelMap) -> ConvArrays:
     """Allocate, on the calling thread, the arrays of `sparse_conv(x, spec, weights, kmap)`."""
     _check_conv(x, spec, kmap)
-    tri = kmap.triples
-    bounds = np.searchsorted(tri[:, 2], np.arange(kmap.num_offsets + 1))
-    sizes = np.diff(bounds)
-    centre_rows = 0
+    sizes = np.diff(kmap.bounds)
+    # `prod` also takes the centre tap of a submanifold map, whose segment holds every site
+    prod_rows = int(sizes.max(initial=0))
     if spec.mode == SUBMANIFOLD:
         sizes[kmap.num_offsets // 2] = 0
-        centre_rows = x.num_sites
     n = int(sizes.max(initial=0))
     m, c_in, c_out = kmap.out_coords.shape[0], spec.in_channels, spec.out_channels
     shared = np.empty(n * max(c_in, c_out))
-    return ConvArrays(spec, kmap, out=np.empty((m, c_out)), coords=kmap.out_coords.copy(),
-                      src=np.ascontiguousarray(tri[:, 0]), dst=np.ascontiguousarray(tri[:, 1]),
-                      bounds=bounds, rows=shared[:n * c_in].reshape(n, c_in),
-                      prod=np.empty((max(n, centre_rows), c_out)),
+    return ConvArrays(spec, kmap, out=np.empty((m, c_out)),
+                      rows=shared[:n * c_in].reshape(n, c_in),
+                      prod=np.empty((prod_rows, c_out)),
                       acc=shared[:n * c_out].reshape(n, c_out))
 
 
@@ -353,7 +345,8 @@ def sparse_conv(x, spec: ConvSpec, weights: ConvWeights, kmap: KernelMap,
         if arrays.kmap is not kmap or arrays.spec != spec:
             raise ShapeMismatch("the arrays were sized for another kernel map or spec")
     centre = kmap.num_offsets // 2 if spec.mode == SUBMANIFOLD else -1
-    out, bounds = arrays.out, arrays.bounds
+    out, bounds = arrays.out, kmap.bounds
+    src, dst, _ = kmap.triples.T
     # zeros, then the bias: 0.0 + bias turns a -0.0 entry into +0.0, a copy would not
     out.fill(0.0)
     if weights.bias is not None:
@@ -367,14 +360,14 @@ def sparse_conv(x, spec: ConvSpec, weights: ConvWeights, kmap: KernelMap,
         elif lo < hi:
             n = hi - lo
             rows, prod, acc = arrays.rows[:n], arrays.prod[:n], arrays.acc[:n]
-            dst = arrays.dst[lo:hi]
+            seg = dst[lo:hi]
             # mode="raise" would buffer `out`; the map's indices are always valid
-            np.take(x.features, arrays.src[lo:hi], axis=0, out=rows, mode="clip")
+            np.take(x.features, src[lo:hi], axis=0, out=rows, mode="clip")
             np.matmul(rows, weights.kernel[k_idx], out=prod)
-            np.take(out, dst, axis=0, out=acc, mode="clip")
+            np.take(out, seg, axis=0, out=acc, mode="clip")
             acc += prod
-            out[dst] = acc
-    return SparseTensor(coords=arrays.coords, features=out, stride=x.stride * spec.stride[0],
+            out[seg] = acc
+    return SparseTensor(coords=kmap.out_coords, features=out, stride=x.stride * spec.stride[0],
                         extents=kmap.out_extents)
 
 

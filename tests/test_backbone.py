@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from voxpillar.backbone import (NUM_STEPS, BackboneConfig, DenseFeatureMap, block_extents,
                                 default_backbone_config, dense_conv3x3, dense_fusion_neck,
-                                densify, encoder_forward, forward, height_compress,
+                                dense_layer, densify, encoder_forward, forward, height_compress,
                                 merge_sparse2d, neck_convs, required_weights, sparse_readout)
 from voxpillar import backbone, manifest
 from voxpillar import sparse_conv as sparse_conv_module
@@ -287,7 +287,7 @@ def test_dense_conv3x3_matches_manual():
     for (l, w), stride in itertools.product([(5, 6), (7, 3), (1, 9), (4, 4)], (1, 2)):
         x = rng.normal(size=(l, w, 2))
         k = rng.normal(size=(3, 3, 2, 3))
-        out = dense_conv3x3(x, k, stride=stride)
+        out = dense_conv3x3(dense_layer(np.pad(x, ((1, 1), (1, 1), (0, 0))), 3, stride), k)
         assert out.shape == ((l - 1) // stride + 1, (w - 1) // stride + 1, 3)
         xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
         for oy in range(out.shape[0]):
@@ -617,7 +617,9 @@ def _neck_layer_by_layer(pairs, tensors, cfg):
                 name = f"neck.{branch}.s{scale}.conv{j}"
                 stride = 2 if scale == 16 and j == 0 else 1
                 mask = backbone._reach(mask, padding=j > 0) if scale == 8 else None
-                y = dense_conv3x3(y, tensors[f"{name}.kernel"], stride, mask)
+                kernel = tensors[f"{name}.kernel"]
+                y = dense_conv3x3(dense_layer(np.pad(y, ((1, 1), (1, 1), (0, 0))),
+                                              kernel.shape[3], stride, mask), kernel)
                 y = np.maximum(y * tensors[f"{name}.scale"] + tensors[f"{name}.shift"], 0.0)
             maps.append(y)
     v8, v16, p8, p16 = maps

@@ -232,6 +232,22 @@ def test_missing_config_exits_1(workspace, capsys):
     assert main(["voxelize", cloud, "--config", "/nonexistent.json", "--out", "/tmp/x"]) == 1
 
 
+@pytest.mark.parametrize("kind", ["config", "boxes", "weight manifest"])
+def test_a_json_input_that_is_not_utf8_exits_1_without_traceback(workspace, tmp_path, capsys,
+                                                                  kind):
+    _, cfg, cloud = workspace
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"seed": "\xff"}')
+    argv = {"config": ["voxelize", cloud, "--config", str(bad), "--out", str(tmp_path / "x")],
+            "boxes": ["density", cloud, str(bad), "--out", str(tmp_path / "x")],
+            "weight manifest": ["forward", cloud, "--config", cfg, "--weights", str(bad)]}[kind]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot read {kind} ")
+    assert "utf-8" in err
+
+
 def test_csv_outputs_byte_stable(workspace, tmp_path):
     box = {"center": [0.8, 0.8, 0.6], "dims": [0.4, 0.4, 1.0], "heading": 0.2}
     pts = [[0.8, 0.8, 0.4, 0.0], [0.8, 0.8, 0.7, 0.0]]

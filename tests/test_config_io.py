@@ -302,6 +302,48 @@ def test_manifest_round_trip_is_bitwise(tmp_path_factory, arrays):
         assert back[name].tobytes() == want.astype(dtype).tobytes(), name
 
 
+def _whole_text_manifest(tensors) -> bytes:
+    """The manifest encoding built in memory: every tensor widened to float64, base64 ones
+    narrowed back to f32, and the whole JSON text encoded at once."""
+    doc = {"tensors": {}}
+    for name in sorted(tensors):
+        arr = np.asarray(tensors[name], dtype=np.float64)
+        values = (arr.tolist() if arr.size <= manifest._INLINE_LIMIT
+                  else base64.b64encode(arr.astype("<f4").tobytes()).decode("ascii"))
+        doc["tensors"][name] = {"shape": list(arr.shape), "values": values}
+    return (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("variant", ["dense", "sparse"])
+def test_saved_manifests_equal_the_whole_text_encoding(tmp_path, variant):
+    seeded = resolve_weights(required_weights(SMALL_GRID, default_backbone_config(variant)),
+                             None, seed=3)
+    path = tmp_path / "weights.json"
+    save_manifest(path, seeded)
+    assert path.read_bytes() == _whole_text_manifest(seeded)
+    # loaded back: float32 base64 tensors and float64 inline arrays
+    back = load_manifest(path)
+    again = tmp_path / "again.json"
+    save_manifest(again, back)
+    assert again.read_bytes() == _whole_text_manifest(back) == path.read_bytes()
+
+
+def test_saving_the_sparse_model_peaks_below_its_file_size_and_a_quarter(tmp_path):
+    # the nearfield benchmark's 25.6 m grid; a float64 copy of the model alone is 2x its bytes
+    grid = GridSpec((0.0, 0.0, 0.0), (25.6, 25.6, 2.4), (0.1, 0.1, 0.15))
+    seeded = resolve_weights(required_weights(grid, default_backbone_config("sparse")), None,
+                             seed=0)
+    path = tmp_path / "weights.json"
+    tracemalloc.start()
+    try:
+        save_manifest(path, seeded)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < 1.25 * size, f"{peak} bytes peak for a {size}-byte file"
+
+
 def test_manifests_keep_base64_tensors_float32_and_inline_arrays_float64(tmp_path):
     path = tmp_path / "weights.json"
     doc = {"tensors": {
