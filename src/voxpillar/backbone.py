@@ -21,7 +21,7 @@ from .fusion import build_correspondence, sparse_fusion_layer
 from .grid import (GridSpec, PointEncoderWeights, SparseTensor, build_pillar_features,
                    build_voxel_features, pack_coords, voxelize)
 from .sparse_conv import (REGULAR, ConvSpec, ConvWeights, Lanes, build_kernel_map,
-                          conv_output_extents, paired_downsample)
+                          conv_output_extents, paired_downsample, sparse_conv)
 
 NUM_STEPS = 4
 VOXEL_INPUT_DIM = 4  # mean (x, y, z, intensity)
@@ -174,7 +174,7 @@ def neck_convs(cfg: BackboneConfig, extents8) -> list[tuple[str, int, int, int]]
     largest = 8 * max((l8 + 2) * (w8 + 2) * max(*widths, d), l8 * w8 * 2 * d)
     if largest > NECK_MAP_BYTES_CAP:
         raise OutOfRange(
-            f"the dense neck needs a {largest / 2**30:.1f} GiB map on this {l8}x{w8} 8x grid, "
+            f"the dense neck needs a {manifest.gib(largest)} GiB map on this {l8}x{w8} 8x grid, "
             f"above the {NECK_MAP_BYTES_CAP >> 30} GiB cap; use larger voxels, a smaller "
             f"range or the sparse variant")
     convs = []
@@ -234,9 +234,9 @@ def _weights(tensors, name: str, spec: ConvSpec) -> ConvWeights:
 def _run_block(voxels, pillars, block, layers: int, tensors, lanes: Lanes):
     """Run one paired block; returns (voxels, pillars, pillar submanifold map).
 
-    The voxel and the pillar branch are lanes 0 and 1 of `lanes`, layer by
-    layer; this thread builds the kernel maps and, in `Lanes.convs`, each
-    layer's arrays. Each branch's submanifold layers share one kernel map.
+    The voxel branch runs before the pillar branch, and each convolution
+    splits its output rows between the lanes of `lanes`; this thread builds
+    the kernel maps. Each branch's submanifold layers share one kernel map.
     The pillar map is returned so the fusion layer that follows can reuse
     it: same coordinates, 3x3 kernel and mode.
     """
@@ -246,14 +246,15 @@ def _run_block(voxels, pillars, block, layers: int, tensors, lanes: Lanes):
         (n3, s3), (n2, s2) = downs
         voxels, pillars = paired_downsample(voxels, pillars, s3, s2, _weights(tensors, n3, s3),
                                             _weights(tensors, n2, s2), lanes)
-    x = [voxels, pillars]
-    branches = [[(name, spec) for name, spec in convs
-                 if spec.mode != REGULAR and spec.ndim == ndim] for ndim in (3, 2)]
-    kmaps = [build_kernel_map(t.coords, lane[0][1], t.extents) for t, lane in zip(x, branches)]
-    for j in range(layers):
-        x = lanes.convs(*((t, spec, _weights(tensors, name, spec), kmap)
-                          for t, kmap, (name, spec) in zip(x, kmaps, (b[j] for b in branches))))
-    return x[0], x[1], kmaps[1]
+    out = []
+    for x in (voxels, pillars):
+        subm = [(name, spec) for name, spec in convs
+                if spec.mode != REGULAR and spec.ndim == len(x.extents)]
+        kmap = build_kernel_map(x.coords, subm[0][1], x.extents)
+        for name, spec in subm:
+            x = sparse_conv(x, spec, _weights(tensors, name, spec), kmap, lanes=lanes)
+        out.append(x)
+    return out[0], out[1], kmap
 
 
 def step1_tensors(points, grid: GridSpec, tensors: dict[str, np.ndarray]):
@@ -268,9 +269,8 @@ def encoder_forward(points, grid: GridSpec, cfg: BackboneConfig,
                     tensors: dict[str, np.ndarray], lanes: Lanes = Lanes()):
     """Run the 4-step encoder; returns the (voxel, pillar) pair after each step.
 
-    The voxel and the pillar convolutions of each block and fusion layer
-    run as lanes 0 and 1 of `lanes`, by default one lane on this thread.
-    The values do not depend on it.
+    Every convolution splits its output rows between the lanes of `lanes`,
+    by default one lane on this thread. The values do not depend on it.
     """
     _, voxels, pillars = step1_tensors(points, grid, tensors)
     pairs = []
@@ -332,19 +332,26 @@ class DenseLayer:
     `prod` takes one tap's products. With the background skip, `corner` is
     the flat index in `padded` of each computed cell's window corner (the
     masked cells, then one unmasked cell), `idx` takes index arrays and
-    `rows` gathered window rows, and `acc` holds the computed cells'
-    zero-started sums; these may be leading views of arrays that the
-    layers of a block share (`_skip_arrays`).
+    `rows` gathered window rows, and `acc` holds the computed cells' sums;
+    these may be leading views of arrays that the layers of a block share
+    (`_skip_arrays`).
+
+    `parts` splits the rows the call computes into two halves, or one when
+    it cannot: the output rows of the map, or with the skip the computed
+    cells. With the skip, `fills` splits the writes into `out` the same way,
+    as (output rows, masked cells in those rows) ranges.
     """
 
     padded: np.ndarray
     out: np.ndarray
     stride: int
     prod: np.ndarray
+    parts: list[tuple[int, int]]
     corner: np.ndarray | None = None
     idx: np.ndarray | None = None
     rows: np.ndarray | None = None
     acc: np.ndarray | None = None
+    fills: list[tuple[tuple[int, int], tuple[int, int]]] | None = None
 
 
 def _skips(stride: int, mask: np.ndarray | None) -> bool:
@@ -359,6 +366,12 @@ def _skip_arrays(n: int, c: int, d: int) -> dict:
             "rows": np.empty((n, c)), "acc": np.empty((n, d))}
 
 
+def _row_halves(n: int, least: int) -> list[tuple[int, int]]:
+    """[0, n) as two halves of at least `least` rows each, or whole when too short."""
+    half = n // 2
+    return [(0, half), (half, n)] if half >= least else [(0, n)]
+
+
 def dense_layer(padded: np.ndarray, d: int, stride: int = 1,
                 mask: np.ndarray | None = None, spare=None, scratch: dict | None = None
                 ) -> DenseLayer:
@@ -367,10 +380,15 @@ def dense_layer(padded: np.ndarray, d: int, stride: int = 1,
     `mask`, used at stride 1 only, marks the output cells that may differ:
     every cell outside it must have a window of the same values, padding
     included. Then only the masked cells and one unmasked cell are computed,
-    in leading views of `scratch` (from `_skip_arrays`) when given; `acc`
-    is zeroed here.
+    in leading views of `scratch` (from `_skip_arrays`) when given.
     `spare`, a zero-bordered map that nothing reads any more, becomes `out`
     when it has the output's shape.
+
+    The computed rows are split in halves (`DenseLayer.parts`). Without the
+    skip each GEMM covers one output row of the map whichever half runs it,
+    so any two halves do. With it, each half's GEMMs cover its computed
+    cells, so a half must keep at least two: NumPy sends a one-row product
+    to gemv, which rounds unlike a GEMM.
     """
     h, w, c = padded.shape[0] - 2, padded.shape[1] - 2, padded.shape[2]
     h_out, w_out = ((n - 1) // stride + 1 for n in (h, w))
@@ -378,23 +396,79 @@ def dense_layer(padded: np.ndarray, d: int, stride: int = 1,
     out = spare if spare is not None and spare.shape == shape else np.zeros(shape)
     if _skips(stride, mask):
         # the masked cells, then the first unmasked one
-        sites = np.append(np.flatnonzero(mask), np.argmin(mask))
+        masked = np.flatnonzero(mask)
+        sites = np.append(masked, np.argmin(mask))
         n = sites.size
         arrays = scratch or _skip_arrays(n, c, d)
-        acc = arrays["acc"][:n]
-        acc[...] = 0.0
-        return DenseLayer(padded, out, stride, prod=arrays["prod"][:n],
+        fills = [((r0, r1), tuple(np.searchsorted(masked, (r0 * w, r1 * w)).tolist()))
+                 for r0, r1 in _row_halves(h, 1)]
+        return DenseLayer(padded, out, stride, prod=arrays["prod"][:n], parts=_row_halves(n, 2),
                           corner=sites + sites // w * 2, idx=arrays["idx"][:n],
-                          rows=arrays["rows"][:n], acc=acc)
-    return DenseLayer(padded, out, stride, prod=np.empty((h_out, w_out, d)))
+                          rows=arrays["rows"][:n], acc=arrays["acc"][:n], fills=fills)
+    return DenseLayer(padded, out, stride, prod=np.empty((h_out, w_out, d)),
+                      parts=_row_halves(h_out, 1))
 
 
-def dense_conv3x3(layer: DenseLayer, kernel: np.ndarray) -> np.ndarray:
+def _conv_rows(layer: DenseLayer, kernel: np.ndarray, epilogue, first: int, end: int):
+    """Rows `first:end` of `dense_conv3x3`: with the skip the computed cells' sums in
+    `acc`, else the output map's rows in `out`; then the epilogue on them."""
+    xp, stride = layer.padded, layer.stride
+    w, c = xp.shape[1] - 2, xp.shape[2]
+    if layer.corner is not None:
+        flat = xp.reshape(-1, c)
+        corner, idx, rows, prod, y = (a[first:end] for a in (layer.corner, layer.idx,
+                                                             layer.rows, layer.prod, layer.acc))
+        y[...] = 0.0
+        for dy in range(3):
+            for dx in range(3):
+                np.add(corner, dy * (w + 2) + dx, out=idx)
+                # mode="raise" would buffer `out`; the indices are always valid
+                np.take(flat, idx, axis=0, out=rows, mode="clip")
+                np.matmul(rows, kernel[dy, dx], out=prod)
+                y += prod
+    else:
+        y, prod = layer.out[1 + first:1 + end, 1:-1], layer.prod[first:end]
+        w_out = y.shape[1]
+        y[...] = 0.0
+        for dy in range(3):
+            for dx in range(3):
+                window = xp[dy + stride * first:dy + stride * (end - 1) + 1:stride,
+                            dx:dx + stride * (w_out - 1) + 1:stride]
+                np.matmul(window, kernel[dy, dx], out=prod)
+                y += prod
+    if epilogue is not None:
+        scale, shift, activation = epilogue
+        y *= scale
+        y += shift
+        if activation:
+            np.maximum(y, 0.0, out=y)
+
+
+def _fill_rows(layer: DenseLayer, rows: tuple[int, int], cells: tuple[int, int]):
+    """With the skip, the output rows `rows` of `out`: the unmasked cell's value, and the
+    sums of the masked cells `cells[0]:cells[1]`, which lie in those rows."""
+    (r0, r1), (s0, s1) = rows, cells
+    layer.out[1 + r0:1 + r1, 1:-1] = layer.acc[-1]
+    # each masked cell's centre, flat in `out`, which has `padded`'s width at stride 1
+    idx = layer.idx[s0:s1]
+    np.add(layer.corner[s0:s1], layer.padded.shape[1] + 1, out=idx)
+    layer.out.reshape(-1, layer.out.shape[2])[idx] = layer.acc[s0:s1]
+
+
+def dense_conv3x3(layer: DenseLayer, kernel: np.ndarray, epilogue: tuple | None = None,
+                  lanes: Lanes = Lanes()) -> np.ndarray:
     """Dense 3x3 cross-correlation with padding 1 of the layer that `dense_layer` built.
 
     `layer` holds the padded input, the stride, the mask's cells and every
     array the call writes, so the call allocates no feature-sized array.
     The result is the (L', W', D) interior of the layer's `out`.
+    `epilogue`, (scale, shift, activation), is applied in place to every
+    computed value: times scale, plus shift, then a ReLU if activation.
+
+    The halves of `layer.parts` run as lanes 0 and 1 of `lanes`, by default
+    one lane on this thread, where they run in turn; with the skip, so do
+    the halves of `layer.fills` once both sums are done. Either way every
+    value gets the same operations, so the bytes do not depend on the lanes.
 
     With a mask (see `dense_layer`) only the masked cells and one unmasked
     cell are computed, and that cell's output is copied to the other
@@ -404,32 +478,10 @@ def dense_conv3x3(layer: DenseLayer, kernel: np.ndarray) -> np.ndarray:
     in the last bits (`selftest.check_neck_skip` states the bound); reruns
     are bitwise equal.
     """
-    xp, stride = layer.padded, layer.stride
-    w, c = xp.shape[1] - 2, xp.shape[2]
-    inner = layer.out[1:-1, 1:-1]
+    lanes.run(*(partial(_conv_rows, layer, kernel, epilogue, *part) for part in layer.parts))
     if layer.corner is not None:
-        flat = xp.reshape(-1, c)
-        for dy in range(3):
-            for dx in range(3):
-                np.add(layer.corner, dy * (w + 2) + dx, out=layer.idx)
-                # mode="raise" would buffer `out`; the indices are always valid
-                np.take(flat, layer.idx, axis=0, out=layer.rows, mode="clip")
-                np.matmul(layer.rows, kernel[dy, dx], out=layer.prod)
-                layer.acc += layer.prod
-        inner[...] = layer.acc[-1]
-        # each computed cell's centre, flat in `out`, which has `padded`'s width at stride 1
-        np.add(layer.corner, w + 3, out=layer.idx)
-        layer.out.reshape(-1, layer.out.shape[2])[layer.idx[:-1]] = layer.acc[:-1]
-        return inner
-    h_out, w_out = inner.shape[:2]
-    inner[...] = 0.0
-    for dy in range(3):
-        for dx in range(3):
-            window = xp[dy:dy + stride * (h_out - 1) + 1:stride,
-                        dx:dx + stride * (w_out - 1) + 1:stride]
-            np.matmul(window, kernel[dy, dx], out=layer.prod)
-            inner += layer.prod
-    return inner
+        lanes.run(*(partial(_fill_rows, layer, *fill) for fill in layer.fills))
+    return layer.out[1:-1, 1:-1]
 
 
 def _reach(mask: np.ndarray, padding: bool) -> np.ndarray:
@@ -445,18 +497,8 @@ def _neck_tensors(tensors, name: str) -> tuple[np.ndarray, ...]:
                  for key in ("kernel", "scale", "shift"))
 
 
-def _neck_layer(layer: DenseLayer, kernel: np.ndarray, scale: np.ndarray, shift: np.ndarray,
-                activation: bool):
-    """One neck layer in place: convolution, scale, shift and optional ReLU."""
-    y = dense_conv3x3(layer, kernel)
-    y *= scale
-    y += shift
-    if activation:
-        np.maximum(y, 0.0, out=y)
-
-
-def _lane_masks(cells: np.ndarray | None, layers: int) -> list:
-    """Each layer's mask in a lane whose block input fills the BEV cells `cells` (all None
+def _block_masks(cells: np.ndarray | None, layers: int) -> list:
+    """Each layer's mask in a block whose input fills the BEV cells `cells` (all None
     when None): the cells that can differ from the background. They only grow."""
     masks = []
     for j in range(layers):
@@ -466,22 +508,22 @@ def _lane_masks(cells: np.ndarray | None, layers: int) -> list:
     return masks
 
 
-def _dense_block(maps: list, convs: list, occupied: list, tensors, activation: bool,
-                 lanes: Lanes):
-    """Run lane i's neck `convs[i]` on the zero-bordered (L+2, W+2, C) map `maps[i]`.
+def _dense_block(padded: np.ndarray, convs: list, occupied: np.ndarray | None, tensors,
+                 activation: bool, lanes: Lanes) -> np.ndarray:
+    """Run the neck `convs` on the zero-bordered (L+2, W+2, C) map `padded`; returns the
+    last layer's zero-bordered output.
 
-    The lanes of `lanes` run in lockstep: layer j of every lane runs before
-    layer j+1 of any. Each entry of `maps` is replaced by its lane's padded
-    output as the layers go, and a map the block wrote is reused as the
-    output two layers on, so a block allocates two maps per lane. The
-    calling thread allocates every array the layers write and widens their
-    tensors to float64. From layer 1 on, a lane's skipping layers share one
-    set of `_skip_arrays`, sized for the last mask, the largest, so that
-    they do not grow layer by layer on the heap; every GEMM keeps its row
-    count. Layer 0, whose input may be wider and whose mask is the
-    smallest, has its own, freed with the block's input maps.
+    Each layer splits its rows between the lanes of `lanes` (see
+    `dense_conv3x3`). A map the block wrote is reused as the output two
+    layers on, so a block allocates two maps. The calling thread allocates
+    every array the layers write and widens their tensors to float64. From
+    layer 1 on, the skipping layers share one set of `_skip_arrays`, sized
+    for the last mask, the largest, so that they do not grow layer by layer
+    on the heap; every GEMM keeps its row count. Layer 0, whose input may be
+    wider and whose mask is the smallest, has its own, freed with the
+    block's input map.
 
-    `occupied[i]`, for a stride-1 block, holds the BEV cells densify filled
+    `occupied`, for a stride-1 block, holds the BEV cells densify filled
     (else None): each layer then computes only the cells that can differ
     from the map's one background vector. At layer 0 the background is the
     zero of the unfilled cells and of the padding. Scale and shift then
@@ -489,24 +531,22 @@ def _dense_block(maps: list, convs: list, occupied: list, tensors, activation: b
     so from layer 1 on a cell whose window touches the padding may differ
     too.
     """
-    masks = [_lane_masks(cells, len(lane)) for lane, cells in zip(convs, occupied)]
-    spares, scratch = [None] * len(maps), [None] * len(maps)
-    for j in range(len(convs[0])):
-        runs = []
-        for i, lane in enumerate(convs):
-            name, c, d, stride = lane[j]
-            if j == 1:
-                cells = [int(m.sum()) + 1 for (*_, s), m in zip(lane[1:], masks[i][1:])
-                         if _skips(s, m)]
-                scratch[i] = _skip_arrays(max(cells), c, d) if cells else None
-            layer = dense_layer(maps[i], d, stride, masks[i][j], spares[i], scratch[i])
-            # this layer's input is free after it, unless it is the block's input, which
-            # the caller may still read (the 8x maps are)
-            spares[i] = maps[i] if j > 0 else None
-            maps[i] = layer.out
-            runs.append(partial(_neck_layer, layer, *_neck_tensors(tensors, name), activation))
-        del layer  # so the next layer allocates while only `runs` holds this one's arrays
-        lanes.run(*runs)
+    masks = _block_masks(occupied, len(convs))
+    spare = scratch = None
+    for j, (name, c, d, stride) in enumerate(convs):
+        if j == 1:
+            cells = [int(m.sum()) + 1 for (*_, s), m in zip(convs[1:], masks[1:])
+                     if _skips(s, m)]
+            scratch = _skip_arrays(max(cells), c, d) if cells else None
+        layer = dense_layer(padded, d, stride, masks[j], spare, scratch)
+        # this layer's input is free after it, unless it is the block's input, which
+        # the caller may still read (the 8x maps are)
+        spare = padded if j > 0 else None
+        padded = layer.out
+        kernel, scale, shift = _neck_tensors(tensors, name)
+        dense_conv3x3(layer, kernel, (scale, shift, activation), lanes)
+        del layer  # so the next layer allocates after this one's arrays are freed
+    return padded
 
 
 def dense_fusion_neck(pairs, tensors: dict[str, np.ndarray], cfg: BackboneConfig,
@@ -516,7 +556,7 @@ def dense_fusion_neck(pairs, tensors: dict[str, np.ndarray], cfg: BackboneConfig
     Each branch runs a conv block per scale, in the order of the neck
     plan; same-scale maps fuse by summation, and the upsampled 16x map is
     concatenated onto the 8x map, yielding 2 * neck_channels at stride 8.
-    The two branches' layers are lanes 0 and 1 of `lanes` (see
+    Every layer splits its rows between the lanes of `lanes` (see
     `_dense_block`), by default one lane on this thread. The values do not
     depend on it.
     """
@@ -524,14 +564,14 @@ def dense_fusion_neck(pairs, tensors: dict[str, np.ndarray], cfg: BackboneConfig
     convs = neck_convs(cfg, voxels.extents)
     m = cfg.neck_layers
     blocks = [convs[i:i + m] for i in range(0, len(convs), m)]
-    occupied = [np.zeros(x.extents[:2], dtype=bool) for x in (voxels, pillars)]
-    for cells, x in zip(occupied, (voxels, pillars)):
-        cells[x.coords[:, 0], x.coords[:, 1]] = True
-    maps = [bev_array(x, pad=1) for x in (voxels, pillars)]
-    _dense_block(maps, blocks[0::2], occupied, tensors, activation, lanes)
-    v8, p8 = (x[1:-1, 1:-1] for x in maps)
-    _dense_block(maps, blocks[1::2], [None, None], tensors, activation, lanes)
-    v16, p16 = (x[1:-1, 1:-1] for x in maps)
+    maps = []
+    for x, (block8, block16) in zip((voxels, pillars), (blocks[:2], blocks[2:])):
+        occupied = np.zeros(x.extents[:2], dtype=bool)
+        occupied[x.coords[:, 0], x.coords[:, 1]] = True
+        y8 = _dense_block(bev_array(x, pad=1), block8, occupied, tensors, activation, lanes)
+        y16 = _dense_block(y8, block16, None, tensors, activation, lanes)
+        maps += [y8[1:-1, 1:-1], y16[1:-1, 1:-1]]
+    v8, v16, p8, p16 = maps
     fused8 = v8 + p8
     fused16 = v16 + p16
     up = np.repeat(np.repeat(fused16, 2, axis=0), 2, axis=1)
@@ -568,8 +608,8 @@ def sparse_readout(pairs, tensors: dict[str, np.ndarray], cfg: BackboneConfig,
     Extra paired blocks produce 16x and 32x features; voxels are height
     compressed and projected to the pillar width per scale; everything is
     mapped back to the 8x lattice (coordinate times the stride ratio) and
-    summed over the union of sites. The blocks run their branches as lanes
-    0 and 1 of `lanes`, as `encoder_forward` does.
+    summed over the union of sites. The blocks run on `lanes` as
+    `encoder_forward`'s do.
     """
     voxels, pillars = _final_pair(pairs)
     scales = [(voxels, pillars)]
@@ -594,11 +634,11 @@ def forward(points, grid: GridSpec, cfg: BackboneConfig, tensors: dict[str, np.n
             lanes: Lanes | None = None):
     """Whole-pipeline pass: encoder pairs plus the variant's readout.
 
-    The voxel and the pillar work run as lanes 0 and 1 of `lanes`. Only
-    this function opens lanes: when None, on up to two of the process's
-    CPUs (one helper thread at most serves the whole pass), closed on
-    return; lanes the caller passes stay open. The values do not depend on
-    them.
+    Every convolution splits its output rows between lanes 0 and 1 of
+    `lanes`. Only this function opens lanes: when None, on up to two of the
+    process's CPUs (one helper thread at most serves the whole pass),
+    closed on return; lanes the caller passes stay open. The values do not
+    depend on them.
     """
     with contextlib.ExitStack() as stack:
         if lanes is None:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyViolation, ShapeMismatch
-from .grid import SparseTensor
-from .sparse_conv import ConvSpec, ConvWeights, KernelMap, Lanes
+from .grid import SparseTensor, run_max
+from .sparse_conv import ConvSpec, ConvWeights, KernelMap, Lanes, sparse_conv
 
 
 @dataclass
@@ -62,7 +62,7 @@ def sparse_pool(voxels: SparseTensor, corr: VoxelPillarCorrespondence) -> np.nda
     """Elementwise max over each pillar's voxel features, shape (N_p, D_v)."""
     if corr.num_voxels != voxels.num_sites:
         raise ShapeMismatch("correspondence was built for a different voxel tensor")
-    return np.maximum.reduceat(voxels.features, corr.pillar_start[:-1], axis=0)
+    return run_max(voxels.features, corr.pillar_start)
 
 
 def broadcast(pillars: SparseTensor, corr: VoxelPillarCorrespondence) -> np.ndarray:
@@ -83,8 +83,7 @@ def sparse_fusion_layer(voxels: SparseTensor, pillars: SparseTensor,
     D_p); `p2v` transforms pillar features (D_p -> D_v) before broadcasting.
     Both are bias-free 2D submanifold convolutions through `kmap`, the
     pillar coordinates' map for their kernel; coordinate sets are unchanged
-    on both branches. `p2v`, which feeds the voxels, and `v2p` are lanes 0
-    and 1 of `lanes`.
+    on both branches. `p2v` runs first, then `v2p`, each on `lanes`.
     """
     (spec_v2p, w_v2p), (spec_p2v, w_p2v) = v2p, p2v
     # sparse_conv checks the input widths; a wrong output width could broadcast
@@ -93,8 +92,8 @@ def sparse_fusion_layer(voxels: SparseTensor, pillars: SparseTensor,
         raise ShapeMismatch(f"fusion convolutions must give the (pillar, voxel) widths {widths}")
     pooled = sparse_pool(voxels, corr)
     pooled_tensor = SparseTensor(pillars.coords, pooled, pillars.stride, pillars.extents)
-    transformed, to_pillar = lanes.convs((pillars, spec_p2v, w_p2v, kmap),
-                                         (pooled_tensor, spec_v2p, w_v2p, kmap))
+    transformed = sparse_conv(pillars, spec_p2v, w_p2v, kmap, lanes=lanes)
+    to_pillar = sparse_conv(pooled_tensor, spec_v2p, w_v2p, kmap, lanes=lanes)
     to_voxel = broadcast(transformed, corr)
 
     fused_voxels = SparseTensor(voxels.coords, voxels.features + to_voxel,

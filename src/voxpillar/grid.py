@@ -204,7 +204,16 @@ def voxelize(points, spec: GridSpec) -> VoxelizedCloud:
         raise EmptyGrid("no point falls inside the configured range")
     idx, pts = idx[kept], pts[kept]
     key = pack_coords(idx, spec.extents)
-    order = np.lexsort((pts[:, 3], pts[:, 2], pts[:, 1], pts[:, 0], key))
+    # by (cell, x), then by (y, z, intensity) only within the runs tied on (cell, x): the
+    # order of the one lexsort over all five keys, since both sorts are stable
+    order = np.lexsort((pts[:, 0], key))
+    x, key = pts[order, 0], key[order]
+    tied = (key[1:] == key[:-1]) & (x[1:] == x[:-1])  # tied[i]: row i + 1 ties row i
+    if tied.any():
+        member = np.flatnonzero(np.r_[tied, False] | np.r_[False, tied])
+        run = np.cumsum(~np.r_[False, tied][member])
+        sub = order[member]
+        order[member] = sub[np.lexsort((pts[sub, 3], pts[sub, 2], pts[sub, 1], run))]
     return VoxelizedCloud(points=pts[order], cells=idx[order], dropped=dropped, spec=spec)
 
 
@@ -216,11 +225,40 @@ def build_voxel_features(cloud: VoxelizedCloud) -> SparseTensor:
                         extents=cloud.spec.extents)
 
 
+# `run_max` takes ranks below this one rank at a time, and the rest with one reduceat.
+_RUN_MAX_RANKS = 8
+
+
+def run_max(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """The elementwise max of each run `bounds[j]:bounds[j + 1]` of `values`' rows; on
+    NaN-free values, bitwise equal to `np.maximum.reduceat(values, bounds[:-1], axis=0)`.
+
+    Each run's first row is copied, then rank r >= 1 is folded into the
+    runs longer than r by one `np.maximum` per rank, in the reduceat's
+    order. A run is unbounded, so the ranks from `_RUN_MAX_RANKS` on are
+    reduced per run with one reduceat and folded in last. `np.maximum`
+    keeps the later of two equal values, +0.0 and -0.0 among them, so that
+    grouping gives the same bytes as one fold. Runs must be non-empty.
+    """
+    starts, lengths = bounds[:-1], np.diff(bounds)
+    out = values[starts]
+    runs = np.flatnonzero(lengths > 1)
+    for r in range(1, _RUN_MAX_RANKS):
+        out[runs] = np.maximum(out[runs], values[starts[runs] + r])
+        runs = runs[lengths[runs] > r + 1]
+    if runs.size:
+        tails = lengths[runs] - _RUN_MAX_RANKS
+        firsts = np.cumsum(tails) - tails
+        rows = np.repeat(starts[runs] + _RUN_MAX_RANKS - firsts, tails) + np.arange(tails.sum())
+        out[runs] = np.maximum(out[runs], np.maximum.reduceat(values[rows], firsts, axis=0))
+    return out
+
+
 def build_pillar_features(cloud: VoxelizedCloud, weights: PointEncoderWeights) -> SparseTensor:
     """Per-point linear + ReLU encoding, max-pooled per pillar: a BEV column,
     whose points the cloud's cell order already puts in one run."""
     bounds = run_bounds(cloud.cells[:, :2])
     encoded = np.maximum(cloud.points @ weights.weight + weights.bias, 0.0)
-    feats = np.maximum.reduceat(encoded, bounds[:-1], axis=0)
+    feats = run_max(encoded, bounds)
     return SparseTensor(coords=cloud.cells[bounds[:-1], :2], features=feats, stride=1,
                         extents=cloud.spec.bev_extents)

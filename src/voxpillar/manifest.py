@@ -6,6 +6,7 @@ import math
 import os
 import zlib
 from concurrent.futures import ThreadPoolExecutor, as_completed
+from decimal import Decimal
 
 import numpy as np
 
@@ -144,11 +145,17 @@ def _seed_tensors(required: dict[str, tuple[int, ...]], seed: int,
     return out
 
 
+def gib(size: int) -> str:
+    """`size` bytes in GiB to three significant digits. Decimal takes any int, where a
+    float division overflows past about 1e308 bytes."""
+    return f"{Decimal(size) / 2**30:.3g}"
+
+
 def check_seeded_size(count: int):
     """Raise OutOfRange when `count` float64 weights exceed SEEDED_BYTES_CAP."""
     size = 8 * count
     if size > SEEDED_BYTES_CAP:
-        raise OutOfRange(f"the model needs {size / 2**30:.3g} GiB of float64 weights, above the "
+        raise OutOfRange(f"the model needs {gib(size)} GiB of float64 weights, above the "
                          f"{SEEDED_BYTES_CAP >> 30} GiB cap; use fewer layers or smaller "
                          f"channel widths")
 

@@ -166,7 +166,8 @@ def kernel_map_case(rng, case) -> tuple[np.ndarray, ConvSpec, tuple[int, ...]]:
 
 def check_kernel_map(cases):
     """Kernel-map triples and output coordinates equal the brute-force enumeration byte for
-    byte, and the segment bounds split the enumeration's triples by offset."""
+    byte, the segment bounds split the enumeration's triples by offset, and the row split
+    divides each segment at its cut without a one-row half."""
     rng = np.random.default_rng(212)
     for case in range(cases):
         coords, spec, extents = kernel_map_case(rng, case)
@@ -181,6 +182,13 @@ def check_kernel_map(cases):
         want = np.searchsorted(triples[:, 2], np.arange(spec.num_offsets + 1))
         _require(kmap.bounds.shape == want.shape and (kmap.bounds == want).all(),
                  f"case {case}: kernel-map segment bounds differ from the offset column")
+        m, dst = out_coords.shape[0], triples[:, 1]
+        for k, (lo, mid, hi) in enumerate(zip(want[:-1], kmap.mid, want[1:])):
+            _require(0 <= kmap.cut <= m and lo <= mid <= hi and (dst[lo:mid] < kmap.cut).all()
+                     and (dst[mid:hi] >= kmap.cut).all()
+                     and (hi - lo < 2 or 1 not in (mid - lo, hi - mid)),
+                     f"case {case}: offset {k} is not split at row {kmap.cut} without a "
+                     f"one-row half")
 
 
 def check_bev_consistency(cases):
@@ -323,10 +331,9 @@ def check_density(cases):
 
 
 def neck_block(x, tensors, convs, activation, occupied=None) -> np.ndarray:
-    """One lane of neck `convs` on the (L, W, C) map `x`, on the calling thread."""
-    maps = [np.pad(x, ((1, 1), (1, 1), (0, 0)))]
-    _dense_block(maps, [convs], [occupied], tensors, activation, Lanes())
-    return maps[0][1:-1, 1:-1]
+    """The neck `convs` on the (L, W, C) map `x`, on the calling thread."""
+    padded = np.pad(x, ((1, 1), (1, 1), (0, 0)))
+    return _dense_block(padded, convs, occupied, tensors, activation, Lanes())[1:-1, 1:-1]
 
 
 def check_neck_skip(cases):

@@ -118,6 +118,11 @@ class KernelMap:
 
     `build_kernel_map` stores the triples column-major, so each column is a
     contiguous index array; offset k's segment is `bounds[k]:bounds[k + 1]`.
+
+    `cut` splits the output rows into two halves that `sparse_conv` runs as
+    two lanes (see `_row_split`): offset k's triples into rows below `cut`
+    are `bounds[k]:mid[k]`, the others `mid[k]:bounds[k + 1]`. A map that
+    runs whole has `cut` M and `mid` `bounds[1:]`.
     """
 
     triples: np.ndarray  # (T, 3) int64 columns in_idx, out_idx, offset_idx
@@ -126,6 +131,8 @@ class KernelMap:
     out_extents: tuple[int, ...]
     num_offsets: int
     in_sites: int  # the number of input sites the map was built on
+    cut: int  # the first output row of the second half; M when the map runs whole
+    mid: np.ndarray  # (num_offsets,) int64 start of each segment's second half
 
 
 def kernel_offsets(kernel: tuple[int, ...]) -> np.ndarray:
@@ -176,6 +183,35 @@ def _offset_mask(masks, offset) -> np.ndarray:
     for axis in range(1, len(masks)):
         ok = ok & masks[axis][offset[axis]]
     return ok
+
+
+# The most cuts `_row_split` weighs; 64 evenly spaced ones balance two halves to within
+# about 1/64 of the triples.
+_CUTS = 64
+
+
+def _row_split(dst: np.ndarray, bounds: np.ndarray, m: int) -> tuple[int, np.ndarray]:
+    """The map's `cut` and `mid` (see `KernelMap`) from its output column and bounds.
+
+    Each segment is sorted by output, so the triples into rows below a cut
+    are a prefix of it. Of up to `_CUTS` + 1 evenly spaced cuts, this takes
+    the one that splits the triples most evenly, among those that give no
+    half of a segment of two or more triples exactly one: NumPy sends a
+    one-row product to gemv, which rounds unlike a GEMM, while a GEMM
+    rounds a row alike for any row count of two or more on the pinned
+    kernels. Cuts 0 and M always qualify, and either makes the map run
+    whole.
+    """
+    cuts = np.unique(np.linspace(0, m, min(m, _CUTS) + 1).round().astype(np.int64))
+    below = np.stack([np.searchsorted(dst[lo:hi], cuts)
+                      for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())])
+    sizes = np.diff(bounds)[:, None]
+    one_row = (sizes >= 2) & ((below == 1) | (sizes - below == 1))
+    imbalance = np.abs(2 * below.sum(axis=0) - int(bounds[-1]))
+    best = int(np.argmin(np.where(one_row.any(axis=0), np.iinfo(np.int64).max, imbalance)))
+    if 0 < cuts[best] < m:
+        return int(cuts[best]), bounds[:-1] + below[:, best]
+    return m, bounds[1:].copy()
 
 
 def _triples(in_idx: np.ndarray, out_idx: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
@@ -249,7 +285,8 @@ def build_kernel_map(coords_in: np.ndarray, spec: ConvSpec, in_extents) -> Kerne
         triples, bounds = _triples(np.concatenate([src for src, _ in segments]),
                                    np.concatenate([dst for _, dst in segments]),
                                    [src.size for src, _ in segments])
-        return KernelMap(triples, bounds, coords_in, in_extents, num_offsets, coords_in.shape[0])
+        return KernelMap(triples, bounds, coords_in, in_extents, num_offsets, coords_in.shape[0],
+                         *_row_split(triples[:, 1], bounds, coords_in.shape[0]))
 
     cands, keys = [], []
     for offset in offsets:
@@ -262,7 +299,8 @@ def build_kernel_map(coords_in: np.ndarray, spec: ConvSpec, in_extents) -> Kerne
     uniq_keys, out_idx = np.unique(np.concatenate(keys), return_inverse=True)
     out_coords = np.stack(np.unravel_index(uniq_keys, out_extents), axis=1).astype(np.int64)
     triples, bounds = _triples(np.concatenate(cands), out_idx, [cand.size for cand in cands])
-    return KernelMap(triples, bounds, out_coords, out_extents, num_offsets, coords_in.shape[0])
+    return KernelMap(triples, bounds, out_coords, out_extents, num_offsets, coords_in.shape[0],
+                     *_row_split(triples[:, 1], bounds, out_coords.shape[0]))
 
 
 def _check_conv(x, spec: ConvSpec, kmap: KernelMap):
@@ -282,111 +320,28 @@ def _check_conv(x, spec: ConvSpec, kmap: KernelMap):
                             f"input has {x.num_sites}")
 
 
-@dataclass
-class ConvArrays:
-    """Every array one `sparse_conv` call writes, sized by `conv_arrays` for `spec` and `kmap`.
-
-    `out` takes the output features. Per offset, `rows` takes the gathered
-    input rows, `prod` their products (the centre tap's products of every
-    site too) and `acc` the read-modify-write of the output rows; each is
-    used through its leading rows. `rows` is dead once the offset's product
-    is taken, so `rows` and `acc` are leading views of one buffer.
-    """
-
-    spec: ConvSpec
-    kmap: KernelMap
-    out: np.ndarray
-    rows: np.ndarray
-    prod: np.ndarray
-    acc: np.ndarray
-
-
-def conv_arrays(x, spec: ConvSpec, kmap: KernelMap) -> ConvArrays:
-    """Allocate, on the calling thread, the arrays of `sparse_conv(x, spec, weights, kmap)`."""
-    _check_conv(x, spec, kmap)
-    sizes = np.diff(kmap.bounds)
-    # `prod` also takes the centre tap of a submanifold map, whose segment holds every site
-    prod_rows = int(sizes.max(initial=0))
-    if spec.mode == SUBMANIFOLD:
-        sizes[kmap.num_offsets // 2] = 0
-    n = int(sizes.max(initial=0))
-    m, c_in, c_out = kmap.out_coords.shape[0], spec.in_channels, spec.out_channels
-    shared = np.empty(n * max(c_in, c_out))
-    return ConvArrays(spec, kmap, out=np.empty((m, c_out)),
-                      rows=shared[:n * c_in].reshape(n, c_in),
-                      prod=np.empty((prod_rows, c_out)),
-                      acc=shared[:n * c_out].reshape(n, c_out))
-
-
-def sparse_conv(x, spec: ConvSpec, weights: ConvWeights, kmap: KernelMap,
-                arrays: ConvArrays | None = None):
-    """Apply one sparse convolution through a prebuilt kernel map.
-
-    out[o] = bias + sum over triples (i, o, k) of kernel[k].T @ x[i]. The
-    output starts at zero, takes the bias, and then each offset in
-    ascending order; no output repeats within one offset, so a plain
-    indexed add is exact and every output row sees the same additions on
-    every run. A submanifold map's centre segment is the identity, so that
-    tap is `x.features @ kernel[centre]` added to every row in place: the
-    same product on the same rows, without the gather and the scatter.
-
-    `arrays`, from `conv_arrays(x, spec, kmap)`, holds every array the
-    call writes. The call then allocates no feature-sized array and only
-    fills them through `out=` and in-place NumPy calls, so a helper thread
-    can run it (see `Lanes`). Without `arrays` it allocates its own. The
-    call overwrites every value it reads back, so arrays may be reused for
-    the same spec and map; the output tensor holds `arrays.out`.
-    """
-    weights.check(spec)
-    if arrays is None:
-        arrays = conv_arrays(x, spec, kmap)
-    else:
-        _check_conv(x, spec, kmap)
-        if arrays.kmap is not kmap or arrays.spec != spec:
-            raise ShapeMismatch("the arrays were sized for another kernel map or spec")
-    centre = kmap.num_offsets // 2 if spec.mode == SUBMANIFOLD else -1
-    out, bounds = arrays.out, kmap.bounds
-    src, dst, _ = kmap.triples.T
-    # zeros, then the bias: 0.0 + bias turns a -0.0 entry into +0.0, a copy would not
-    out.fill(0.0)
-    if weights.bias is not None:
-        out += weights.bias
-    for k_idx in range(kmap.num_offsets):
-        lo, hi = bounds[k_idx], bounds[k_idx + 1]
-        if k_idx == centre:
-            prod = arrays.prod[:x.num_sites]
-            np.matmul(x.features, weights.kernel[k_idx], out=prod)
-            out += prod
-        elif lo < hi:
-            n = hi - lo
-            rows, prod, acc = arrays.rows[:n], arrays.prod[:n], arrays.acc[:n]
-            seg = dst[lo:hi]
-            # mode="raise" would buffer `out`; the map's indices are always valid
-            np.take(x.features, src[lo:hi], axis=0, out=rows, mode="clip")
-            np.matmul(rows, weights.kernel[k_idx], out=prod)
-            np.take(out, seg, axis=0, out=acc, mode="clip")
-            acc += prod
-            out[seg] = acc
-    return SparseTensor(coords=kmap.out_coords, features=out, stride=x.stride * spec.stride[0],
-                        extents=kmap.out_extents)
-
-
 class Lanes:
     """Lockstep lanes: `run` makes one call per lane and returns their results
     once every call has finished.
 
-    Lane 0 runs on the calling thread. Given `count` 2 or more, the other
-    lanes run on one helper thread, started at the first `run` and joined
-    when the lanes close (`with Lanes(2) as lanes:`); with one, they run
-    after lane 0 on the calling thread and no thread starts. The helper
-    allocates nothing: the caller widens every weight a call reads and
-    allocates every array it writes (`conv_arrays` in `convs`,
-    `dense_layer`), and the calls only fill them,
-    since glibc keeps what a thread frees in that thread's own malloc arena.
-    A call makes the same NumPy and BLAS calls on either thread, so the
-    values do not depend on the lanes; a helper call runs in a copy of the
-    caller's context, so `np.errstate` holds there too. A lane 0 error wins
-    over a helper's.
+    The kernels (`sparse_conv`, `backbone.dense_conv3x3`) split each layer's
+    output rows in two and run the halves as lanes 0 and 1. Lane 0 runs on
+    the calling thread. Given `count` 2 or more, the other lanes run on one
+    helper thread, started at the first `run` and joined when the lanes
+    close (`with Lanes(2) as lanes:`); with one, they run after lane 0 on
+    the calling thread and no thread starts. The helper allocates nothing:
+    the caller widens every weight a call reads and allocates every array it
+    writes (`conv_arrays`, `backbone.dense_layer`), both halves' included,
+    and the calls only fill them, since glibc keeps what a thread frees in
+    that thread's own malloc arena. A call makes the same NumPy and BLAS
+    calls on either thread, so the values do not depend on the lanes; a
+    helper call runs in a copy of the caller's context, so `np.errstate`
+    holds there too. A lane 0 error wins over a helper's.
+
+    Two lanes pay off only when BLAS runs on one thread per call, as the
+    benchmark pins it: otherwise OpenBLAS's own threads take the second
+    CPU. `voxpillar forward` does not pin BLAS threads, so set
+    `OPENBLAS_NUM_THREADS=1` for it.
     """
 
     def __init__(self, count: int = 1):
@@ -411,11 +366,122 @@ class Lanes:
             wait(helpers)
         return [first, *(helper.result() for helper in helpers)]
 
-    def convs(self, *calls) -> list:
-        """`sparse_conv(x, spec, weights, kmap)` for each (x, spec, weights, kmap) of
-        `calls`, one per lane, after allocating every call's `conv_arrays` here."""
-        return self.run(*(partial(sparse_conv, x, spec, w, kmap, conv_arrays(x, spec, kmap))
-                          for x, spec, w, kmap in calls))
+
+@dataclass
+class ConvArrays:
+    """Every array one `sparse_conv` call writes, sized by `conv_arrays` for `spec` and `kmap`.
+
+    `out` takes the output features. Each half of the map's row split (see
+    `KernelMap`; one half when the map runs whole) has its own entry in
+    `rows`, `prod` and `acc`: per offset, `rows[h]` takes the half's
+    gathered input rows, `prod[h]` their products (the centre tap's products
+    of the half's sites too) and `acc[h]` the read-modify-write of its
+    output rows; each is used through its leading rows. `rows[h]` is dead
+    once the offset's product is taken, so `rows[h]` and `acc[h]` are
+    leading views of one buffer, which no other half touches.
+    """
+
+    spec: ConvSpec
+    kmap: KernelMap
+    out: np.ndarray
+    rows: list[np.ndarray]
+    prod: list[np.ndarray]
+    acc: list[np.ndarray]
+
+
+def _halves(kmap: KernelMap) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Each half of the map's row split as (first row, end row, segment starts, segment
+    ends); one entry when the map runs whole."""
+    m = kmap.out_coords.shape[0]
+    halves = [(0, kmap.cut, kmap.bounds[:-1], kmap.mid)]
+    if kmap.cut < m:
+        halves.append((kmap.cut, m, kmap.mid, kmap.bounds[1:]))
+    return halves
+
+
+def conv_arrays(x, spec: ConvSpec, kmap: KernelMap) -> ConvArrays:
+    """Allocate, on the calling thread, the arrays of `sparse_conv(x, spec, weights, kmap)`."""
+    _check_conv(x, spec, kmap)
+    c_in, c_out = spec.in_channels, spec.out_channels
+    arrays = ConvArrays(spec, kmap, np.empty((kmap.out_coords.shape[0], c_out)), [], [], [])
+    for _, _, starts, ends in _halves(kmap):
+        sizes = ends - starts
+        # `prod` also takes the centre tap of a submanifold map, whose segment is the identity
+        prod_rows = int(sizes.max(initial=0))
+        if spec.mode == SUBMANIFOLD:
+            sizes[kmap.num_offsets // 2] = 0
+        n = int(sizes.max(initial=0))
+        shared = np.empty(n * max(c_in, c_out))
+        arrays.rows.append(shared[:n * c_in].reshape(n, c_in))
+        arrays.prod.append(np.empty((prod_rows, c_out)))
+        arrays.acc.append(shared[:n * c_out].reshape(n, c_out))
+    return arrays
+
+
+def _conv_half(x, weights: ConvWeights, kmap: KernelMap, out: np.ndarray, centre: int,
+               half: tuple, rows: np.ndarray, prod: np.ndarray, acc: np.ndarray):
+    """The output rows `half[0]:half[1]` of `sparse_conv`, through the segment ranges
+    `half[2]:half[3]` and into the arrays of that half; it allocates no array."""
+    first, end, starts, ends = half
+    src, dst, _ = kmap.triples.T
+    own = out[first:end]
+    # zeros, then the bias: 0.0 + bias turns a -0.0 entry into +0.0, a copy would not
+    own.fill(0.0)
+    if weights.bias is not None:
+        own += weights.bias
+    for k_idx, (lo, hi) in enumerate(zip(starts.tolist(), ends.tolist())):
+        if k_idx == centre:
+            centre_prod = prod[:end - first]
+            np.matmul(x.features[first:end], weights.kernel[k_idx], out=centre_prod)
+            own += centre_prod
+        elif lo < hi:
+            n = hi - lo
+            seg = dst[lo:hi]
+            # mode="raise" would buffer `out`; the map's indices are always valid
+            np.take(x.features, src[lo:hi], axis=0, out=rows[:n], mode="clip")
+            np.matmul(rows[:n], weights.kernel[k_idx], out=prod[:n])
+            np.take(out, seg, axis=0, out=acc[:n], mode="clip")
+            acc[:n] += prod[:n]
+            out[seg] = acc[:n]
+
+
+def sparse_conv(x, spec: ConvSpec, weights: ConvWeights, kmap: KernelMap,
+                arrays: ConvArrays | None = None, lanes: Lanes = Lanes()):
+    """Apply one sparse convolution through a prebuilt kernel map.
+
+    out[o] = bias + sum over triples (i, o, k) of kernel[k].T @ x[i]. The
+    output starts at zero, takes the bias, and then each offset in
+    ascending order; no output repeats within one offset, so a plain
+    indexed add is exact and every output row sees the same additions on
+    every run. A submanifold map's centre segment is the identity, so that
+    tap is `x.features @ kernel[centre]` added to every row in place: the
+    same product on the same rows, without the gather and the scatter.
+
+    The two halves of the map's row split (see `KernelMap`) write disjoint
+    output rows and run as lanes 0 and 1 of `lanes`, by default one lane on
+    this thread, where they run in turn. Either way every row gets the same
+    products in the same order, so the bytes do not depend on the lanes.
+
+    `arrays`, from `conv_arrays(x, spec, kmap)`, holds every array the
+    call writes; without it the call allocates its own, on this thread. The
+    halves allocate no feature-sized array and only fill the arrays through
+    `out=` and in-place NumPy calls. The call overwrites every value it
+    reads back, so arrays may be reused for the same spec and map; the
+    output tensor holds `arrays.out`.
+    """
+    weights.check(spec)
+    if arrays is None:
+        arrays = conv_arrays(x, spec, kmap)
+    else:
+        _check_conv(x, spec, kmap)
+        if arrays.kmap is not kmap or arrays.spec != spec:
+            raise ShapeMismatch("the arrays were sized for another kernel map or spec")
+    centre = kmap.num_offsets // 2 if spec.mode == SUBMANIFOLD else -1
+    lanes.run(*(
+        partial(_conv_half, x, weights, kmap, arrays.out, centre, half, *buffers)
+        for half, *buffers in zip(_halves(kmap), arrays.rows, arrays.prod, arrays.acc)))
+    return SparseTensor(coords=kmap.out_coords, features=arrays.out,
+                        stride=x.stride * spec.stride[0], extents=kmap.out_extents)
 
 
 def bev_equal(voxels: SparseTensor, pillars: SparseTensor) -> bool:
@@ -429,7 +495,7 @@ def paired_downsample(voxels, pillars, spec3d: ConvSpec, spec2d: ConvSpec,
 
     The shared X-Y geometry makes the output BEV occupancy of the two
     branches provably identical; the postcondition is still asserted.
-    The voxel and the pillar convolution are lanes 0 and 1 of `lanes`.
+    The voxel convolution runs first, then the pillar one, each on `lanes`.
     """
     if spec3d.mode != REGULAR or spec2d.mode != REGULAR:
         raise SpecMismatch("paired downsampling requires regular mode on both branches")
@@ -439,9 +505,9 @@ def paired_downsample(voxels, pillars, spec3d: ConvSpec, spec2d: ConvSpec,
             raise SpecMismatch(f"X-Y conv geometry differs between branches: {a[:2]} vs {b[:2]}")
     if not bev_equal(voxels, pillars):
         raise ConsistencyViolation("input voxel/pillar BEV occupancy differs")
-    kmap3 = build_kernel_map(voxels.coords, spec3d, voxels.extents)
-    kmap2 = build_kernel_map(pillars.coords, spec2d, pillars.extents)
-    out_v, out_p = lanes.convs((voxels, spec3d, w3d, kmap3), (pillars, spec2d, w2d, kmap2))
+    out_v, out_p = (sparse_conv(x, spec, w, build_kernel_map(x.coords, spec, x.extents),
+                                lanes=lanes)
+                    for x, spec, w in ((voxels, spec3d, w3d), (pillars, spec2d, w2d)))
     if not bev_equal(out_v, out_p):
         raise ConsistencyViolation("downsampled voxel/pillar BEV occupancy diverged")
     return out_v, out_p

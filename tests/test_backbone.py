@@ -572,20 +572,65 @@ def test_the_neck_runs_4m_convs_with_the_same_bytes_on_any_cpu_count(monkeypatch
     grid, cfg, tensors = variant_model("dense")
     pts = random_cloud(np.random.default_rng(95), 150, grid)
     check_lanes(pts, grid, cfg, tensors, "small grid")
-    threads = []
-    _wrap(monkeypatch, backbone.dense_conv3x3, lambda *_: threads.append(threading.get_ident()))
+    convs, halves = [], []
+    _wrap(monkeypatch, backbone.dense_conv3x3, lambda *_: convs.append(threading.get_ident()))
+    _wrap(monkeypatch, backbone._conv_rows, lambda *_: halves.append(threading.get_ident()))
     runs = {}
     for cpus in (1, 2, 4):
         monkeypatch.setattr(manifest, "_cpu_count", lambda: cpus)
-        threads.clear()
+        convs.clear()
+        halves.clear()
         baseline = threading.active_count()
         runs[cpus] = forward_bytes(pts, grid, cfg, tensors)
-        assert len(threads) == 4 * cfg.neck_layers
+        assert convs == [threading.get_ident()] * (4 * cfg.neck_layers)
         assert threading.active_count() == baseline
-        # one CPU runs both branches here; more run the pillar branch on one helper thread
-        helpers = set(threads) - {threading.get_ident()}
+        # one CPU runs both halves of a layer here; more run the second on one helper thread
+        helpers = set(halves) - {threading.get_ident()}
         assert len(helpers) == (cpus > 1)
+        assert len(halves) > len(convs)  # the 8x layers split
     assert runs[1] == runs[2] == runs[4]
+
+
+@pytest.mark.parametrize("masked", [1, 2, 3, 4])
+def test_a_skipping_layer_splits_only_into_halves_of_two_cells(monkeypatch, masked):
+    # `masked` cells plus the unmasked one are computed: 2 or 3 would leave a half of one
+    # row, which gemv would round unlike the GEMM, so those run whole
+    rng = np.random.default_rng(140 + masked)
+    padded = np.pad(rng.normal(size=(5, 4, 3)), ((1, 1), (1, 1), (0, 0)))
+    mask = np.zeros((5, 4), dtype=bool)
+    mask.flat[rng.choice(20, size=masked, replace=False)] = True
+    kernel, scale, shift = rng.normal(size=(3, 3, 3, 6)), rng.normal(size=6), rng.normal(size=6)
+    rows = []
+    real = np.matmul
+    monkeypatch.setattr(backbone.np, "matmul",
+                        lambda a, *args, **kw: rows.append(a.shape[0]) or real(a, *args, **kw))
+    runs = []
+    for count in (1, 2):
+        layer = dense_layer(padded, 6, 1, mask)
+        assert layer.parts == ([(0, masked + 1)] if masked < 3 else
+                               [(0, (masked + 1) // 2), ((masked + 1) // 2, masked + 1)])
+        with Lanes(count) as lanes:
+            runs.append(dense_conv3x3(layer, kernel, (scale, shift, True), lanes).copy())
+    monkeypatch.undo()
+    assert 1 not in rows
+    assert runs[0].tobytes() == runs[1].tobytes()
+    # on the full map every cell outside the mask's reach holds the background value
+    full = dense_conv3x3(dense_layer(padded, 6), kernel, (scale, shift, True))
+    np.testing.assert_allclose(runs[0][mask], full[mask], rtol=1e-12, atol=1e-12)
+
+
+def test_a_one_row_map_runs_whole_and_a_two_row_map_splits():
+    rng = np.random.default_rng(145)
+    kernel = rng.normal(size=(3, 3, 2, 3))
+    for l, stride, parts in ((1, 1, [(0, 1)]), (2, 1, [(0, 1), (1, 2)]), (2, 2, [(0, 1)]),
+                             (3, 2, [(0, 1), (1, 2)])):
+        padded = np.pad(rng.normal(size=(l, 4, 2)), ((1, 1), (1, 1), (0, 0)))
+        layer = dense_layer(padded, 3, stride)
+        assert layer.parts == parts
+        with Lanes(2) as lanes:
+            got = dense_conv3x3(layer, kernel, lanes=lanes).copy()
+        want = dense_conv3x3(dense_layer(padded, 3, stride), kernel)
+        assert got.tobytes() == want.tobytes()
 
 
 def _neck_case(l, w, h, cells, seed):
@@ -657,20 +702,20 @@ def test_a_failing_neck_layer_propagates_and_leaves_no_thread(monkeypatch):
     pairs = encoder_forward(random_cloud(np.random.default_rng(96), 120, grid), grid, cfg,
                             tensors)
     caller = threading.get_ident()
-    errors = {"voxel": RuntimeError("voxel layer failed"),
-              "pillar": RuntimeError("pillar layer failed")}
+    errors = {"first": RuntimeError("first half failed"),
+              "second": RuntimeError("second half failed")}
     failing = set()
 
     def fail(*_):
-        # on two CPUs the pillar branch is the one that runs off the calling thread
-        branch = "voxel" if threading.get_ident() == caller else "pillar"
-        if branch in failing:
-            raise errors[branch]
+        # on two CPUs the second half of a layer is the one that runs off the calling thread
+        half = "first" if threading.get_ident() == caller else "second"
+        if half in failing:
+            raise errors[half]
 
-    _wrap(monkeypatch, backbone.dense_conv3x3, fail)
+    _wrap(monkeypatch, backbone._conv_rows, fail)
     baseline = threading.active_count()
-    for cpus, fails, raised in ((2, {"pillar"}, "pillar"), (2, {"voxel", "pillar"}, "voxel"),
-                                (1, {"voxel"}, "voxel")):
+    for cpus, fails, raised in ((2, {"second"}, "second"), (2, {"first", "second"}, "first"),
+                                (1, {"first"}, "first")):
         failing.clear()
         failing.update(fails)
         with Lanes(cpus) as lanes, pytest.raises(RuntimeError) as exc:
@@ -704,10 +749,9 @@ def _sparse_convs(tensors) -> set:
             if name.endswith(".kernel") and not name.startswith("neck.")}
 
 
-def _conv_names(monkeypatch, tensors) -> tuple[dict, set, set]:
+def _conv_names(monkeypatch, tensors) -> tuple[dict, set]:
     """Each sparse conv's name keyed by the identity of the float64 kernel that `forward`
-    widens for it, filled in as `forward` builds them; every sparse conv's name; and the
-    names of the pillar lane's convs."""
+    widens for it, filled in as `forward` builds them; and every sparse conv's name."""
     names = {}
     real = backbone._weights
 
@@ -717,75 +761,107 @@ def _conv_names(monkeypatch, tensors) -> tuple[dict, set, set]:
         return weights
 
     monkeypatch.setattr(backbone, "_weights", named)
-    convs = _sparse_convs(tensors)
-    return names, convs, {name for name in convs if name.startswith(
-        ("pillar.", "readout.pillar.")) or name.endswith(".v2p")}
+    return names, _sparse_convs(tensors)
+
+
+def _record_halves(monkeypatch, names, calls: list):
+    """Record (thread, conv name, whether its map splits) for each half of every sparse conv
+    that `forward` runs."""
+
+    def record(x, weights, kmap, *_):
+        split = kmap.cut < kmap.out_coords.shape[0]
+        calls.append((threading.get_ident(), names[id(weights.kernel)], split))
+
+    _wrap(monkeypatch, sparse_conv_module._conv_half, record)
 
 
 @pytest.mark.parametrize("variant", ["dense", "sparse"])
 def test_forward_leaves_the_callers_lanes_open(monkeypatch, variant):
     grid, cfg, tensors = variant_model(variant)
     pts = random_cloud(np.random.default_rng(100), 150, grid)
-    names, _, pillar_lane = _conv_names(monkeypatch, tensors)
+    names, convs = _conv_names(monkeypatch, tensors)
     caller = threading.get_ident()
-    helper = set()
-    _wrap(monkeypatch, sparse_conv_module.sparse_conv,
-          lambda x, spec, w, *_: threading.get_ident() != caller and helper.add(names[id(w.kernel)]))
+    halves = []
+    _record_halves(monkeypatch, names, halves)
     want = forward_bytes(pts, grid, cfg, tensors, Lanes())
+    baseline = threading.active_count()
+    helpers = set()
     with Lanes(2) as lanes:
         for _ in range(2):
-            helper.clear()
+            halves.clear()
             assert forward_bytes(pts, grid, cfg, tensors, lanes) == want
-            assert helper == pillar_lane
+            # the lanes' one helper is still running, and it ran the second half of every
+            # conv whose map splits, in both branches
+            assert threading.active_count() == baseline + 1
+            helpers |= {thread for thread, *_ in halves if thread != caller}
+            split = {name for _, name, splits in halves if splits}
+            assert {name for thread, name, _ in halves if thread != caller} == split
+            assert {name.split(".")[0] for name in split} >= {"voxel", "pillar"}
+    assert len(helpers) == 1
+    assert threading.active_count() == baseline
 
 
 @pytest.mark.parametrize("variant", ["dense", "sparse"])
-def test_the_branches_run_as_lanes_with_the_same_bytes_on_any_cpu_count(monkeypatch, variant):
+def test_every_layer_splits_its_rows_with_the_same_bytes_on_any_cpu_count(monkeypatch, variant):
     grid, cfg, tensors = variant_model(variant)
     pts = random_cloud(np.random.default_rng(97), 150, grid)
-    names, convs, pillar_lane = _conv_names(monkeypatch, tensors)
+    names, convs = _conv_names(monkeypatch, tensors)
     caller = threading.get_ident()
-    calls = []
+    calls, halves = [], []
     _wrap(monkeypatch, sparse_conv_module.sparse_conv,
           lambda x, spec, w, *_: calls.append((threading.get_ident(), names[id(w.kernel)])))
-    for real in (sparse_conv_module.conv_arrays, backbone.dense_layer):
+    for real in (sparse_conv_module.conv_arrays, backbone.dense_layer, backbone._conv_rows,
+                 backbone._fill_rows):
         _wrap(monkeypatch, real,
               lambda *_, name=real.__name__: calls.append((threading.get_ident(), name)))
+    _record_halves(monkeypatch, names, halves)
     runs = {}
     for cpus in (1, 2, 4):
         monkeypatch.setattr(manifest, "_cpu_count", lambda: cpus)
         calls.clear()
+        halves.clear()
         baseline = threading.active_count()
         runs[cpus] = forward_bytes(pts, grid, cfg, tensors)
         assert threading.active_count() == baseline
-        called = collections.Counter(name for _, name in calls)
-        # every sparse conv once, each with its arrays allocated here
-        assert called.pop("conv_arrays") == len(convs)
-        assert called.pop("dense_layer", 0) == (4 * cfg.neck_layers if variant == "dense" else 0)
-        assert called == collections.Counter(convs)
-        helper = {name for thread, name in calls if thread != caller}
-        assert helper == (pillar_lane if cpus > 1 else set())
+        # every sparse conv and neck layer once, on this thread, with its arrays allocated
+        # here; only the halves of a layer run on the helper
+        on_caller = collections.Counter(name for thread, name in calls if thread == caller)
+        assert on_caller.pop("conv_arrays") == len(convs)
+        assert on_caller.pop("dense_layer", 0) == (4 * cfg.neck_layers if variant == "dense"
+                                                   else 0)
+        on_caller.pop("_conv_rows", None)
+        on_caller.pop("_fill_rows", None)
+        assert on_caller == collections.Counter(convs)
+        off_caller = {name for thread, name in calls if thread != caller}
+        assert off_caller <= {"_conv_rows", "_fill_rows"}
+        assert bool(off_caller) == (variant == "dense" and cpus > 1)
+        # each conv runs one half per lane when its map splits, else one, on this thread
+        split = {name for _, name, splits in halves if splits}
+        assert split and len(halves) == len(convs) + len(split)
+        helper = {name for thread, name, _ in halves if thread != caller}
+        assert helper == (split if cpus > 1 else set())
     assert runs[1] == runs[2] == runs[4]
 
 
 def test_a_failing_pillar_conv_propagates_and_leaves_no_thread(monkeypatch):
     grid, cfg, tensors = variant_model("sparse")
     pts = random_cloud(np.random.default_rng(98), 120, grid)
+    names, _ = _conv_names(monkeypatch, tensors)
     caller = threading.get_ident()
-    errors = {"voxel": RuntimeError("voxel conv failed"),
-              "pillar": RuntimeError("pillar conv failed")}
+    errors = {"first": RuntimeError("first half failed"),
+              "second": RuntimeError("second half failed")}
     failing = set()
 
-    def fail(*_):
-        # on two CPUs the pillar lane is the one that runs off the calling thread
-        lane = "voxel" if threading.get_ident() == caller else "pillar"
-        if lane in failing:
-            raise errors[lane]
+    def fail(x, weights, *_):
+        # on two CPUs the second half of a split conv runs off the calling thread
+        half = "first" if threading.get_ident() == caller else "second"
+        if names[id(weights.kernel)].startswith("pillar.") and half in failing:
+            raise errors[half]
 
-    _wrap(monkeypatch, sparse_conv_module.sparse_conv, fail)
+    _wrap(monkeypatch, sparse_conv_module._conv_half, fail)
     baseline = threading.active_count()
-    for cpus, fails, raised in ((2, {"pillar"}, "pillar"), (2, {"voxel", "pillar"}, "voxel"),
-                                (1, {"voxel"}, "voxel")):
+    for cpus, fails, raised in ((2, {"second"}, "second"), (2, {"first", "second"}, "first"),
+                                (1, {"first"}, "first")):
         monkeypatch.setattr(manifest, "_cpu_count", lambda: cpus)
         failing.clear()
         failing.update(fails)

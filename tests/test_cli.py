@@ -556,3 +556,23 @@ def test_config_seeds_outside_32_bits_exit_1(workspace, capsys, command):
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and "seed" in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("variant", ["dense", "sparse"])
+@pytest.mark.parametrize("entry", range(4))
+def test_a_channel_width_of_1e300_exits_1_without_a_traceback(workspace, capsys, variant,
+                                                              entry):
+    # the model's size passes the float range, which a GiB message must still format
+    tmp, cfg, cloud = workspace
+    doc = json.loads(Path(cfg).read_text())
+    widths = list(BackboneConfig(variant=variant).voxel_channels)
+    widths[entry] = 1e300
+    doc["backbone"].update(variant=variant, voxel_channels=widths)
+    huge = tmp / "huge.json"
+    huge.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["forward", cloud, "--config", str(huge), "--out", str(tmp / "out.vpt")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "GiB" in err
+    assert not (tmp / "out.vpt").exists()

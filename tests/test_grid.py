@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from voxpillar.errors import EmptyGrid, InvalidTensor, ShapeMismatch
 from voxpillar.grid import (GridSpec, PointEncoderWeights, SparseTensor, assign_voxel_indices,
-                            build_pillar_features, build_voxel_features, pack_coords, voxelize)
+                            build_pillar_features, build_voxel_features, pack_coords, run_bounds,
+                            run_max, voxelize)
 from voxpillar.reference import groupby_max, groupby_mean
 from voxpillar.selftest import random_cloud
 
@@ -311,3 +312,61 @@ def test_shared_pass_matches_per_point_references(case):
     assert moved.dropped == cloud.dropped
     assert _same(build_voxel_features(moved), v)
     assert _same(build_pillar_features(moved, enc), p)
+
+
+def _five_key_voxelize(points, spec):
+    """`voxelize`'s rows by the one five-key lexsort: cell, then x, y, z, intensity."""
+    idx, _ = assign_voxel_indices(points, spec)
+    kept = idx[:, 0] >= 0
+    pts, idx = points[kept], idx[kept]
+    key = pack_coords(idx, spec.extents)
+    order = np.lexsort((pts[:, 3], pts[:, 2], pts[:, 1], pts[:, 0], key))
+    return pts[order], idx[order]
+
+
+def _step1_clouds(grid):
+    """A 1 cm-rounded cloud with many ties, one of exact duplicates, and one with most
+    points in one column."""
+    rng = np.random.default_rng(130)
+    lo, hi = np.array(grid.range_min), np.array(grid.range_max)
+    # 3000 points rounded to 1 cm in a 0.5 m cube: about 10 x values per voxel
+    rounded = np.empty((3000, 4))
+    rounded[:, :3] = np.round(lo + 1.0 + rng.uniform(0, 0.5, size=(3000, 3)), 2)
+    rounded[:, 3] = np.round(rng.uniform(size=3000), 1)
+    base = random_cloud(rng, 200, grid)
+    duplicates = base[rng.integers(0, 200, size=1500)]
+    column = random_cloud(rng, 2000, grid)
+    column[:1700, :2] = (lo[:2] + hi[:2]) / 2 + rng.uniform(0, 0.05, size=(1700, 2))
+    return {"rounded": rounded, "duplicates": duplicates, "column": column}
+
+
+@pytest.mark.parametrize("kind", ["rounded", "duplicates", "column"])
+def test_step1_gives_the_bytes_of_one_five_key_sort_and_a_reduceat(desk_grid, kind):
+    pts = _step1_clouds(desk_grid)[kind]
+    cloud = voxelize(pts, desk_grid)
+    x_tied = (np.diff(pack_coords(cloud.cells, desk_grid.extents)) == 0) & (
+        np.diff(cloud.points[:, 0]) == 0)
+    if kind != "column":
+        assert x_tied.mean() > 0.1  # the second sort runs on many points
+    want_pts, want_cells = _five_key_voxelize(pts, desk_grid)
+    assert cloud.points.tobytes() == want_pts.tobytes()
+    assert cloud.cells.tobytes() == want_cells.tobytes()
+    enc = PointEncoderWeights(weight=np.random.default_rng(131).normal(size=(4, 16)),
+                              bias=np.zeros(16))
+    bounds = run_bounds(cloud.cells[:, :2])
+    encoded = np.maximum(cloud.points @ enc.weight + enc.bias, 0.0)
+    want = np.maximum.reduceat(encoded, bounds[:-1], axis=0)
+    assert build_pillar_features(cloud, enc).features.tobytes() == want.tobytes()
+    if kind == "column":
+        assert np.diff(bounds).max() >= 1700
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(1, 20), min_size=1, max_size=30), st.integers(0, 2**32 - 1))
+def test_run_max_equals_reduceat_with_signed_zeros_and_infinities(lengths, seed):
+    rng = np.random.default_rng(seed)
+    n = sum(lengths)
+    values = rng.choice(np.array([0.0, -0.0, 1.0, -1.0, 2.0, np.inf, -np.inf]), size=(n, 3))
+    bounds = np.concatenate(([0], np.cumsum(lengths)))
+    want = np.maximum.reduceat(values, bounds[:-1], axis=0)
+    assert run_max(values, bounds).tobytes() == want.tobytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 
 import numpy as np
@@ -337,9 +338,11 @@ def test_caller_allocated_arrays_give_the_allocating_bytes(case, empty, with_bia
     assert want.features.tobytes() == _scatter_add_at(x, spec, weights, kmap).tobytes()
 
     arrays = conv_arrays(x, spec, kmap)
-    # `rows` is dead once an offset's product is taken, so `acc` reuses its buffer
-    assert arrays.rows.base is arrays.acc.base is not None
-    for written in (arrays.out, arrays.rows, arrays.prod, arrays.acc):
+    # per half, `rows` is dead once an offset's product is taken, so `acc` reuses its buffer
+    assert len(arrays.rows) == len(arrays.prod) == len(arrays.acc) in (1, 2)
+    for rows, acc in zip(arrays.rows, arrays.acc):
+        assert rows.base is acc.base is not None
+    for written in (arrays.out, *arrays.rows, *arrays.prod, *arrays.acc):
         written.fill(np.nan)
     other = ConvWeights(rng.normal(size=weights.kernel.shape), rng.normal(size=spec.out_channels))
     sparse_conv(x, spec, other, kmap, arrays)  # leaves its values in the arrays
@@ -370,26 +373,120 @@ def test_conv_rejects_arrays_or_a_map_of_another_input():
         sparse_conv(x, wider, random_conv_weights(rng, wider), kmap, arrays)
 
 
+def _whole(kmap):
+    """`kmap` as a map that runs whole."""
+    return dataclasses.replace(kmap, cut=kmap.out_coords.shape[0], mid=kmap.bounds[1:].copy())
+
+
+def _require_split(kmap):
+    """The documented invariants of the row split of `kmap`."""
+    m, bounds, dst = kmap.out_coords.shape[0], kmap.bounds, kmap.triples[:, 1]
+    assert 0 < kmap.cut <= m or kmap.cut == m == 0
+    sizes = []
+    for k in range(kmap.num_offsets):
+        lo, mid, hi = bounds[k], kmap.mid[k], bounds[k + 1]
+        assert lo <= mid <= hi
+        assert (dst[lo:mid] < kmap.cut).all() and (dst[mid:hi] >= kmap.cut).all()
+        sizes.append((mid - lo, hi - mid))
+    # no half turns a segment of two or more triples into a one-row product
+    assert all(1 not in pair for pair in sizes if sum(pair) >= 2)
+    return sizes
+
+
 @pytest.mark.parametrize("count", [1, 2])
-def test_lanes_convs_allocate_here_and_equal_sparse_conv(monkeypatch, count):
+def test_the_row_split_allocates_here_and_gives_the_whole_maps_bytes(monkeypatch, count):
     rng = np.random.default_rng(36)
     calls = []
-    for ndim, extents, mode in ((3, (6, 6, 4), "submanifold"), (2, (6, 6), "regular")):
+    # large enough that every segment has a few rows on each side of some cut
+    for ndim, extents, mode in ((3, (12, 12, 6), "submanifold"), (2, (16, 16), "regular")):
         spec = (ConvSpec.submanifold(ndim, 3, 3, 5) if mode == "submanifold"
                 else ConvSpec.regular(ndim, 3, 2, 1, 3, 5))
         x = random_sparse(rng, extents, 0.3, 3, ndim)
         calls.append((x, spec, random_conv_weights(rng, spec, bias=mode == "regular"),
                       build_kernel_map(x.coords, spec, x.extents)))
-    threads = []
+    caller = threading.get_ident()
+    threads, halves = [], []
+    real_half = sparse_conv_module._conv_half
     monkeypatch.setattr(sparse_conv_module, "conv_arrays",
                         lambda *args: threads.append(threading.get_ident()) or conv_arrays(*args))
+    monkeypatch.setattr(sparse_conv_module, "_conv_half",
+                        lambda *args: halves.append(threading.get_ident()) or real_half(*args))
     with Lanes(count) as lanes:
-        got = lanes.convs(*calls)
-    assert threads == [threading.get_ident()] * 2
-    for out, (x, spec, weights, kmap) in zip(got, calls):
-        want = sparse_conv(x, spec, weights, kmap)
-        assert out.coords.tobytes() == want.coords.tobytes()
-        assert out.features.tobytes() == want.features.tobytes()
+        for x, spec, weights, kmap in calls:
+            assert 0 < kmap.cut < kmap.out_coords.shape[0]  # both maps split
+            got = sparse_conv(x, spec, weights, kmap, lanes=lanes)
+            whole = sparse_conv(x, spec, weights, _whole(kmap), lanes=lanes)
+            assert got.coords.tobytes() == whole.coords.tobytes()
+            assert got.features.tobytes() == whole.features.tobytes()
+    # every array is allocated here; each split call runs two halves and each whole one
+    # one, and with two lanes the second half of each split runs off this thread
+    assert threads == [caller] * 4
+    assert len(halves) == 6
+    assert halves.count(caller) == (6 if count == 1 else 4)
+
+
+@pytest.mark.parametrize("sites", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["submanifold", "regular"])
+def test_maps_of_one_to_three_sites_split_only_into_pieces_of_two_rows(sites, mode):
+    rng = np.random.default_rng(37 + sites)
+    flat = np.sort(rng.choice(9, size=sites, replace=False))
+    coords = np.stack(np.unravel_index(flat, (3, 3)), axis=1).astype(np.int64)
+    x = SparseTensor(coords, rng.normal(size=(sites, 2)), 1, (3, 3))
+    spec = (ConvSpec.submanifold(2, 3, 2, 3) if mode == "submanifold"
+            else ConvSpec.regular(2, 3, 1, 1, 2, 3))
+    kmap = build_kernel_map(x.coords, spec, x.extents)
+    _require_split(kmap)
+    if mode == "submanifold" and sites < 4:
+        # the centre segment holds every site, and a half of it would have one
+        assert kmap.cut == sites
+    weights = random_conv_weights(rng, spec, bias=mode == "regular")
+    with Lanes(2) as lanes:
+        got = sparse_conv(x, spec, weights, kmap, lanes=lanes)
+    assert got.features.tobytes() == _scatter_add_at(x, spec, weights, kmap).tobytes()
+
+
+def test_a_cut_that_leaves_one_row_of_a_segment_is_passed_over():
+    spec = ConvSpec.submanifold(2, 3, 1, 1)
+    # one line of n sites: offsets (1, 0) and (1, 2) pair n - 1 sites each, and a cut at
+    # 1, 2, n - 2 or n - 1 leaves one of their segments or the centre's a one-row half
+    for n, cut in ((8, 4), (6, 3), (5, 5), (4, 4)):
+        coords = np.stack([np.zeros(n), np.arange(n)], axis=1).astype(np.int64)
+        kmap = build_kernel_map(coords, spec, (1, n))
+        _require_split(kmap)
+        assert kmap.cut == cut
+    # on this map the most even cut, 2, would leave a one-row half, so 3 is taken
+    coords = np.stack(np.unravel_index([0, 1, 2, 10, 12], (4, 4)), axis=1).astype(np.int64)
+    kmap = build_kernel_map(coords, spec, (4, 4))
+    _require_split(kmap)
+    dst, bounds = kmap.triples[:, 1], kmap.bounds
+    below = [[int((dst[lo:hi] < cut).sum()) for lo, hi in zip(bounds[:-1], bounds[1:])]
+             for cut in range(6)]
+    imbalance = [abs(2 * sum(b) - dst.size) for b in below]
+    assert imbalance.index(min(imbalance)) == 2 and kmap.cut == 3
+    assert any(b == 1 or hi - lo - b == 1
+               for b, lo, hi in zip(below[2], bounds[:-1], bounds[1:]) if hi - lo >= 2)
+
+
+def test_an_empty_half_of_a_segment_runs_no_product(monkeypatch):
+    # a line along l, then one along w: each pairs its sites through two offsets that the
+    # other does not use, and the cut between them leaves those segments an empty half
+    coords = np.array([[0, 0], [1, 0], [2, 0], [3, 0], [6, 3], [6, 4], [6, 5], [6, 6]])
+    rng = np.random.default_rng(38)
+    x = SparseTensor(coords.astype(np.int64), rng.normal(size=(8, 2)), 1, (9, 9))
+    spec = ConvSpec.submanifold(2, 3, 2, 2)
+    kmap = build_kernel_map(x.coords, spec, x.extents)
+    sizes = _require_split(kmap)
+    assert kmap.cut == 4 and any(0 in pair and sum(pair) > 0 for pair in sizes)
+    rows = []
+    real = np.matmul
+    monkeypatch.setattr(sparse_conv_module.np, "matmul",
+                        lambda a, *args, **kw: rows.append(a.shape[0]) or real(a, *args, **kw))
+    weights = random_conv_weights(rng, spec)
+    with Lanes(2) as lanes:
+        got = sparse_conv(x, spec, weights, kmap, lanes=lanes)
+    monkeypatch.undo()
+    assert 0 not in rows and 1 not in rows
+    assert got.features.tobytes() == _scatter_add_at(x, spec, weights, kmap).tobytes()
 
 
 def _paired_specs(cin_v, cout_v, cin_p, cout_p):
