@@ -2,9 +2,10 @@
 
 The encoder interleaves paired sparse conv blocks (a shared-geometry
 regular downsample followed by submanifold layers per branch) with the
-sparse fusion layer. The dense readout densifies the 8x features and runs
-a two-scale conv neck; the sparse readout keeps everything sparse through
-16x/32x blocks and merges all scales on the 8x BEV lattice.
+sparse fusion layer. The dense readout runs a two-scale conv neck on the 8x
+features, one row per distinct 3x3 window, into one dense map; the sparse
+readout keeps everything sparse through 16x/32x blocks and merges all scales
+on the 8x BEV lattice.
 """
 from __future__ import annotations
 
@@ -170,7 +171,8 @@ def neck_convs(cfg: BackboneConfig, extents8) -> list[tuple[str, int, int, int]]
     l8, w8, h8 = (int(e) for e in extents8)
     d = cfg.neck_channels
     widths = (h8 * cfg.voxel_channels[-1], cfg.pillar_channels[-1])
-    # the padded input of an 8x layer, or the concatenated 8x readout
+    # a padded 8x map as wide as the widest layer input, which bounds every table the
+    # neck writes, or the concatenated 8x readout
     largest = 8 * max((l8 + 2) * (w8 + 2) * max(*widths, d), l8 * w8 * 2 * d)
     if largest > NECK_MAP_BYTES_CAP:
         raise OutOfRange(
@@ -306,136 +308,124 @@ def height_compress(x: SparseTensor) -> SparseTensor:
                         extents=x.extents[:2])
 
 
-def bev_array(x: SparseTensor, pad: int = 0) -> np.ndarray:
-    """Sparse features scattered onto a zero (L + 2 pad, W + 2 pad, C) BEV array, inside a
-    border of `pad` zero cells. 3D input is height-compressed first."""
-    if x.coords.shape[1] == 3:
-        x = height_compress(x)
-    l, w = x.extents
-    values = np.zeros((l + 2 * pad, w + 2 * pad, x.num_channels))
-    values[pad:pad + l, pad:pad + w][x.coords[:, 0], x.coords[:, 1]] = x.features
-    return values
-
-
 def densify(x: SparseTensor) -> DenseFeatureMap:
     """Scatter sparse features onto a zero dense BEV map; 3D input is height-compressed first."""
-    return DenseFeatureMap(values=bev_array(x), stride=x.stride)
+    if x.coords.shape[1] == 3:
+        x = height_compress(x)
+    values = np.zeros((*x.extents, x.num_channels))
+    values[x.coords[:, 0], x.coords[:, 1]] = x.features
+    return DenseFeatureMap(values=values, stride=x.stride)
+
+
+def _classes(cols: list[np.ndarray], base: int) -> tuple[np.ndarray, int]:
+    """Number the tuples of the equally long int64 arrays `cols`, whose entries lie in
+    [0, base): returns each tuple's class in [0, count), in sorted order, and count.
+
+    The columns are packed into one int64 code in mixed radix, renumbered densely
+    first whenever the next column would take the code's range times the tuple count
+    past 2**63, so the codes are exact at any size."""
+    n = cols[0].size
+    code, span = cols[0], base
+    for col in cols[1:]:
+        if span * base * n > 1 << 63:
+            code, span = _dense(code, span)
+        code = code * base + col
+        span *= base
+    return _dense(code, span)
+
+
+def _dense(code: np.ndarray, span: int) -> tuple[np.ndarray, int]:
+    """Each of the codes, which lie in [0, span), ranked among the distinct codes, and
+    their count."""
+    n = code.size
+    if span * n <= 1 << 63:
+        # one in-place sort of each code packed with its position: an argsort is
+        # several times slower on codes that repeat as much as a neck map's do
+        key = code * n + np.arange(n)
+        key.sort()
+        code, pos = np.divmod(key, n)
+    else:
+        pos = code.argsort(kind="stable")
+        code = code[pos]
+    new = np.empty(n, dtype=bool)
+    new[0] = True
+    np.not_equal(code[1:], code[:-1], out=new[1:])
+    rank = np.cumsum(new) - 1
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[pos] = rank
+    return ranks, int(rank[-1]) + 1
+
+
+def window_classes(labels: np.ndarray, stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """The window classes of a 3x3 convolution with padding 1 and `stride` on a map
+    whose cell (y, x) holds row labels[y, x] of its input table, where row 0 is the
+    zero vector that the padding holds too.
+
+    Cells whose windows hold the same rows get the same class, so their outputs are
+    equal. Returns `taps`, (9, n): the input row under tap t, (dy, dx) = divmod(t, 3),
+    of each class's window; and each output cell's class, numbered from 1 so that the
+    output table's row 0 can be the zero vector again. The three labels of each window
+    row are numbered first, then the three row classes of each window.
+    """
+    l, w = labels.shape
+    lo, wo = (l - 1) // stride + 1, (w - 1) // stride + 1
+    padded = np.pad(labels, 1)
+    span = stride * (lo - 1) + 3
+    across, n_across = _classes([padded[:span, dx:dx + stride * (wo - 1) + 1:stride].ravel()
+                                 for dx in range(3)], int(padded.max()) + 1)
+    across = across.reshape(span, wo)
+    classes, n = _classes([across[dy:dy + stride * (lo - 1) + 1:stride].ravel()
+                           for dy in range(3)], n_across)
+    # any cell of a class has its window; its corner, flat in `padded`
+    cell = np.empty(n, dtype=np.int64)
+    cell[classes] = np.arange(classes.size)
+    oy, ox = np.divmod(cell, wo)
+    corner = stride * (oy * (w + 2) + ox)
+    taps = padded.ravel()[corner + np.add.outer(np.arange(3) * (w + 2), np.arange(3)).reshape(9, 1)]
+    return taps, (classes + 1).reshape(lo, wo)
 
 
 @dataclass
 class DenseLayer:
     """Every array one `dense_conv3x3` call reads or writes besides its kernel.
 
-    `padded` is the (L+2, W+2, C) input inside a zero border and `out` an
-    (L'+2, W'+2, D) map with a zero border whose interior the call
-    overwrites, so one layer's `out` can be the next layer's `padded`.
-    `prod` takes one tap's products. With the background skip, `corner` is
-    the flat index in `padded` of each computed cell's window corner (the
-    masked cells, then one unmasked cell), `idx` takes index arrays and
-    `rows` gathered window rows, and `acc` holds the computed cells' sums;
-    these may be leading views of arrays that the layers of a block share
-    (`_skip_arrays`).
-
-    `parts` splits the rows the call computes into two halves, or one when
-    it cannot: the output rows of the map, or with the skip the computed
-    cells. With the skip, `fills` splits the writes into `out` the same way,
-    as (output rows, masked cells in those rows) ranges.
+    Row k + 1 of `out` takes the output of window class k: the sum over taps t of
+    `table[taps[t, k]] @ kernel[divmod(t, 3)]`. Row 0 of `table` and of `out` is the
+    zero vector, so `out` can be the next layer's `table`. `rows` takes one tap's
+    gathered input rows and `prod` their products.
     """
 
-    padded: np.ndarray
-    out: np.ndarray
-    stride: int
-    prod: np.ndarray
-    parts: list[tuple[int, int]]
-    corner: np.ndarray | None = None
-    idx: np.ndarray | None = None
-    rows: np.ndarray | None = None
-    acc: np.ndarray | None = None
-    fills: list[tuple[tuple[int, int], tuple[int, int]]] | None = None
+    table: np.ndarray  # (m + 1, C)
+    taps: np.ndarray  # (9, n) int64
+    out: np.ndarray  # (n + 1, D)
+    rows: np.ndarray  # (n, C)
+    prod: np.ndarray  # (n, D)
 
 
-def _skips(stride: int, mask: np.ndarray | None) -> bool:
-    """Whether a layer computes only its masked cells and one unmasked cell."""
-    return stride == 1 and mask is not None and not mask.all()
-
-
-def _skip_arrays(n: int, c: int, d: int) -> dict:
-    """The `prod`, `idx`, `rows` and `acc` arrays of skipping layers from width `c` to
-    width `d` that compute at most `n` cells."""
-    return {"prod": np.empty((n, d)), "idx": np.empty(n, dtype=np.intp),
-            "rows": np.empty((n, c)), "acc": np.empty((n, d))}
-
-
-def _row_halves(n: int, least: int) -> list[tuple[int, int]]:
-    """[0, n) as two halves of at least `least` rows each, or whole when too short."""
-    half = n // 2
-    return [(0, half), (half, n)] if half >= least else [(0, n)]
-
-
-def dense_layer(padded: np.ndarray, d: int, stride: int = 1,
-                mask: np.ndarray | None = None, spare=None, scratch: dict | None = None
-                ) -> DenseLayer:
-    """Allocate the arrays of a 3x3 convolution to width `d` of the zero-bordered `padded`.
-
-    `mask`, used at stride 1 only, marks the output cells that may differ:
-    every cell outside it must have a window of the same values, padding
-    included. Then only the masked cells and one unmasked cell are computed,
-    in leading views of `scratch` (from `_skip_arrays`) when given.
-    `spare`, a zero-bordered map that nothing reads any more, becomes `out`
-    when it has the output's shape.
-
-    The computed rows are split in halves (`DenseLayer.parts`). Without the
-    skip each GEMM covers one output row of the map whichever half runs it,
-    so any two halves do. With it, each half's GEMMs cover its computed
-    cells, so a half must keep at least two: NumPy sends a one-row product
-    to gemv, which rounds unlike a GEMM.
-    """
-    h, w, c = padded.shape[0] - 2, padded.shape[1] - 2, padded.shape[2]
-    h_out, w_out = ((n - 1) // stride + 1 for n in (h, w))
-    shape = (h_out + 2, w_out + 2, d)
-    out = spare if spare is not None and spare.shape == shape else np.zeros(shape)
-    if _skips(stride, mask):
-        # the masked cells, then the first unmasked one
-        masked = np.flatnonzero(mask)
-        sites = np.append(masked, np.argmin(mask))
-        n = sites.size
-        arrays = scratch or _skip_arrays(n, c, d)
-        fills = [((r0, r1), tuple(np.searchsorted(masked, (r0 * w, r1 * w)).tolist()))
-                 for r0, r1 in _row_halves(h, 1)]
-        return DenseLayer(padded, out, stride, prod=arrays["prod"][:n], parts=_row_halves(n, 2),
-                          corner=sites + sites // w * 2, idx=arrays["idx"][:n],
-                          rows=arrays["rows"][:n], acc=arrays["acc"][:n], fills=fills)
-    return DenseLayer(padded, out, stride, prod=np.empty((h_out, w_out, d)),
-                      parts=_row_halves(h_out, 1))
+def dense_layer(table: np.ndarray, taps: np.ndarray, d: int,
+                scratch: np.ndarray | None = None) -> DenseLayer:
+    """Allocate, on the calling thread, the arrays of a 3x3 convolution to width `d` of the
+    window classes `taps` (see `window_classes`) over `table`. `rows` and `prod` are
+    leading views of `scratch`, a flat float64 array of at least n * (C + d) values, when
+    given."""
+    n, c = taps.shape[1], table.shape[1]
+    scratch = np.empty(n * (c + d)) if scratch is None else scratch
+    out = np.empty((n + 1, d))
+    out[0] = 0.0
+    return DenseLayer(table, taps, out, scratch[:n * c].reshape(n, c),
+                      scratch[n * c:n * (c + d)].reshape(n, d))
 
 
 def _conv_rows(layer: DenseLayer, kernel: np.ndarray, epilogue, first: int, end: int):
-    """Rows `first:end` of `dense_conv3x3`: with the skip the computed cells' sums in
-    `acc`, else the output map's rows in `out`; then the epilogue on them."""
-    xp, stride = layer.padded, layer.stride
-    w, c = xp.shape[1] - 2, xp.shape[2]
-    if layer.corner is not None:
-        flat = xp.reshape(-1, c)
-        corner, idx, rows, prod, y = (a[first:end] for a in (layer.corner, layer.idx,
-                                                             layer.rows, layer.prod, layer.acc))
-        y[...] = 0.0
-        for dy in range(3):
-            for dx in range(3):
-                np.add(corner, dy * (w + 2) + dx, out=idx)
-                # mode="raise" would buffer `out`; the indices are always valid
-                np.take(flat, idx, axis=0, out=rows, mode="clip")
-                np.matmul(rows, kernel[dy, dx], out=prod)
-                y += prod
-    else:
-        y, prod = layer.out[1 + first:1 + end, 1:-1], layer.prod[first:end]
-        w_out = y.shape[1]
-        y[...] = 0.0
-        for dy in range(3):
-            for dx in range(3):
-                window = xp[dy + stride * first:dy + stride * (end - 1) + 1:stride,
-                            dx:dx + stride * (w_out - 1) + 1:stride]
-                np.matmul(window, kernel[dy, dx], out=prod)
-                y += prod
+    """Classes `first:end` of `dense_conv3x3`: their sums in `out`, then the epilogue."""
+    rows, prod = layer.rows[first:end], layer.prod[first:end]
+    y = layer.out[1 + first:1 + end]
+    y[...] = 0.0
+    for t, taps in enumerate(layer.taps[:, first:end]):
+        # mode="raise" would buffer `out`; the labels are always valid
+        np.take(layer.table, taps, axis=0, out=rows, mode="clip")
+        np.matmul(rows, kernel[divmod(t, 3)], out=prod)
+        y += prod
     if epilogue is not None:
         scale, shift, activation = epilogue
         y *= scale
@@ -444,51 +434,28 @@ def _conv_rows(layer: DenseLayer, kernel: np.ndarray, epilogue, first: int, end:
             np.maximum(y, 0.0, out=y)
 
 
-def _fill_rows(layer: DenseLayer, rows: tuple[int, int], cells: tuple[int, int]):
-    """With the skip, the output rows `rows` of `out`: the unmasked cell's value, and the
-    sums of the masked cells `cells[0]:cells[1]`, which lie in those rows."""
-    (r0, r1), (s0, s1) = rows, cells
-    layer.out[1 + r0:1 + r1, 1:-1] = layer.acc[-1]
-    # each masked cell's centre, flat in `out`, which has `padded`'s width at stride 1
-    idx = layer.idx[s0:s1]
-    np.add(layer.corner[s0:s1], layer.padded.shape[1] + 1, out=idx)
-    layer.out.reshape(-1, layer.out.shape[2])[idx] = layer.acc[s0:s1]
-
-
 def dense_conv3x3(layer: DenseLayer, kernel: np.ndarray, epilogue: tuple | None = None,
                   lanes: Lanes = Lanes()) -> np.ndarray:
-    """Dense 3x3 cross-correlation with padding 1 of the layer that `dense_layer` built.
+    """Dense 3x3 cross-correlation with padding 1, one output row per window class of the
+    layer that `dense_layer` built; returns its output table `layer.out`.
 
-    `layer` holds the padded input, the stride, the mask's cells and every
-    array the call writes, so the call allocates no feature-sized array.
-    The result is the (L', W', D) interior of the layer's `out`.
-    `epilogue`, (scale, shift, activation), is applied in place to every
-    computed value: times scale, plus shift, then a ReLU if activation.
+    Each class's window rows are gathered tap by tap, and one GEMM per tap covers
+    them all, added in tap order into a zeroed sum. `epilogue`, (scale, shift,
+    activation), is then applied in place: times scale, plus shift, then a ReLU if
+    activation. The call allocates no feature-sized array.
 
-    The halves of `layer.parts` run as lanes 0 and 1 of `lanes`, by default
-    one lane on this thread, where they run in turn; with the skip, so do
-    the halves of `layer.fills` once both sums are done. Either way every
-    value gets the same operations, so the bytes do not depend on the lanes.
-
-    With a mask (see `dense_layer`) only the masked cells and one unmasked
-    cell are computed, and that cell's output is copied to the other
-    unmasked cells. Each computed cell takes the same products in the same
-    order as without a mask, but BLAS may round a GEMM row differently when
-    the number of rows changes, so the result may differ from the full map
-    in the last bits (`selftest.check_neck_skip` states the bound); reruns
-    are bitwise equal.
+    The classes split into halves of at least two rows, since NumPy sends a one-row
+    product to gemv, which rounds unlike a GEMM. The halves run as lanes 0 and 1 of
+    `lanes`, by default one lane on this thread, where they run in turn. Every class
+    takes the products its cells would take in a GEMM over the full map, in the same
+    order, so the bytes depend neither on the lanes nor on how many cells share a
+    class wherever BLAS rounds a GEMM row alike for any row count of two or more, as
+    OpenBLAS's SkylakeX kernel does at output widths that are multiples of 8.
     """
-    lanes.run(*(partial(_conv_rows, layer, kernel, epilogue, *part) for part in layer.parts))
-    if layer.corner is not None:
-        lanes.run(*(partial(_fill_rows, layer, *fill) for fill in layer.fills))
-    return layer.out[1:-1, 1:-1]
-
-
-def _reach(mask: np.ndarray, padding: bool) -> np.ndarray:
-    """Cells whose 3x3 window touches a True cell of `mask`, or the padding if `padding`."""
-    h, w = mask.shape
-    p = np.pad(mask, 1, constant_values=padding)
-    return np.logical_or.reduce([p[dy:dy + h, dx:dx + w] for dy in range(3) for dx in range(3)])
+    n = layer.taps.shape[1]
+    parts = [(0, n // 2), (n // 2, n)] if n >= 4 else [(0, n)]
+    lanes.run(*(partial(_conv_rows, layer, kernel, epilogue, *part) for part in parts))
+    return layer.out
 
 
 def _neck_tensors(tensors, name: str) -> tuple[np.ndarray, ...]:
@@ -497,56 +464,30 @@ def _neck_tensors(tensors, name: str) -> tuple[np.ndarray, ...]:
                  for key in ("kernel", "scale", "shift"))
 
 
-def _block_masks(cells: np.ndarray | None, layers: int) -> list:
-    """Each layer's mask in a block whose input fills the BEV cells `cells` (all None
-    when None): the cells that can differ from the background. They only grow."""
-    masks = []
-    for j in range(layers):
-        if cells is not None:
-            cells = _reach(cells, padding=j > 0)
-        masks.append(cells)
-    return masks
+def _dense_block(table: np.ndarray, labels: np.ndarray, convs: list, tensors,
+                 activation: bool, lanes: Lanes) -> tuple[np.ndarray, np.ndarray]:
+    """Run the neck `convs` on the map whose cell (y, x) holds row labels[y, x] of `table`,
+    row 0 the zero vector, which the padding holds too; returns the last layer's table
+    and labels.
 
-
-def _dense_block(padded: np.ndarray, convs: list, occupied: np.ndarray | None, tensors,
-                 activation: bool, lanes: Lanes) -> np.ndarray:
-    """Run the neck `convs` on the zero-bordered (L+2, W+2, C) map `padded`; returns the
-    last layer's zero-bordered output.
-
-    Each layer splits its rows between the lanes of `lanes` (see
-    `dense_conv3x3`). A map the block wrote is reused as the output two
-    layers on, so a block allocates two maps. The calling thread allocates
-    every array the layers write and widens their tensors to float64. From
-    layer 1 on, the skipping layers share one set of `_skip_arrays`, sized
-    for the last mask, the largest, so that they do not grow layer by layer
-    on the heap; every GEMM keeps its row count. Layer 0, whose input may be
-    wider and whose mask is the smallest, has its own, freed with the
-    block's input map.
-
-    `occupied`, for a stride-1 block, holds the BEV cells densify filled
-    (else None): each layer then computes only the cells that can differ
-    from the map's one background vector. At layer 0 the background is the
-    zero of the unfilled cells and of the padding. Scale and shift then
-    turn every background cell into one vector that is in general not zero,
-    so from layer 1 on a cell whose window touches the padding may differ
-    too.
+    A layer's classes depend only on its input labels, so the calling thread plans
+    every layer's window classes first and sizes one scratch for their gathered rows
+    and products. It then allocates each layer's output table, widens its tensors to
+    float64 and runs it, split between the lanes of `lanes` (see `dense_conv3x3`).
+    A table is free once the next layer has run, unless it is the block's input, which
+    the caller may still read.
     """
-    masks = _block_masks(occupied, len(convs))
-    spare = scratch = None
-    for j, (name, c, d, stride) in enumerate(convs):
-        if j == 1:
-            cells = [int(m.sum()) + 1 for (*_, s), m in zip(convs[1:], masks[1:])
-                     if _skips(s, m)]
-            scratch = _skip_arrays(max(cells), c, d) if cells else None
-        layer = dense_layer(padded, d, stride, masks[j], spare, scratch)
-        # this layer's input is free after it, unless it is the block's input, which
-        # the caller may still read (the 8x maps are)
-        spare = padded if j > 0 else None
-        padded = layer.out
+    plan = []
+    for *_, stride in convs:
+        taps, labels = window_classes(labels, stride)
+        plan.append(taps)
+    scratch = np.empty(max(taps.shape[1] * (c + d) for taps, (_, c, d, _) in zip(plan, convs)))
+    for taps, (name, _, d, _) in zip(plan, convs):
+        layer = dense_layer(table, taps, d, scratch)
         kernel, scale, shift = _neck_tensors(tensors, name)
-        dense_conv3x3(layer, kernel, (scale, shift, activation), lanes)
-        del layer  # so the next layer allocates after this one's arrays are freed
-    return padded
+        table = dense_conv3x3(layer, kernel, (scale, shift, activation), lanes)
+        del layer  # so the next layer allocates after this one's input is freed
+    return table, labels
 
 
 def dense_fusion_neck(pairs, tensors: dict[str, np.ndarray], cfg: BackboneConfig,
@@ -556,27 +497,40 @@ def dense_fusion_neck(pairs, tensors: dict[str, np.ndarray], cfg: BackboneConfig
     Each branch runs a conv block per scale, in the order of the neck
     plan; same-scale maps fuse by summation, and the upsampled 16x map is
     concatenated onto the 8x map, yielding 2 * neck_channels at stride 8.
-    Every layer splits its rows between the lanes of `lanes` (see
-    `_dense_block`), by default one lane on this thread. The values do not
-    depend on it.
+
+    No layer writes a full map: a branch's input table is its (height-compressed)
+    sparse features under a zero row 0, labelled by BEV cell, and each layer computes
+    one row per window class (see `_dense_block`). The readout is the one full map,
+    written from the four last tables. Every layer splits its classes between the
+    lanes of `lanes`, by default one lane on this thread. The values do not depend on
+    it.
     """
     voxels, pillars = _final_pair(pairs)
     convs = neck_convs(cfg, voxels.extents)
     m = cfg.neck_layers
     blocks = [convs[i:i + m] for i in range(0, len(convs), m)]
-    maps = []
-    for x, (block8, block16) in zip((voxels, pillars), (blocks[:2], blocks[2:])):
-        occupied = np.zeros(x.extents[:2], dtype=bool)
-        occupied[x.coords[:, 0], x.coords[:, 1]] = True
-        y8 = _dense_block(bev_array(x, pad=1), block8, occupied, tensors, activation, lanes)
-        y16 = _dense_block(y8, block16, None, tensors, activation, lanes)
-        maps += [y8[1:-1, 1:-1], y16[1:-1, 1:-1]]
-    v8, v16, p8, p16 = maps
-    fused8 = v8 + p8
-    fused16 = v16 + p16
-    up = np.repeat(np.repeat(fused16, 2, axis=0), 2, axis=1)
-    up = up[:fused8.shape[0], :fused8.shape[1]]
-    return DenseFeatureMap(values=np.concatenate([fused8, up], axis=2), stride=8)
+    outs = []
+    for x, branch in zip((voxels, pillars), (blocks[:2], blocks[2:])):
+        if x.coords.shape[1] == 3:
+            x = height_compress(x)
+        labels = np.zeros(x.extents, dtype=np.int64)
+        labels[x.coords[:, 0], x.coords[:, 1]] = np.arange(1, x.num_sites + 1)
+        table = np.concatenate([np.zeros((1, x.num_channels)), x.features])
+        del x  # the compressed voxel features are copied into `table`
+        for block in branch:
+            table, labels = _dense_block(table, labels, block, tensors, activation, lanes)
+            outs.append((table, labels))
+    (v8, lv8), (v16, lv16), (p8, lp8), (p16, lp16) = outs
+    l, w = lv8.shape
+    d = v8.shape[1]
+    values = np.empty((l, w, 2 * d))
+    values[..., :d] = v8[lv8]
+    values[..., :d] += p8[lp8]
+    # the upsampled 16x sum: 8x cell (y, x) takes 16x cell (y // 2, x // 2)
+    up = np.ix_(np.arange(l) // 2, np.arange(w) // 2)
+    values[..., d:] = v16[lv16[up]]
+    values[..., d:] += p16[lp16[up]]
+    return DenseFeatureMap(values=values, stride=8)
 
 
 def _final_pair(pairs):

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field, fields
 
 from .backbone import BackboneConfig, default_backbone_config
 from .errors import FormatError
-from .formats import _atomic_write_json, _read_json
+from .formats import _as_int, _atomic_write_json, _number, _read_json
 from .grid import GridSpec
 from .losses import LossWeights
 
@@ -56,18 +56,6 @@ def _take(obj: dict, allowed: set[str], context: str) -> dict:
     if unknown:
         raise FormatError(f"unknown {context} keys: {', '.join(unknown)}")
     return obj
-
-
-def _number(value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):  # JSON true reads as 1
-        raise FormatError(f"expected a number, got {value!r}")
-    return value
-
-
-def _as_int(value) -> int:
-    if isinstance(_number(value), float) and not value.is_integer():
-        raise FormatError(f"expected an integer, got {value}")
-    return int(value)
 
 
 def _coerce(kind: str, value):

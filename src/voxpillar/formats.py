@@ -132,6 +132,18 @@ def _is_count(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
+def _number(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):  # JSON true reads as 1
+        raise FormatError(f"expected a number, got {value!r}")
+    return value
+
+
+def _as_int(value) -> int:
+    if isinstance(_number(value), float) and not value.is_integer():
+        raise FormatError(f"expected an integer, got {value}")
+    return int(value)
+
+
 def load_boxes(path) -> list[dict]:
     """Read a JSON array of box entries.
 
@@ -147,15 +159,16 @@ def load_boxes(path) -> list[dict]:
         if not isinstance(entry, dict):
             raise FormatError(f"{path}: entry {i} is not an object")
         raw = entry.get("box", entry)
+        # OverflowError: an integer too large for a float, such as 400 digits
         try:
             box = Box3D.from_json(raw)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: entry {i} is not a valid box: {exc}") from exc
         try:
-            box_id = int(entry.get("id", i))
+            box_id = _as_int(entry.get("id", i))
             points = entry.get("points")
             points = np.asarray([] if points is None else points, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+        except (FormatError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: entry {i} has a bad id or points: {exc}") from exc
         if points.size == 0:
             points = points.reshape(0, 4)

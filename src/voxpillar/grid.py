@@ -106,6 +106,22 @@ class SparseTensor:
             raise InvalidTensor("coords not unique and lex sorted")
 
 
+def widen_finite(values, what: str) -> np.ndarray:
+    """`values` widened to float64; ValueError if any value is not finite.
+
+    The check reads the stored array when the cast to float64 is safe, as from
+    float32, since such a cast keeps every value finite or not. It takes the least and
+    the largest value, through which a NaN propagates: on float32 weights that is
+    cheaper than `np.isfinite` on them or on their widening.
+    """
+    stored = np.asarray(values)
+    wide = np.asarray(stored, dtype=np.float64)
+    check = stored if np.can_cast(stored.dtype, np.float64) else wide
+    if check.size and not (np.isfinite(check.min()) and np.isfinite(check.max())):
+        raise ValueError(f"{what} must be finite")
+    return wide
+
+
 @dataclass
 class PointEncoderWeights:
     """Single linear + ReLU encoder applied per point before pillar max-pooling; its
@@ -115,16 +131,14 @@ class PointEncoderWeights:
     bias: np.ndarray  # (D,)
 
     def __post_init__(self):
-        self.weight = np.asarray(self.weight, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
+        self.weight = widen_finite(self.weight, "point encoder weights")
+        self.bias = widen_finite(self.bias, "point encoder weights")
         if self.weight.ndim != 2 or self.weight.shape[0] != 4:
             raise ShapeMismatch(f"point encoder weight must be (4, D), got {self.weight.shape}")
         if self.bias.shape != (self.weight.shape[1],):
             raise ShapeMismatch(
                 f"point encoder bias {self.bias.shape} does not match weight {self.weight.shape}"
             )
-        if not (np.isfinite(self.weight).all() and np.isfinite(self.bias).all()):
-            raise ValueError("point encoder weights must be finite")
 
 
 def run_bounds(rows: np.ndarray) -> np.ndarray:

@@ -26,8 +26,9 @@ from .sparse_conv import ConvSpec, ConvWeights, Lanes, bev_equal, build_kernel_m
 
 SMALL_GRID = GridSpec((0.0, 0.0, 0.0), (1.6, 1.6, 1.2), (0.1, 0.1, 0.15))
 IOU_TOLERANCE = 0.01
-# The neck skip's bound relative to the map's largest value (at least 1); on
-# OpenBLAS's x86 kernels it was measured to move by at most about 1.4e-15.
+# The bound of the neck's window classes against full-map layers, relative to the map's
+# largest value (at least 1); on OpenBLAS's x86 kernels it was measured to move by at
+# most about 1.3e-15.
 NECK_SKIP_RTOL = 1e-12
 
 
@@ -330,21 +331,46 @@ def check_density(cases):
              "the batched records differ from the one-box records")
 
 
-def neck_block(x, tensors, convs, activation, occupied=None) -> np.ndarray:
-    """The neck `convs` on the (L, W, C) map `x`, on the calling thread."""
-    padded = np.pad(x, ((1, 1), (1, 1), (0, 0)))
-    return _dense_block(padded, convs, occupied, tensors, activation, Lanes())[1:-1, 1:-1]
+def full_layers(x, tensors, convs, activation) -> np.ndarray:
+    """The neck `convs` on the (L, W, C) map `x` as plain layers: each the dense
+    convolution oracle over every cell, then scale, shift and the ReLU."""
+    for name, c, d, stride in convs:
+        cells = np.indices(x.shape[:2]).reshape(2, -1).T
+        x = dense_conv_reference(cells, x.reshape(-1, c), x.shape[:2],
+                                 ConvSpec.regular(2, 3, stride, 1, c, d),
+                                 ConvWeights(tensors[f"{name}.kernel"].reshape(9, c, d)))
+        x = x * tensors[f"{name}.scale"] + tensors[f"{name}.shift"]
+        if activation:
+            x = np.maximum(x, 0.0)
+    return x
 
 
-def check_neck_skip(cases):
-    """The 8x neck block, which computes only the cells that can differ from the
-    background, equals unmasked convolutions run layer by layer within
-    NECK_SKIP_RTOL of the map's largest value, and is bitwise equal on a rerun."""
+def class_block(x, occupied, tensors, convs, activation) -> np.ndarray:
+    """The neck `convs` on the (L, W, C) map `x`, zero outside `occupied`, through the
+    window classes of `_dense_block`, on the calling thread."""
+    labels = np.zeros(occupied.shape, dtype=np.int64)
+    labels[occupied] = np.arange(1, occupied.sum() + 1)
+    table = np.concatenate([np.zeros((1, x.shape[2])), x[occupied]])
+    table, labels = _dense_block(table, labels, convs, tensors, activation, Lanes())
+    return table[labels]
+
+
+def check_neck_classes(cases):
+    """A neck block that computes one row per distinct 3x3 window equals plain full-map
+    layers within NECK_SKIP_RTOL of the map's largest value, and is bitwise equal on a
+    rerun. Cases cover stride 1 and a stride-2 layer followed by stride-1 layers (the
+    16x block), odd extents, maps one cell wide, and full occupancy, where no window
+    repeats at the first layer."""
     rng = np.random.default_rng(211)
     for case in range(cases):
         l, w = (int(v) for v in rng.integers(1, 25, size=2))
+        kind = case % 4  # stride 1; stride 2 on odd extents; 1 wide; 1 wide, stride 2
+        if kind == 1:
+            l, w = l | 1, w | 1
+        elif kind >= 2:
+            l, w = (l, 1) if case % 8 < 4 else (1, w)
         c, d = (int(v) for v in rng.integers(1, 257, size=2))
-        layers, activation = case % 5 + 1, case % 2 == 0
+        layers, activation = case % 5 + 1, case % 8 < 4
         # all cells occupied, a single cell, or a seeded share
         share = (1.0, 0.0, rng.uniform(0.02, 0.4))[case % 3]
         n = max(1, int(round(l * w * share)))
@@ -356,18 +382,21 @@ def check_neck_skip(cases):
         convs, tensors, c_in = [], {}, c
         for j in range(layers):
             name = f"neck.case{case}.conv{j}"
-            convs.append((name, c_in, d, 1))
+            convs.append((name, c_in, d, 2 if j == 0 and kind % 2 == 1 else 1))
             tensors[f"{name}.kernel"] = rng.normal(size=(3, 3, c_in, d))
             tensors[f"{name}.scale"] = rng.normal(size=d)
             tensors[f"{name}.shift"] = rng.normal(size=d)
             c_in = d
-        want = neck_block(x, tensors, convs, activation)
-        got = neck_block(x, tensors, convs, activation, occupied)
+        want = full_layers(x, tensors, convs, activation)
+        got = class_block(x, occupied, tensors, convs, activation)
+        _require(got.shape == want.shape, f"case {case}: the window-class neck block has shape "
+                                          f"{got.shape}, the full-map layers {want.shape}")
         err = np.abs(got - want).max()
         _require(err <= NECK_SKIP_RTOL * max(1.0, np.abs(want).max()),
-                 f"case {case}: the skipping neck block differs from the dense layers by {err}")
-        _require(neck_block(x, tensors, convs, activation, occupied).tobytes() == got.tobytes(),
-                 f"case {case}: the skipping neck block differs on a rerun")
+                 f"case {case}: the window-class neck block differs from the full-map layers "
+                 f"by {err}")
+        _require(class_block(x, occupied, tensors, convs, activation).tobytes() == got.tobytes(),
+                 f"case {case}: the window-class neck block differs on a rerun")
 
 
 def forward_bytes(points, grid, cfg, tensors, lanes=None) -> bytes:
@@ -450,7 +479,7 @@ SUITES = [
     ("overall loss and IoU target encoding", check_overall_loss, 24, 24),
     ("vertical density binning", check_density, 25, 25),
     ("forward determinism and branch isolation", check_determinism, 1, 1),
-    ("neck background skip matches the dense layers", check_neck_skip, 24, 100),
+    ("neck window classes match the full-map layers", check_neck_classes, 24, 100),
 ]
 
 

@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConsistencyViolation, ShapeMismatch, SpecMismatch
-from .grid import SparseTensor, pack_coords
+from .grid import SparseTensor, pack_coords, widen_finite
 
 SUBMANIFOLD = "submanifold"
 REGULAR = "regular"
@@ -78,22 +78,21 @@ class ConvWeights:
 
     Offsets are enumerated row-major over the kernel axes (first axis slowest),
     matching `kernel_offsets`. Both are widened to float64 here, so weights
-    stored as float32 are copied on the thread that builds this.
+    stored as float32 are copied on the thread that builds this; the kernel must be
+    finite.
     """
 
     kernel: np.ndarray
     bias: np.ndarray | None = None
 
     def __post_init__(self):
-        self.kernel = np.asarray(self.kernel, dtype=np.float64)
+        self.kernel = widen_finite(self.kernel, "kernel weights")
         if self.kernel.ndim != 3:
             raise ShapeMismatch(f"kernel must be (offsets, in, out), got {self.kernel.shape}")
         if self.bias is not None:
             self.bias = np.asarray(self.bias, dtype=np.float64)
             if self.bias.shape != (self.kernel.shape[2],):
                 raise ShapeMismatch(f"bias {self.bias.shape} does not match kernel {self.kernel.shape}")
-        if not np.isfinite(self.kernel).all():
-            raise ValueError("kernel weights must be finite")
 
     def check(self, spec: ConvSpec):
         expect = (spec.num_offsets, spec.in_channels, spec.out_channels)
@@ -324,14 +323,15 @@ class Lanes:
     """Lockstep lanes: `run` makes one call per lane and returns their results
     once every call has finished.
 
-    The kernels (`sparse_conv`, `backbone.dense_conv3x3`) split each layer's
-    output rows in two and run the halves as lanes 0 and 1. Lane 0 runs on
-    the calling thread. Given `count` 2 or more, the other lanes run on one
-    helper thread, started at the first `run` and joined when the lanes
-    close (`with Lanes(2) as lanes:`); with one, they run after lane 0 on
-    the calling thread and no thread starts. The helper allocates nothing:
-    the caller widens every weight a call reads and allocates every array it
-    writes (`conv_arrays`, `backbone.dense_layer`), both halves' included,
+    The kernels split each layer's rows in two and run the halves as lanes
+    0 and 1: `sparse_conv` its output rows, `backbone.dense_conv3x3` its
+    window classes. Lane 0 runs on the calling thread. Given `count` 2 or
+    more, the other lanes run on one helper thread, started at the first
+    `run` and joined when the lanes close (`with Lanes(2) as lanes:`); with
+    one, they run after lane 0 on the calling thread and no thread starts.
+    The helper allocates nothing: the caller widens every weight a call
+    reads and allocates every array it writes (`conv_arrays`, and the neck's
+    window-class plan and `backbone.dense_layer`), both halves' included,
     and the calls only fill them, since glibc keeps what a thread frees in
     that thread's own malloc arena. A call makes the same NumPy and BLAS
     calls on either thread, so the values do not depend on the lanes; a

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from voxpillar.backbone import (NUM_STEPS, BackboneConfig, DenseFeatureMap, block_extents,
                                 default_backbone_config, dense_conv3x3, dense_fusion_neck,
                                 dense_layer, densify, encoder_forward, forward, height_compress,
-                                merge_sparse2d, neck_convs, required_weights, sparse_readout)
+                                merge_sparse2d, neck_convs, required_weights, sparse_readout,
+                                window_classes)
 from voxpillar import backbone, manifest
 from voxpillar import sparse_conv as sparse_conv_module
 from voxpillar import grid as grid_module
@@ -22,10 +23,11 @@ from voxpillar.errors import EmptyGrid, OutOfRange
 from voxpillar.grid import GridSpec, SparseTensor
 from voxpillar.manifest import resolve_weights
 from voxpillar.reference import dense_conv_reference, densify_features
-from voxpillar.selftest import SUITES, check_lanes, check_neck_skip, forward_bytes, random_cloud
+from voxpillar.selftest import (SUITES, check_lanes, check_neck_classes, forward_bytes,
+                                random_cloud)
 from voxpillar.sparse_conv import (ConvSpec, ConvWeights, Lanes, bev_equal, build_kernel_map,
                                    paired_downsample, sparse_conv)
-from test_structure import GRIDS, _configs
+from test_structure import GRIDS, WIDE_GRID, _cloud, _configs
 
 
 def small_grid():
@@ -282,12 +284,21 @@ def test_neck_linearity_without_activation():
     np.testing.assert_allclose(lhs, a * out1 + b * out2, rtol=1e-5, atol=1e-9)
 
 
+def _full_map_layer(x, kernel, stride, lanes=Lanes()):
+    """One dense_conv3x3 call on the (L, W, C) map `x`, every cell its own table row;
+    returns the output map."""
+    l, w, c = x.shape
+    taps, labels = window_classes(np.arange(1, l * w + 1).reshape(l, w), stride)
+    table = np.concatenate([np.zeros((1, c)), x.reshape(-1, c)])
+    return dense_conv3x3(dense_layer(table, taps, kernel.shape[3]), kernel, lanes=lanes)[labels]
+
+
 def test_dense_conv3x3_matches_manual():
     rng = np.random.default_rng(89)
     for (l, w), stride in itertools.product([(5, 6), (7, 3), (1, 9), (4, 4)], (1, 2)):
         x = rng.normal(size=(l, w, 2))
         k = rng.normal(size=(3, 3, 2, 3))
-        out = dense_conv3x3(dense_layer(np.pad(x, ((1, 1), (1, 1), (0, 0))), 3, stride), k)
+        out = _full_map_layer(x, k, stride)
         assert out.shape == ((l - 1) // stride + 1, (w - 1) // stride + 1, 3)
         xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
         for oy in range(out.shape[0]):
@@ -306,7 +317,7 @@ def test_dense_conv3x3_matches_manual():
 
 
 def test_neck_skip_matches_dense_layers_within_tolerance():
-    check_neck_skip(next(full for _, check, _, full in SUITES if check is check_neck_skip))
+    check_neck_classes(next(full for _, check, _, full in SUITES if check is check_neck_classes))
 
 
 def test_neck_plan_order_and_strides():
@@ -593,44 +604,50 @@ def test_the_neck_runs_4m_convs_with_the_same_bytes_on_any_cpu_count(monkeypatch
 
 @pytest.mark.parametrize("masked", [1, 2, 3, 4])
 def test_a_skipping_layer_splits_only_into_halves_of_two_cells(monkeypatch, masked):
-    # `masked` cells plus the unmasked one are computed: 2 or 3 would leave a half of one
-    # row, which gemv would round unlike the GEMM, so those run whole
+    # a layer of `masked` + 1 window classes: 2 or 3 would leave a half of one row, which
+    # gemv would round unlike the GEMM, so those run whole
+    n = masked + 1
     rng = np.random.default_rng(140 + masked)
-    padded = np.pad(rng.normal(size=(5, 4, 3)), ((1, 1), (1, 1), (0, 0)))
-    mask = np.zeros((5, 4), dtype=bool)
-    mask.flat[rng.choice(20, size=masked, replace=False)] = True
+    table = np.concatenate([np.zeros((1, 3)), rng.normal(size=(5, 3))])
+    taps = rng.integers(0, 6, size=(9, n))
     kernel, scale, shift = rng.normal(size=(3, 3, 3, 6)), rng.normal(size=6), rng.normal(size=6)
-    rows = []
+    rows, parts = [], []
     real = np.matmul
     monkeypatch.setattr(backbone.np, "matmul",
                         lambda a, *args, **kw: rows.append(a.shape[0]) or real(a, *args, **kw))
+    _wrap(monkeypatch, backbone._conv_rows, lambda *args: parts.append(args[3:]))
     runs = []
     for count in (1, 2):
-        layer = dense_layer(padded, 6, 1, mask)
-        assert layer.parts == ([(0, masked + 1)] if masked < 3 else
-                               [(0, (masked + 1) // 2), ((masked + 1) // 2, masked + 1)])
+        parts.clear()
         with Lanes(count) as lanes:
-            runs.append(dense_conv3x3(layer, kernel, (scale, shift, True), lanes).copy())
+            runs.append(dense_conv3x3(dense_layer(table, taps, 6), kernel, (scale, shift, True),
+                                      lanes).copy())
+        assert sorted(parts) == ([(0, n)] if n < 4 else [(0, n // 2), (n // 2, n)])
     monkeypatch.undo()
     assert 1 not in rows
     assert runs[0].tobytes() == runs[1].tobytes()
-    # on the full map every cell outside the mask's reach holds the background value
-    full = dense_conv3x3(dense_layer(padded, 6), kernel, (scale, shift, True))
-    np.testing.assert_allclose(runs[0][mask], full[mask], rtol=1e-12, atol=1e-12)
+    # row 0 stays the zero vector; row k + 1 is class k's window through the kernel
+    want = sum(table[taps[t]] @ kernel[divmod(t, 3)] for t in range(9))
+    assert not runs[0][0].any()
+    np.testing.assert_allclose(runs[0][1:], np.maximum(want * scale + shift, 0.0),
+                               rtol=1e-12, atol=1e-12)
 
 
-def test_a_one_row_map_runs_whole_and_a_two_row_map_splits():
+def test_a_full_map_layer_splits_its_cells_only_into_halves_of_two(monkeypatch):
     rng = np.random.default_rng(145)
     kernel = rng.normal(size=(3, 3, 2, 3))
-    for l, stride, parts in ((1, 1, [(0, 1)]), (2, 1, [(0, 1), (1, 2)]), (2, 2, [(0, 1)]),
-                             (3, 2, [(0, 1), (1, 2)])):
-        padded = np.pad(rng.normal(size=(l, 4, 2)), ((1, 1), (1, 1), (0, 0)))
-        layer = dense_layer(padded, 3, stride)
-        assert layer.parts == parts
+    parts = []
+    _wrap(monkeypatch, backbone._conv_rows, lambda *args: parts.append(args[3:]))
+    # on a fully occupied map every output cell is its own class
+    for l, w, stride, split in ((1, 1, 1, [(0, 1)]), (1, 3, 1, [(0, 3)]),
+                                (2, 2, 1, [(0, 2), (2, 4)]), (3, 2, 2, [(0, 2)]),
+                                (5, 3, 2, [(0, 3), (3, 6)])):
+        x = rng.normal(size=(l, w, 2))
+        parts.clear()
         with Lanes(2) as lanes:
-            got = dense_conv3x3(layer, kernel, lanes=lanes).copy()
-        want = dense_conv3x3(dense_layer(padded, 3, stride), kernel)
-        assert got.tobytes() == want.tobytes()
+            got = _full_map_layer(x, kernel, stride, lanes)
+        assert sorted(parts) == split
+        assert got.tobytes() == _full_map_layer(x, kernel, stride).tobytes()
 
 
 def _neck_case(l, w, h, cells, seed):
@@ -652,20 +669,26 @@ def _neck_case(l, w, h, cells, seed):
 
 
 def _neck_layer_by_layer(pairs, tensors, cfg):
-    """The dense neck as one dense_conv3x3 call per layer on fresh arrays, branch after branch."""
+    """The dense neck as full-map layers, branch after branch: per layer and tap, one GEMM
+    over the window rows of every output cell, added in tap order into a zero sum."""
     maps = []
     for branch, x in zip(("voxel", "pillar"), pairs[-1]):
-        y, mask = densify(x).values, np.zeros(x.extents[:2], dtype=bool)
-        mask[x.coords[:, 0], x.coords[:, 1]] = True
+        y = densify(x).values
         for scale in (8, 16):
             for j in range(cfg.neck_layers):
                 name = f"neck.{branch}.s{scale}.conv{j}"
                 stride = 2 if scale == 16 and j == 0 else 1
-                mask = backbone._reach(mask, padding=j > 0) if scale == 8 else None
                 kernel = tensors[f"{name}.kernel"]
-                y = dense_conv3x3(dense_layer(np.pad(y, ((1, 1), (1, 1), (0, 0))),
-                                              kernel.shape[3], stride, mask), kernel)
-                y = np.maximum(y * tensors[f"{name}.scale"] + tensors[f"{name}.shift"], 0.0)
+                l, w = ((n - 1) // stride + 1 for n in y.shape[:2])
+                padded = np.pad(y, ((1, 1), (1, 1), (0, 0)))
+                acc = np.zeros((l * w, kernel.shape[3]))
+                for dy in range(3):
+                    for dx in range(3):
+                        window = padded[dy:dy + stride * (l - 1) + 1:stride,
+                                        dx:dx + stride * (w - 1) + 1:stride]
+                        acc += window.reshape(l * w, -1) @ kernel[dy, dx]
+                y = acc.reshape(l, w, -1) * tensors[f"{name}.scale"] + tensors[f"{name}.shift"]
+                y = np.maximum(y, 0.0)
             maps.append(y)
     v8, v16, p8, p16 = maps
     up = np.repeat(np.repeat(v16 + p16, 2, axis=0), 2, axis=1)[:v8.shape[0], :v8.shape[1]]
@@ -695,6 +718,50 @@ def test_the_neck_equals_its_layers_on_the_smallest_maps(extents):
     full = set(itertools.product(range(l), range(w), range(h)))
     for cells in (full, {(0, 0, 0)}):
         _neck_matches_layer_by_layer(*_neck_case(l, w, h, cells, len(cells)))
+
+
+@pytest.mark.parametrize("base", [7, 2**50])
+def test_window_codes_number_tuples_exactly_at_any_label_range(base):
+    # 2**50 labels leave no room to pack two columns with their positions, so the codes
+    # are renumbered between columns, and the last ones are ranked by an argsort
+    rng = np.random.default_rng(147)
+    cols = [rng.integers(0, base, size=300) % v for v in (base, 3, base)]
+    classes, count = backbone._classes(cols, base)
+    uniq, want = np.unique(np.stack(cols, axis=1), axis=0, return_inverse=True)
+    assert count == len(uniq) and classes.tolist() == want.ravel().tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.sampled_from([1, 2]), st.integers(0, 2**32 - 1))
+def test_window_classes_give_each_cell_its_window_and_equal_windows_one_class(l, w, stride,
+                                                                              seed):
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, rng.integers(1, 6), size=(l, w))
+    taps, classes = window_classes(labels, stride)
+    padded = np.pad(labels, 1)
+    windows = np.stack([padded[stride * y:stride * y + 3, stride * x:stride * x + 3].ravel()
+                        for y in range(classes.shape[0]) for x in range(classes.shape[1])])
+    assert classes.shape == ((l - 1) // stride + 1, (w - 1) // stride + 1)
+    assert (taps[:, classes.ravel() - 1].T == windows).all()
+    assert taps.shape[1] == len(np.unique(windows, axis=0)) == classes.max()
+
+
+def test_the_neck_peak_on_the_wide_centre_grid_stays_under_16_mib():
+    # the readout is 8 MiB; the neck measured 13.9 MiB above its inputs, where the
+    # full-map neck it replaced measured 27.8 MiB
+    cfg = default_backbone_config("dense")
+    tensors = resolve_weights(required_weights(WIDE_GRID, cfg), None, seed=7)
+    pts = _cloud(np.random.default_rng(2025), 400, (23.6, 23.6, 0.0), (27.6, 27.6, 2.4))
+    pairs = encoder_forward(pts, WIDE_GRID, cfg, tensors)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        readout = dense_fusion_neck(pairs, tensors, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert readout.values.nbytes == 8 << 20
+    assert peak < 16 << 20
 
 
 def test_a_failing_neck_layer_propagates_and_leaves_no_thread(monkeypatch):
@@ -810,8 +877,7 @@ def test_every_layer_splits_its_rows_with_the_same_bytes_on_any_cpu_count(monkey
     calls, halves = [], []
     _wrap(monkeypatch, sparse_conv_module.sparse_conv,
           lambda x, spec, w, *_: calls.append((threading.get_ident(), names[id(w.kernel)])))
-    for real in (sparse_conv_module.conv_arrays, backbone.dense_layer, backbone._conv_rows,
-                 backbone._fill_rows):
+    for real in (sparse_conv_module.conv_arrays, backbone.dense_layer, backbone._conv_rows):
         _wrap(monkeypatch, real,
               lambda *_, name=real.__name__: calls.append((threading.get_ident(), name)))
     _record_halves(monkeypatch, names, halves)
@@ -830,10 +896,9 @@ def test_every_layer_splits_its_rows_with_the_same_bytes_on_any_cpu_count(monkey
         assert on_caller.pop("dense_layer", 0) == (4 * cfg.neck_layers if variant == "dense"
                                                    else 0)
         on_caller.pop("_conv_rows", None)
-        on_caller.pop("_fill_rows", None)
         assert on_caller == collections.Counter(convs)
         off_caller = {name for thread, name in calls if thread != caller}
-        assert off_caller <= {"_conv_rows", "_fill_rows"}
+        assert off_caller <= {"_conv_rows"}
         assert bool(off_caller) == (variant == "dense" and cpus > 1)
         # each conv runs one half per lane when its map splits, else one, on this thread
         split = {name for _, name, splits in halves if splits}

@@ -301,6 +301,14 @@ def test_selftest_command(capsys):
      "points": [[0, 0, 0, 0], [0, 0, float("nan"), 0]]},
     {"box": {"center": [0, 0, 0], "dims": [1, 1, 1], "heading": 0.0},
      "points": [[float("-inf"), 0, 0, 0]]},
+    # ids read as the config reads ints: Infinity, 1.5 and true are not ids
+    {"box": {"center": [0, 0, 0], "dims": [1, 1, 1], "heading": 0.0}, "id": float("inf")},
+    {"box": {"center": [0, 0, 0], "dims": [1, 1, 1], "heading": 0.0}, "id": 1.5},
+    {"box": {"center": [0, 0, 0], "dims": [1, 1, 1], "heading": 0.0}, "id": True},
+    # integers of 400 digits overflow a float
+    {"center": [10**400, 0, 0], "dims": [1, 1, 1], "heading": 0.0},
+    {"box": {"center": [0, 0, 0], "dims": [1, 1, 1], "heading": 0.0},
+     "points": [[0, 0, 10**400, 0]]},
 ])
 def test_malformed_boxes_exit_1_without_traceback(workspace, tmp_path, capsys, entry):
     _, _, cloud = workspace

@@ -568,3 +568,23 @@ def test_densify_round_trip():
     dense = densify_features(x.coords, x.features, x.extents)
     back = dense[tuple(x.coords.T)]
     np.testing.assert_array_equal(back, x.features)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_weights_with_a_non_finite_value_are_refused_and_finite_ones_widen(dtype, bad):
+    rng = np.random.default_rng(150)
+    kernel = rng.normal(size=(9, 3, 4)).astype(dtype)
+    enc = rng.normal(size=(4, 5)).astype(dtype)
+    wide = ConvWeights(kernel).kernel
+    assert wide.dtype == np.float64 and wide.tobytes() == kernel.astype(np.float64).tobytes()
+    assert PointEncoderWeights(enc, np.zeros(5, dtype)).weight.tobytes() == \
+        enc.astype(np.float64).tobytes()
+    kernel.flat[17] = bad
+    with pytest.raises(ValueError, match="kernel weights must be finite"):
+        ConvWeights(kernel)
+    for weight, bias in ((np.where(np.arange(20).reshape(4, 5) == 7, bad, enc), np.zeros(5)),
+                         (enc, np.array([0.0, bad, 0.0, 0.0, 0.0]))):
+        with pytest.raises(ValueError, match="point encoder weights must be finite"):
+            PointEncoderWeights(weight.astype(dtype), bias.astype(dtype))
+    assert ConvWeights(np.zeros((9, 0, 4), dtype)).kernel.shape == (9, 0, 4)

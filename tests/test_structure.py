@@ -4,8 +4,8 @@
 configs, every `required_weights` entry and, per encoder step and readout
 on one seeded cloud, a sha256 and a fingerprint. The default dense model
 also runs on a wide grid with a cloud clustered at its centre: its 64 x 64
-8x neck map keeps background cells through the last 8x layer, so the neck's
-background skip runs, which it never does on the small grid's 2 x 2 map. A
+8x neck map keeps many cells with equal windows through every neck layer, so
+the neck shares their rows, which it never does on the small grid's 2 x 2 map. A
 refactor that keeps the model the same passes unchanged.
 
 Feature bits depend on the BLAS kernel, so the sha256s hold only on the
@@ -34,7 +34,7 @@ import pytest
 from voxpillar.backbone import BackboneConfig, default_backbone_config, forward, required_weights
 from voxpillar.grid import GridSpec
 from voxpillar.manifest import resolve_weights
-from voxpillar.selftest import SUITES, check_neck_skip
+from voxpillar.selftest import SUITES, check_neck_classes
 
 TABLE = Path(__file__).parent / "data" / "structure.json"
 # the benchmark canary's tolerance on fingerprint sums
@@ -172,12 +172,12 @@ def test_step_and_readout_digests_match_committed():
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64") or blas_core() is None,
                     reason="needs x86-64 and a readable OpenBLAS core name")
 def test_neck_skip_and_pins_hold_on_another_blas_kernel():
-    """The neck-skip check and the pins in a child process on OpenBLAS's
+    """The neck window-class check and the pins in a child process on OpenBLAS's
     Prescott (SSE3) kernels, which run on any x86-64 CPU and round GEMM rows
     unlike its AVX ones, so a check that holds on one kernel only fails here."""
-    cases = next(quick for _, check, quick, _ in SUITES if check is check_neck_skip)
+    cases = next(quick for _, check, quick, _ in SUITES if check is check_neck_classes)
     code = ("import test_structure as t\n"
-            f"t.check_neck_skip({cases})\n"
+            f"t.check_neck_classes({cases})\n"
             "t.test_step_and_readout_digests_match_committed()\n"
             "print(t.blas_core())\n")
     here = Path(__file__).resolve().parent
