@@ -161,9 +161,10 @@ def block_extents(grid: GridSpec, cfg: BackboneConfig) -> list[tuple[int, ...]]:
 
 def neck_convs(cfg: BackboneConfig, extents8) -> list[tuple[str, int, int, int]]:
     """(weight prefix, input width, output width, stride) of every dense neck
-    convolution in execution order: per branch, voxel first, the 8x block and
-    then the 16x block, each `neck_layers` long; only the first 16x layer
-    downsamples. `extents8` is the voxel grid after the last encoder step.
+    convolution in plan order: per branch, voxel first, the 8x block and then
+    the 16x block, each `neck_layers` long; only the first 16x layer
+    downsamples. `dense_fusion_neck` runs them layer by layer over both
+    branches. `extents8` is the voxel grid after the last encoder step.
 
     Raises OutOfRange when the neck's largest map on this grid would exceed
     NECK_MAP_BYTES_CAP.
@@ -283,9 +284,8 @@ def encoder_forward(points, grid: GridSpec, cfg: BackboneConfig,
             (n_v2p, s_v2p), (n_p2v, s_p2v) = sfl_convs(cfg, s)
             if s_v2p.num_offsets != kmap.num_offsets:
                 kmap = build_kernel_map(pillars.coords, s_v2p, pillars.extents)
-            corr = build_correspondence(voxels, pillars)
             voxels, pillars = sparse_fusion_layer(
-                voxels, pillars, corr, (s_v2p, _weights(tensors, n_v2p, s_v2p)),
+                voxels, pillars, (s_v2p, _weights(tensors, n_v2p, s_v2p)),
                 (s_p2v, _weights(tensors, n_p2v, s_p2v)), kmap, lanes)
         pairs.append((voxels, pillars))
     return pairs
@@ -432,64 +432,61 @@ def _neck_tensors(tensors, name: str) -> tuple[np.ndarray, ...]:
                  for key in ("kernel", "scale", "shift"))
 
 
-def _dense_block(table: np.ndarray, labels: np.ndarray, convs: list, tensors,
-                 activation: bool, lanes: Lanes) -> tuple[np.ndarray, np.ndarray]:
-    """Run the neck `convs` on the map whose cell (y, x) holds row labels[y, x] of `table`,
-    row 0 the zero vector, which the padding holds too; returns the last layer's table
-    and labels.
+def _dense_block(tables: list, labels: np.ndarray, blocks: list, tensors,
+                 activation: bool, lanes: Lanes) -> tuple[list, np.ndarray]:
+    """Run the neck convs `blocks[i]` on the map whose cell (y, x) holds row labels[y, x]
+    of `tables[i]`, row 0 the zero vector, which the padding holds too; the blocks have
+    equal strides, so the maps share their labels throughout. Returns the last tables.
 
-    Per layer, the calling thread numbers the window classes, widens the layer's tensors
-    to float64 and runs it through `dense_conv3x3`, split between the lanes of `lanes`.
-    A table is free once the next layer has run, unless it is the block's input, which
-    the caller may still read.
+    Per layer, the calling thread numbers the window classes once; then, table by table,
+    it widens the layer's tensors to float64 and runs it through `dense_conv3x3`, split
+    between the lanes of `lanes`. A table is free once the next layer has run, unless it
+    is one of the block's inputs, which the caller may still read.
     """
-    for name, _, _, stride in convs:
-        taps, labels = window_classes(labels, stride)
-        kernel, scale, shift = _neck_tensors(tensors, name)
-        table = dense_conv3x3(table, taps, kernel, (scale, shift, activation), lanes)
-    return table, labels
+    tables = list(tables)
+    for layer in zip(*blocks):
+        taps, labels = window_classes(labels, layer[0][3])
+        for i, (name, *_) in enumerate(layer):
+            kernel, scale, shift = _neck_tensors(tensors, name)
+            tables[i] = dense_conv3x3(tables[i], taps, kernel, (scale, shift, activation), lanes)
+    return tables, labels
 
 
 def dense_fusion_neck(pairs, tensors: dict[str, np.ndarray], cfg: BackboneConfig,
                       activation: bool = True, lanes: Lanes = Lanes()) -> DenseFeatureMap:
     """Combine both branches' dense maps at 8x and 16x scales.
 
-    Each branch runs a conv block per scale, in the order of the neck
+    Each branch runs a conv block per scale, with the weights of the neck
     plan; same-scale maps fuse by summation, and the upsampled 16x map is
     concatenated onto the 8x map, yielding 2 * neck_channels at stride 8.
 
-    No layer writes a full map: a branch's input table is its (height-compressed)
-    sparse features under a zero row 0, labelled by BEV cell, and each layer computes
-    one row per window class (see `_dense_block`). The readout is the one full map,
-    written from the four last tables. Every layer splits its classes between the
-    lanes of `lanes`, by default one lane on this thread. The values do not depend on
-    it.
+    No layer writes a full map. The pillars are the voxels' BEV columns, as
+    `build_correspondence` checks, so one map labels both input tables by BEV cell: the
+    height-compressed voxel and the pillar features, each under a zero row 0. Each layer
+    numbers its window classes once and computes one row per class for each branch (see
+    `_dense_block`). The readout, the one full map, gathers per scale the branches' last
+    tables summed per class. Every layer splits its classes between the lanes of
+    `lanes`, by default one lane on this thread. The values do not depend on it.
     """
     voxels, pillars = _final_pair(pairs)
     convs = neck_convs(cfg, voxels.extents)
+    build_correspondence(voxels, pillars)
     m = cfg.neck_layers
-    blocks = [convs[i:i + m] for i in range(0, len(convs), m)]
-    outs = []
-    for x, branch in zip((voxels, pillars), (blocks[:2], blocks[2:])):
-        if x.coords.shape[1] == 3:
-            x = height_compress(x)
-        labels = np.zeros(x.extents, dtype=np.int64)
-        labels[x.coords[:, 0], x.coords[:, 1]] = np.arange(1, x.num_sites + 1)
-        table = np.concatenate([np.zeros((1, x.num_channels)), x.features])
-        del x  # the compressed voxel features are copied into `table`
-        for block in branch:
-            table, labels = _dense_block(table, labels, block, tensors, activation, lanes)
-            outs.append((table, labels))
-    (v8, lv8), (v16, lv16), (p8, lp8), (p16, lp16) = outs
-    l, w = lv8.shape
-    d = v8.shape[1]
+    v8, v16, p8, p16 = (convs[i:i + m] for i in range(0, len(convs), m))
+    labels = np.zeros(pillars.extents, dtype=np.int64)
+    labels[pillars.coords[:, 0], pillars.coords[:, 1]] = np.arange(1, pillars.num_sites + 1)
+    tables = [np.concatenate([np.zeros((1, x.num_channels)), x.features])
+              for x in (height_compress(voxels), pillars)]
+    sums = []
+    for blocks in ((v8, p8), (v16, p16)):
+        tables, labels = _dense_block(tables, labels, blocks, tensors, activation, lanes)
+        sums.append((tables[0] + tables[1], labels))
+    (s8, labels8), (s16, labels16) = sums
+    (l, w), d = labels8.shape, cfg.neck_channels
     values = np.empty((l, w, 2 * d))
-    values[..., :d] = v8[lv8]
-    values[..., :d] += p8[lp8]
+    values[..., :d] = s8[labels8]
     # the upsampled 16x sum: 8x cell (y, x) takes 16x cell (y // 2, x // 2)
-    up = np.ix_(np.arange(l) // 2, np.arange(w) // 2)
-    values[..., d:] = v16[lv16[up]]
-    values[..., d:] += p16[lp16[up]]
+    values[..., d:] = s16[labels16[np.ix_(np.arange(l) // 2, np.arange(w) // 2)]]
     return DenseFeatureMap(values=values, stride=8)
 
 

@@ -13,18 +13,29 @@ from .density import recall_by_density, vertical_density
 from .errors import VoxPillarError
 from .formats import (FormatError, _atomic_write_bytes, _read_json, dump_record_bytes,
                       load_boxes, read_cloud, write_csv, write_dump)
-from .manifest import load_manifest, resolve_weights
-from .selftest import IOU_TOLERANCE, iou_monte_carlo_errors, run_selftest
+from .manifest import gib, load_manifest, resolve_weights
+from .selftest import (IOU_CHECK_BYTES_CAP, IOU_TOLERANCE, MC_BYTES_PER_SAMPLE,
+                       iou_monte_carlo_errors, run_selftest)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _count(low: int, item_bytes: int = 0):
+    """An argparse type: an integer of at least `low`, 0 or 1, whose `item_bytes`-byte
+    items fit IOU_CHECK_BYTES_CAP."""
+    what = "a positive integer" if low else "a non-negative integer"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {value}")
+        if value * item_bytes > IOU_CHECK_BYTES_CAP:
+            raise argparse.ArgumentTypeError(
+                f"{value} needs {gib(value * item_bytes)} GiB of arrays, above the "
+                f"{IOU_CHECK_BYTES_CAP >> 30} GiB cap")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,9 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("iou-check", help="validate clipped IoU against Monte-Carlo sampling")
-    p.add_argument("--trials", type=_positive_int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_positive_int, default=1_000_000)
+    p.add_argument("--trials", type=_count(1, 8), default=50)
+    p.add_argument("--seed", type=_count(0), default=0)
+    p.add_argument("--samples", type=_count(1, MC_BYTES_PER_SAMPLE), default=1_000_000)
 
     sub.add_parser("selftest", help="run all oracle suites")
     return parser

@@ -7,8 +7,6 @@ Neither branch gains or loses sites.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConsistencyViolation, ShapeMismatch
@@ -16,29 +14,10 @@ from .grid import SparseTensor, run_max
 from .sparse_conv import ConvSpec, ConvWeights, KernelMap, Lanes, sparse_conv
 
 
-@dataclass
-class VoxelPillarCorrespondence:
-    """Sparse form of the 0/1 voxel-pillar index matrix.
-
-    Voxel coordinates are lex sorted by (l, w, h), so the voxels of one
-    pillar form one contiguous run; `pillar_start[j]:pillar_start[j+1]`
-    slices pillar j's voxel indices in ascending order.
-    """
-
-    pillar_start: np.ndarray  # (N_p + 1,) int64
-    voxel_to_pillar: np.ndarray  # (N_v,) int64
-
-    @property
-    def num_pillars(self) -> int:
-        return self.pillar_start.size - 1
-
-    @property
-    def num_voxels(self) -> int:
-        return self.voxel_to_pillar.size
-
-
-def build_correspondence(voxels: SparseTensor, pillars: SparseTensor) -> VoxelPillarCorrespondence:
-    """Split the lex-sorted voxels into BEV column runs, one per pillar.
+def build_correspondence(voxels: SparseTensor, pillars: SparseTensor) -> np.ndarray:
+    """The sparse form of the 0/1 voxel-pillar index matrix: (N_p + 1,) int64 bounds
+    such that `bounds[j]:bounds[j + 1]` slices pillar j's voxels, which form one run of
+    the lex-sorted (l, w, h) voxels, in ascending order.
 
     Linear in the number of sites; any BEV coordinate present in one branch
     but not the other raises ConsistencyViolation naming the first one.
@@ -54,26 +33,24 @@ def build_correspondence(voxels: SparseTensor, pillars: SparseTensor) -> VoxelPi
             raise ConsistencyViolation(
                 f"voxel at BEV ({cols[i, 0]}, {cols[i, 1]}) has no matching pillar")
         raise ConsistencyViolation(f"pillar ({pc[i, 0]}, {pc[i, 1]}) has no matching voxel run")
-    runs = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
-    return VoxelPillarCorrespondence(pillar_start=bounds, voxel_to_pillar=runs)
+    return bounds
 
 
-def sparse_pool(voxels: SparseTensor, corr: VoxelPillarCorrespondence) -> np.ndarray:
+def sparse_pool(voxels: SparseTensor, corr: np.ndarray) -> np.ndarray:
     """Elementwise max over each pillar's voxel features, shape (N_p, D_v)."""
-    if corr.num_voxels != voxels.num_sites:
+    if corr[-1] != voxels.num_sites:
         raise ShapeMismatch("correspondence was built for a different voxel tensor")
-    return run_max(voxels.features, corr.pillar_start)
+    return run_max(voxels.features, corr)
 
 
-def broadcast(pillars: SparseTensor, corr: VoxelPillarCorrespondence) -> np.ndarray:
+def broadcast(pillars: SparseTensor, corr: np.ndarray) -> np.ndarray:
     """Copy each pillar's feature onto all of its voxels, shape (N_v, D_p)."""
-    if corr.num_pillars != pillars.num_sites:
+    if corr.size - 1 != pillars.num_sites:
         raise ShapeMismatch("correspondence was built for a different pillar tensor")
-    return pillars.features[corr.voxel_to_pillar]
+    return np.repeat(pillars.features, np.diff(corr), axis=0)
 
 
 def sparse_fusion_layer(voxels: SparseTensor, pillars: SparseTensor,
-                        corr: VoxelPillarCorrespondence,
                         v2p: tuple[ConvSpec, ConvWeights], p2v: tuple[ConvSpec, ConvWeights],
                         kmap: KernelMap, lanes: Lanes = Lanes()
                         ) -> tuple[SparseTensor, SparseTensor]:
@@ -83,13 +60,16 @@ def sparse_fusion_layer(voxels: SparseTensor, pillars: SparseTensor,
     D_p); `p2v` transforms pillar features (D_p -> D_v) before broadcasting.
     Both are bias-free 2D submanifold convolutions through `kmap`, the
     pillar coordinates' map for their kernel; coordinate sets are unchanged
-    on both branches. `p2v` runs first, then `v2p`, each on `lanes`.
+    on both branches. `p2v` runs first, then `v2p`, each on `lanes`. The
+    correspondence is built here, so branches whose BEV sites differ raise
+    ConsistencyViolation.
     """
     (spec_v2p, w_v2p), (spec_p2v, w_p2v) = v2p, p2v
     # sparse_conv checks the input widths; a wrong output width could broadcast
     widths = (pillars.num_channels, voxels.num_channels)
     if (spec_v2p.out_channels, spec_p2v.out_channels) != widths:
         raise ShapeMismatch(f"fusion convolutions must give the (pillar, voxel) widths {widths}")
+    corr = build_correspondence(voxels, pillars)
     pooled = sparse_pool(voxels, corr)
     pooled_tensor = SparseTensor(pillars.coords, pooled, pillars.stride, pillars.extents)
     transformed = sparse_conv(pillars, spec_p2v, w_p2v, kmap, lanes=lanes)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import base64
+import itertools
 import math
 import os
 import zlib
@@ -11,7 +12,7 @@ from decimal import Decimal
 import numpy as np
 
 from .errors import FormatError, OutOfRange, ShapeMismatch
-from .formats import _atomic_write_json, _is_count, _read_json
+from .formats import _atomic_write_json, _check_numbers, _is_count, _read_json
 
 # Tensors at or below this element count are stored as inline JSON arrays.
 _INLINE_LIMIT = 64
@@ -53,8 +54,13 @@ def load_manifest(path) -> dict[str, np.ndarray]:
                 arr = np.asarray(values)
                 if arr.dtype.kind not in "iuf":  # strings, bools, nulls, objects
                     raise ValueError(f"got {arr.dtype} elements")
+                # NumPy reads booleans among numbers as 0 and 1
+                flat = [values]
+                for _ in range(arr.ndim):
+                    flat = itertools.chain.from_iterable(flat)
+                _check_numbers(flat)
                 arr = arr.astype(np.float64).ravel()
-        except ValueError as exc:  # binascii.Error and ragged nesting are ValueErrors too
+        except (ValueError, FormatError) as exc:  # binascii.Error, ragged nesting: ValueErrors
             raise FormatError(f"tensor {name!r}: values must be base64 little-endian f32 or a "
                               f"numeric array: {exc}") from exc
         if arr.size != math.prod(shape):

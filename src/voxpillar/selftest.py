@@ -26,6 +26,11 @@ from .sparse_conv import ConvSpec, ConvWeights, Lanes, bev_equal, build_kernel_m
 
 SMALL_GRID = GridSpec((0.0, 0.0, 0.0), (1.6, 1.6, 1.2), (0.1, 0.1, 0.15))
 IOU_TOLERANCE = 0.01
+# `voxpillar iou-check` refuses counts whose arrays would pass this cap: the `trials`
+# float64 errors, or one pair's Monte-Carlo arrays, measured by tracemalloc at 75 bytes a
+# sample.
+IOU_CHECK_BYTES_CAP = 1 << 30
+MC_BYTES_PER_SAMPLE = 80
 # The bound of the neck's window classes against full-map layers, relative to the map's
 # largest value (at least 1); on OpenBLAS's x86 kernels it was measured to move by at
 # most about 1.3e-15.
@@ -218,15 +223,15 @@ def check_fusion(cases):
         for coord, feat in zip(p.coords, pooled):
             _require((feat == oracle[tuple(coord)]).all(), f"pair {case}: pillar pooled wrong")
         copied = broadcast(p, corr)
-        for i in range(v.num_sites):
-            _require((copied[i] == p.features[corr.voxel_to_pillar[i]]).all(),
+        for i, j in enumerate(dense.argmax(axis=1)):
+            _require((copied[i] == p.features[j]).all(),
                      f"pair {case}: voxel {i} broadcast wrong")
         v_like = SparseTensor(v.coords, copied, 1, v.extents)
         _require((sparse_pool(v_like, corr) == p.features).all(),
                  f"pair {case}: pool of broadcast is not the pillars")
         convs = [(ConvSpec.submanifold(2, 3, a, b), ConvWeights(kernel=np.zeros((9, a, b))))
                  for a, b in ((v.num_channels, p.num_channels), (p.num_channels, v.num_channels))]
-        fv, fp = sparse_fusion_layer(v, p, corr, *convs, build_kernel_map(
+        fv, fp = sparse_fusion_layer(v, p, *convs, build_kernel_map(
             p.coords, ConvSpec.submanifold(2, 3, 1, 1), p.extents))
         _require(fv.features.tobytes() == v.features.tobytes(),
                  f"pair {case}: zero fusion changed the voxels")
@@ -351,8 +356,8 @@ def class_block(x, occupied, tensors, convs, activation) -> np.ndarray:
     labels = np.zeros(occupied.shape, dtype=np.int64)
     labels[occupied] = np.arange(1, occupied.sum() + 1)
     table = np.concatenate([np.zeros((1, x.shape[2])), x[occupied]])
-    table, labels = _dense_block(table, labels, convs, tensors, activation, Lanes())
-    return table[labels]
+    tables, labels = _dense_block([table], labels, [convs], tensors, activation, Lanes())
+    return tables[0][labels]
 
 
 def check_neck_classes(cases):

@@ -18,7 +18,7 @@ from voxpillar.backbone import (NUM_STEPS, BackboneConfig, DenseFeatureMap, bloc
 from voxpillar import backbone, manifest
 from voxpillar import sparse_conv as sparse_conv_module
 from voxpillar import grid as grid_module
-from voxpillar.errors import EmptyGrid, OutOfRange
+from voxpillar.errors import ConsistencyViolation, EmptyGrid, OutOfRange
 from voxpillar.grid import GridSpec, SparseTensor
 from voxpillar.manifest import resolve_weights
 from voxpillar.reference import dense_conv_reference, densify_features
@@ -588,6 +588,27 @@ def test_the_neck_runs_4m_convs_with_the_same_bytes_on_any_cpu_count(monkeypatch
         assert len(helpers) == (cpus > 1)
         assert len(halves) > len(convs)  # the 8x layers split
     assert runs[1] == runs[2] == runs[4]
+
+
+def test_a_dense_forward_numbers_the_window_classes_once_per_neck_layer(monkeypatch):
+    # the branches share one label map, so each of the 2 * neck_layers layers of the two
+    # blocks numbers its windows once for both
+    grid, cfg, tensors = make_model("dense")
+    calls = []
+    _wrap(monkeypatch, backbone.window_classes, lambda *_: calls.append(1))
+    forward(random_cloud(np.random.default_rng(149), 150, grid), grid, cfg, tensors)
+    assert len(calls) == 2 * cfg.neck_layers == 10
+
+
+def test_the_neck_refuses_pillars_that_are_not_the_voxels_columns():
+    cells = {(0, 0, 0), (0, 0, 1), (1, 2, 0), (2, 1, 1)}
+    pairs, tensors, cfg = _neck_case(3, 3, 2, cells, 150)
+    v, p = pairs[-1]
+    # a pillar missing from a voxel column, and one over no voxel
+    for coords, named in ((p.coords[1:], "voxel at BEV"), (np.r_[p.coords, [[2, 2]]], "pillar")):
+        other = SparseTensor(coords, np.zeros((len(coords), p.num_channels)), 8, p.extents)
+        with pytest.raises(ConsistencyViolation, match=named):
+            dense_fusion_neck(pairs[:-1] + [(v, other)], tensors, cfg)
 
 
 @pytest.mark.parametrize("masked", [1, 2, 3, 4])

@@ -354,6 +354,22 @@ def test_malformed_manifest_exits_1_without_traceback(workspace, capsys, entry):
     assert "'point_encoder.weight'" in err
 
 
+@pytest.mark.parametrize("values", [[0.5, True], [1, False, 2], [[0.5], [True]]])
+def test_inline_manifest_values_refuse_booleans_among_numbers(workspace, capsys, values):
+    # NumPy reads these as numbers; config and box files refuse any boolean, and so do
+    # manifests
+    tmp, cfg, cloud = workspace
+    weights = tmp / "weights.json"
+    shape = list(np.shape(values))
+    weights.write_text(json.dumps({"tensors": {"point_encoder.weight": {"shape": shape,
+                                                                        "values": values}}}))
+    capsys.readouterr()
+    assert main(["forward", cloud, "--config", cfg, "--weights", str(weights)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "'point_encoder.weight'" in err and "expected numbers, got bool" in err
+
+
 @pytest.mark.parametrize("command", ["forward", "voxelize"])
 def test_an_empty_weights_path_exits_1(workspace, capsys, monkeypatch, command):
     tmp, cfg, cloud = workspace
@@ -507,6 +523,38 @@ def test_iou_check_rejects_non_positive_counts(capsys, flag, value):
         main(["iou-check", flag, value])
     assert exc.value.code == 2
     assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--seed", "-1"], "non-negative integer"),
+    (["--seed", "x"], "non-negative integer"),
+    (["--samples", "1000000000000"], "above the 1 GiB cap"),
+    (["--trials", "1000000000000"], "above the 1 GiB cap"),
+])
+def test_iou_check_refuses_a_negative_seed_and_counts_over_the_byte_cap(capsys, monkeypatch,
+                                                                         argv, message):
+    def no_run(*args):
+        raise AssertionError("the check ran")
+
+    monkeypatch.setattr(cli, "iou_monte_carlo_errors", no_run)
+    with pytest.raises(SystemExit) as exc:
+        main(["iou-check", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: voxpillar iou-check") and "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and argv[0] in errors[0] and message in errors[0]
+
+
+def test_iou_check_takes_counts_at_the_byte_cap():
+    parser = cli.build_parser()
+    trials = cli.IOU_CHECK_BYTES_CAP // 8
+    samples = cli.IOU_CHECK_BYTES_CAP // cli.MC_BYTES_PER_SAMPLE
+    args = parser.parse_args(["iou-check", "--trials", str(trials), "--samples", str(samples),
+                              "--seed", "0"])
+    assert (args.trials, args.samples, args.seed) == (trials, samples, 0)
+    with pytest.raises(SystemExit):
+        parser.parse_args(["iou-check", "--samples", str(samples + 1)])
 
 
 def test_variant_override_keeps_pinned_channels(tmp_path):

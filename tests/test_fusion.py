@@ -26,16 +26,14 @@ def test_correspondence_basic():
     v, p = make_pair([[0, 0, 0], [0, 0, 1], [1, 1, 0]], np.zeros((3, 1)),
                      [[0, 0], [1, 1]], np.zeros((2, 1)))
     corr = build_correspondence(v, p)
-    np.testing.assert_array_equal(corr.pillar_start, [0, 2, 3])
-    np.testing.assert_array_equal(corr.voxel_to_pillar, [0, 0, 1])
+    assert corr.dtype == np.int64
+    np.testing.assert_array_equal(corr, [0, 2, 3])
 
 
 def test_correspondence_bijection_when_one_voxel_per_pillar():
     v, p = make_pair([[0, 0, 2], [1, 2, 0], [3, 3, 1]], np.zeros((3, 1)),
                      [[0, 0], [1, 2], [3, 3]], np.zeros((3, 1)))
-    corr = build_correspondence(v, p)
-    np.testing.assert_array_equal(corr.voxel_to_pillar, [0, 1, 2])
-    np.testing.assert_array_equal(corr.pillar_start, [0, 1, 2, 3])
+    np.testing.assert_array_equal(build_correspondence(v, p), [0, 1, 2, 3])
 
 
 def test_correspondence_matches_dense_matrix_oracle():
@@ -46,11 +44,10 @@ def test_correspondence_matches_dense_matrix_oracle():
         dense = dense_correspondence_matrix(v.coords, p.coords)
         np.testing.assert_array_equal(dense.sum(axis=1), np.ones(v.num_sites, dtype=np.int64))
         assert (dense.sum(axis=0) >= 1).all()
-        for i in range(v.num_sites):
-            assert dense[i, corr.voxel_to_pillar[i]] == 1
+        assert corr.dtype == np.int64 and corr.shape == (p.num_sites + 1,)
+        # pillar j's column of the matrix is the run of voxels its bounds slice
         for j in range(p.num_sites):
-            np.testing.assert_array_equal(np.flatnonzero(dense[:, j]),
-                                          np.arange(*corr.pillar_start[j:j + 2]))
+            np.testing.assert_array_equal(np.flatnonzero(dense[:, j]), np.arange(*corr[j:j + 2]))
 
 
 def test_correspondence_rejects_inconsistent():
@@ -74,12 +71,11 @@ def test_correspondence_rejects_inconsistent():
 def test_correspondence_accepts_empty_and_single_site():
     v, p = make_pair(np.empty((0, 3)), np.empty((0, 1)), np.empty((0, 2)), np.empty((0, 1)))
     corr = build_correspondence(v, p)
-    assert corr.num_pillars == 0 and corr.num_voxels == 0
-    np.testing.assert_array_equal(corr.pillar_start, [0])
+    assert corr.dtype == np.int64
+    np.testing.assert_array_equal(corr, [0])
+    assert sparse_pool(v, corr).shape == (0, 1) and broadcast(p, corr).shape == (0, 1)
     v, p = make_pair([[3, 1, 2]], np.zeros((1, 1)), [[3, 1]], np.zeros((1, 1)))
-    corr = build_correspondence(v, p)
-    np.testing.assert_array_equal(corr.pillar_start, [0, 1])
-    np.testing.assert_array_equal(corr.voxel_to_pillar, [0])
+    np.testing.assert_array_equal(build_correspondence(v, p), [0, 1])
 
 
 def test_pool_singleton_and_pairs():
@@ -135,9 +131,8 @@ def sfl(w_v2p, w_p2v):
 def test_zero_weight_sfl_is_identity():
     rng = np.random.default_rng(43)
     v, p = random_consistent_pair(rng, 8)
-    corr = build_correspondence(v, p)
     w_v2p, w_p2v = zero_sfl_weights(v.num_channels, p.num_channels)
-    fv, fp = sparse_fusion_layer(v, p, corr, *sfl(w_v2p, w_p2v), build_kernel_map(
+    fv, fp = sparse_fusion_layer(v, p, *sfl(w_v2p, w_p2v), build_kernel_map(
         p.coords, ConvSpec.submanifold(2, 3, 1, 1), p.extents))
     assert fv.features.tobytes() == v.features.tobytes()
     assert fp.features.tobytes() == p.features.tobytes()
@@ -148,22 +143,20 @@ def test_zero_weight_sfl_is_identity():
 def test_sfl_rejects_a_conv_that_does_not_give_the_other_branch_width():
     rng = np.random.default_rng(46)
     v, p = random_consistent_pair(rng, 8)  # 3 voxel and 5 pillar channels
-    corr = build_correspondence(v, p)
     kmap = build_kernel_map(p.coords, ConvSpec.submanifold(2, 3, 1, 1), p.extents)
     # a 1-wide p2v output would broadcast over the 3 voxel channels unnoticed
     convs = sfl(ConvWeights(kernel=np.zeros((9, 3, 5))), ConvWeights(kernel=np.zeros((9, 5, 1))))
     with pytest.raises(ShapeMismatch, match="widths"):
-        sparse_fusion_layer(v, p, corr, *convs, kmap)
+        sparse_fusion_layer(v, p, *convs, kmap)
 
 
 def test_identity_transform_one_voxel_per_pillar():
     # D_v == D_p and a bijective correspondence: fusion degenerates to a swap-add
     v, p = make_pair([[0, 0, 1], [2, 3, 0]], [[1.0, 2.0], [3.0, 4.0]],
                      [[0, 0], [2, 3]], [[10.0, 20.0], [30.0, 40.0]])
-    corr = build_correspondence(v, p)
     spec = ConvSpec.submanifold(2, 3, 2, 2)
     ident = identity_weights(spec)
-    fv, fp = sparse_fusion_layer(v, p, corr, *sfl(ident, ident), build_kernel_map(
+    fv, fp = sparse_fusion_layer(v, p, *sfl(ident, ident), build_kernel_map(
         p.coords, ConvSpec.submanifold(2, 3, 1, 1), p.extents))
     np.testing.assert_array_equal(fv.features, v.features + p.features)
     np.testing.assert_array_equal(fp.features, p.features + v.features)
@@ -175,15 +168,15 @@ def test_sfl_matches_straightline_composition():
 
     for trial in range(5):
         v, p = random_consistent_pair(rng, 8)
-        corr = build_correspondence(v, p)
         spec_v2p = ConvSpec.submanifold(2, 3, v.num_channels, p.num_channels)
         spec_p2v = ConvSpec.submanifold(2, 3, p.num_channels, v.num_channels)
         w_v2p = ConvWeights(kernel=rng.normal(size=(9, v.num_channels, p.num_channels)))
         w_p2v = ConvWeights(kernel=rng.normal(size=(9, p.num_channels, v.num_channels)))
-        fv, fp = sparse_fusion_layer(v, p, corr, *sfl(w_v2p, w_p2v),
+        fv, fp = sparse_fusion_layer(v, p, *sfl(w_v2p, w_p2v),
                                      build_kernel_map(p.coords, spec_v2p, p.extents))
 
         kmap = build_kernel_map(p.coords, spec_v2p, p.extents)
+        corr = build_correspondence(v, p)
         pooled = SparseTensor(p.coords, sparse_pool(v, corr), 1, p.extents)
         expect_p = p.features + sparse_conv(pooled, spec_v2p, w_v2p, kmap).features
         transformed = sparse_conv(p, spec_p2v, w_p2v, kmap)
@@ -199,11 +192,21 @@ def test_sfl_on_real_cloud(desk_grid):
     v = build_voxel_features(cloud)
     enc = PointEncoderWeights(weight=rng.normal(size=(4, 6)), bias=rng.normal(size=6))
     p = build_pillar_features(cloud, enc)
-    corr = build_correspondence(v, p)
     w_v2p = ConvWeights(kernel=rng.normal(size=(9, 4, 6)))
     w_p2v = ConvWeights(kernel=rng.normal(size=(9, 6, 4)))
-    fv, fp = sparse_fusion_layer(v, p, corr, *sfl(w_v2p, w_p2v), build_kernel_map(
+    fv, fp = sparse_fusion_layer(v, p, *sfl(w_v2p, w_p2v), build_kernel_map(
         p.coords, ConvSpec.submanifold(2, 3, 1, 1), p.extents))
     np.testing.assert_array_equal(fv.coords, v.coords)
     np.testing.assert_array_equal(fp.coords, p.coords)
     assert np.isfinite(fv.features).all() and np.isfinite(fp.features).all()
+
+
+def test_sfl_builds_its_correspondence_and_refuses_branches_with_other_bev_sites():
+    rng = np.random.default_rng(47)
+    v, p = random_consistent_pair(rng, 8)
+    # the first pillar is gone, so the voxels of its column have none
+    p = SparseTensor(p.coords[1:], p.features[1:], 1, p.extents)
+    kmap = build_kernel_map(p.coords, ConvSpec.submanifold(2, 3, 1, 1), p.extents)
+    with pytest.raises(ConsistencyViolation, match="voxel at BEV"):
+        sparse_fusion_layer(v, p, *sfl(*zero_sfl_weights(v.num_channels, p.num_channels)),
+                            kmap)
