@@ -20,7 +20,7 @@ from . import manifest
 from .errors import OutOfRange, ShapeMismatch
 from .fusion import build_correspondence, sparse_fusion_layer
 from .grid import (GridSpec, PointEncoderWeights, SparseTensor, build_pillar_features,
-                   build_voxel_features, pack_coords, voxelize)
+                   build_voxel_features, run_bounds, voxelize, widen_finite)
 from .sparse_conv import (REGULAR, ConvSpec, ConvWeights, Lanes, build_kernel_map,
                           conv_output_extents, paired_downsample, sparse_conv)
 
@@ -308,43 +308,15 @@ def height_compress(x: SparseTensor) -> SparseTensor:
                         extents=x.extents[:2])
 
 
-def _classes(cols: list[np.ndarray], base: int) -> tuple[np.ndarray, int]:
-    """Number the tuples of the equally long int64 arrays `cols`, whose entries lie in
-    [0, base): returns each tuple's class in [0, count), in sorted order, and count.
-
-    The columns are packed into one int64 code in mixed radix, renumbered densely
-    first whenever the next column would take the code's range times the tuple count
-    past 2**63, so the codes are exact at any size."""
-    n = cols[0].size
-    code, span = cols[0], base
-    for col in cols[1:]:
-        if span * base * n > 1 << 63:
-            code, span = _dense(code, span)
-        code = code * base + col
-        span *= base
-    return _dense(code, span)
-
-
-def _dense(code: np.ndarray, span: int) -> tuple[np.ndarray, int]:
-    """Each of the codes, which lie in [0, span), ranked among the distinct codes, and
-    their count."""
-    n = code.size
-    if span * n <= 1 << 63:
-        # one in-place sort of each code packed with its position: an argsort is
-        # several times slower on codes that repeat as much as a neck map's do
-        key = code * n + np.arange(n)
-        key.sort()
-        code, pos = np.divmod(key, n)
-    else:
-        pos = code.argsort(kind="stable")
-        code = code[pos]
-    new = np.empty(n, dtype=bool)
-    new[0] = True
-    np.not_equal(code[1:], code[:-1], out=new[1:])
-    rank = np.cumsum(new) - 1
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[pos] = rank
-    return ranks, int(rank[-1]) + 1
+def _classes(cols: list[np.ndarray]) -> tuple[np.ndarray, int]:
+    """Number the tuples of the equally long int64 arrays `cols`: returns each tuple's
+    class in [0, count), in lexicographic order with the first column most significant,
+    and count. One lexsort, then each run of equal sorted tuples is one class."""
+    order = np.lexsort(cols[::-1])
+    bounds = run_bounds(np.stack([col[order] for col in cols], axis=1))
+    classes = np.empty(order.size, dtype=np.int64)
+    classes[order] = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+    return classes, bounds.size - 1
 
 
 def window_classes(labels: np.ndarray, stride: int) -> tuple[np.ndarray, np.ndarray]:
@@ -362,11 +334,11 @@ def window_classes(labels: np.ndarray, stride: int) -> tuple[np.ndarray, np.ndar
     lo, wo = (l - 1) // stride + 1, (w - 1) // stride + 1
     padded = np.pad(labels, 1)
     span = stride * (lo - 1) + 3
-    across, n_across = _classes([padded[:span, dx:dx + stride * (wo - 1) + 1:stride].ravel()
-                                 for dx in range(3)], int(padded.max()) + 1)
+    across, _ = _classes([padded[:span, dx:dx + stride * (wo - 1) + 1:stride].ravel()
+                          for dx in range(3)])
     across = across.reshape(span, wo)
     classes, n = _classes([across[dy:dy + stride * (lo - 1) + 1:stride].ravel()
-                           for dy in range(3)], n_across)
+                           for dy in range(3)])
     # any cell of a class has its window; its corner, flat in `padded`
     cell = np.empty(n, dtype=np.int64)
     cell[classes] = np.arange(classes.size)
@@ -427,8 +399,9 @@ def dense_conv3x3(table: np.ndarray, taps: np.ndarray, kernel: np.ndarray, epilo
 
 
 def _neck_tensors(tensors, name: str) -> tuple[np.ndarray, ...]:
-    """A neck layer's kernel, scale and shift, widened to float64."""
-    return tuple(np.asarray(tensors[f"{name}.{key}"], dtype=np.float64)
+    """A neck layer's kernel, scale and shift, widened to float64; ValueError unless
+    they are finite."""
+    return tuple(widen_finite(tensors[f"{name}.{key}"], f"{name}.{key}")
                  for key in ("kernel", "scale", "shift"))
 
 
@@ -500,13 +473,13 @@ def _final_pair(pairs):
 
 
 def merge_sparse2d(entries, extents, stride: int) -> SparseTensor:
-    """Union of (coords, features) lists with elementwise sums at shared sites."""
+    """Union of (coords, features) lists with elementwise sums at shared sites, added in
+    entry order, since the lexsort is stable."""
     coords = np.concatenate([c for c, _ in entries], axis=0)
     feats = np.concatenate([f for _, f in entries], axis=0)
-    key = pack_coords(coords, extents)
-    order = np.argsort(key, kind="stable")
-    key, coords, feats = key[order], coords[order], feats[order]
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    order = np.lexsort(coords.T[::-1])
+    coords, feats = coords[order], feats[order]
+    starts = run_bounds(coords)[:-1]
     summed = np.add.reduceat(feats, starts, axis=0)
     return SparseTensor(coords=coords[starts], features=summed, stride=stride,
                         extents=tuple(extents))
@@ -531,7 +504,8 @@ def sparse_readout(pairs, tensors: dict[str, np.ndarray], cfg: BackboneConfig,
     for v, p in scales:
         ratio = v.stride // 8
         compressed = height_compress(v)
-        proj = np.asarray(tensors[f"readout.voxel.proj{v.stride}.weight"], dtype=np.float64)
+        key = f"readout.voxel.proj{v.stride}.weight"
+        proj = widen_finite(tensors[key], key)
         if proj.shape[0] != compressed.num_channels:
             raise ShapeMismatch(
                 f"projection for scale {v.stride} expects {proj.shape[0]} channels, "

@@ -142,10 +142,12 @@ class PointEncoderWeights:
 
 
 def run_bounds(rows: np.ndarray) -> np.ndarray:
-    """(runs + 1,) int64 bounds of the runs of equal consecutive rows; run j
-    is ``bounds[j]:bounds[j + 1]``."""
-    new_run = np.ones(rows.shape[0], dtype=bool)
-    new_run[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    """(runs + 1,) int64 bounds of the runs of equal consecutive rows; run j is
+    ``bounds[j]:bounds[j + 1]``. Column by column: `any(axis=1)` is several times slower."""
+    new_run = np.zeros(rows.shape[0], dtype=bool)
+    new_run[:1] = True
+    for col in rows.T:
+        new_run[1:] |= col[1:] != col[:-1]
     return np.append(np.flatnonzero(new_run), rows.shape[0])
 
 

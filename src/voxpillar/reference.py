@@ -85,11 +85,6 @@ def enumerate_kernel_map(coords, spec: ConvSpec, extents) -> tuple[np.ndarray, n
     return triples, np.array(outputs, dtype=np.int64).reshape(-1, spec.ndim)
 
 
-def enumerate_regular_outputs(coords, spec: ConvSpec, extents) -> set[tuple[int, ...]]:
-    """Active regular-conv outputs by trying every (input, offset, output) triple."""
-    return {tuple(int(v) for v in o) for o in enumerate_kernel_map(coords, spec, extents)[1]}
-
-
 def groupby_mean(points: np.ndarray, indices: np.ndarray) -> dict[tuple, np.ndarray]:
     """Per-cell mean of point rows keyed by their (already valid) indices."""
     groups: dict[tuple, list] = {}

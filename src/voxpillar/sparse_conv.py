@@ -78,8 +78,7 @@ class ConvWeights:
 
     Offsets are enumerated row-major over the kernel axes (first axis slowest),
     matching `kernel_offsets`. Both are widened to float64 here, so weights
-    stored as float32 are copied on the thread that builds this; the kernel must be
-    finite.
+    stored as float32 are copied on the thread that builds this; both must be finite.
     """
 
     kernel: np.ndarray
@@ -90,7 +89,7 @@ class ConvWeights:
         if self.kernel.ndim != 3:
             raise ShapeMismatch(f"kernel must be (offsets, in, out), got {self.kernel.shape}")
         if self.bias is not None:
-            self.bias = np.asarray(self.bias, dtype=np.float64)
+            self.bias = widen_finite(self.bias, "bias weights")
             if self.bias.shape != (self.kernel.shape[2],):
                 raise ShapeMismatch(f"bias {self.bias.shape} does not match kernel {self.kernel.shape}")
 
@@ -115,7 +114,7 @@ class KernelMap:
     identity: triple (i, i) for every site i, in site order. `sparse_conv`
     relies on that to apply the centre tap without a gather or a scatter.
 
-    `build_kernel_map` stores the triples column-major, so each column is a
+    `triples` holds the input and output columns, column-major, so each is a
     contiguous index array; offset k's segment is `bounds[k]:bounds[k + 1]`.
 
     `cut` splits the output rows into two halves that `sparse_conv` runs as
@@ -124,14 +123,17 @@ class KernelMap:
     runs whole has `cut` M and `mid` `bounds[1:]`.
     """
 
-    triples: np.ndarray  # (T, 3) int64 columns in_idx, out_idx, offset_idx
+    triples: np.ndarray  # (T, 2) int64 columns in_idx, out_idx
     bounds: np.ndarray  # (num_offsets + 1,) int64 segment starts, then T
     out_coords: np.ndarray  # (M, ndim) int64
     out_extents: tuple[int, ...]
-    num_offsets: int
     in_sites: int  # the number of input sites the map was built on
     cut: int  # the first output row of the second half; M when the map runs whole
     mid: np.ndarray  # (num_offsets,) int64 start of each segment's second half
+
+    @property
+    def num_offsets(self) -> int:
+        return self.bounds.size - 1
 
 
 def kernel_offsets(kernel: tuple[int, ...]) -> np.ndarray:
@@ -217,13 +219,10 @@ def _row_split(dst: np.ndarray, bounds: np.ndarray, m: int) -> tuple[int, np.nda
 
 
 def _triples(in_idx: np.ndarray, out_idx: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
-    """(T, 3) column-major triples and their segment bounds, from the input and output
+    """(T, 2) column-major triples and their segment bounds, from the input and output
     columns and each offset's segment size."""
-    triples = np.empty((in_idx.size, 3), dtype=np.int64, order="F")
-    triples[:, 0] = in_idx
-    triples[:, 1] = out_idx
-    triples[:, 2] = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-    return triples, np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+    return (np.array([in_idx, out_idx], dtype=np.int64).T,
+            np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))))
 
 
 def build_kernel_map(coords_in: np.ndarray, spec: ConvSpec, in_extents) -> KernelMap:
@@ -287,7 +286,7 @@ def build_kernel_map(coords_in: np.ndarray, spec: ConvSpec, in_extents) -> Kerne
         triples, bounds = _triples(np.concatenate([src for src, _ in segments]),
                                    np.concatenate([dst for _, dst in segments]),
                                    [src.size for src, _ in segments])
-        return KernelMap(triples, bounds, coords_in, in_extents, num_offsets, coords_in.shape[0],
+        return KernelMap(triples, bounds, coords_in, in_extents, coords_in.shape[0],
                          *_row_split(triples[:, 1], bounds, coords_in.shape[0]))
 
     cands, keys = [], []
@@ -301,7 +300,7 @@ def build_kernel_map(coords_in: np.ndarray, spec: ConvSpec, in_extents) -> Kerne
     uniq_keys, out_idx = np.unique(np.concatenate(keys), return_inverse=True)
     out_coords = np.stack(np.unravel_index(uniq_keys, out_extents), axis=1).astype(np.int64)
     triples, bounds = _triples(np.concatenate(cands), out_idx, [cand.size for cand in cands])
-    return KernelMap(triples, bounds, out_coords, out_extents, num_offsets, coords_in.shape[0],
+    return KernelMap(triples, bounds, out_coords, out_extents, coords_in.shape[0],
                      *_row_split(triples[:, 1], bounds, out_coords.shape[0]))
 
 
@@ -375,7 +374,7 @@ def _conv_half(x, weights: ConvWeights, kmap: KernelMap, out: np.ndarray, centre
     """The output rows `half[0]:half[1]` of `sparse_conv`, through the segment ranges
     `half[2]:half[3]` and into the arrays of that half; it allocates no array."""
     first, end, starts, ends = half
-    src, dst, _ = kmap.triples.T
+    src, dst = kmap.triples.T
     own = out[first:end]
     # zeros, then the bias: 0.0 + bias turns a -0.0 entry into +0.0, a copy would not
     own.fill(0.0)

@@ -492,12 +492,27 @@ def test_voxel_bev_equals_the_pillar_set_at_every_step(pts):
             assert bev_equal(v, p), (variant, step)
 
 
+@pytest.mark.parametrize("name", ["voxel.step2.down.bias", "neck.voxel.s8.conv0.scale",
+                                  "neck.pillar.s16.conv1.kernel", "readout.voxel.proj16.weight"])
+def test_a_non_finite_layer_tensor_is_refused(name):
+    grid, cfg, tensors = make_model("sparse" if name.startswith("readout") else "dense")
+    tensors = dict(tensors)
+    tensors[name] = np.array(tensors[name])
+    tensors[name].flat[0] = np.nan
+    with pytest.raises(ValueError, match="must be finite"):
+        forward(random_cloud(np.random.default_rng(94), 200, grid), grid, cfg, tensors)
+
+
 def test_forward_voxelizes_and_sorts_the_points_once(monkeypatch):
+    # only sorts of point-length arrays count: the neck lexsorts its window columns too
     calls = {"assign_voxel_indices": 0, "lexsort": 0, "argsort": 0, "sort": 0}
+    grid, cfg, tensors = variant_model("dense")
+    points = random_cloud(np.random.default_rng(93), 80, grid)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            if name == "assign_voxel_indices" or np.shape(args[0])[-1:] == (len(points),):
+                calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
@@ -505,8 +520,7 @@ def test_forward_voxelizes_and_sorts_the_points_once(monkeypatch):
                         counted("assign_voxel_indices", grid_module.assign_voxel_indices))
     for name in ("lexsort", "argsort", "sort"):
         monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
-    grid, cfg, tensors = variant_model("dense")
-    forward(random_cloud(np.random.default_rng(93), 80, grid), grid, cfg, tensors)
+    forward(points, grid, cfg, tensors)
     assert calls == {"assign_voxel_indices": 1, "lexsort": 1, "argsort": 0, "sort": 0}
 
 
@@ -730,11 +744,10 @@ def test_the_neck_equals_its_layers_on_the_smallest_maps(extents):
 
 @pytest.mark.parametrize("base", [7, 2**50])
 def test_window_codes_number_tuples_exactly_at_any_label_range(base):
-    # 2**50 labels leave no room to pack two columns with their positions, so the codes
-    # are renumbered between columns, and the last ones are ranked by an argsort
+    # the classes number the distinct tuples in lexicographic order at any label range
     rng = np.random.default_rng(147)
     cols = [rng.integers(0, base, size=300) % v for v in (base, 3, base)]
-    classes, count = backbone._classes(cols, base)
+    classes, count = backbone._classes(cols)
     uniq, want = np.unique(np.stack(cols, axis=1), axis=0, return_inverse=True)
     assert count == len(uniq) and classes.tolist() == want.ravel().tolist()
 

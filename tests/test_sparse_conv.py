@@ -12,8 +12,7 @@ from voxpillar import sparse_conv as sparse_conv_module
 from voxpillar.errors import ConsistencyViolation, ShapeMismatch, SpecMismatch
 from voxpillar.grid import (PointEncoderWeights, SparseTensor, build_pillar_features,
                             build_voxel_features, voxelize)
-from voxpillar.reference import (dense_conv_reference, densify_features, enumerate_kernel_map,
-                                 enumerate_regular_outputs)
+from voxpillar.reference import dense_conv_reference, densify_features, enumerate_kernel_map
 from voxpillar.selftest import random_cloud
 from voxpillar.sparse_conv import (ConvSpec, ConvWeights, Lanes, bev_equal, build_kernel_map,
                                    paired_downsample, sparse_conv)
@@ -78,14 +77,19 @@ def test_submanifold_spec_requires_the_centre_padding(kernel, padding):
     assert spec == ConvSpec.submanifold(ndim, kernel, 4, 4)
 
 
+def offset_column(kmap):
+    """Each triple's offset index, from the map's segment bounds."""
+    return np.repeat(np.arange(kmap.num_offsets), np.diff(kmap.bounds))
+
+
 def test_subm_isolated_site_single_triple():
     x = SparseTensor(coords=np.array([[4, 4, 4]]), features=np.ones((1, 2)),
                      stride=1, extents=(9, 9, 9))
     spec = ConvSpec.submanifold(3, 3, 2, 2)
     kmap = build_kernel_map(x.coords, spec, x.extents)
     np.testing.assert_array_equal(kmap.out_coords, x.coords)
-    assert kmap.triples.shape == (1, 3)
-    assert tuple(kmap.triples[0]) == (0, 0, 13)  # center offset of a 3x3x3 kernel
+    assert kmap.triples.shape == (1, 2) and tuple(kmap.triples[0]) == (0, 0)
+    assert offset_column(kmap).tolist() == [13]  # center offset of a 3x3x3 kernel
 
 
 def test_regular_single_site_enumeration_oracle():
@@ -93,7 +97,7 @@ def test_regular_single_site_enumeration_oracle():
     spec = ConvSpec.regular(2, 3, 2, 1, 1, 1)
     kmap = build_kernel_map(coords, spec, (8, 8))
     got = {tuple(c) for c in kmap.out_coords}
-    expect = enumerate_regular_outputs(coords, spec, (8, 8))
+    expect = {tuple(o) for o in enumerate_kernel_map(coords, spec, (8, 8))[1].tolist()}
     assert got == expect == {(0, 0)}
 
 
@@ -114,7 +118,7 @@ def test_regular_outputs_match_enumeration_random():
         spec = ConvSpec.regular(2, 3, 2, 1, 1, 1)
         kmap = build_kernel_map(x.coords, spec, extents)
         got = {tuple(c) for c in kmap.out_coords}
-        assert got == enumerate_regular_outputs(x.coords, spec, extents)
+        assert got == {tuple(o) for o in enumerate_kernel_map(x.coords, spec, extents)[1].tolist()}
 
 
 def test_identity_kernel_is_identity():
@@ -197,7 +201,7 @@ def test_triples_sorted_and_unique():
         x = random_sparse(rng, extents, 0.25, 1, ndim)
         kmap = build_kernel_map(x.coords, spec, extents)
         tri = kmap.triples
-        keys = (tri[:, 2], tri[:, 1], tri[:, 0])
+        keys = (offset_column(kmap), tri[:, 1], tri[:, 0])
         packed = (keys[0] * (tri[:, 1].max() + 1) + keys[1]) * (tri[:, 0].max() + 1) + keys[2]
         assert (np.diff(packed) > 0).all()
 
@@ -207,9 +211,9 @@ def _scatter_add_at(x, spec, weights, kmap):
     out = np.zeros((kmap.out_coords.shape[0], spec.out_channels))
     if weights.bias is not None:
         out += weights.bias
-    tri = kmap.triples
+    tri, offset = kmap.triples, offset_column(kmap)
     for k_idx in range(kmap.num_offsets):
-        seg = tri[tri[:, 2] == k_idx]
+        seg = tri[offset == k_idx]
         if seg.size:
             np.add.at(out, seg[:, 1], x.features[seg[:, 0]] @ weights.kernel[k_idx])
     return out
@@ -230,7 +234,7 @@ def test_scatter_exact_against_add_at(spec, extents):
         tri = kmap.triples
         # The invariant the indexed scatter relies on: no output index repeats
         # within one offset segment.
-        out_per_offset = tri[:, 2] * kmap.out_coords.shape[0] + tri[:, 1]
+        out_per_offset = offset_column(kmap) * kmap.out_coords.shape[0] + tri[:, 1]
         assert np.unique(out_per_offset).size == out_per_offset.size
         w = random_conv_weights(rng, spec, bias=True)
         out = sparse_conv(x, spec, w, kmap)
@@ -315,7 +319,9 @@ def test_kernel_maps_and_conv_agree_with_the_oracles(case):
     x, spec, weights = case
     kmap = build_kernel_map(x.coords, spec, x.extents)
     triples, out_coords = enumerate_kernel_map(x.coords, spec, x.extents)
-    assert kmap.triples.shape == triples.shape and kmap.triples.tobytes() == triples.tobytes()
+    assert kmap.triples.shape == triples[:, :2].shape
+    assert kmap.triples.tobytes() == triples[:, :2].tobytes()
+    assert offset_column(kmap).tolist() == triples[:, 2].tolist()
     assert kmap.out_coords.shape == out_coords.shape
     assert kmap.out_coords.tobytes() == out_coords.tobytes()
     assert_matches_dense(x, spec, weights)
@@ -532,7 +538,7 @@ def test_paired_single_site():
     v, p = paired_downsample(voxels, pillars, s3, s2,
                              random_conv_weights(rng, s3), random_conv_weights(rng, s2))
     assert bev_equal(v, p)
-    expect = enumerate_regular_outputs(np.array([[4, 4]]), s2, (8, 8))
+    expect = {tuple(o) for o in enumerate_kernel_map(np.array([[4, 4]]), s2, (8, 8))[1].tolist()}
     assert {tuple(c) for c in p.coords} == expect
 
 
