@@ -41,14 +41,19 @@ def vertical_density(points, box: Box3D, box_id: int = 0) -> DensityRecord:
     fl(cx - reach) <= x <= fl(cx + reach) (likewise y) and the circle test
     hold for every in-box point. The survivors go through the same per-point
     arithmetic, so the record is bitwise the same as mapping the whole cloud.
-    The band's four passes read contiguous columns of a column-major cloud,
-    as `formats.read_cloud` returns; on a row-major one they are strided and
-    each touches the whole cloud, giving the same record in about 3.5 times
-    the time (100k points).
+    When x is non-decreasing, as in the clouds `formats.read_cloud` returns,
+    the band runs only on the slab of rows its x tests keep, found by binary
+    search; checking the order is one comparison pass. An unsorted cloud is
+    its own slab. The band's passes read contiguous columns of a column-major
+    cloud, as `read_cloud` returns; on a row-major one they are strided, giving
+    the same record in about 3.5 times the time (100k points, unsorted).
     """
     pts = _xyz(points, box_id)
     cx, cy, cz = box.center
     reach = 0.5 * math.hypot(box.dims[0], box.dims[1]) * (1.0 + CIRCLE_MARGIN)
+    x = pts[:, 0]
+    if (x[1:] >= x[:-1]).all():
+        pts = pts[np.searchsorted(x, cx - reach):np.searchsorted(x, cx + reach, side="right")]
     x, y = pts[:, 0], pts[:, 1]
     band = x >= cx - reach
     band &= x <= cx + reach

@@ -305,8 +305,9 @@ def check_overall_loss(cases):
 
 def check_density(cases):
     """c08: k stacked points give S_Z = k/10 exactly; rotated binning matches the oracle
-    and is the same on a column-major copy of the points; the batched records of all
-    cases equal the one-box records."""
+    and is the same on a column-major copy of the points and on a copy sorted by x, as
+    `read_cloud` returns clouds; the batched records of all cases equal the one-box
+    records."""
     box = Box3D((0.4, -0.7, 0.2), (1.1, 2.3, 1.7), 0.35)
     h = box.dims[2]
     z0 = box.center[2] - h / 2
@@ -331,6 +332,9 @@ def check_density(cases):
                  f"box {case}: horizontal occupancy differs from the oracle")
         _require(repr(vertical_density(np.asfortranarray(pts), rot)) == repr(rec),
                  f"box {case}: the record differs on a column-major copy of the points")
+        x_sorted = pts[np.argsort(pts[:, 0], kind="stable")]
+        _require(repr(vertical_density(x_sorted, rot)) == repr(rec),
+                 f"box {case}: the record differs on an x-sorted copy of the points")
     one_box = [vertical_density(pts, b, box_id=i) for i, (b, pts) in enumerate(zip(boxes, lists))]
     _require(density_records(boxes, lists) == one_box,
              "the batched records differ from the one-box records")

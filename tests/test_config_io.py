@@ -71,23 +71,38 @@ def test_config_validates_thresholds():
         config_from_json({"iou_thresholds": {"Vehicle": 1.5}})
 
 
+def with_tied_x(pts):
+    """`pts` with rows of exactly equal x, +0.0 before -0.0 among them, where it has
+    at least 8 rows."""
+    if len(pts) >= 8:
+        pts[2::5, 0] = pts[1, 0]
+        pts[[3, 6], 0] = 0.0, -0.0
+    return pts
+
+
+def x_sorted_f4_bytes(pts) -> bytes:
+    """The float64 bytes of `pts`' f4 values in the row order `read_cloud` promises:
+    the stable argsort of x, so ties (+-0.0 among them) stay in file order."""
+    f4 = pts.astype("<f4")
+    return f4[np.argsort(f4[:, 0], kind="stable")].astype(np.float64).tobytes()
+
+
 def test_cloud_round_trip(tmp_path):
     rng = np.random.default_rng(110)
-    pts = rng.normal(size=(37, 4))
+    pts = with_tied_x(rng.normal(size=(37, 4)))
     path = tmp_path / "cloud.vpc"
     write_cloud(path, pts)
-    back = read_cloud(path)
-    np.testing.assert_allclose(back, pts.astype(np.float32), rtol=0, atol=0)
+    assert read_cloud(path).tobytes() == x_sorted_f4_bytes(pts)
 
 
 @pytest.mark.parametrize("count", [0, 1, 150])
 def test_read_cloud_returns_the_written_f4_values_column_major(tmp_path, count):
-    pts = random_cloud(np.random.default_rng(112), count, SMALL_GRID)
+    pts = with_tied_x(random_cloud(np.random.default_rng(112), count, SMALL_GRID))
     path = tmp_path / "cloud.vpc"
     write_cloud(path, pts)
     back = read_cloud(path)
     assert back.dtype == np.float64 and back.shape == (count, 4) and back.flags.f_contiguous
-    assert back.tobytes() == pts.astype("<f4").astype(np.float64).tobytes()
+    assert back.tobytes() == x_sorted_f4_bytes(pts)
 
 
 @pytest.mark.parametrize("variant", ["dense", "sparse"])
@@ -248,6 +263,16 @@ def test_boxes_json(tmp_path):
     assert entries[1]["points"].shape == (1, 4)
     path.write_text(json.dumps([{"center": [0, 0, 0]}]))
     with pytest.raises(FormatError):
+        load_boxes(path)
+
+
+@pytest.mark.parametrize("points", [{"a": 1}, 5, "abc", [{"x": 1}], [5]],
+                         ids=["object", "number", "string", "object-rows", "number-rows"])
+def test_load_boxes_refuses_points_that_are_not_an_array_of_rows(tmp_path, points):
+    path = tmp_path / "boxes.json"
+    box = {"center": [0, 0, 0], "dims": [1, 1, 1], "heading": 0.0}
+    path.write_text(json.dumps([{"box": box}, {"box": box, "points": points}]))
+    with pytest.raises(FormatError, match=r"entry 1 .*points must be an array of rows, got "):
         load_boxes(path)
 
 

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from voxpillar.density import density_records, greedy_match, recall_by_density, vertical_density
@@ -189,7 +189,10 @@ def test_prefilter_matches_per_point_oracle(case):
 @st.composite
 def box_in_background_cloud(draw):
     """A `box_with_boundary_points` case among background points and points exactly
-    on the edges of the x-y band, cx +- reach and cy +- reach, as a row-major cloud."""
+    on the edges of the x-y band, cx +- reach and cy +- reach, as a row-major cloud.
+    Some rows take the exact x of another row. The cloud is either all of these, or
+    only the rows inside the band's x range (the x slab is the whole cloud), or only
+    those outside it (the slab is empty)."""
     box, pts = draw(box_with_boundary_points())
     cx, cy, cz = box.center
     reach = 0.5 * math.hypot(box.dims[0], box.dims[1]) * (1.0 + CIRCLE_MARGIN)
@@ -207,17 +210,31 @@ def box_in_background_cloud(draw):
                                   cy + rng.uniform(-3.0, 3.0, m) * reach,
                                   cz + rng.uniform(-1.0, 1.0, m) * box.dims[2], rng.random(m)))
     cloud = np.concatenate((pts, edges, background))
+    ties = rng.integers(0, len(cloud), (draw(st.integers(0, 10)) if len(cloud) else 0, 2))
+    cloud[ties[:, 0], 0] = cloud[ties[:, 1], 0]
+    in_slab = (cloud[:, 0] >= cx - reach) & (cloud[:, 0] <= cx + reach)
+    slab = draw(st.sampled_from([None, True, False]))
+    if slab is not None:
+        cloud = cloud[in_slab == slab]
     return box, cloud[rng.permutation(len(cloud))]
 
 
 @settings(max_examples=150)
 @given(box_in_background_cloud())
+# A BEV corner that is in its box though rounding puts its x an ulp below cx - hypot(l, w) / 2
+@example((box_at(center=(2.0, 0.0, 0.0), dims=(4.0, 1.9, 1.0), heading=-math.atan2(1.9, 4.0)),
+          np.array([[-0.21415898254845278, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0],
+                    [9.0, 0.0, 0.0, 0.0]])))
 def test_band_prefilter_gives_the_same_record_in_either_layout(case):
     box, cloud = case
     assert cloud.flags.c_contiguous
     rec = vertical_density(cloud, box)
     column_major = np.asfortranarray(cloud)
     assert repr(vertical_density(column_major, box)) == repr(rec)
+    # sorted by x, as read_cloud returns clouds, the band runs on the x slab
+    x_sorted = cloud[np.argsort(cloud[:, 0], kind="stable")]
+    assert repr(vertical_density(x_sorted, box)) == repr(rec)
+    assert repr(vertical_density(np.asfortranarray(x_sorted), box)) == repr(rec)
     # the whole cloud mapped without a prefilter
     assert repr(density_records([box], [cloud])[0]) == repr(rec)
     occ_x, occ_y, occ_z = density_bins_reference(cloud, box)
@@ -225,12 +242,16 @@ def test_band_prefilter_gives_the_same_record_in_either_layout(case):
     assert rec.horizontal_occupancy == math.sqrt((len(occ_x) / 10) * (len(occ_y) / 10))
 
 
-def test_one_box_on_a_column_major_cloud_allocates_under_4_bytes_per_point():
-    # A float temporary over the cloud would take 8 bytes per point, a copy 32.
+def one_box_peak_bytes(x_sorted: bool) -> tuple[int, int]:
+    """The tracemalloc peak of one `vertical_density` call on a column-major 100k-point
+    cloud, sorted by x or not, and the cloud's point count."""
     rng = np.random.default_rng(74)
     n = 100_000
-    cloud = np.asfortranarray(np.column_stack((rng.uniform(0.0, 100.0, (n, 2)),
-                                               rng.uniform(0.0, 3.0, n), rng.random(n))))
+    cloud = np.column_stack((rng.uniform(0.0, 100.0, (n, 2)),
+                             rng.uniform(0.0, 3.0, n), rng.random(n)))
+    if x_sorted:
+        cloud = cloud[np.argsort(cloud[:, 0], kind="stable")]
+    cloud = np.asfortranarray(cloud)
     box = box_at(center=(50.0, 50.0, 1.5), dims=(4.5, 1.9, 1.6), heading=0.3)
     tracemalloc.start()
     try:
@@ -239,7 +260,19 @@ def test_one_box_on_a_column_major_cloud_allocates_under_4_bytes_per_point():
     finally:
         tracemalloc.stop()
     assert rec.point_count > 0
+    return peak, n
+
+
+def test_one_box_on_a_column_major_cloud_allocates_under_4_bytes_per_point():
+    # A float temporary over the cloud would take 8 bytes per point, a copy 32.
+    peak, n = one_box_peak_bytes(x_sorted=False)
     assert peak < 4 * n
+
+
+def test_one_box_on_an_x_sorted_cloud_allocates_under_1_5_bytes_per_point():
+    # The order check's bool pass takes 1 byte per point; the band runs on the slab.
+    peak, n = one_box_peak_bytes(x_sorted=True)
+    assert peak < 1.5 * n
 
 
 @st.composite
