@@ -6,23 +6,31 @@ sparse fusion layer. The dense readout runs a two-scale conv neck on the 8x
 features, one row per distinct 3x3 window, into one dense map; the sparse
 readout keeps everything sparse through 16x/32x blocks and merges all scales
 on the 8x BEV lattice.
+
+A forward plans, then runs. Every kernel map, column bound, window class
+and merge order depends only on the step-1 voxel coordinates and the block
+plan, so `plan_forward` builds them all before any feature exists; the run
+phase walks the same block plan through them and computes features only.
 """
 from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from . import manifest
 from .errors import OutOfRange, ShapeMismatch
-from .fusion import build_correspondence, sparse_fusion_layer
-from .grid import (GridSpec, PointEncoderWeights, SparseTensor, build_pillar_features,
-                   build_voxel_features, run_bounds, voxelize, widen_finite)
-from .sparse_conv import (REGULAR, ConvSpec, ConvWeights, Lanes, build_kernel_map,
-                          conv_output_extents, paired_downsample, sparse_conv)
+from .fusion import sparse_fusion_layer
+from .grid import (GridSpec, PointEncoderWeights, SparseTensor, VoxelizedCloud,
+                   build_pillar_features, build_voxel_features, run_bounds, voxelize,
+                   widen_finite)
+from .sparse_conv import (REGULAR, ConvSpec, ConvWeights, KernelMap, Lanes,
+                          build_correspondence, build_kernel_map, conv_output_extents,
+                          paired_downsample, sparse_conv)
 
 NUM_STEPS = 4
 VOXEL_INPUT_DIM = 4  # mean (x, y, z, intensity)
@@ -230,81 +238,128 @@ def required_weights(grid: GridSpec, cfg: BackboneConfig) -> dict[str, tuple[int
     return shapes
 
 
+# A branch's occupied cells at one stride, without features.
+Sites = namedtuple("Sites", "coords extents stride")
+
+
+@dataclass
+class ForwardPlan:
+    """A forward's geometry, built from coordinates before any feature exists: the
+    voxelized `cloud` (None in a plan that starts past step 1); every sparse conv's
+    kernel `maps`, keyed by weight prefix, one map under every conv that shares it; per
+    stride, the voxels' `columns` from `build_correspondence`, each paired block's one
+    BEV-equality check; and the `readout`'s geometry (see `_plan_neck`, `merge_order`)."""
+
+    cfg: BackboneConfig
+    cloud: VoxelizedCloud | None = None
+    maps: dict[str, KernelMap] = field(default_factory=dict)
+    columns: dict[int, np.ndarray] = field(default_factory=dict)
+    readout: tuple = ()
+
+
+def plan_forward(points, grid: GridSpec, cfg: BackboneConfig) -> ForwardPlan:
+    """Voxelize once, then plan every paired block and the readout from the step-1 sites."""
+    cloud = voxelize(points, grid)
+    return plan_sites(Sites(cloud.voxel_coords, grid.extents, 1),
+                      Sites(cloud.pillar_coords, grid.bev_extents, 1), cfg, cloud=cloud)
+
+
+def plan_sites(voxels, pillars, cfg: BackboneConfig, first: int = 0,
+               cloud: VoxelizedCloud | None = None) -> ForwardPlan:
+    """Plan `paired_blocks(cfg)[first:]` and the readout from the voxel and pillar sites
+    the first of those blocks runs on, `Sites` or SparseTensors: per block, the
+    downsample's maps and output columns (see `paired_downsample`), then each branch's
+    submanifold map and the fusion layer's. Raises ConsistencyViolation where the
+    branches' BEV sites differ."""
+    plan = ForwardPlan(cfg, cloud)
+    plan.columns[voxels.stride] = build_correspondence(voxels.coords, pillars.coords)
+    scales = [pillars]
+    for i, block in enumerate(paired_blocks(cfg)[first:], start=first):
+        convs = block_convs(block, cfg.submanifold_layers)
+        downs = [(name, spec) for name, spec in convs if spec.mode == REGULAR]
+        if downs:
+            (n3, s3), (n2, s2) = downs
+            plan.maps[n3], plan.maps[n2], columns = paired_downsample(voxels, pillars, s3, s2)
+            stride = voxels.stride * s3.stride[0]
+            voxels, pillars = (Sites(plan.maps[n].out_coords, plan.maps[n].out_extents, stride)
+                               for n in (n3, n2))
+            plan.columns[stride] = columns
+            scales.append(pillars)
+        for x in (voxels, pillars):
+            subm = [name for name, spec in convs
+                    if spec.mode != REGULAR and spec.ndim == len(x.extents)]
+            kmap = build_kernel_map(x.coords, dict(convs)[subm[0]], x.extents)
+            plan.maps.update(dict.fromkeys(subm, kmap))
+        if i < NUM_STEPS and cfg.sfl_steps[i]:
+            (v2p, spec), (p2v, _) = sfl_convs(cfg, i + 1)
+            if spec.num_offsets != kmap.num_offsets:  # else the pillar map serves
+                kmap = build_kernel_map(pillars.coords, spec, pillars.extents)
+            plan.maps.update(dict.fromkeys((v2p, p2v), kmap))
+    if cfg.variant == "dense":
+        plan.readout = _plan_neck(voxels, pillars, cfg)
+    else:  # per scale, the height-compressed voxels, whose columns are the pillars, then these
+        plan.readout = merge_order([p.coords * (p.stride // 8) for p in scales
+                                    if p.stride >= 8 for _ in range(2)])
+    return plan
+
+
 def _weights(tensors, name: str, spec: ConvSpec) -> ConvWeights:
     return ConvWeights(*(tensors[key] for key in conv_shapes(name, spec)))
 
 
-def _run_block(voxels, pillars, block, layers: int, tensors, lanes: Lanes):
-    """Run one paired block; returns (voxels, pillars, pillar submanifold map).
-
-    The voxel branch runs before the pillar branch, and each convolution
-    splits its output rows between the lanes of `lanes`; this thread builds
-    the kernel maps. Each branch's submanifold layers share one kernel map.
-    The pillar map is returned so the fusion layer that follows can reuse
-    it: same coordinates, 3x3 kernel and mode.
-    """
-    convs = block_convs(block, layers)
-    downs = [(name, spec) for name, spec in convs if spec.mode == REGULAR]
-    if downs:
-        (n3, s3), (n2, s2) = downs
-        voxels, pillars = paired_downsample(voxels, pillars, s3, s2, _weights(tensors, n3, s3),
-                                            _weights(tensors, n2, s2), lanes)
-    out = []
-    for x in (voxels, pillars):
-        subm = [(name, spec) for name, spec in convs
-                if spec.mode != REGULAR and spec.ndim == len(x.extents)]
-        kmap = build_kernel_map(x.coords, subm[0][1], x.extents)
-        for name, spec in subm:
-            x = sparse_conv(x, spec, _weights(tensors, name, spec), kmap, lanes=lanes)
-        out.append(x)
-    return out[0], out[1], kmap
+def _run_block(voxels, pillars, block, plan: ForwardPlan, tensors, lanes: Lanes):
+    """Run one paired block's convolutions through the plan's maps in `block_convs`
+    order, each on `lanes`; returns (voxels, pillars)."""
+    x = {3: voxels, 2: pillars}
+    for name, spec in block_convs(block, plan.cfg.submanifold_layers):
+        x[spec.ndim] = sparse_conv(x[spec.ndim], spec, _weights(tensors, name, spec),
+                                   plan.maps[name], lanes=lanes)
+    return x[3], x[2]
 
 
-def step1_tensors(points, grid: GridSpec, tensors: dict[str, np.ndarray]):
-    """Voxelize once and build both step-1 tensors: returns (cloud, voxels, pillars)."""
+def step1_tensors(cloud: VoxelizedCloud, tensors: dict[str, np.ndarray]):
+    """Both step-1 tensors of the voxelized cloud: returns (voxels, pillars)."""
     enc = PointEncoderWeights(weight=tensors["point_encoder.weight"],
                               bias=tensors["point_encoder.bias"])
-    cloud = voxelize(points, grid)
-    return cloud, build_voxel_features(cloud), build_pillar_features(cloud, enc)
+    return build_voxel_features(cloud), build_pillar_features(cloud, enc)
 
 
-def encoder_forward(points, grid: GridSpec, cfg: BackboneConfig,
-                    tensors: dict[str, np.ndarray], lanes: Lanes = Lanes()):
-    """Run the 4-step encoder; returns the (voxel, pillar) pair after each step.
+def encoder_forward(plan: ForwardPlan, tensors: dict[str, np.ndarray], lanes: Lanes = Lanes()):
+    """Run the 4-step encoder through `plan`; returns the (voxel, pillar) pair after each step.
 
     Every convolution splits its output rows between the lanes of `lanes`,
     by default one lane on this thread. The values do not depend on it.
     """
-    _, voxels, pillars = step1_tensors(points, grid, tensors)
+    voxels, pillars = step1_tensors(plan.cloud, tensors)
     pairs = []
-    for s, block in enumerate(paired_blocks(cfg)[:NUM_STEPS], start=1):
-        voxels, pillars, kmap = _run_block(voxels, pillars, block, cfg.submanifold_layers,
-                                           tensors, lanes)
-        if cfg.sfl_steps[s - 1]:
-            (n_v2p, s_v2p), (n_p2v, s_p2v) = sfl_convs(cfg, s)
-            if s_v2p.num_offsets != kmap.num_offsets:
-                kmap = build_kernel_map(pillars.coords, s_v2p, pillars.extents)
+    for s, block in enumerate(paired_blocks(plan.cfg)[:NUM_STEPS], start=1):
+        voxels, pillars = _run_block(voxels, pillars, block, plan, tensors, lanes)
+        if plan.cfg.sfl_steps[s - 1]:
+            (n_v2p, s_v2p), (n_p2v, s_p2v) = sfl_convs(plan.cfg, s)
             voxels, pillars = sparse_fusion_layer(
                 voxels, pillars, (s_v2p, _weights(tensors, n_v2p, s_v2p)),
-                (s_p2v, _weights(tensors, n_p2v, s_p2v)), kmap, lanes)
+                (s_p2v, _weights(tensors, n_p2v, s_p2v)), plan.maps[n_v2p],
+                plan.columns[voxels.stride], lanes)
         pairs.append((voxels, pillars))
     return pairs
 
 
-def height_compress(x: SparseTensor) -> SparseTensor:
+def height_compress(x: SparseTensor, columns: np.ndarray) -> SparseTensor:
     """Concatenate each BEV column's voxel features by ascending height.
 
+    `columns` are the voxels' column bounds from `build_correspondence`.
     Output vectors have length H * D with absent heights zero-filled, where
     H is the vertical extent at the tensor's stride.
     """
+    if columns[-1] != x.num_sites:
+        raise ShapeMismatch("column bounds were built for a different voxel tensor")
     h_extent = int(x.extents[2])
     d = x.num_channels
-    bounds = x.bev_runs()
-    group = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
-    out = np.zeros((bounds.size - 1, h_extent * d))
+    group = np.repeat(np.arange(columns.size - 1), np.diff(columns))
+    out = np.zeros((columns.size - 1, h_extent * d))
     cols = x.coords[:, 2:3] * d + np.arange(d)[None, :]
     out[group[:, None], cols] = x.features
-    return SparseTensor(coords=x.coords[bounds[:-1], :2], features=out, stride=x.stride,
+    return SparseTensor(coords=x.coords[columns[:-1], :2], features=out, stride=x.stride,
                         extents=x.extents[:2])
 
 
@@ -405,27 +460,44 @@ def _neck_tensors(tensors, name: str) -> tuple[np.ndarray, ...]:
                  for key in ("kernel", "scale", "shift"))
 
 
-def _dense_block(tables: list, labels: np.ndarray, blocks: list, tensors,
-                 activation: bool, lanes: Lanes) -> tuple[list, np.ndarray]:
-    """Run the neck convs `blocks[i]` on the map whose cell (y, x) holds row labels[y, x]
-    of `tables[i]`, row 0 the zero vector, which the padding holds too; the blocks have
-    equal strides, so the maps share their labels throughout. Returns the last tables.
+def _dense_block(tables: list, taps: list, blocks: list, tensors, activation: bool,
+                 lanes: Lanes) -> list:
+    """Run the neck convs `blocks[i]` on `tables[i]`, row 0 the zero vector, which the
+    padding holds too, through each layer's window `taps`; returns the last tables.
 
-    Per layer, the calling thread numbers the window classes once; then, table by table,
-    it widens the layer's tensors to float64 and runs it through `dense_conv3x3`, split
-    between the lanes of `lanes`. A table is free once the next layer has run, unless it
-    is one of the block's inputs, which the caller may still read.
+    Per layer, table by table, the calling thread widens the layer's tensors to float64
+    and runs it through `dense_conv3x3`, split between the lanes of `lanes`. A table is
+    free once the next layer has run, unless it is one of the block's inputs, which the
+    caller may still read.
     """
     tables = list(tables)
-    for layer in zip(*blocks):
-        taps, labels = window_classes(labels, layer[0][3])
+    for layer_taps, layer in zip(taps, zip(*blocks)):
         for i, (name, *_) in enumerate(layer):
             kernel, scale, shift = _neck_tensors(tensors, name)
-            tables[i] = dense_conv3x3(tables[i], taps, kernel, (scale, shift, activation), lanes)
-    return tables, labels
+            tables[i] = dense_conv3x3(tables[i], layer_taps, kernel, (scale, shift, activation),
+                                      lanes)
+    return tables
 
 
-def dense_fusion_neck(pairs, tensors: dict[str, np.ndarray], cfg: BackboneConfig,
+def _plan_neck(voxels, pillars, cfg: BackboneConfig) -> tuple:
+    """The dense neck's geometry from the 8x sites: each layer's window taps, the 8x
+    block's output labels, and the 16x block's upsampled onto the 8x map. The pillars
+    are the voxels' BEV columns, so one map, pillar j's cell j + 1 and an empty cell 0,
+    labels both branches' input tables; their layers of one depth have equal strides."""
+    m = cfg.neck_layers
+    labels = [np.zeros(pillars.extents, dtype=np.int64)]
+    labels[0][tuple(pillars.coords.T)] = np.arange(1, len(pillars.coords) + 1)
+    taps = []
+    for *_, stride in neck_convs(cfg, voxels.extents)[:2 * m]:
+        layer_taps, out = window_classes(labels[-1], stride)
+        taps.append(layer_taps)
+        labels.append(out)
+    # the upsampled 16x map: 8x cell (y, x) takes 16x cell (y // 2, x // 2)
+    l, w = labels[m].shape
+    return taps, labels[m], labels[-1][np.ix_(np.arange(l) // 2, np.arange(w) // 2)]
+
+
+def dense_fusion_neck(plan: ForwardPlan, pairs, tensors: dict[str, np.ndarray],
                       activation: bool = True, lanes: Lanes = Lanes()) -> DenseFeatureMap:
     """Combine both branches' dense maps at 8x and 16x scales.
 
@@ -433,33 +505,28 @@ def dense_fusion_neck(pairs, tensors: dict[str, np.ndarray], cfg: BackboneConfig
     plan; same-scale maps fuse by summation, and the upsampled 16x map is
     concatenated onto the 8x map, yielding 2 * neck_channels at stride 8.
 
-    No layer writes a full map. The pillars are the voxels' BEV columns, as
-    `build_correspondence` checks, so one map labels both input tables by BEV cell: the
-    height-compressed voxel and the pillar features, each under a zero row 0. Each layer
-    numbers its window classes once and computes one row per class for each branch (see
-    `_dense_block`). The readout, the one full map, gathers per scale the branches' last
-    tables summed per class. Every layer splits its classes between the lanes of
-    `lanes`, by default one lane on this thread. The values do not depend on it.
+    No layer writes a full map: the input tables are the height-compressed voxel and
+    the pillar features, each under a zero row 0, and each layer computes one row per
+    window class of the plan for each branch (see `_dense_block`). The readout, the one
+    full map, gathers per scale the branches' last tables summed per class. Every layer
+    splits its classes between the lanes of `lanes`, by default one lane on this
+    thread. The values do not depend on it.
     """
     voxels, pillars = _final_pair(pairs)
-    convs = neck_convs(cfg, voxels.extents)
-    build_correspondence(voxels, pillars)
-    m = cfg.neck_layers
+    columns = plan.columns[voxels.stride]
+    if columns.size - 1 != pillars.num_sites:
+        raise ShapeMismatch("column bounds were built for a different pillar tensor")
+    convs, m = neck_convs(plan.cfg, voxels.extents), plan.cfg.neck_layers
     v8, v16, p8, p16 = (convs[i:i + m] for i in range(0, len(convs), m))
-    labels = np.zeros(pillars.extents, dtype=np.int64)
-    labels[pillars.coords[:, 0], pillars.coords[:, 1]] = np.arange(1, pillars.num_sites + 1)
+    taps, labels8, up16 = plan.readout
     tables = [np.concatenate([np.zeros((1, x.num_channels)), x.features])
-              for x in (height_compress(voxels), pillars)]
-    sums = []
-    for blocks in ((v8, p8), (v16, p16)):
-        tables, labels = _dense_block(tables, labels, blocks, tensors, activation, lanes)
-        sums.append((tables[0] + tables[1], labels))
-    (s8, labels8), (s16, labels16) = sums
-    (l, w), d = labels8.shape, cfg.neck_channels
+              for x in (height_compress(voxels, columns), pillars)]
+    t8 = _dense_block(tables, taps[:m], (v8, p8), tensors, activation, lanes)
+    t16 = _dense_block(t8, taps[m:], (v16, p16), tensors, activation, lanes)
+    (l, w), d = labels8.shape, plan.cfg.neck_channels
     values = np.empty((l, w, 2 * d))
-    values[..., :d] = s8[labels8]
-    # the upsampled 16x sum: 8x cell (y, x) takes 16x cell (y // 2, x // 2)
-    values[..., d:] = s16[labels16[np.ix_(np.arange(l) // 2, np.arange(w) // 2)]]
+    values[..., :d] = (t8[0] + t8[1])[labels8]
+    values[..., d:] = (t16[0] + t16[1])[up16]
     return DenseFeatureMap(values=values, stride=8)
 
 
@@ -472,20 +539,28 @@ def _final_pair(pairs):
     return voxels, pillars
 
 
-def merge_sparse2d(entries, extents, stride: int) -> SparseTensor:
-    """Union of (coords, features) lists with elementwise sums at shared sites, added in
-    entry order, since the lexsort is stable."""
-    coords = np.concatenate([c for c, _ in entries], axis=0)
-    feats = np.concatenate([f for _, f in entries], axis=0)
+def merge_order(coords: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """How `merge_sparse2d` merges entries at the 2D sites `coords`: the stable lexsort
+    order of their rows, where each site's run starts in it, and the merged sites."""
+    coords = np.concatenate(coords, axis=0)
     order = np.lexsort(coords.T[::-1])
-    coords, feats = coords[order], feats[order]
+    coords = coords[order]
     starts = run_bounds(coords)[:-1]
-    summed = np.add.reduceat(feats, starts, axis=0)
-    return SparseTensor(coords=coords[starts], features=summed, stride=stride,
-                        extents=tuple(extents))
+    return order, starts, coords[starts]
 
 
-def sparse_readout(pairs, tensors: dict[str, np.ndarray], cfg: BackboneConfig,
+def merge_sparse2d(features: list[np.ndarray], merge: tuple, extents, stride: int) -> SparseTensor:
+    """Union of entries with elementwise sums at shared sites, added in entry order, since
+    the lexsort of `merge`, the entries' `merge_order`, is stable."""
+    order, starts, coords = merge
+    feats = np.concatenate(features, axis=0)
+    if feats.shape[0] != order.size:
+        raise ShapeMismatch(f"the merge was planned for {order.size} rows, got {feats.shape[0]}")
+    return SparseTensor(coords=coords, features=np.add.reduceat(feats[order], starts, axis=0),
+                        stride=stride, extents=tuple(extents))
+
+
+def sparse_readout(plan: ForwardPlan, pairs, tensors: dict[str, np.ndarray],
                    lanes: Lanes = Lanes()) -> SparseTensor:
     """Fully sparse multi-scale readout on the 8x BEV lattice.
 
@@ -497,27 +572,24 @@ def sparse_readout(pairs, tensors: dict[str, np.ndarray], cfg: BackboneConfig,
     """
     voxels, pillars = _final_pair(pairs)
     scales = [(voxels, pillars)]
-    for block in paired_blocks(cfg)[NUM_STEPS:]:
-        v, p, _ = _run_block(*scales[-1], block, cfg.submanifold_layers, tensors, lanes)
-        scales.append((v, p))
-    entries = []
+    for block in paired_blocks(plan.cfg)[NUM_STEPS:]:
+        scales.append(_run_block(*scales[-1], block, plan, tensors, lanes))
+    features = []
     for v, p in scales:
-        ratio = v.stride // 8
-        compressed = height_compress(v)
+        compressed = height_compress(v, plan.columns[v.stride])
         key = f"readout.voxel.proj{v.stride}.weight"
         proj = widen_finite(tensors[key], key)
         if proj.shape[0] != compressed.num_channels:
             raise ShapeMismatch(
                 f"projection for scale {v.stride} expects {proj.shape[0]} channels, "
                 f"got {compressed.num_channels}")
-        entries.append((compressed.coords * ratio, compressed.features @ proj))
-        entries.append((p.coords * ratio, p.features))
-    return merge_sparse2d(entries, pillars.extents, stride=8)
+        features += [compressed.features @ proj, p.features]
+    return merge_sparse2d(features, plan.readout, pillars.extents, stride=8)
 
 
-def forward(points, grid: GridSpec, cfg: BackboneConfig, tensors: dict[str, np.ndarray],
-            lanes: Lanes | None = None):
-    """Whole-pipeline pass: encoder pairs plus the variant's readout.
+def run_forward(plan: ForwardPlan, tensors: dict[str, np.ndarray], lanes: Lanes | None = None):
+    """The run phase of `forward`: the encoder pairs and the variant's readout, which
+    compute features only, through `plan`.
 
     Every convolution splits its output rows between lanes 0 and 1 of
     `lanes`. Only this function opens lanes: when None, on up to two of the
@@ -528,9 +600,15 @@ def forward(points, grid: GridSpec, cfg: BackboneConfig, tensors: dict[str, np.n
     with contextlib.ExitStack() as stack:
         if lanes is None:
             lanes = stack.enter_context(Lanes(min(2, manifest._cpu_count())))
-        pairs = encoder_forward(points, grid, cfg, tensors, lanes)
-        if cfg.variant == "dense":
-            readout = dense_fusion_neck(pairs, tensors, cfg, lanes=lanes)
+        pairs = encoder_forward(plan, tensors, lanes)
+        if plan.cfg.variant == "dense":
+            readout = dense_fusion_neck(plan, pairs, tensors, lanes=lanes)
         else:
-            readout = sparse_readout(pairs, tensors, cfg, lanes)
+            readout = sparse_readout(plan, pairs, tensors, lanes)
     return pairs, readout
+
+
+def forward(points, grid: GridSpec, cfg: BackboneConfig, tensors: dict[str, np.ndarray],
+            lanes: Lanes | None = None):
+    """Whole-pipeline pass, plan then run: `plan_forward`, then `run_forward`."""
+    return run_forward(plan_forward(points, grid, cfg), tensors, lanes)

@@ -7,12 +7,14 @@ import sys
 
 import numpy as np
 
-from .backbone import forward, point_encoder_shapes, required_weights, step1_tensors
+from .backbone import (plan_forward, point_encoder_shapes, required_weights, run_forward,
+                       step1_tensors)
 from .config import config_from_json
 from .density import recall_by_density, vertical_density
 from .errors import VoxPillarError
 from .formats import (FormatError, _atomic_write_bytes, _read_json, dump_record_bytes,
                       load_boxes, read_cloud, write_csv, write_dump)
+from .grid import voxelize
 from .manifest import gib, load_manifest, resolve_weights
 from .selftest import (IOU_CHECK_BYTES_CAP, IOU_TOLERANCE, MC_BYTES_PER_SAMPLE,
                        iou_monte_carlo_errors, run_selftest)
@@ -101,7 +103,8 @@ def cmd_voxelize(args) -> int:
     # Seeded tensors are keyed by name, so resolving only the point encoder
     # gives the same values as resolving the whole model.
     tensors = _model_tensors(cfg, None, point_encoder_shapes(cfg.backbone))
-    cloud, voxels, pillars = step1_tensors(points, cfg.grid, tensors)
+    cloud = voxelize(points, cfg.grid)
+    voxels, pillars = step1_tensors(cloud, tensors)
     write_dump(args.out, [
         ("voxels", voxels.coords, voxels.features, voxels.stride, voxels.extents),
         ("pillars", pillars.coords, pillars.features, pillars.stride, pillars.extents),
@@ -117,8 +120,9 @@ def cmd_forward(args) -> int:
     tensors = _model_tensors(cfg, args.weights, required_weights(cfg.grid, cfg.backbone))
     # Overflowing weights give a readout that is not finite. Encoding it reports that,
     # with or without an output file, as the one error line, so NumPy's warnings are off.
+    plan = plan_forward(points, cfg.grid, cfg.backbone)
     with np.errstate(over="ignore", invalid="ignore"):
-        pairs, readout = forward(points, cfg.grid, cfg.backbone, tensors)
+        pairs, readout = run_forward(plan, tensors)
     readout_bytes = dump_record_bytes(*_readout_record(cfg, readout))
     if args.dump_dir:
         os.makedirs(args.dump_dir, exist_ok=True)
@@ -132,11 +136,11 @@ def cmd_forward(args) -> int:
         _atomic_write_bytes(args.out, readout_bytes)
     if cfg.backbone.variant == "dense":
         shape = readout.values.shape
-        print(f"dense readout {shape[0]}x{shape[1]}x{shape[2]} at stride {readout.stride}",
-              file=sys.stderr)
+        summary = f"dense readout {shape[0]}x{shape[1]}x{shape[2]}"
     else:
-        print(f"sparse readout {readout.num_sites} sites x {readout.num_channels} channels "
-              f"at stride {readout.stride}", file=sys.stderr)
+        summary = f"sparse readout {readout.num_sites} sites x {readout.num_channels} channels"
+    print(f"{summary} at stride {readout.stride}; dropped {plan.cloud.dropped} points out "
+          f"of range", file=sys.stderr)
     return 0
 
 

@@ -58,12 +58,21 @@ def _take(obj: dict, allowed: set[str], context: str) -> dict:
     return obj
 
 
-def _coerce(kind: str, value):
-    """Convert a JSON value to the field type named by the annotation `kind`."""
+def _expect(value, kind, what: str, key: str):
+    """`value` if it is a `kind`; otherwise FormatError naming the key path `key`."""
+    if not isinstance(value, kind):
+        raise FormatError(f"{key}: expected {what}, got {value!r}")
+    return value
+
+
+def _coerce(kind: str, value, key: str):
+    """Convert the JSON value at `key` to the field type named by the annotation `kind`."""
     if kind == "int":
         return _as_int(value)
     if kind == "float":
         return float(_number(value))
+    if kind.startswith("tuple"):
+        _expect(value, (list, tuple), "an array", key)
     if kind == "tuple[int, ...]":
         return tuple(_as_int(v) for v in value)
     if kind == "tuple[bool, ...]" and not all(isinstance(v, bool) for v in value):
@@ -73,16 +82,21 @@ def _coerce(kind: str, value):
     if kind.startswith("tuple"):
         return tuple(value)
     if kind.startswith("dict"):
-        return {str(k): float(_number(v)) for k, v in value.items()}
+        return {str(k): float(_number(v)) for k, v in _expect(value, dict, "an object", key).items()}
     return value
 
 
-def _section(cls, doc, defaults, context: str):
-    """Build dataclass `cls` from `doc`; omitted fields come from `defaults`."""
+def _object(doc: dict, key: str) -> dict:
+    return _expect(doc.get(key, {}), dict, "an object", key)
+
+
+def _section(cls, doc: dict, defaults, context: str):
+    """Build dataclass `cls` from the object `doc[context]`; omitted fields come from
+    `defaults`."""
     init = [f for f in fields(cls) if f.init]
-    doc = _take(dict(doc), {f.name for f in init}, context)
-    return cls(**{f.name: _coerce(f.type, doc[f.name]) if f.name in doc
-                  else getattr(defaults, f.name) for f in init})
+    section = _take(_object(doc, context), {f.name for f in init}, context)
+    return cls(**{f.name: _coerce(f.type, section[f.name], f"{context}.{f.name}")
+                  if f.name in section else getattr(defaults, f.name) for f in init})
 
 
 def config_from_json(doc: dict) -> RunConfig:
@@ -90,18 +104,18 @@ def config_from_json(doc: dict) -> RunConfig:
         raise FormatError("config document must be a JSON object")
     _take(doc, {"seed", "grid", "backbone", "loss", "iou_thresholds", "paths"}, "config")
     try:
-        bb_doc = dict(doc.get("backbone", {}))
-        paths_doc = _take(dict(doc.get("paths", {})), {"weights"}, "paths")
+        variant = _object(doc, "backbone").get("variant", "dense")
+        paths_doc = _take(_object(doc, "paths"), {"weights"}, "paths")
         if not isinstance(paths_doc.get("weights"), (str, type(None))):
             raise FormatError(f"paths.weights must be a string or null, got {paths_doc['weights']!r}")
         return RunConfig(
             seed=_as_int(doc.get("seed", 0)),
-            grid=_section(GridSpec, doc.get("grid", {}), RunConfig().grid, "grid"),
-            backbone=_section(BackboneConfig, bb_doc,
-                              default_backbone_config(bb_doc.get("variant", "dense")), "backbone"),
-            loss=_section(LossWeights, doc.get("loss", {}), LossWeights(), "loss"),
+            grid=_section(GridSpec, doc, RunConfig().grid, "grid"),
+            backbone=_section(BackboneConfig, doc, default_backbone_config(variant), "backbone"),
+            loss=_section(LossWeights, doc, LossWeights(), "loss"),
             iou_thresholds=_coerce("dict[str, float]",
-                                   doc.get("iou_thresholds", DEFAULT_IOU_THRESHOLDS)),
+                                   doc.get("iou_thresholds", DEFAULT_IOU_THRESHOLDS),
+                                   "iou_thresholds"),
             weights_path=paths_doc.get("weights"))
     except FormatError:
         raise

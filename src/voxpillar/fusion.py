@@ -9,31 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConsistencyViolation, ShapeMismatch
+from .errors import ShapeMismatch
 from .grid import SparseTensor, run_max
-from .sparse_conv import ConvSpec, ConvWeights, KernelMap, Lanes, sparse_conv
-
-
-def build_correspondence(voxels: SparseTensor, pillars: SparseTensor) -> np.ndarray:
-    """The sparse form of the 0/1 voxel-pillar index matrix: (N_p + 1,) int64 bounds
-    such that `bounds[j]:bounds[j + 1]` slices pillar j's voxels, which form one run of
-    the lex-sorted (l, w, h) voxels, in ascending order.
-
-    Linear in the number of sites; any BEV coordinate present in one branch
-    but not the other raises ConsistencyViolation naming the first one.
-    """
-    bounds = voxels.bev_runs()
-    cols = voxels.coords[bounds[:-1], :2]
-    pc = pillars.coords
-    if not np.array_equal(cols, pc):
-        m = min(len(cols), len(pc))
-        diff = np.flatnonzero((cols[:m] != pc[:m]).any(axis=1))
-        i = int(diff[0]) if diff.size else m
-        if i < len(cols) and (i == len(pc) or tuple(cols[i]) < tuple(pc[i])):
-            raise ConsistencyViolation(
-                f"voxel at BEV ({cols[i, 0]}, {cols[i, 1]}) has no matching pillar")
-        raise ConsistencyViolation(f"pillar ({pc[i, 0]}, {pc[i, 1]}) has no matching voxel run")
-    return bounds
+# `build_correspondence` gives the bounds `corr` that pooling and broadcasting read
+from .sparse_conv import (ConvSpec, ConvWeights, KernelMap, Lanes, build_correspondence,
+                          sparse_conv)
 
 
 def sparse_pool(voxels: SparseTensor, corr: np.ndarray) -> np.ndarray:
@@ -52,7 +32,7 @@ def broadcast(pillars: SparseTensor, corr: np.ndarray) -> np.ndarray:
 
 def sparse_fusion_layer(voxels: SparseTensor, pillars: SparseTensor,
                         v2p: tuple[ConvSpec, ConvWeights], p2v: tuple[ConvSpec, ConvWeights],
-                        kmap: KernelMap, lanes: Lanes = Lanes()
+                        kmap: KernelMap, corr: np.ndarray, lanes: Lanes = Lanes()
                         ) -> tuple[SparseTensor, SparseTensor]:
     """Fuse the branches: pool-conv-add one way, conv-broadcast-add the other.
 
@@ -60,16 +40,15 @@ def sparse_fusion_layer(voxels: SparseTensor, pillars: SparseTensor,
     D_p); `p2v` transforms pillar features (D_p -> D_v) before broadcasting.
     Both are bias-free 2D submanifold convolutions through `kmap`, the
     pillar coordinates' map for their kernel; coordinate sets are unchanged
-    on both branches. `p2v` runs first, then `v2p`, each on `lanes`. The
-    correspondence is built here, so branches whose BEV sites differ raise
-    ConsistencyViolation.
+    on both branches. `corr` is the branches' `build_correspondence`, which
+    checked that their BEV sites are equal. `p2v` runs first, then `v2p`,
+    each on `lanes`.
     """
     (spec_v2p, w_v2p), (spec_p2v, w_p2v) = v2p, p2v
     # sparse_conv checks the input widths; a wrong output width could broadcast
     widths = (pillars.num_channels, voxels.num_channels)
     if (spec_v2p.out_channels, spec_p2v.out_channels) != widths:
         raise ShapeMismatch(f"fusion convolutions must give the (pillar, voxel) widths {widths}")
-    corr = build_correspondence(voxels, pillars)
     pooled = sparse_pool(voxels, corr)
     pooled_tensor = SparseTensor(pillars.coords, pooled, pillars.stride, pillars.extents)
     transformed = sparse_conv(pillars, spec_p2v, w_p2v, kmap, lanes=lanes)

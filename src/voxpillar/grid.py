@@ -202,13 +202,25 @@ class VoxelizedCloud:
     ``points`` (K, 4) are the in-range points in canonical order: by cell,
     then by point value, so every permutation of the input gives the same
     rows. ``cells`` (K, 3) int64 are their voxel indices, lex sorted, and
-    ``dropped`` counts the out-of-range points.
+    ``dropped`` counts the out-of-range points. ``voxel_runs`` and
+    ``pillar_runs`` are the `run_bounds` of the cells and of their (l, w)
+    columns: the points of each step-1 voxel and pillar.
     """
 
     points: np.ndarray
     cells: np.ndarray
     dropped: int
     spec: GridSpec
+    voxel_runs: np.ndarray
+    pillar_runs: np.ndarray
+
+    @property
+    def voxel_coords(self) -> np.ndarray:
+        return self.cells[self.voxel_runs[:-1]]
+
+    @property
+    def pillar_coords(self) -> np.ndarray:
+        return self.cells[self.pillar_runs[:-1], :2]
 
 
 def voxelize(points, spec: GridSpec) -> VoxelizedCloud:
@@ -230,14 +242,16 @@ def voxelize(points, spec: GridSpec) -> VoxelizedCloud:
         run = np.cumsum(~np.r_[False, tied][member])
         sub = order[member]
         order[member] = sub[np.lexsort((pts[sub, 3], pts[sub, 2], pts[sub, 1], run))]
-    return VoxelizedCloud(points=pts[order], cells=idx[order], dropped=dropped, spec=spec)
+    cells = idx[order]
+    return VoxelizedCloud(points=pts[order], cells=cells, dropped=dropped, spec=spec,
+                          voxel_runs=run_bounds(cells), pillar_runs=run_bounds(cells[:, :2]))
 
 
 def build_voxel_features(cloud: VoxelizedCloud) -> SparseTensor:
     """One site per non-empty voxel; feature = mean (x, y, z, intensity)."""
-    bounds = run_bounds(cloud.cells)
+    bounds = cloud.voxel_runs
     feats = np.add.reduceat(cloud.points, bounds[:-1], axis=0) / np.diff(bounds)[:, None]
-    return SparseTensor(coords=cloud.cells[bounds[:-1]], features=feats, stride=1,
+    return SparseTensor(coords=cloud.voxel_coords, features=feats, stride=1,
                         extents=cloud.spec.extents)
 
 
@@ -273,8 +287,7 @@ def run_max(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 def build_pillar_features(cloud: VoxelizedCloud, weights: PointEncoderWeights) -> SparseTensor:
     """Per-point linear + ReLU encoding, max-pooled per pillar: a BEV column,
     whose points the cloud's cell order already puts in one run."""
-    bounds = run_bounds(cloud.cells[:, :2])
     encoded = np.maximum(cloud.points @ weights.weight + weights.bias, 0.0)
-    feats = run_max(encoded, bounds)
-    return SparseTensor(coords=cloud.cells[bounds[:-1], :2], features=feats, stride=1,
+    feats = run_max(encoded, cloud.pillar_runs)
+    return SparseTensor(coords=cloud.pillar_coords, features=feats, stride=1,
                         extents=cloud.spec.bev_extents)

@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from .backbone import (_dense_block, default_backbone_config, encoder_forward, forward,
-                       required_weights)
+from .backbone import (DenseFeatureMap, _dense_block, default_backbone_config, encoder_forward,
+                       forward, plan_forward, required_weights, window_classes)
 from .density import density_records, vertical_density
 from .fusion import broadcast, build_correspondence, sparse_fusion_layer, sparse_pool
 from .geometry import Box3D, iou3d
@@ -204,7 +204,7 @@ def check_bev_consistency(cases):
     rng = np.random.default_rng(202)
     for case in range(cases):
         pts = random_cloud(rng, int(rng.integers(5, 200)), SMALL_GRID)
-        pairs = encoder_forward(pts, SMALL_GRID, cfg, tensors)
+        pairs = encoder_forward(plan_forward(pts, SMALL_GRID, cfg), tensors)
         _require(len(pairs) == 4, f"cloud {case}: {len(pairs)} encoder steps, expected 4")
         for step, (v, p) in enumerate(pairs, start=1):
             _require(bev_equal(v, p), f"cloud {case}: voxel and pillar BEV differ at step {step}")
@@ -215,7 +215,7 @@ def check_fusion(cases):
     rng = np.random.default_rng(203)
     for case in range(cases):
         v, p = random_consistent_pair(rng, int(rng.integers(1, 18)))
-        corr = build_correspondence(v, p)
+        corr = build_correspondence(v.coords, p.coords)
         dense = dense_correspondence_matrix(v.coords, p.coords)
         _require((dense.sum(axis=1) == 1).all(), f"pair {case}: a voxel is not in one pillar")
         pooled = sparse_pool(v, corr)
@@ -232,7 +232,7 @@ def check_fusion(cases):
         convs = [(ConvSpec.submanifold(2, 3, a, b), ConvWeights(kernel=np.zeros((9, a, b))))
                  for a, b in ((v.num_channels, p.num_channels), (p.num_channels, v.num_channels))]
         fv, fp = sparse_fusion_layer(v, p, *convs, build_kernel_map(
-            p.coords, ConvSpec.submanifold(2, 3, 1, 1), p.extents))
+            p.coords, ConvSpec.submanifold(2, 3, 1, 1), p.extents), corr)
         _require(fv.features.tobytes() == v.features.tobytes(),
                  f"pair {case}: zero fusion changed the voxels")
         _require(fp.features.tobytes() == p.features.tobytes(),
@@ -360,8 +360,11 @@ def class_block(x, occupied, tensors, convs, activation) -> np.ndarray:
     labels = np.zeros(occupied.shape, dtype=np.int64)
     labels[occupied] = np.arange(1, occupied.sum() + 1)
     table = np.concatenate([np.zeros((1, x.shape[2])), x[occupied]])
-    tables, labels = _dense_block([table], labels, [convs], tensors, activation, Lanes())
-    return tables[0][labels]
+    taps = []
+    for *_, stride in convs:
+        layer_taps, labels = window_classes(labels, stride)
+        taps.append(layer_taps)
+    return _dense_block([table], taps, [convs], tensors, activation, Lanes())[0][labels]
 
 
 def check_neck_classes(cases):
@@ -409,10 +412,14 @@ def check_neck_classes(cases):
 
 
 def forward_bytes(points, grid, cfg, tensors, lanes=None) -> bytes:
+    """The `output_bytes` of `forward`."""
+    return output_bytes(*forward(points, grid, cfg, tensors, lanes))
+
+
+def output_bytes(pairs, readout) -> bytes:
     """The coordinates and features of every encoder step and of the readout, concatenated."""
-    pairs, readout = forward(points, grid, cfg, tensors, lanes)
     arrays = [a for pair in pairs for t in pair for a in (t.coords, t.features)]
-    if cfg.variant == "dense":
+    if isinstance(readout, DenseFeatureMap):
         arrays.append(readout.values)
     else:
         arrays += [readout.coords, readout.features]
@@ -467,10 +474,11 @@ def check_determinism(cases):
     # seeded weights are keyed by name, so the dense model's tensors hold all of its
     # weights with the fusion layers off
     tensors = {name: tensors[name] for name in required_weights(SMALL_GRID, cfg)}
-    base = encoder_forward(isolation_pts, SMALL_GRID, cfg, tensors)
+    plan = plan_forward(isolation_pts, SMALL_GRID, cfg)
+    base = encoder_forward(plan, tensors)
     for kept, other in ((0, ("pillar.", "point_encoder.")), (1, ("voxel.",))):
         jitter = {name: t + 1.0 if name.startswith(other) else t for name, t in tensors.items()}
-        moved = encoder_forward(isolation_pts, SMALL_GRID, cfg, jitter)
+        moved = encoder_forward(plan, jitter)
         for step, (a, b) in enumerate(zip(base, moved), start=1):
             _require(a[kept].features.tobytes() == b[kept].features.tobytes(),
                      f"step {step}: the {('voxels', 'pillars')[kept]} moved with {other} weights")

@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConsistencyViolation, ShapeMismatch, SpecMismatch
-from .grid import SparseTensor, pack_coords, widen_finite
+from .grid import SparseTensor, pack_coords, run_bounds, widen_finite
 
 SUBMANIFOLD = "submanifold"
 REGULAR = "regular"
@@ -452,13 +452,36 @@ def bev_equal(voxels: SparseTensor, pillars: SparseTensor) -> bool:
     return bev.shape == pillars.coords.shape and bool((bev == pillars.coords).all())
 
 
-def paired_downsample(voxels, pillars, spec3d: ConvSpec, spec2d: ConvSpec,
-                      w3d: ConvWeights, w2d: ConvWeights, lanes: Lanes = Lanes()):
-    """Downsample both branches with X-Y-equalized regular convolutions.
+def build_correspondence(voxel_coords: np.ndarray, pillar_coords: np.ndarray) -> np.ndarray:
+    """The sparse form of the 0/1 voxel-pillar index matrix: (N_p + 1,) int64 bounds
+    such that `bounds[j]:bounds[j + 1]` slices pillar j's voxels, which form one run of
+    the lex-sorted (l, w, h) voxel coordinates, in ascending order.
 
-    The shared X-Y geometry makes the output BEV occupancy of the two
-    branches provably identical; the postcondition is still asserted.
-    The voxel convolution runs first, then the pillar one, each on `lanes`.
+    Linear in the number of sites; any BEV coordinate present in one branch
+    but not the other raises ConsistencyViolation naming the first one.
+    """
+    bounds = run_bounds(voxel_coords[:, :2])
+    cols = voxel_coords[bounds[:-1], :2]
+    pc = pillar_coords
+    if not np.array_equal(cols, pc):
+        m = min(len(cols), len(pc))
+        diff = np.flatnonzero((cols[:m] != pc[:m]).any(axis=1))
+        i = int(diff[0]) if diff.size else m
+        if i < len(cols) and (i == len(pc) or tuple(cols[i]) < tuple(pc[i])):
+            raise ConsistencyViolation(
+                f"voxel at BEV ({cols[i, 0]}, {cols[i, 1]}) has no matching pillar")
+        raise ConsistencyViolation(f"pillar ({pc[i, 0]}, {pc[i, 1]}) has no matching voxel run")
+    return bounds
+
+
+def paired_downsample(voxels, pillars, spec3d: ConvSpec, spec2d: ConvSpec):
+    """The geometry of downsampling both branches with X-Y-equalized regular
+    convolutions: returns (voxel map, pillar map, the outputs' column bounds).
+
+    `voxels` and `pillars` are the input sites, anything with their `coords`
+    and `extents`, as a SparseTensor. The shared X-Y geometry makes the
+    output BEV occupancy of the two branches provably identical;
+    `build_correspondence` on the outputs still checks it.
     """
     if spec3d.mode != REGULAR or spec2d.mode != REGULAR:
         raise SpecMismatch("paired downsampling requires regular mode on both branches")
@@ -466,11 +489,6 @@ def paired_downsample(voxels, pillars, spec3d: ConvSpec, spec2d: ConvSpec,
                  (spec3d.padding, spec2d.padding)):
         if a[:2] != b[:2]:
             raise SpecMismatch(f"X-Y conv geometry differs between branches: {a[:2]} vs {b[:2]}")
-    if not bev_equal(voxels, pillars):
-        raise ConsistencyViolation("input voxel/pillar BEV occupancy differs")
-    out_v, out_p = (sparse_conv(x, spec, w, build_kernel_map(x.coords, spec, x.extents),
-                                lanes=lanes)
-                    for x, spec, w in ((voxels, spec3d, w3d), (pillars, spec2d, w2d)))
-    if not bev_equal(out_v, out_p):
-        raise ConsistencyViolation("downsampled voxel/pillar BEV occupancy diverged")
-    return out_v, out_p
+    maps = [build_kernel_map(x.coords, spec, x.extents)
+            for x, spec in ((voxels, spec3d), (pillars, spec2d))]
+    return (*maps, build_correspondence(maps[0].out_coords, maps[1].out_coords))

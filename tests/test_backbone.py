@@ -1,10 +1,12 @@
 import collections
 import functools
+import importlib
 import itertools
 import sys
 import threading
 import tracemalloc
 from collections.abc import Mapping
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +15,11 @@ from hypothesis import strategies as st
 
 from voxpillar.backbone import (NUM_STEPS, BackboneConfig, DenseFeatureMap, block_extents,
                                 default_backbone_config, dense_conv3x3, dense_fusion_neck,
-                                encoder_forward, forward, height_compress, merge_sparse2d,
-                                neck_convs, required_weights, sparse_readout, window_classes)
-from voxpillar import backbone, manifest
+                                encoder_forward, forward, height_compress, merge_order,
+                                merge_sparse2d, neck_convs, paired_blocks, plan_forward,
+                                plan_sites, required_weights, run_forward, sparse_readout,
+                                window_classes)
+from voxpillar import backbone, fusion, manifest
 from voxpillar import sparse_conv as sparse_conv_module
 from voxpillar import grid as grid_module
 from voxpillar.errors import ConsistencyViolation, EmptyGrid, OutOfRange
@@ -23,10 +27,10 @@ from voxpillar.grid import GridSpec, SparseTensor
 from voxpillar.manifest import resolve_weights
 from voxpillar.reference import dense_conv_reference, densify_features
 from voxpillar.selftest import (SUITES, check_lanes, check_neck_classes, forward_bytes,
-                                random_cloud)
+                                output_bytes, random_cloud)
 from voxpillar.sparse_conv import (ConvSpec, ConvWeights, Lanes, bev_equal, build_kernel_map,
-                                   paired_downsample, sparse_conv)
-from test_sparse_conv import record_allocations, writers
+                                   sparse_conv)
+from test_sparse_conv import paired_convs, record_allocations, writers
 from test_structure import GRIDS, WIDE_GRID, _cloud, _configs
 
 
@@ -74,7 +78,7 @@ def test_encoder_strides_channels_and_consistency():
     grid, cfg, tensors = make_model("dense")
     rng = np.random.default_rng(80)
     pts = random_cloud(rng, 120, grid)
-    pairs = encoder_forward(pts, grid, cfg, tensors)
+    pairs = encoder_forward(plan_forward(pts, grid, cfg), tensors)
     assert len(pairs) == 4
     for s, (v, p) in enumerate(pairs):
         assert v.stride == p.stride == (1, 2, 4, 8)[s]
@@ -95,8 +99,8 @@ def test_zero_sfl_weights_equal_disabled_sfl():
             tensors_on[k] = np.zeros_like(tensors_on[k])
     rng = np.random.default_rng(81)
     pts = random_cloud(rng, 100, grid)
-    pairs_on = encoder_forward(pts, grid, cfg_on, tensors_on)
-    pairs_off = encoder_forward(pts, grid, cfg_off, tensors_off)
+    pairs_on = encoder_forward(plan_forward(pts, grid, cfg_on), tensors_on)
+    pairs_off = encoder_forward(plan_forward(pts, grid, cfg_off), tensors_off)
     for (v1, p1), (v2, p2) in zip(pairs_on, pairs_off):
         np.testing.assert_array_equal(v1.coords, v2.coords)
         np.testing.assert_allclose(v1.features, v2.features, atol=1e-6)
@@ -107,12 +111,12 @@ def test_branch_isolation_without_sfl():
     grid, cfg, tensors = make_model("dense", sfl_steps=(False,) * 4)
     rng = np.random.default_rng(82)
     pts = random_cloud(rng, 100, grid)
-    pairs = encoder_forward(pts, grid, cfg, tensors)
+    pairs = encoder_forward(plan_forward(pts, grid, cfg), tensors)
     perturbed = dict(tensors)
     for name in tensors:
         if name.startswith(("pillar.", "point_encoder.")):
             perturbed[name] = tensors[name] + rng.normal(size=tensors[name].shape)
-    pairs_perturbed = encoder_forward(pts, grid, cfg, perturbed)
+    pairs_perturbed = encoder_forward(plan_forward(pts, grid, cfg), perturbed)
     for (v1, _), (v2, _) in zip(pairs, pairs_perturbed):
         np.testing.assert_array_equal(v1.coords, v2.coords)
         assert v1.features.tobytes() == v2.features.tobytes()
@@ -121,7 +125,7 @@ def test_branch_isolation_without_sfl():
     for name in tensors:
         if name.startswith("voxel."):
             perturbed[name] = tensors[name] + rng.normal(size=tensors[name].shape)
-    pairs_perturbed = encoder_forward(pts, grid, cfg, perturbed)
+    pairs_perturbed = encoder_forward(plan_forward(pts, grid, cfg), perturbed)
     for (_, p1), (_, p2) in zip(pairs, pairs_perturbed):
         assert p1.features.tobytes() == p2.features.tobytes()
 
@@ -130,7 +134,7 @@ def test_height_compress_single_layer_identity():
     x = SparseTensor(coords=np.array([[0, 1, 0], [2, 2, 0]]),
                      features=np.array([[1.0, 2.0], [3.0, 4.0]]),
                      stride=8, extents=(4, 4, 1))
-    out = height_compress(x)
+    out = height_compress(x, x.bev_runs())
     np.testing.assert_array_equal(out.coords, [[0, 1], [2, 2]])
     np.testing.assert_array_equal(out.features, x.features)
 
@@ -138,11 +142,12 @@ def test_height_compress_single_layer_identity():
 def test_height_compress_zero_fill():
     x = SparseTensor(coords=np.array([[1, 1, 0]]), features=np.array([[5.0, 6.0]]),
                      stride=4, extents=(4, 4, 2))
-    out = height_compress(x)
+    out = height_compress(x, x.bev_runs())
     np.testing.assert_array_equal(out.features, [[5.0, 6.0, 0.0, 0.0]])
     y = SparseTensor(coords=np.array([[1, 1, 1]]), features=np.array([[5.0, 6.0]]),
                      stride=4, extents=(4, 4, 2))
-    np.testing.assert_array_equal(height_compress(y).features, [[0.0, 0.0, 5.0, 6.0]])
+    np.testing.assert_array_equal(height_compress(y, y.bev_runs()).features,
+                                  [[0.0, 0.0, 5.0, 6.0]])
 
 
 def test_height_compress_matches_dense_reshape_oracle():
@@ -153,7 +158,7 @@ def test_height_compress_matches_dense_reshape_oracle():
     coords = np.stack(np.unravel_index(flat, extents), axis=1)
     feats = rng.normal(size=(20, 2))
     x = SparseTensor(coords=coords, features=feats, stride=1, extents=extents)
-    out = height_compress(x)
+    out = height_compress(x, x.bev_runs())
     dense = densify_features(coords, feats, extents)  # (L, W, H, D)
     reshaped = dense.reshape(extents[0], extents[1], extents[2] * 2)
     for coord, feat in zip(out.coords, out.features):
@@ -212,12 +217,13 @@ def test_neck_zeroed_branch_is_additive_identity():
     grid, cfg, tensors = make_model("dense", neck_channels=8, neck_layers=2)
     rng = np.random.default_rng(87)
     pts = random_cloud(rng, 120, grid)
-    pairs = encoder_forward(pts, grid, cfg, tensors)
+    plan = plan_forward(pts, grid, cfg)
+    pairs = encoder_forward(plan, tensors)
     tensors_id = _identity_neck_tensors(tensors, cfg)
     zeroed = _zero_branch_neck(tensors_id, cfg, "pillar")
-    out = dense_fusion_neck(pairs, zeroed, cfg, activation=False)
+    out = dense_fusion_neck(plan, pairs, zeroed, activation=False)
     # expected: the voxel branch alone, m8 then its stride-2 center-tap subsample
-    v8 = _bev_map(height_compress(pairs[3][0]))
+    v8 = _bev_map(height_compress(pairs[3][0], plan.columns[8]))
     m8 = v8[:, :, :cfg.neck_channels] if v8.shape[2] >= cfg.neck_channels else np.pad(
         v8, ((0, 0), (0, 0), (0, cfg.neck_channels - v8.shape[2])))
     m16 = m8[::2, ::2]
@@ -230,7 +236,8 @@ def test_neck_linearity_without_activation():
     grid, cfg, tensors = make_model("dense", neck_channels=8, neck_layers=2)
     rng = np.random.default_rng(88)
     pts = random_cloud(rng, 120, grid)
-    pairs = encoder_forward(pts, grid, cfg, tensors)
+    plan = plan_forward(pts, grid, cfg)
+    pairs = encoder_forward(plan, tensors)
     # affine parts off: scale 1, shift 0
     lin = dict(tensors)
     for name in tensors:
@@ -250,10 +257,10 @@ def test_neck_linearity_without_activation():
     fv2 = rng.normal(size=fv1.shape)
     fp2 = rng.normal(size=fp1.shape)
     a, b = 0.6, -1.4
-    lhs = dense_fusion_neck(with_features(a * fv1 + b * fv2, a * fp1 + b * fp2),
-                            lin, cfg, activation=False).values
-    out1 = dense_fusion_neck(with_features(fv1, fp1), lin, cfg, activation=False).values
-    out2 = dense_fusion_neck(with_features(fv2, fp2), lin, cfg, activation=False).values
+    lhs = dense_fusion_neck(plan, with_features(a * fv1 + b * fv2, a * fp1 + b * fp2),
+                            lin, activation=False).values
+    out1 = dense_fusion_neck(plan, with_features(fv1, fp1), lin, activation=False).values
+    out2 = dense_fusion_neck(plan, with_features(fv2, fp2), lin, activation=False).values
     np.testing.assert_allclose(lhs, a * out1 + b * out2, rtol=1e-5, atol=1e-9)
 
 
@@ -323,9 +330,9 @@ def test_neck_map_cap_raises_before_any_allocation():
 
 
 def test_merge_sparse2d_union_and_sum():
-    a = (np.array([[0, 0], [1, 1]]), np.array([[1.0], [2.0]]))
-    b = (np.array([[1, 1], [2, 2]]), np.array([[10.0], [20.0]]))
-    merged = merge_sparse2d([a, b], extents=(4, 4), stride=8)
+    coords = [np.array([[0, 0], [1, 1]]), np.array([[1, 1], [2, 2]])]
+    feats = [np.array([[1.0], [2.0]]), np.array([[10.0], [20.0]])]
+    merged = merge_sparse2d(feats, merge_order(coords), extents=(4, 4), stride=8)
     np.testing.assert_array_equal(merged.coords, [[0, 0], [1, 1], [2, 2]])
     np.testing.assert_array_equal(merged.features, [[1.0], [12.0], [20.0]])
 
@@ -343,7 +350,7 @@ def _readout_scale_tensors(pairs, tensors, cfg):
                          bias=tensors[f"readout.voxel.block{scale}.down.bias"])
         w2 = ConvWeights(kernel=tensors[f"readout.pillar.block{scale}.down.kernel"],
                          bias=tensors[f"readout.pillar.block{scale}.down.bias"])
-        v, p = paired_downsample(v, p, spec3, spec2, w3, w2)
+        v, p = paired_convs(v, p, spec3, spec2, w3, w2)
         for j in range(cfg.submanifold_layers):
             for branch, t, nd in (("voxel", v, 3), ("pillar", p, 2)):
                 spec = ConvSpec.submanifold(nd, 3, t.num_channels, t.num_channels)
@@ -368,13 +375,14 @@ def test_sparse_readout_matches_dense_multiscale_oracle():
     grid, cfg, tensors = sparse_model()
     rng = np.random.default_rng(90)
     pts = random_cloud(rng, 120, grid)
-    pairs = encoder_forward(pts, grid, cfg, tensors)
-    out = sparse_readout(pairs, tensors, cfg)
+    plan = plan_forward(pts, grid, cfg)
+    pairs = encoder_forward(plan, tensors)
+    out = sparse_readout(plan, pairs, tensors)
     base = pairs[3][1].extents
     accum = np.zeros(base + (out.num_channels,))
     for scale, v, p in _readout_scale_tensors(pairs, tensors, cfg):
         ratio = scale // 8
-        hc = height_compress(v)
+        hc = height_compress(v, v.bev_runs())
         proj = tensors[f"readout.voxel.proj{scale}.weight"]
         accum[hc.coords[:, 0] * ratio, hc.coords[:, 1] * ratio] += hc.features @ proj
         accum[p.coords[:, 0] * ratio, p.coords[:, 1] * ratio] += p.features
@@ -386,18 +394,19 @@ def test_sparse_readout_zeroed_coarse_scales():
     grid, cfg, tensors = sparse_model()
     rng = np.random.default_rng(91)
     pts = random_cloud(rng, 100, grid)
-    pairs = encoder_forward(pts, grid, cfg, tensors)
+    plan = plan_forward(pts, grid, cfg)
+    pairs = encoder_forward(plan, tensors)
     zeroed = dict(tensors)
     for name in tensors:
         if name.startswith(("readout.voxel.block", "readout.pillar.block")) \
                 or name.startswith(("readout.voxel.proj16", "readout.voxel.proj32")):
             zeroed[name] = np.zeros_like(tensors[name])
-    out = sparse_readout(pairs, zeroed, cfg)
+    out = sparse_readout(plan, pairs, zeroed)
     v8, p8 = pairs[3]
-    hc = height_compress(v8)
+    hc = height_compress(v8, plan.columns[8])
     expect = merge_sparse2d(
-        [(hc.coords, hc.features @ zeroed["readout.voxel.proj8.weight"]),
-         (p8.coords, p8.features)], p8.extents, stride=8)
+        [hc.features @ zeroed["readout.voxel.proj8.weight"], p8.features],
+        merge_order([hc.coords, p8.coords]), p8.extents, stride=8)
     np.testing.assert_allclose(_bev_map(out), _bev_map(expect), atol=1e-12)
 
 
@@ -410,10 +419,10 @@ def test_sparse_readout_single_site_sums_scales():
                      features=np.ones((1, cfg.pillar_channels[3])),
                      stride=8, extents=(2, 2))
     pairs = [(None, None)] * 3 + [(v, p)]
-    out = sparse_readout(pairs, tensors, cfg)
+    out = sparse_readout(plan_sites(v, p, cfg, NUM_STEPS), pairs, tensors)
     expect = np.zeros(out.num_channels)
     for scale, vs, ps in _readout_scale_tensors(pairs, tensors, cfg):
-        hc = height_compress(vs)
+        hc = height_compress(vs, vs.bev_runs())
         proj = tensors[f"readout.voxel.proj{scale}.weight"]
         at_origin = (hc.coords == 0).all(axis=1)
         if at_origin.any():
@@ -485,7 +494,7 @@ def test_voxel_bev_equals_the_pillar_set_at_every_step(pts):
     for variant in ("dense", "sparse"):
         grid, cfg, tensors = variant_model(variant)
         try:
-            pairs = encoder_forward(pts, grid, cfg, tensors)
+            pairs = encoder_forward(plan_forward(pts, grid, cfg), tensors)
         except EmptyGrid:  # every point rounded onto the range's upper bound
             reject()
         for step, (v, p) in enumerate(pairs, start=1):
@@ -614,6 +623,48 @@ def test_a_dense_forward_numbers_the_window_classes_once_per_neck_layer(monkeypa
     assert len(calls) == 2 * cfg.neck_layers == 10
 
 
+@pytest.mark.parametrize("variant,overrides", [
+    ("dense", {}), ("dense", {"sfl_steps": (False,) * 4}),
+    ("dense", {"sfl_steps": (True, False, True, True), "sfl_kernel": 1}),
+    ("sparse", {}), ("sparse", {"sfl_steps": (False,) * 4}), ("sparse", {"sfl_kernel": 1})])
+def test_the_run_phase_computes_features_only(monkeypatch, variant, overrides):
+    grid, cfg, tensors = (make_model(variant, **overrides) if variant == "dense"
+                          else sparse_model(**overrides))
+    pts = random_cloud(np.random.default_rng(150), 150, grid)
+    want = forward_bytes(pts, grid, cfg, tensors)
+    plan = plan_forward(pts, grid, cfg)
+
+    def refuse(*_):
+        raise AssertionError("the run phase built geometry")
+
+    for real in (sparse_conv_module.build_kernel_map, grid_module.run_bounds,
+                 backbone.window_classes, fusion.build_correspondence):
+        _wrap(monkeypatch, real, refuse)
+    for name in ("lexsort", "unique"):
+        monkeypatch.setattr(np, name, refuse)
+    assert output_bytes(*run_forward(plan, tensors)) == want
+
+
+def test_a_nearfield_forward_plans_each_kernel_map_and_column_bound_once(monkeypatch):
+    # input 1 of the benchmark's nearfield-sparse workload at seed 1, as its file stores it
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    shape = workloads.WORKLOADS["nearfield-sparse"].cloud
+    pts = workloads.lidar_cloud(shape, 1, 1).astype("<f4").astype(np.float64)
+    grid = GridSpec(*workloads.grid_range(shape), workloads.VOXEL_SIZE)
+    cfg = default_backbone_config("sparse")
+    tensors = resolve_weights(required_weights(grid, cfg), None, seed=0)
+    calls = collections.Counter()
+    for real in (sparse_conv_module.build_kernel_map, sparse_conv_module.bev_equal,
+                 grid_module.run_bounds, fusion.build_correspondence):
+        _wrap(monkeypatch, real, lambda *_, name=real.__name__: calls.update([name]))
+    forward(pts, grid, cfg, tensors)
+    # 2 step-1 runs in the voxelization, one column bound per paired block, and the merge
+    assert calls["build_kernel_map"] == 22 and calls["bev_equal"] == 0
+    assert calls["build_correspondence"] == len(paired_blocks(cfg)) == 6
+    assert calls["run_bounds"] <= 9
+
+
 def test_the_neck_refuses_pillars_that_are_not_the_voxels_columns():
     cells = {(0, 0, 0), (0, 0, 1), (1, 2, 0), (2, 1, 1)}
     pairs, tensors, cfg = _neck_case(3, 3, 2, cells, 150)
@@ -622,7 +673,7 @@ def test_the_neck_refuses_pillars_that_are_not_the_voxels_columns():
     for coords, named in ((p.coords[1:], "voxel at BEV"), (np.r_[p.coords, [[2, 2]]], "pillar")):
         other = SparseTensor(coords, np.zeros((len(coords), p.num_channels)), 8, p.extents)
         with pytest.raises(ConsistencyViolation, match=named):
-            dense_fusion_neck(pairs[:-1] + [(v, other)], tensors, cfg)
+            plan_sites(v, other, cfg, NUM_STEPS)
 
 
 @pytest.mark.parametrize("masked", [1, 2, 3, 4])
@@ -721,7 +772,8 @@ def _neck_matches_layer_by_layer(pairs, tensors, cfg):
     want = _neck_layer_by_layer(pairs, tensors, cfg)
     for count in (1, 2):
         with Lanes(count) as lanes:
-            got = dense_fusion_neck(pairs, tensors, cfg, lanes=lanes).values
+            got = dense_fusion_neck(plan_sites(*pairs[-1], cfg, NUM_STEPS), pairs, tensors,
+                                    lanes=lanes).values
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -773,11 +825,12 @@ def test_the_neck_peak_on_the_wide_centre_grid_stays_under_16_mib():
     cfg = default_backbone_config("dense")
     tensors = resolve_weights(required_weights(WIDE_GRID, cfg), None, seed=7)
     pts = _cloud(np.random.default_rng(2025), 400, (23.6, 23.6, 0.0), (27.6, 27.6, 2.4))
-    pairs = encoder_forward(pts, WIDE_GRID, cfg, tensors)
+    plan = plan_forward(pts, WIDE_GRID, cfg)
+    pairs = encoder_forward(plan, tensors)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        readout = dense_fusion_neck(pairs, tensors, cfg)
+        readout = dense_fusion_neck(plan, pairs, tensors)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -787,8 +840,8 @@ def test_the_neck_peak_on_the_wide_centre_grid_stays_under_16_mib():
 
 def test_a_failing_neck_layer_propagates_and_leaves_no_thread(monkeypatch):
     grid, cfg, tensors = variant_model("dense")
-    pairs = encoder_forward(random_cloud(np.random.default_rng(96), 120, grid), grid, cfg,
-                            tensors)
+    plan = plan_forward(random_cloud(np.random.default_rng(96), 120, grid), grid, cfg)
+    pairs = encoder_forward(plan, tensors)
     caller = threading.get_ident()
     errors = {"first": RuntimeError("first half failed"),
               "second": RuntimeError("second half failed")}
@@ -807,7 +860,7 @@ def test_a_failing_neck_layer_propagates_and_leaves_no_thread(monkeypatch):
         failing.clear()
         failing.update(fails)
         with Lanes(cpus) as lanes, pytest.raises(RuntimeError) as exc:
-            dense_fusion_neck(pairs, tensors, cfg, lanes=lanes)
+            dense_fusion_neck(plan, pairs, tensors, lanes=lanes)
         assert exc.value is errors[raised]
         assert threading.active_count() == baseline
 
@@ -820,12 +873,12 @@ def test_the_parts_of_forward_called_alone_run_on_the_calling_thread(monkeypatch
     baseline = threading.active_count()
     for variant in ("dense", "sparse"):
         grid, cfg, tensors = variant_model(variant)
-        pairs = encoder_forward(random_cloud(np.random.default_rng(99), 120, grid), grid, cfg,
-                                tensors)
+        plan = plan_forward(random_cloud(np.random.default_rng(99), 120, grid), grid, cfg)
+        pairs = encoder_forward(plan, tensors)
         if variant == "dense":
-            dense_fusion_neck(pairs, tensors, cfg)
+            dense_fusion_neck(plan, pairs, tensors)
         else:
-            sparse_readout(pairs, tensors, cfg)
+            sparse_readout(plan, pairs, tensors)
         assert threads and set(threads) == {threading.get_ident()}
         assert threading.active_count() == baseline
         threads.clear()

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from voxpillar import cli, manifest
+from voxpillar import backbone, cli, manifest
+from voxpillar import grid as grid_module
 from voxpillar.backbone import MAX_LAYERS, BackboneConfig, required_weights
 from voxpillar.cli import _load_run, main
 from voxpillar.config import RunConfig
@@ -89,6 +90,31 @@ def test_voxelize_reports_the_points_dropped(workspace, capsys):
     _, dropped = assign_voxel_indices(pts, cfg.grid)
     assert dropped == 10
     assert f"dropped {dropped} points out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variant", ["dense", "sparse"])
+def test_forward_reports_the_points_dropped_from_its_one_voxelization(workspace, capsys,
+                                                                    monkeypatch, variant):
+    tmp, cfg_path, _ = workspace
+    cfg = _load_run(argparse.Namespace(config=cfg_path))
+    pts = random_cloud(np.random.default_rng(121), 100, cfg.grid)
+    pts[:7, 2] += 10.0
+    pts[7:10, 0] = cfg.grid.range_max[0]  # the range is half-open
+    cloud_path = tmp / "partly_out.vpc"
+    write_cloud(cloud_path, pts)
+    passes = []
+    real = grid_module.voxelize
+    monkeypatch.setattr(grid_module, "voxelize", lambda *a: passes.append(1) or real(*a))
+    monkeypatch.setattr(backbone, "voxelize", grid_module.voxelize)
+    monkeypatch.setattr(cli, "voxelize", grid_module.voxelize)
+    assert main(["forward", str(cloud_path), "--config", cfg_path, "--variant", variant,
+                 "--out", str(tmp / "readout.vpt")]) == 0
+    assert len(passes) == 1
+    _, dropped = assign_voxel_indices(pts, cfg.grid)
+    assert dropped == 10
+    err = capsys.readouterr().err
+    assert err.startswith(f"{variant} readout ") and len(err.splitlines()) == 1
+    assert err.rstrip().endswith(f"; dropped {dropped} points out of range")
 
 
 def test_voxelize_bad_magic_exits_1(workspace, tmp_path, capsys):

@@ -71,6 +71,24 @@ def test_config_validates_thresholds():
         config_from_json({"iou_thresholds": {"Vehicle": 1.5}})
 
 
+@pytest.mark.parametrize("doc,key,kind", [
+    ({"grid": [["range_min", [0, 0, 0]], ["range_max", [6.4, 6.4, 2.4]],
+               ["voxel_size", [0.1, 0.1, 0.15]]]}, "grid", "an object"),
+    ({"backbone": "ab"}, "backbone", "an object"),
+    ({"loss": [1]}, "loss", "an object"),
+    ({"paths": [1]}, "paths", "an object"),
+    ({"iou_thresholds": [1, 2]}, "iou_thresholds", "an object"),
+    ({"backbone": {"voxel_channels": 5}}, "backbone.voxel_channels", "an array"),
+    ({"backbone": {"sfl_steps": 5}}, "backbone.sfl_steps", "an array"),
+    ({"backbone": {"voxel_channels": {"a": 1, "b": 2, "c": 3, "d": 4}}},
+     "backbone.voxel_channels", "an array"),
+])
+def test_config_sections_must_be_objects_and_tuple_fields_arrays(doc, key, kind):
+    with pytest.raises(FormatError) as exc:
+        config_from_json(doc)
+    assert str(exc.value).startswith(f"{key}: expected {kind}, got ")
+
+
 def with_tied_x(pts):
     """`pts` with rows of exactly equal x, +0.0 before -0.0 among them, where it has
     at least 8 rows."""

@@ -25,7 +25,7 @@ def make_pair(voxel_coords, voxel_feats, pillar_coords, pillar_feats, extents=(4
 def test_correspondence_basic():
     v, p = make_pair([[0, 0, 0], [0, 0, 1], [1, 1, 0]], np.zeros((3, 1)),
                      [[0, 0], [1, 1]], np.zeros((2, 1)))
-    corr = build_correspondence(v, p)
+    corr = build_correspondence(v.coords, p.coords)
     assert corr.dtype == np.int64
     np.testing.assert_array_equal(corr, [0, 2, 3])
 
@@ -33,14 +33,14 @@ def test_correspondence_basic():
 def test_correspondence_bijection_when_one_voxel_per_pillar():
     v, p = make_pair([[0, 0, 2], [1, 2, 0], [3, 3, 1]], np.zeros((3, 1)),
                      [[0, 0], [1, 2], [3, 3]], np.zeros((3, 1)))
-    np.testing.assert_array_equal(build_correspondence(v, p), [0, 1, 2, 3])
+    np.testing.assert_array_equal(build_correspondence(v.coords, p.coords), [0, 1, 2, 3])
 
 
 def test_correspondence_matches_dense_matrix_oracle():
     rng = np.random.default_rng(40)
     for trial in range(10):
         v, p = random_consistent_pair(rng, 8)
-        corr = build_correspondence(v, p)
+        corr = build_correspondence(v.coords, p.coords)
         dense = dense_correspondence_matrix(v.coords, p.coords)
         np.testing.assert_array_equal(dense.sum(axis=1), np.ones(v.num_sites, dtype=np.int64))
         assert (dense.sum(axis=0) >= 1).all()
@@ -53,36 +53,36 @@ def test_correspondence_matches_dense_matrix_oracle():
 def test_correspondence_rejects_inconsistent():
     v, p = make_pair([[0, 0, 0], [2, 2, 0]], np.zeros((2, 1)), [[0, 0]], np.zeros((1, 1)))
     with pytest.raises(ConsistencyViolation):
-        build_correspondence(v, p)
+        build_correspondence(v.coords, p.coords)
     v, p = make_pair([[0, 0, 0]], np.zeros((1, 1)), [[0, 0], [1, 1]], np.zeros((2, 1)))
     with pytest.raises(ConsistencyViolation):
-        build_correspondence(v, p)
+        build_correspondence(v.coords, p.coords)
     # Equal column and pillar counts, different coordinates: the error names
     # the first BEV coordinate that disagrees, from whichever side holds it.
     v, p = make_pair([[0, 0, 0], [2, 2, 0]], np.zeros((2, 1)), [[0, 0], [1, 1]], np.zeros((2, 1)))
     with pytest.raises(ConsistencyViolation, match=r"pillar \(1, 1\)"):
-        build_correspondence(v, p)
+        build_correspondence(v.coords, p.coords)
     v, p = make_pair([[0, 0, 0], [0, 0, 1], [1, 0, 0]], np.zeros((3, 1)),
                      [[0, 0], [2, 2]], np.zeros((2, 1)))
     with pytest.raises(ConsistencyViolation, match=r"voxel at BEV \(1, 0\)"):
-        build_correspondence(v, p)
+        build_correspondence(v.coords, p.coords)
 
 
 def test_correspondence_accepts_empty_and_single_site():
     v, p = make_pair(np.empty((0, 3)), np.empty((0, 1)), np.empty((0, 2)), np.empty((0, 1)))
-    corr = build_correspondence(v, p)
+    corr = build_correspondence(v.coords, p.coords)
     assert corr.dtype == np.int64
     np.testing.assert_array_equal(corr, [0])
     assert sparse_pool(v, corr).shape == (0, 1) and broadcast(p, corr).shape == (0, 1)
     v, p = make_pair([[3, 1, 2]], np.zeros((1, 1)), [[3, 1]], np.zeros((1, 1)))
-    np.testing.assert_array_equal(build_correspondence(v, p), [0, 1])
+    np.testing.assert_array_equal(build_correspondence(v.coords, p.coords), [0, 1])
 
 
 def test_pool_singleton_and_pairs():
     v, p = make_pair([[0, 0, 0], [1, 1, 0], [1, 1, 1]],
                      [[7.0, -1.0], [1.0, -2.0], [0.0, 5.0]],
                      [[0, 0], [1, 1]], np.zeros((2, 2)))
-    corr = build_correspondence(v, p)
+    corr = build_correspondence(v.coords, p.coords)
     pooled = sparse_pool(v, corr)
     np.testing.assert_array_equal(pooled, [[7.0, -1.0], [1.0, 5.0]])
 
@@ -91,7 +91,7 @@ def test_pool_matches_groupby_oracle():
     rng = np.random.default_rng(41)
     for trial in range(10):
         v, p = random_consistent_pair(rng, 8)
-        corr = build_correspondence(v, p)
+        corr = build_correspondence(v.coords, p.coords)
         pooled = sparse_pool(v, corr)
         expected = groupby_max(v.features, v.coords[:, :2])
         for coord, feat in zip(p.coords, pooled):
@@ -102,7 +102,7 @@ def test_broadcast_identity_projection():
     g = np.array([2.0, 3.0, 4.0])
     v, p = make_pair([[1, 1, 0], [1, 1, 1], [1, 1, 3]], np.zeros((3, 1)),
                      [[1, 1]], [g])
-    corr = build_correspondence(v, p)
+    corr = build_correspondence(v.coords, p.coords)
     out = broadcast(p, corr)
     np.testing.assert_array_equal(out, np.tile(g, (3, 1)))
 
@@ -111,7 +111,7 @@ def test_pool_of_broadcast_recovers_pillars():
     rng = np.random.default_rng(42)
     for trial in range(10):
         v, p = random_consistent_pair(rng, 8)
-        corr = build_correspondence(v, p)
+        corr = build_correspondence(v.coords, p.coords)
         copied = broadcast(p, corr)
         v_like = SparseTensor(coords=v.coords, features=copied, stride=1, extents=v.extents)
         np.testing.assert_array_equal(sparse_pool(v_like, corr), p.features)
@@ -133,7 +133,8 @@ def test_zero_weight_sfl_is_identity():
     v, p = random_consistent_pair(rng, 8)
     w_v2p, w_p2v = zero_sfl_weights(v.num_channels, p.num_channels)
     fv, fp = sparse_fusion_layer(v, p, *sfl(w_v2p, w_p2v), build_kernel_map(
-        p.coords, ConvSpec.submanifold(2, 3, 1, 1), p.extents))
+        p.coords, ConvSpec.submanifold(2, 3, 1, 1), p.extents),
+        build_correspondence(v.coords, p.coords))
     assert fv.features.tobytes() == v.features.tobytes()
     assert fp.features.tobytes() == p.features.tobytes()
     np.testing.assert_array_equal(fv.coords, v.coords)
@@ -147,7 +148,7 @@ def test_sfl_rejects_a_conv_that_does_not_give_the_other_branch_width():
     # a 1-wide p2v output would broadcast over the 3 voxel channels unnoticed
     convs = sfl(ConvWeights(kernel=np.zeros((9, 3, 5))), ConvWeights(kernel=np.zeros((9, 5, 1))))
     with pytest.raises(ShapeMismatch, match="widths"):
-        sparse_fusion_layer(v, p, *convs, kmap)
+        sparse_fusion_layer(v, p, *convs, kmap, build_correspondence(v.coords, p.coords))
 
 
 def test_identity_transform_one_voxel_per_pillar():
@@ -157,7 +158,8 @@ def test_identity_transform_one_voxel_per_pillar():
     spec = ConvSpec.submanifold(2, 3, 2, 2)
     ident = identity_weights(spec)
     fv, fp = sparse_fusion_layer(v, p, *sfl(ident, ident), build_kernel_map(
-        p.coords, ConvSpec.submanifold(2, 3, 1, 1), p.extents))
+        p.coords, ConvSpec.submanifold(2, 3, 1, 1), p.extents),
+        build_correspondence(v.coords, p.coords))
     np.testing.assert_array_equal(fv.features, v.features + p.features)
     np.testing.assert_array_equal(fp.features, p.features + v.features)
 
@@ -173,10 +175,11 @@ def test_sfl_matches_straightline_composition():
         w_v2p = ConvWeights(kernel=rng.normal(size=(9, v.num_channels, p.num_channels)))
         w_p2v = ConvWeights(kernel=rng.normal(size=(9, p.num_channels, v.num_channels)))
         fv, fp = sparse_fusion_layer(v, p, *sfl(w_v2p, w_p2v),
-                                     build_kernel_map(p.coords, spec_v2p, p.extents))
+                                     build_kernel_map(p.coords, spec_v2p, p.extents),
+                                     build_correspondence(v.coords, p.coords))
 
         kmap = build_kernel_map(p.coords, spec_v2p, p.extents)
-        corr = build_correspondence(v, p)
+        corr = build_correspondence(v.coords, p.coords)
         pooled = SparseTensor(p.coords, sparse_pool(v, corr), 1, p.extents)
         expect_p = p.features + sparse_conv(pooled, spec_v2p, w_v2p, kmap).features
         transformed = sparse_conv(p, spec_p2v, w_p2v, kmap)
@@ -195,18 +198,22 @@ def test_sfl_on_real_cloud(desk_grid):
     w_v2p = ConvWeights(kernel=rng.normal(size=(9, 4, 6)))
     w_p2v = ConvWeights(kernel=rng.normal(size=(9, 6, 4)))
     fv, fp = sparse_fusion_layer(v, p, *sfl(w_v2p, w_p2v), build_kernel_map(
-        p.coords, ConvSpec.submanifold(2, 3, 1, 1), p.extents))
+        p.coords, ConvSpec.submanifold(2, 3, 1, 1), p.extents),
+        build_correspondence(v.coords, p.coords))
     np.testing.assert_array_equal(fv.coords, v.coords)
     np.testing.assert_array_equal(fp.coords, p.coords)
     assert np.isfinite(fv.features).all() and np.isfinite(fp.features).all()
 
 
-def test_sfl_builds_its_correspondence_and_refuses_branches_with_other_bev_sites():
+def test_sfl_refuses_the_column_bounds_of_other_branches():
     rng = np.random.default_rng(47)
     v, p = random_consistent_pair(rng, 8)
+    corr = build_correspondence(v.coords, p.coords)
     # the first pillar is gone, so the voxels of its column have none
     p = SparseTensor(p.coords[1:], p.features[1:], 1, p.extents)
-    kmap = build_kernel_map(p.coords, ConvSpec.submanifold(2, 3, 1, 1), p.extents)
     with pytest.raises(ConsistencyViolation, match="voxel at BEV"):
+        build_correspondence(v.coords, p.coords)
+    kmap = build_kernel_map(p.coords, ConvSpec.submanifold(2, 3, 1, 1), p.extents)
+    with pytest.raises(ShapeMismatch, match="different pillar tensor"):
         sparse_fusion_layer(v, p, *sfl(*zero_sfl_weights(v.num_channels, p.num_channels)),
-                            kmap)
+                            kmap, corr)

@@ -523,6 +523,12 @@ def test_an_empty_half_of_a_segment_runs_no_product(monkeypatch):
     assert got.features.tobytes() == _scatter_add_at(x, spec, weights, kmap).tobytes()
 
 
+def paired_convs(voxels, pillars, s3, s2, w3, w2):
+    """Downsample both branches through the maps of `paired_downsample`."""
+    m3, m2, _ = paired_downsample(voxels, pillars, s3, s2)
+    return sparse_conv(voxels, s3, w3, m3), sparse_conv(pillars, s2, w2, m2)
+
+
 def _paired_specs(cin_v, cout_v, cin_p, cout_p):
     return (ConvSpec.regular(3, 3, 2, 1, cin_v, cout_v),
             ConvSpec.regular(2, 3, 2, 1, cin_p, cout_p))
@@ -535,7 +541,7 @@ def test_paired_single_site():
                            stride=1, extents=(8, 8))
     rng = np.random.default_rng(29)
     s3, s2 = _paired_specs(2, 2, 3, 3)
-    v, p = paired_downsample(voxels, pillars, s3, s2,
+    v, p = paired_convs(voxels, pillars, s3, s2,
                              random_conv_weights(rng, s3), random_conv_weights(rng, s2))
     assert bev_equal(v, p)
     expect = {tuple(o) for o in enumerate_kernel_map(np.array([[4, 4]]), s2, (8, 8))[1].tolist()}
@@ -551,7 +557,7 @@ def test_paired_consistency_over_random_clouds(desk_grid):
         voxels = build_voxel_features(cloud)
         pillars = build_pillar_features(cloud, enc)
         s3, s2 = _paired_specs(4, 4, 4, 4)
-        v, p = paired_downsample(voxels, pillars, s3, s2,
+        v, p = paired_convs(voxels, pillars, s3, s2,
                                  random_conv_weights(rng, s3), random_conv_weights(rng, s2))
         assert bev_equal(v, p)
 
@@ -565,7 +571,7 @@ def test_paired_chained_strides(desk_grid):
     p = build_pillar_features(cloud, enc)
     for expected_stride in (2, 4, 8):
         s3, s2 = _paired_specs(v.num_channels, 4, p.num_channels, 4)
-        v, p = paired_downsample(v, p, s3, s2,
+        v, p = paired_convs(v, p, s3, s2,
                                  random_conv_weights(rng, s3), random_conv_weights(rng, s2))
         assert v.stride == p.stride == expected_stride
         assert bev_equal(v, p)
@@ -581,7 +587,7 @@ def test_paired_rejects_mismatched_specs():
     w3 = ConvWeights(kernel=np.zeros((27, 1, 1)))
     w2 = ConvWeights(kernel=np.zeros((9, 1, 1)))
     with pytest.raises(SpecMismatch):
-        paired_downsample(voxels, pillars, s3, s2, w3, w2)
+        paired_convs(voxels, pillars, s3, s2, w3, w2)
 
 
 def test_paired_rejects_inconsistent_inputs():
@@ -593,7 +599,7 @@ def test_paired_rejects_inconsistent_inputs():
     w3 = ConvWeights(kernel=np.zeros((27, 1, 1)))
     w2 = ConvWeights(kernel=np.zeros((9, 1, 1)))
     with pytest.raises(ConsistencyViolation):
-        paired_downsample(voxels, pillars, s3, s2, w3, w2)
+        paired_convs(voxels, pillars, s3, s2, w3, w2)
 
 
 def test_densify_round_trip():
