@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch
-from .geometry import CIRCLE_MARGIN, Box3D, iou3d_matrix
+from .geometry import CIRCLE_MARGIN, Box3D, _BoxTable, _candidates, _pair_iou
 
 NUM_BINS = 10
 
@@ -132,17 +132,33 @@ def _records(owner, bins, box_ids) -> list[DensityRecord]:
 
 
 def greedy_match(gt_boxes, pred_boxes, threshold: float) -> list[int | None]:
-    """Assign predictions to ground truths greedily by descending IoU.
+    """Assign predictions to ground truths greedily by descending IoU; `_match` of one class.
 
     Returns, per ground truth, the index of its matched prediction or None.
-    Each prediction is used at most once; only pairs with IoU >= threshold
+    Each prediction is used at most once; only pairs with IoU >= threshold > 0
     match. Ties break on the lower (gt, pred) index pair.
     """
-    iou = iou3d_matrix(gt_boxes, pred_boxes)
-    gis, pis = np.nonzero(iou >= threshold)
+    if not threshold > 0.0:
+        raise ValueError(f"iou threshold must be positive, got {threshold}")
+    return _match(gt_boxes, [0] * len(gt_boxes), pred_boxes, [0] * len(pred_boxes),
+                  np.full(len(gt_boxes), float(threshold)))
+
+
+def _match(gt_boxes, gt_classes, pred_boxes, pred_classes, thresholds) -> list[int | None]:
+    """`greedy_match` of every class at once, a positive threshold per ground truth:
+    one table, a prefilter block per class, one clip batch and one greedy loop."""
+    n = len(gt_boxes)
+    table = _BoxTable([*gt_boxes, *pred_boxes])
+    _, code = np.unique(np.array([*gt_classes, *pred_classes], dtype=object), return_inverse=True)
+    gis, pis = np.concatenate([np.empty((2, 0), dtype=np.int64)] + [
+        _candidates(table, np.flatnonzero(code[:n] == k), n + np.flatnonzero(code[n:] == k))
+        for k in np.unique(code[:n])], axis=1)
+    iou = _pair_iou(table, gis, pis)
+    keep = iou >= thresholds[gis]
+    gis, pis, iou = gis[keep], pis[keep] - n, iou[keep]
     matched = [None] * len(gt_boxes)
     used_pred = set()
-    for k in np.lexsort((pis, gis, -iou[gis, pis])):  # (-iou, gi, pi) ascending
+    for k in np.lexsort((pis, gis, -iou)):  # (-iou, gi, pi) ascending
         gi, pi = int(gis[k]), int(pis[k])
         if matched[gi] is None and pi not in used_pred:
             matched[gi] = pi
@@ -154,10 +170,10 @@ def recall_by_density(gt_boxes, gt_classes, gt_points, pred_boxes, pred_classes,
                       thresholds) -> list[tuple[float, int, int, float]]:
     """Recall of ground truths grouped by their vertical density S_Z.
 
-    `thresholds` is either one float or a mapping class -> float. Matching
-    runs independently per class; a ground truth is recalled when the greedy
-    protocol assigns it a prediction. Returns rows (s_z, num_gt, num_recalled,
-    recall) sorted by s_z.
+    `thresholds` is either one float or a mapping class -> float. All
+    classes match in one `_match` pass; they share no box, so each gets its
+    own matching. A ground truth is recalled when the greedy protocol assigns
+    it a prediction. Returns rows (s_z, num_gt, num_recalled, recall) sorted by s_z.
     """
     if len(gt_boxes) != len(gt_classes) or len(gt_boxes) != len(gt_points):
         raise ValueError("ground-truth boxes, classes, and point lists must align")
@@ -170,22 +186,11 @@ def recall_by_density(gt_boxes, gt_classes, gt_points, pred_boxes, pred_classes,
             raise ValueError(f"iou threshold must lie in (0, 1), got {t}")
         return t
 
-    recalled = [False] * len(gt_boxes)
-    for cls in sorted(set(gt_classes)):
-        g_idx = [i for i, c in enumerate(gt_classes) if c == cls]
-        p_idx = [i for i, c in enumerate(pred_classes) if c == cls]
-        matches = greedy_match([gt_boxes[i] for i in g_idx],
-                               [pred_boxes[i] for i in p_idx], thr(cls))
-        for local_gi, m in enumerate(matches):
-            if m is not None:
-                recalled[g_idx[local_gi]] = True
+    matches = _match(gt_boxes, gt_classes, pred_boxes, pred_classes,
+                     np.array([thr(cls) for cls in gt_classes], dtype=np.float64))
 
-    by_sz: dict[float, list[int]] = {}
-    for rec in density_records(gt_boxes, gt_points):
-        by_sz.setdefault(rec.s_z, []).append(rec.box_id)
-    rows = []
-    for s_z in sorted(by_sz):
-        idx = by_sz[s_z]
-        hits = sum(recalled[i] for i in idx)
-        rows.append((s_z, len(idx), hits, hits / len(idx)))
-    return rows
+    by_sz: dict[float, list[bool]] = {}
+    for rec, match in zip(density_records(gt_boxes, gt_points), matches):
+        by_sz.setdefault(rec.s_z, []).append(match is not None)
+    return [(s_z, len(hits), sum(hits), sum(hits) / len(hits))
+            for s_z, hits in sorted(by_sz.items())]

@@ -66,14 +66,7 @@ def bev_corners(box: Box3D) -> np.ndarray:
 
 def corners_3d(box: Box3D) -> np.ndarray:
     """All 8 corners, shape (8, 3)."""
-    bev = bev_corners(box)
-    lo, hi = box.z_interval
-    out = np.empty((8, 3))
-    out[:4, :2] = bev
-    out[:4, 2] = lo
-    out[4:, :2] = bev
-    out[4:, 2] = hi
-    return out
+    return np.column_stack((np.tile(bev_corners(box), (2, 1)), np.repeat(box.z_interval, 4)))
 
 
 def polygon_area(poly: np.ndarray) -> float:
@@ -111,28 +104,23 @@ def iou3d_matrix(a_boxes, b_boxes) -> np.ndarray:
     """(N, M) rotated 3D IoU of every pair (a_boxes[i], b_boxes[j]).
 
     A pair whose circumscribed BEV circles or z intervals do not overlap is
-    0 without clipping. Every other pair is put in `_box_sort_key` order and
-    clipped in batches of `PAIR_CHUNK`; a pair's value does not depend on the
-    other boxes, so the matrix is bitwise `iou3d` per entry and symmetric
-    under swapping the two lists.
+    0 without clipping; `_pair_iou` gives every other entry. A pair's value
+    does not depend on the other boxes, so the matrix is bitwise `iou3d` per
+    entry and symmetric under swapping the two lists.
     """
     a_boxes, b_boxes = list(a_boxes), list(b_boxes)
     n = len(a_boxes)
     table = _BoxTable(a_boxes + b_boxes)
     out = np.zeros((n, len(b_boxes)))
-    i, j = _candidates(table, n)
-    swap = table.rank[j + n] < table.rank[i]
-    first, second = np.where(swap, j + n, i), np.where(swap, i, j + n)
-    for s in range(0, len(i), PAIR_CHUNK):
-        chunk = slice(s, s + PAIR_CHUNK)
-        out[i[chunk], j[chunk]] = _pair_iou(table, first[chunk], second[chunk])
+    i, j = _candidates(table, np.arange(n), np.arange(n, n + len(b_boxes)))
+    out[i, j - n] = _pair_iou(table, i, j)
     return out
 
 
 class _BoxTable:
     """Per-box arrays of a box list: params (N, 7) in `_box_sort_key` order,
-    the rank of each box under that key, CCW BEV corners (N, 4, 2), BEV area
-    and the z interval."""
+    the rank of each box under that key, CCW BEV corners (N, 4, 2), BEV area,
+    circumscribed BEV radius and the z interval."""
 
     def __init__(self, boxes):
         self.params = np.array([_box_sort_key(b) for b in boxes],
@@ -150,36 +138,42 @@ class _BoxTable:
         self.corners = np.stack([lx * cos - ly * sin + p[:, :1],
                                  lx * sin + ly * cos + p[:, 1:2]], axis=-1)
         self.area = _shoelace(self.corners[..., 0], self.corners[..., 1], np.full(len(p), 4))
+        self.radius = 0.5 * np.sqrt(p[:, 3] * p[:, 3] + p[:, 4] * p[:, 4])
         half = p[:, 5] / 2.0
         self.lo, self.hi = p[:, 2] - half, p[:, 2] + half
 
 
-def _candidates(table: _BoxTable, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(i, j) of the pairs (table[i], table[n + j]) that may overlap.
+def _candidates(table: _BoxTable, rows: np.ndarray, cols: np.ndarray):
+    """(i, j) table indices of the pairs in the block `rows` x `cols` that may overlap.
 
     Conservative: the circumscribed-circle radii get a relative margin far
     above the rounding of the corner arithmetic, and the z test is the exact
     `dz > 0` of `_pair_iou`, so no pair with positive IoU is dropped.
     """
-    p = table.params
-    radius = 0.5 * np.sqrt(p[:, 3] * p[:, 3] + p[:, 4] * p[:, 4])
-    dx = p[:n, None, 0] - p[None, n:, 0]
-    dy = p[:n, None, 1] - p[None, n:, 1]
-    reach = (radius[:n, None] + radius[None, n:]) * (1.0 + CIRCLE_MARGIN)
+    p, radius = table.params, table.radius
+    dx = p[rows, 0][:, None] - p[cols, 0]
+    dy = p[rows, 1][:, None] - p[cols, 1]
+    reach = (radius[rows][:, None] + radius[cols]) * (1.0 + CIRCLE_MARGIN)
     near = dx * dx + dy * dy <= reach * reach
-    near &= (np.minimum(table.hi[:n, None], table.hi[None, n:])
-             - np.maximum(table.lo[:n, None], table.lo[None, n:])) > 0.0
-    return np.nonzero(near)
+    near &= (np.minimum(table.hi[rows][:, None], table.hi[cols])
+             - np.maximum(table.lo[rows][:, None], table.lo[cols])) > 0.0
+    a, b = np.nonzero(near)
+    return rows[a], cols[b]
 
 
-def _pair_iou(table: _BoxTable, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """IoU of the pairs (table[first], table[second]), first clipped by second.
+def _pair_iou(table: _BoxTable, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """IoU of the pairs (table[i], table[j]): each pair's first box in `_box_sort_key`
+    order is clipped by its second, `PAIR_CHUNK` pairs a batch.
 
     Volumes use the z-interval width, like the overlap, so identical boxes
     give inter == vol and exactly 1.0.
     """
-    x, y, count = _clip(table.corners[first], np.full(len(first), 4), table.corners[second])
-    inter_area = _shoelace(x, y, count)
+    swap = table.rank[j] < table.rank[i]
+    first, second = np.where(swap, j, i), np.where(swap, i, j)
+    chunks = np.arange(PAIR_CHUNK, len(first), PAIR_CHUNK)
+    inter_area = np.concatenate([
+        _shoelace(*_clip(table.corners[f], np.full(len(f), 4), table.corners[c]))
+        for f, c in zip(np.split(first, chunks), np.split(second, chunks))])
     lo_f, hi_f, lo_s, hi_s = table.lo[first], table.hi[first], table.lo[second], table.hi[second]
     dz = np.minimum(hi_f, hi_s) - np.maximum(lo_f, lo_s)
     inter = inter_area * dz

@@ -180,3 +180,21 @@ def greedy_match_reference(gt_boxes, pred_boxes, threshold: float) -> list[int |
         _, gi, pi = best
         matched[gi] = pi
         used.add(pi)
+
+
+def recall_by_density_reference(gt_boxes, gt_classes, gt_points, pred_boxes, pred_classes,
+                                thresholds) -> list[tuple[float, int, int, float]]:
+    """Recall rows from `greedy_match_reference` run class by class and S_Z from
+    `density_bins_reference`; `thresholds` is one float or a mapping class -> float."""
+    recalled = [False] * len(gt_boxes)
+    for cls in set(gt_classes):
+        gis = [i for i, c in enumerate(gt_classes) if c == cls]
+        preds = [b for b, c in zip(pred_boxes, pred_classes) if c == cls]
+        thr = thresholds[cls] if isinstance(thresholds, dict) else thresholds
+        for gi, m in zip(gis, greedy_match_reference([gt_boxes[i] for i in gis], preds, thr)):
+            recalled[gi] = m is not None
+    groups: dict[float, list[bool]] = {}
+    for box, pts, hit in zip(gt_boxes, gt_points, recalled):
+        groups.setdefault(len(density_bins_reference(pts, box)[2]) / 10, []).append(hit)
+    return [(s_z, len(hits), sum(hits), sum(hits) / len(hits))
+            for s_z, hits in sorted(groups.items())]

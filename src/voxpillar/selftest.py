@@ -12,7 +12,7 @@ import numpy as np
 
 from .backbone import (DenseFeatureMap, _dense_block, default_backbone_config, encoder_forward,
                        forward, plan_forward, required_weights, window_classes)
-from .density import density_records, vertical_density
+from .density import density_records, recall_by_density, vertical_density
 from .fusion import broadcast, build_correspondence, sparse_fusion_layer, sparse_pool
 from .geometry import Box3D, iou3d
 from .grid import GridSpec, SparseTensor
@@ -21,7 +21,7 @@ from .losses import (LossWeights, diou_center_fd_error, diou_loss, encode_iou_ta
 from .manifest import _seed_tensors, resolve_weights
 from .reference import (dense_conv_reference, dense_correspondence_matrix,
                         density_bins_reference, enumerate_kernel_map, groupby_max,
-                        monte_carlo_iou)
+                        monte_carlo_iou, recall_by_density_reference)
 from .sparse_conv import ConvSpec, ConvWeights, Lanes, bev_equal, build_kernel_map, sparse_conv
 
 SMALL_GRID = GridSpec((0.0, 0.0, 0.0), (1.6, 1.6, 1.2), (0.1, 0.1, 0.15))
@@ -102,6 +102,37 @@ def axis_aligned_overlapping_pair(rng) -> tuple[Box3D, Box3D]:
         ties = np.minimum(np.abs(hi_a - hi_b), np.abs(lo_a - lo_b))
         if (overlap > 0.05).all() and (ties > 0.01).all():
             return a, b
+
+
+def random_recall_scene(rng):
+    """A crowded 3-class recall scene: ground truths with points in and around them, and
+    predictions jittered from them or exact copies (which tie), under their ground
+    truth's class, another class or Truck, which no ground truth has. Either list may
+    be empty; thresholds are one float or one per class."""
+    classes = ["Vehicle", "Pedestrian", "Cyclist"]
+
+    def box(heading):
+        return Box3D(tuple(rng.uniform(-2, 2, 3)), tuple(rng.uniform(0.5, 2.5, 3)), heading)
+
+    gts = [box(rng.uniform(-math.pi, math.pi)) for _ in range(rng.integers(0, 9))]
+    gt_classes = [classes[i] for i in rng.integers(0, 3, len(gts))]
+    points = [np.column_stack((rng.uniform(-3, 3, (k, 3)), np.zeros(k)))
+              for k in rng.integers(0, 40, len(gts))]
+    preds, pred_classes = [], []
+    for _ in range(rng.integers(0, 12)):
+        g = int(rng.integers(len(gts))) if gts and rng.random() < 0.8 else None
+        pred = box(0.0) if g is None else Box3D(
+            tuple(np.array(gts[g].center) + rng.normal(0, 0.2, 3)), gts[g].dims,
+            gts[g].heading + rng.normal(0, 0.1))
+        cls = gt_classes[g] if g is not None and rng.random() < 0.8 else \
+            (classes + ["Truck"])[rng.integers(4)]
+        copies = 2 if rng.random() < 0.3 else 1
+        preds += [pred] * copies
+        pred_classes += [cls] * copies
+    if rng.random() < 0.3:
+        return gts, gt_classes, points, preds, pred_classes, float(rng.choice([0.3, 0.5]))
+    return gts, gt_classes, points, preds, pred_classes, {
+        c: float(rng.choice([0.1, 0.3, 0.5, 0.7])) for c in classes}
 
 
 def iou_monte_carlo_errors(trials: int, seed: int, samples: int = 1_000_000) -> np.ndarray:
@@ -307,7 +338,8 @@ def check_density(cases):
     """c08: k stacked points give S_Z = k/10 exactly; rotated binning matches the oracle
     and is the same on a column-major copy of the points and on a copy sorted by x, as
     `read_cloud` returns clouds; the batched records of all cases equal the one-box
-    records."""
+    records; recall rows of crowded multi-class scenes equal the reference matching and
+    binning."""
     box = Box3D((0.4, -0.7, 0.2), (1.1, 2.3, 1.7), 0.35)
     h = box.dims[2]
     z0 = box.center[2] - h / 2
@@ -338,6 +370,10 @@ def check_density(cases):
     one_box = [vertical_density(pts, b, box_id=i) for i, (b, pts) in enumerate(zip(boxes, lists))]
     _require(density_records(boxes, lists) == one_box,
              "the batched records differ from the one-box records")
+    for case in range(cases):
+        scene = random_recall_scene(rng)
+        _require(recall_by_density(*scene) == recall_by_density_reference(*scene),
+                 f"scene {case}: recall rows differ from per-class reference matching and binning")
 
 
 def full_layers(x, tensors, convs, activation) -> np.ndarray:

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from voxpillar.density import density_records, greedy_match, recall_by_density, vertical_density
 from voxpillar.errors import ShapeMismatch
-from voxpillar.geometry import CIRCLE_MARGIN, Box3D
-from voxpillar.reference import density_bins_reference, greedy_match_reference
+from voxpillar import geometry
+from voxpillar.geometry import CIRCLE_MARGIN, PAIR_CHUNK, Box3D
+from voxpillar.reference import (density_bins_reference, greedy_match_reference,
+                                 recall_by_density_reference)
 
 
 def box_at(center=(0.0, 0.0, 0.0), dims=(2.0, 2.0, 2.0), heading=0.0):
@@ -352,3 +354,78 @@ def test_empty_lists_and_extra_columns_are_accepted():
     for empty in ([], np.empty((0, 2)), np.empty((0,))):
         assert vertical_density(empty, box).point_count == 0
         assert density_records([box], [empty])[0].point_count == 0
+
+
+CLASSES = ["Vehicle", "Pedestrian", "Cyclist"]
+
+
+@st.composite
+def recall_scenes(draw):
+    """Crowded multi-class scenes in 4 m x 4 m with per-class thresholds.
+
+    Predictions are jittered or exact copies of ground truths (duplicates
+    tie), under the ground truth's class or any other, Truck included, which
+    no ground truth has; classes may have ground truths and no predictions,
+    and either list may be empty.
+    """
+    coord, size = st.floats(-2.0, 2.0), st.floats(0.3, 2.5)
+    box = st.builds(lambda c, d, h: Box3D(c, d, h), st.tuples(coord, coord, st.floats(-0.3, 0.3)),
+                    st.tuples(size, size, size), st.floats(-math.pi, math.pi))
+    gts = draw(st.lists(box, max_size=7))
+    gt_classes = [draw(st.sampled_from(CLASSES)) for _ in gts]
+    points = []
+    for g in gts:
+        # axis-aligned offsets up to 0.6 of the dims: some points fall outside the box
+        local = np.array(draw(st.lists(st.tuples(*[st.floats(-0.6, 0.6)] * 3), max_size=12)))
+        points.append(np.column_stack((local.reshape(-1, 3) * g.dims + g.center,
+                                       np.zeros(len(local)))))
+    preds, pred_classes = [], []
+    for _ in range(draw(st.integers(0, 9))):
+        if gts and draw(st.booleans()):
+            g = draw(st.integers(0, len(gts) - 1))
+            base = gts[g]
+            if draw(st.booleans()):
+                shift = (draw(st.floats(-0.4, 0.4)), draw(st.floats(-0.4, 0.4)), 0.0)
+                base = Box3D(tuple(c + s for c, s in zip(base.center, shift)), base.dims,
+                             base.heading + draw(st.floats(-0.3, 0.3)))
+            cls = draw(st.sampled_from([gt_classes[g]] * 3 + CLASSES + ["Truck"]))
+        else:
+            base, cls = draw(box), draw(st.sampled_from(CLASSES + ["Truck"]))
+        copies = draw(st.integers(1, 2))
+        preds += [base] * copies
+        pred_classes += [cls] * copies
+    level = st.sampled_from([0.1, 0.3, 0.5, 0.7])
+    thresholds = draw(st.one_of(level, st.fixed_dictionaries({c: level for c in CLASSES})))
+    return gts, gt_classes, points, preds, pred_classes, thresholds
+
+
+@settings(max_examples=80)
+@given(recall_scenes())
+def test_recall_equals_per_class_reference_matching_and_binning(scene):
+    assert recall_by_density(*scene) == recall_by_density_reference(*scene)
+
+
+def test_recall_clips_the_candidates_of_every_class_in_one_batch(monkeypatch):
+    """Two ground truths of each of 3 classes, each with a near copy as prediction
+    under its own class and one more under another."""
+    clip, batches = geometry._clip, []
+    monkeypatch.setattr(geometry, "_clip", lambda *args: batches.append(len(args[0]))
+                        or clip(*args))
+    monkeypatch.setattr(geometry, "iou3d_matrix", lambda *args: pytest.fail("matrix call"))
+    boxes = [box_at(center=(3.0 * i, 0.0, 0.0), heading=0.1 * i) for i in range(6)]
+    classes = [CLASSES[i // 2] for i in range(6)]
+    preds = [_shifted(b, 0.2) for b in boxes] * 2
+    pred_classes = classes + classes[2:] + classes[:2]
+    clouds = [points_at_bin_centers(b, range(i + 1)) for i, b in enumerate(boxes)]
+    rows = recall_by_density(boxes, classes, clouds, preds, pred_classes, 0.5)
+    assert [r[2] for r in rows] == [1] * 6
+    assert len(batches) == 1 and 6 <= batches[0] < PAIR_CHUNK
+
+
+def test_a_pair_whose_iou_equals_the_threshold_matches():
+    gt, pred = box_at(), box_at(center=(1.0, 0.0, 0.0))  # IoU 4 / 12, exactly 1/3 in binary
+    clouds = [points_at_bin_centers(gt, [0])]
+    assert greedy_match([gt], [pred], 1 / 3) == [0]
+    assert recall_by_density([gt], ["Cyclist"], clouds, [pred], ["Cyclist"], {"Cyclist": 1 / 3}) \
+        == [(0.1, 1, 1, 1.0)]
+    assert greedy_match([gt], [pred], math.nextafter(1 / 3, 1.0)) == [None]
