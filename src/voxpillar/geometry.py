@@ -61,7 +61,7 @@ class Box3D:
 
 def bev_corners(box: Box3D) -> np.ndarray:
     """The 4 BEV corners, counter-clockwise, shape (4, 2)."""
-    return _BoxTable([box]).corners[0]
+    return _BoxTable([box]).corners[0] + box.center[:2]
 
 
 def corners_3d(box: Box3D) -> np.ndarray:
@@ -119,8 +119,8 @@ def iou3d_matrix(a_boxes, b_boxes) -> np.ndarray:
 
 class _BoxTable:
     """Per-box arrays of a box list: params (N, 7) in `_box_sort_key` order,
-    the rank of each box under that key, CCW BEV corners (N, 4, 2), BEV area,
-    circumscribed BEV radius and the z interval."""
+    the rank of each box under that key, CCW BEV corners (N, 4, 2) as offsets
+    from the box's centre, BEV area, circumscribed BEV radius and the z interval."""
 
     def __init__(self, boxes):
         self.params = np.array([_box_sort_key(b) for b in boxes],
@@ -135,8 +135,7 @@ class _BoxTable:
         self.rank[np.lexsort(p.T[::-1])] = np.arange(len(p))
         lx = (p[:, 3] / 2.0)[:, None] * np.array([1.0, -1.0, -1.0, 1.0])
         ly = (p[:, 4] / 2.0)[:, None] * np.array([1.0, 1.0, -1.0, -1.0])
-        self.corners = np.stack([lx * cos - ly * sin + p[:, :1],
-                                 lx * sin + ly * cos + p[:, 1:2]], axis=-1)
+        self.corners = np.stack([lx * cos - ly * sin, lx * sin + ly * cos], axis=-1)
         self.area = _shoelace(self.corners[..., 0], self.corners[..., 1], np.full(len(p), 4))
         self.radius = 0.5 * np.sqrt(p[:, 3] * p[:, 3] + p[:, 4] * p[:, 4])
         half = p[:, 5] / 2.0
@@ -165,15 +164,20 @@ def _pair_iou(table: _BoxTable, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """IoU of the pairs (table[i], table[j]): each pair's first box in `_box_sort_key`
     order is clipped by its second, `PAIR_CHUNK` pairs a batch.
 
-    Volumes use the z-interval width, like the overlap, so identical boxes
-    give inter == vol and exactly 1.0.
+    The clip runs in a frame centred on the first box: its corners are its
+    centred ones and the second box's are its own plus the centre difference.
+    So the shoelace sums products of offsets, not of world coordinates, and
+    the value stays put when both boxes move far from the origin. Volumes use
+    the z-interval width, like the overlap, so identical boxes give
+    inter == vol and exactly 1.0.
     """
     swap = table.rank[j] < table.rank[i]
     first, second = np.where(swap, j, i), np.where(swap, i, j)
+    shift = (table.params[second, :2] - table.params[first, :2])[:, None, :]
     chunks = np.arange(PAIR_CHUNK, len(first), PAIR_CHUNK)
     inter_area = np.concatenate([
-        _shoelace(*_clip(table.corners[f], np.full(len(f), 4), table.corners[c]))
-        for f, c in zip(np.split(first, chunks), np.split(second, chunks))])
+        _shoelace(*_clip(table.corners[f], np.full(len(f), 4), table.corners[c] + d))
+        for f, c, d in zip(*(np.split(a, chunks) for a in (first, second, shift)))])
     lo_f, hi_f, lo_s, hi_s = table.lo[first], table.hi[first], table.lo[second], table.hi[second]
     dz = np.minimum(hi_f, hi_s) - np.maximum(lo_f, lo_s)
     inter = inter_area * dz

@@ -101,3 +101,28 @@ def crowded_scenes(draw):
 def test_greedy_match_equals_reference_on_crowded_scenes(scene, threshold):
     gts, preds = scene
     assert greedy_match(gts, preds, threshold) == greedy_match_reference(gts, preds, threshold)
+
+
+@PROPERTY
+@given(boxes(z=st.floats(-1.0, 1.0)), st.tuples(*[st.floats(-1e12, 1e12)] * 3))
+def test_identical_boxes_far_from_the_origin_give_exactly_one(box, centre):
+    box = Box3D(centre, box.dims, box.heading)
+    assert iou3d(box, box) == 1.0
+
+
+# Multiples of 1/4 up to 8 m, and shifts by whole metres: every centre, z
+# interval and centre difference below is exact, so only the clip's own
+# rounding could move the value.
+dyadic = st.integers(-32, 32).map(lambda k: k / 4)
+
+
+@PROPERTY
+@given(st.tuples(dyadic, dyadic, dyadic), st.tuples(dyadic, dyadic, dyadic),
+       st.tuples(*[st.integers(1, 16).map(lambda k: k / 4)] * 6), heading, heading,
+       st.tuples(*[st.integers(-10**9, 10**9)] * 3))
+def test_iou_does_not_move_when_both_boxes_are_translated(ca, cb, dims, ha, hb, shift):
+    def pair(t):
+        return (Box3D(tuple(c + s for c, s in zip(ca, t)), dims[:3], ha),
+                Box3D(tuple(c + s for c, s in zip(cb, t)), dims[3:], hb))
+    near, far = iou3d(*pair((0, 0, 0))), iou3d(*pair(shift))
+    assert abs(far - near) <= 1e-12
