@@ -14,7 +14,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError, InvalidTensor
+from .errors import DegenerateBox, FormatError, InvalidTensor
 from .geometry import Box3D
 
 CLOUD_MAGIC = b"VPF1"
@@ -199,7 +199,8 @@ def load_boxes(path) -> list[dict]:
             center, dims, heading = raw["center"], raw["dims"], raw["heading"]
             _check_numbers((*center, *dims, heading))
             box = Box3D(tuple(center), tuple(dims), heading)
-        except (FormatError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (DegenerateBox, FormatError, KeyError, TypeError, ValueError,
+                OverflowError) as exc:
             raise FormatError(f"{path}: entry {i} is not a valid box: {exc}") from exc
         try:
             box_id = _as_int(entry.get("id", i))

@@ -23,13 +23,18 @@ PAIR_CHUNK = 4096
 # Relative slack on the sum of circumscribed radii in the prefilter, far
 # above the rounding of the corner arithmetic.
 CIRCLE_MARGIN = 1e-6
+# Largest magnitude of a box's centre coordinates and dims, in metres. Every
+# product the IoU forms (volumes, squared centre distances and radii, corner
+# offset products) then stays below 1e301, far inside float64.
+MAX_EXTENT = 1e100
 
 
 @dataclass(frozen=True)
 class Box3D:
     """7-DoF oriented box: center, dims (l, w, h), heading about +z.
 
-    Heading is canonicalized into (-pi, pi]; dims must be strictly positive.
+    Heading is canonicalized into (-pi, pi]; dims must be strictly positive,
+    and centre and dims at most `MAX_EXTENT` in magnitude.
     """
 
     center: tuple[float, float, float]
@@ -44,6 +49,9 @@ class Box3D:
             raise DegenerateBox("center and dims must have 3 components")
         if not all(math.isfinite(v) for v in center + dims) or not math.isfinite(heading):
             raise DegenerateBox("box parameters must be finite")
+        if max(abs(v) for v in center + dims) > MAX_EXTENT:
+            raise DegenerateBox(f"box centre and dims must lie within {MAX_EXTENT:g} m, "
+                                f"got center {center}, dims {dims}")
         if min(dims) <= 0:
             raise DegenerateBox(f"dims must be strictly positive, got {dims}")
         heading = math.remainder(heading, 2 * math.pi)  # -> [-pi, pi]

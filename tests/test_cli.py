@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +246,24 @@ def test_recall_threshold_validation(workspace, tmp_path, capsys):
     code = main(["recall", str(gt_path), str(gt_path), "--threshold", "1.5",
                  "--out", str(tmp_path / "r.csv")])
     assert code == 1
+
+
+@pytest.mark.parametrize("box", [
+    {"center": [1, 1, 1], "dims": [1e200, 1e200, 1e200], "heading": 0.0},  # volume overflows
+    {"center": [1e308, 0, 0], "dims": [1, 1, 1], "heading": 0.0},
+])
+def test_recall_refuses_boxes_beyond_the_extent_bound(tmp_path, capsys, box):
+    boxes = tmp_path / "boxes.json"
+    boxes.write_text(json.dumps([{"box": box, "class": "Vehicle", "points": [[1, 1, 1, 0]]}]))
+    out = tmp_path / "r.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["recall", str(boxes), str(boxes), "--threshold", "0.5",
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "entry 0 is not a valid box: box centre and dims must lie within 1e+100 m" in err
+    assert not out.exists()
 
 
 def test_iou_check_command(capsys):

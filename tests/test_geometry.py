@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from voxpillar.errors import DegenerateBox
-from voxpillar.geometry import (Box3D, bev_corners, clip_polygon, corners_3d,
+from voxpillar.geometry import (MAX_EXTENT, Box3D, bev_corners, clip_polygon, corners_3d,
                                 enclosing_aabb, iou3d, iou3d_matrix, point_in_box,
                                 polygon_area)
 from voxpillar.losses import diou_loss
@@ -19,6 +20,29 @@ def test_box_validation():
     b = Box3D(center=(0, 0, 0), dims=(1, 1, 1), heading=3 * math.pi)
     assert -math.pi < b.heading <= math.pi
     assert math.isclose(abs(b.heading), math.pi)
+
+
+def test_boxes_beyond_the_extent_bound_are_refused():
+    for center, dims in (((1, 1, 1), (1e200, 1e200, 1e200)), ((1e308, 0, 0), (1, 1, 1)),
+                         ((0, -1.0000001e100, 0), (1, 1, 1)), ((0, 0, 0), (1, 2e100, 1))):
+        with pytest.raises(DegenerateBox, match="within 1e[+]100 m"):
+            Box3D(center, dims, 0.0)
+
+
+def test_boxes_at_the_extent_bound_give_iou_without_warnings():
+    e = MAX_EXTENT
+    boxes = [Box3D(c, d, h) for c in ((-e, -e, -e), (e, e, e), (e, -e, 0.0), (0.0, 0.0, 0.0))
+             for d in ((e, e, e), (e / 3, e / 2, e), (1.0, 1.0, 1.0), (1e-100, 1e-100, 1e-100))
+             for h in (0.0, 0.3, math.pi / 2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = iou3d_matrix(boxes, boxes)
+    assert ((m >= 0.0) & (m <= 1.0)).all()
+    np.testing.assert_array_equal(m, m.T)
+    # a unit box 1e100 m up has no z extent left after rounding, and 1e-100 m
+    # boxes fall below AREA_EPS; every other box is itself
+    whole = [i for i, b in enumerate(boxes) if b.dims[0] >= 1.0 and np.diff(b.z_interval) > 0]
+    assert len(whole) == 30 and (np.diag(m)[whole] == 1.0).all()
 
 
 def test_bev_corners_shape_and_area():
