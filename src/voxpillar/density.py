@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,24 +171,26 @@ def recall_by_density(gt_boxes, gt_classes, gt_points, pred_boxes, pred_classes,
                       thresholds) -> list[tuple[float, int, int, float]]:
     """Recall of ground truths grouped by their vertical density S_Z.
 
-    `thresholds` is either one float or a mapping class -> float. All
-    classes match in one `_match` pass; they share no box, so each gets its
-    own matching. A ground truth is recalled when the greedy protocol assigns
-    it a prediction. Returns rows (s_z, num_gt, num_recalled, recall) sorted by s_z.
+    `thresholds` is either one float or a mapping class -> float. Before any
+    IoU, every ground-truth class must have a number in (0, 1), else a
+    ValueError names the first class that does not. All classes match in one
+    `_match` pass; they share no box, so each gets its own matching. A ground
+    truth is recalled when the greedy protocol assigns it a prediction.
+    Returns rows (s_z, num_gt, num_recalled, recall) sorted by s_z.
     """
     if len(gt_boxes) != len(gt_classes) or len(gt_boxes) != len(gt_points):
         raise ValueError("ground-truth boxes, classes, and point lists must align")
     if len(pred_boxes) != len(pred_classes):
         raise ValueError("prediction boxes and classes must align")
-
-    def thr(cls: str) -> float:
-        t = thresholds[cls] if isinstance(thresholds, dict) else float(thresholds)
-        if not 0.0 < t < 1.0:
-            raise ValueError(f"iou threshold must lie in (0, 1), got {t}")
-        return t
-
+    limit = thresholds if isinstance(thresholds, dict) else dict.fromkeys(gt_classes, thresholds)
+    for cls in dict.fromkeys(gt_classes):
+        if cls not in limit:
+            raise ValueError(f"no iou threshold for class {cls!r}")
+        if not isinstance(limit[cls], numbers.Real) or not 0.0 < limit[cls] < 1.0:
+            raise ValueError(f"iou threshold for class {cls!r} must be a number in (0, 1), "
+                             f"got {limit[cls]!r}")
     matches = _match(gt_boxes, gt_classes, pred_boxes, pred_classes,
-                     np.array([thr(cls) for cls in gt_classes], dtype=np.float64))
+                     np.array([limit[cls] for cls in gt_classes], dtype=np.float64))
 
     by_sz: dict[float, list[bool]] = {}
     for rec, match in zip(density_records(gt_boxes, gt_points), matches):

@@ -429,3 +429,28 @@ def test_a_pair_whose_iou_equals_the_threshold_matches():
     assert recall_by_density([gt], ["Cyclist"], clouds, [pred], ["Cyclist"], {"Cyclist": 1 / 3}) \
         == [(0.1, 1, 1, 1.0)]
     assert greedy_match([gt], [pred], math.nextafter(1 / 3, 1.0)) == [None]
+
+
+@pytest.mark.parametrize("thresholds, message", [
+    ({"Vehicle": 0.7}, "no iou threshold for class 'Pedestrian'"),
+    ({"Vehicle": "0.7", "Pedestrian": 0.5}, "class 'Vehicle' must be a number in [(]0, 1[)], got '0.7'"),
+    ({"Vehicle": 0.7, "Pedestrian": 1.0}, "class 'Pedestrian' must be .* got 1.0"),
+    ({"Vehicle": 0.7, "Pedestrian": None}, "class 'Pedestrian' must be .* got None"),
+    (0.0, "class 'Vehicle' must be .* got 0.0"),
+    ("0.5", "class 'Vehicle' must be .* got '0.5'"),
+])
+def test_a_bad_threshold_is_refused_by_class_before_any_iou(monkeypatch, thresholds, message):
+    monkeypatch.setattr(geometry, "_clip", lambda *args: pytest.fail("clipped"))
+    boxes = [box_at(), box_at(center=(5.0, 0.0, 0.0))]
+    clouds = [points_at_bin_centers(b, [0]) for b in boxes]
+    with pytest.raises(ValueError, match=message):
+        recall_by_density(boxes, ["Vehicle", "Pedestrian"], clouds, boxes,
+                          ["Vehicle", "Pedestrian"], thresholds)
+
+
+def test_thresholds_of_classes_without_ground_truth_are_not_needed():
+    boxes = [box_at()]
+    clouds = [points_at_bin_centers(boxes[0], [0])]
+    rows = recall_by_density(boxes, ["Vehicle"], clouds, boxes * 2, ["Vehicle", "Truck"],
+                             {"Vehicle": np.float32(0.5)})
+    assert rows == [(0.1, 1, 1, 1.0)]
