@@ -1,4 +1,9 @@
-"""Per-box point density statistics and recall aggregation by vertical density."""
+"""Per-box point density statistics and recall aggregation by vertical density.
+
+Recall matches every class of a scene in one pass (`_match`): one box
+table, a prefilter block per class, one batch of `geometry._pair_iou` over
+the candidate pairs and one greedy loop. `greedy_match` is its one-class call.
+"""
 from __future__ import annotations
 
 import math

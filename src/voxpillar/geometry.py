@@ -1,9 +1,12 @@
 """Oriented 3D boxes and rotated-box IoU via batched convex polygon clipping.
 
-`iou3d_matrix` is the one IoU code path: a circumscribed-circle and z-overlap
-prefilter, then Sutherland-Hodgman over all surviving pairs at once.
-`iou3d`, `clip_polygon`, `polygon_area` and `bev_corners` are one-item
-calls into the same kernels.
+Candidate pairs are the one IoU code path: `_candidates` keeps the pairs of
+a block of a `_BoxTable` whose circumscribed circles and z intervals
+overlap, and `_pair_iou` clips any list of such pairs in batches, each in
+a frame centred on its first box. `iou3d_matrix` scatters their values
+into a matrix; recall matching in `density` takes the pairs' values
+directly. `iou3d`, `clip_polygon`, `polygon_area` and `bev_corners` are
+one-item calls into the same kernels.
 """
 from __future__ import annotations
 
