@@ -361,7 +361,7 @@ CLASSES = ["Vehicle", "Pedestrian", "Cyclist"]
 
 @st.composite
 def recall_scenes(draw):
-    """Crowded multi-class scenes in 4 m x 4 m with per-class thresholds.
+    """Crowded multi-class scenes in 4 m x 4 m with one threshold or one per class.
 
     Predictions are jittered or exact copies of ground truths (duplicates
     tie), under the ground truth's class or any other, Truck included, which
@@ -429,6 +429,8 @@ def test_a_pair_whose_iou_equals_the_threshold_matches():
     assert recall_by_density([gt], ["Cyclist"], clouds, [pred], ["Cyclist"], {"Cyclist": 1 / 3}) \
         == [(0.1, 1, 1, 1.0)]
     assert greedy_match([gt], [pred], math.nextafter(1 / 3, 1.0)) == [None]
+    with pytest.raises(ValueError, match="must be positive, got 0.0"):
+        greedy_match([gt], [pred], 0.0)  # would match pairs the prefilter drops
 
 
 @pytest.mark.parametrize("thresholds, message", [
