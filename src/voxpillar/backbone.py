@@ -382,25 +382,33 @@ def window_classes(labels: np.ndarray, stride: int) -> tuple[np.ndarray, np.ndar
     Cells whose windows hold the same rows get the same class, so their outputs are
     equal. Returns `taps`, (9, n): the input row under tap t, (dy, dx) = divmod(t, 3),
     of each class's window; and each output cell's class, numbered from 1 so that the
-    output table's row 0 can be the zero vector again. The three labels of each window
-    row are numbered first, then the three row classes of each window.
+    output table's row 0 can be the zero vector again. Classes are numbered in the
+    lexicographic order of their windows' nine labels, in tap order.
     """
     l, w = labels.shape
     lo, wo = (l - 1) // stride + 1, (w - 1) // stride + 1
     padded = np.pad(labels, 1)
-    span = stride * (lo - 1) + 3
-    across, _ = _classes([padded[:span, dx:dx + stride * (wo - 1) + 1:stride].ravel()
-                          for dx in range(3)])
-    across = across.reshape(span, wo)
-    classes, n = _classes([across[dy:dy + stride * (lo - 1) + 1:stride].ravel()
-                           for dy in range(3)])
-    # any cell of a class has its window; its corner, flat in `padded`
+    cols = [padded[dy:dy + stride * (lo - 1) + 1:stride, dx:dx + stride * (wo - 1) + 1:stride]
+            .ravel() for dy in range(3) for dx in range(3)]
+    classes, n = _classes(cols)
+    # any cell of a class has its window
     cell = np.empty(n, dtype=np.int64)
     cell[classes] = np.arange(classes.size)
-    oy, ox = np.divmod(cell, wo)
-    corner = stride * (oy * (w + 2) + ox)
-    taps = padded.ravel()[corner + np.add.outer(np.arange(3) * (w + 2), np.arange(3)).reshape(9, 1)]
-    return taps, (classes + 1).reshape(lo, wo)
+    return np.stack([col[cell] for col in cols]), (classes + 1).reshape(lo, wo)
+
+
+def window_plan(occupied: np.ndarray, strides) -> tuple[list, list]:
+    """The window classes of 3x3 layers of `strides`, run in turn on a map whose input
+    table holds its `occupied` cells in row-major order under the zero row 0: per
+    layer, its `window_classes` taps and output class map."""
+    labels = np.zeros(occupied.shape, dtype=np.int64)
+    labels[occupied] = np.arange(1, np.count_nonzero(occupied) + 1)
+    taps, maps = [], []
+    for stride in strides:
+        layer_taps, labels = window_classes(labels, stride)
+        taps.append(layer_taps)
+        maps.append(labels)
+    return taps, maps
 
 
 def _conv_rows(table: np.ndarray, taps: np.ndarray, kernel: np.ndarray, epilogue: tuple,
@@ -482,19 +490,16 @@ def _dense_block(tables: list, taps: list, blocks: list, tensors, activation: bo
 def _plan_neck(voxels, pillars, cfg: BackboneConfig) -> tuple:
     """The dense neck's geometry from the 8x sites: each layer's window taps, the 8x
     block's output labels, and the 16x block's upsampled onto the 8x map. The pillars
-    are the voxels' BEV columns, so one map, pillar j's cell j + 1 and an empty cell 0,
-    labels both branches' input tables; their layers of one depth have equal strides."""
+    are the voxels' BEV columns, so one `window_plan` of the pillar cells labels both
+    branches' input tables; their layers of one depth have equal strides."""
+    occupied = np.zeros(pillars.extents, dtype=bool)
+    occupied[tuple(pillars.coords.T)] = True
     m = cfg.neck_layers
-    labels = [np.zeros(pillars.extents, dtype=np.int64)]
-    labels[0][tuple(pillars.coords.T)] = np.arange(1, len(pillars.coords) + 1)
-    taps = []
-    for *_, stride in neck_convs(cfg, voxels.extents)[:2 * m]:
-        layer_taps, out = window_classes(labels[-1], stride)
-        taps.append(layer_taps)
-        labels.append(out)
+    taps, labels = window_plan(occupied, [stride for *_, stride in
+                                          neck_convs(cfg, voxels.extents)[:2 * m]])
     # the upsampled 16x map: 8x cell (y, x) takes 16x cell (y // 2, x // 2)
-    l, w = labels[m].shape
-    return taps, labels[m], labels[-1][np.ix_(np.arange(l) // 2, np.arange(w) // 2)]
+    l, w = labels[m - 1].shape
+    return taps, labels[m - 1], labels[-1][np.ix_(np.arange(l) // 2, np.arange(w) // 2)]
 
 
 def dense_fusion_neck(plan: ForwardPlan, pairs, tensors: dict[str, np.ndarray],
@@ -612,3 +617,18 @@ def forward(points, grid: GridSpec, cfg: BackboneConfig, tensors: dict[str, np.n
             lanes: Lanes | None = None):
     """Whole-pipeline pass, plan then run: `plan_forward`, then `run_forward`."""
     return run_forward(plan_forward(points, grid, cfg), tensors, lanes)
+
+
+def output_records(pairs, readout) -> list[tuple]:
+    """A forward's outputs as dump records (name, coords, features, stride, extents):
+    per encoder step `step{s}.voxels` and `step{s}.pillars`, then `readout.dense`, whose
+    every cell is a site, or `readout.sparse`."""
+    records = [(f"step{s}.{name}", x.coords, x.features, x.stride, x.extents)
+               for s, pair in enumerate(pairs, start=1)
+               for name, x in zip(("voxels", "pillars"), pair)]
+    if isinstance(readout, DenseFeatureMap):
+        (l, w), d = readout.extents, readout.num_channels
+        return records + [("readout.dense", np.indices((l, w)).reshape(2, -1).T,
+                           readout.values.reshape(l * w, d), readout.stride, (l, w))]
+    return records + [("readout.sparse", readout.coords, readout.features, readout.stride,
+                       readout.extents)]

@@ -7,8 +7,8 @@ import sys
 
 import numpy as np
 
-from .backbone import (plan_forward, point_encoder_shapes, required_weights, run_forward,
-                       step1_tensors)
+from .backbone import (output_records, plan_forward, point_encoder_shapes, required_weights,
+                       run_forward, step1_tensors)
 from .config import config_from_json
 from .density import recall_by_density, vertical_density
 from .errors import VoxPillarError
@@ -123,14 +123,12 @@ def cmd_forward(args) -> int:
     plan = plan_forward(points, cfg.grid, cfg.backbone)
     with np.errstate(over="ignore", invalid="ignore"):
         pairs, readout = run_forward(plan, tensors)
-    readout_bytes = dump_record_bytes(*_readout_record(cfg, readout))
+    records = output_records(pairs, readout)
+    readout_bytes = dump_record_bytes(*records[-1])
     if args.dump_dir:
         os.makedirs(args.dump_dir, exist_ok=True)
-        for step, (v, p) in enumerate(pairs, start=1):
-            write_dump(os.path.join(args.dump_dir, f"step{step}.vpt"), [
-                (f"step{step}.voxels", v.coords, v.features, v.stride, v.extents),
-                (f"step{step}.pillars", p.coords, p.features, p.stride, p.extents),
-            ])
+        for s in range(len(pairs)):
+            write_dump(os.path.join(args.dump_dir, f"step{s + 1}.vpt"), records[2 * s:2 * s + 2])
         _atomic_write_bytes(os.path.join(args.dump_dir, "readout.vpt"), readout_bytes)
     if args.out:
         _atomic_write_bytes(args.out, readout_bytes)
@@ -142,18 +140,6 @@ def cmd_forward(args) -> int:
     print(f"{summary} at stride {readout.stride}; dropped {plan.cloud.dropped} points out "
           f"of range", file=sys.stderr)
     return 0
-
-
-def _readout_record(cfg, readout):
-    """The readout as one dump record (name, coords, features, stride, extents)."""
-    if cfg.backbone.variant == "dense":
-        l, w = readout.extents
-        coords = np.stack(np.meshgrid(np.arange(l), np.arange(w), indexing="ij"),
-                          axis=-1).reshape(-1, 2)
-        feats = readout.values.reshape(l * w, readout.num_channels)
-        return "readout.dense", coords, feats, readout.stride, (l, w)
-    return ("readout.sparse", readout.coords, readout.features, readout.stride,
-            readout.extents)
 
 
 def cmd_density(args) -> int:

@@ -82,15 +82,6 @@ class SparseTensor:
     def num_channels(self) -> int:
         return self.features.shape[1]
 
-    def bev_runs(self) -> np.ndarray:
-        """`run_bounds` of the (l, w) columns: lex-sorted coordinates put the
-        sites of one column in one contiguous run."""
-        return run_bounds(self.coords[:, :2])
-
-    def bev_coords(self) -> np.ndarray:
-        """Unique (l, w) projection of the coordinates, lex sorted."""
-        return self.coords[self.bev_runs()[:-1], :2]
-
     def validate(self):
         """Raise InvalidTensor unless the documented invariants hold."""
         coords, features, ndim = self.coords, self.features, len(self.extents)

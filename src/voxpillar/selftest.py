@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from .backbone import (DenseFeatureMap, _dense_block, default_backbone_config, encoder_forward,
-                       forward, plan_forward, required_weights, window_classes)
+from .backbone import (_dense_block, default_backbone_config, encoder_forward, forward,
+                       output_records, plan_forward, required_weights, window_plan)
 from .density import density_records, recall_by_density, vertical_density
 from .fusion import broadcast, build_correspondence, sparse_fusion_layer, sparse_pool
 from .geometry import Box3D, iou3d
@@ -393,14 +393,9 @@ def full_layers(x, tensors, convs, activation) -> np.ndarray:
 def class_block(x, occupied, tensors, convs, activation) -> np.ndarray:
     """The neck `convs` on the (L, W, C) map `x`, zero outside `occupied`, through the
     window classes of `_dense_block`, on the calling thread."""
-    labels = np.zeros(occupied.shape, dtype=np.int64)
-    labels[occupied] = np.arange(1, occupied.sum() + 1)
+    taps, labels = window_plan(occupied, [stride for *_, stride in convs])
     table = np.concatenate([np.zeros((1, x.shape[2])), x[occupied]])
-    taps = []
-    for *_, stride in convs:
-        layer_taps, labels = window_classes(labels, stride)
-        taps.append(layer_taps)
-    return _dense_block([table], taps, [convs], tensors, activation, Lanes())[0][labels]
+    return _dense_block([table], taps, [convs], tensors, activation, Lanes())[0][labels[-1]]
 
 
 def check_neck_classes(cases):
@@ -453,13 +448,9 @@ def forward_bytes(points, grid, cfg, tensors, lanes=None) -> bytes:
 
 
 def output_bytes(pairs, readout) -> bytes:
-    """The coordinates and features of every encoder step and of the readout, concatenated."""
-    arrays = [a for pair in pairs for t in pair for a in (t.coords, t.features)]
-    if isinstance(readout, DenseFeatureMap):
-        arrays.append(readout.values)
-    else:
-        arrays += [readout.coords, readout.features]
-    return b"".join(a.tobytes() for a in arrays)
+    """The coordinates and features of every `output_records` record, concatenated."""
+    return b"".join(a.tobytes() for _, coords, features, *_ in output_records(pairs, readout)
+                    for a in (coords, features))
 
 
 def require_same_tensors(one: dict, other: dict, what: str):

@@ -448,8 +448,13 @@ def sparse_conv(x, spec: ConvSpec, weights: ConvWeights, kmap: KernelMap,
 
 
 def bev_equal(voxels: SparseTensor, pillars: SparseTensor) -> bool:
-    bev = voxels.bev_coords()
-    return bev.shape == pillars.coords.shape and bool((bev == pillars.coords).all())
+    """Whether the pillars are exactly the voxels' BEV columns: whether
+    `build_correspondence` accepts their coordinates."""
+    try:
+        build_correspondence(voxels.coords, pillars.coords)
+    except ConsistencyViolation:
+        return False
+    return True
 
 
 def build_correspondence(voxel_coords: np.ndarray, pillar_coords: np.ndarray) -> np.ndarray:

@@ -23,13 +23,13 @@ from voxpillar import backbone, fusion, manifest
 from voxpillar import sparse_conv as sparse_conv_module
 from voxpillar import grid as grid_module
 from voxpillar.errors import ConsistencyViolation, EmptyGrid, OutOfRange
-from voxpillar.grid import GridSpec, SparseTensor
+from voxpillar.grid import GridSpec, SparseTensor, run_bounds
 from voxpillar.manifest import resolve_weights
 from voxpillar.reference import dense_conv_reference, densify_features
 from voxpillar.selftest import (SUITES, check_lanes, check_neck_classes, forward_bytes,
                                 output_bytes, random_cloud)
-from voxpillar.sparse_conv import (ConvSpec, ConvWeights, Lanes, bev_equal, build_kernel_map,
-                                   sparse_conv)
+from voxpillar.sparse_conv import (ConvSpec, ConvWeights, Lanes, bev_equal,
+                                   build_correspondence, build_kernel_map, sparse_conv)
 from test_sparse_conv import paired_convs, record_allocations, writers
 from test_structure import GRIDS, WIDE_GRID, _cloud, _configs
 
@@ -134,7 +134,7 @@ def test_height_compress_single_layer_identity():
     x = SparseTensor(coords=np.array([[0, 1, 0], [2, 2, 0]]),
                      features=np.array([[1.0, 2.0], [3.0, 4.0]]),
                      stride=8, extents=(4, 4, 1))
-    out = height_compress(x, x.bev_runs())
+    out = height_compress(x, run_bounds(x.coords[:, :2]))
     np.testing.assert_array_equal(out.coords, [[0, 1], [2, 2]])
     np.testing.assert_array_equal(out.features, x.features)
 
@@ -142,11 +142,11 @@ def test_height_compress_single_layer_identity():
 def test_height_compress_zero_fill():
     x = SparseTensor(coords=np.array([[1, 1, 0]]), features=np.array([[5.0, 6.0]]),
                      stride=4, extents=(4, 4, 2))
-    out = height_compress(x, x.bev_runs())
+    out = height_compress(x, run_bounds(x.coords[:, :2]))
     np.testing.assert_array_equal(out.features, [[5.0, 6.0, 0.0, 0.0]])
     y = SparseTensor(coords=np.array([[1, 1, 1]]), features=np.array([[5.0, 6.0]]),
                      stride=4, extents=(4, 4, 2))
-    np.testing.assert_array_equal(height_compress(y, y.bev_runs()).features,
+    np.testing.assert_array_equal(height_compress(y, run_bounds(y.coords[:, :2])).features,
                                   [[0.0, 0.0, 5.0, 6.0]])
 
 
@@ -158,7 +158,7 @@ def test_height_compress_matches_dense_reshape_oracle():
     coords = np.stack(np.unravel_index(flat, extents), axis=1)
     feats = rng.normal(size=(20, 2))
     x = SparseTensor(coords=coords, features=feats, stride=1, extents=extents)
-    out = height_compress(x, x.bev_runs())
+    out = height_compress(x, run_bounds(x.coords[:, :2]))
     dense = densify_features(coords, feats, extents)  # (L, W, H, D)
     reshaped = dense.reshape(extents[0], extents[1], extents[2] * 2)
     for coord, feat in zip(out.coords, out.features):
@@ -382,7 +382,7 @@ def test_sparse_readout_matches_dense_multiscale_oracle():
     accum = np.zeros(base + (out.num_channels,))
     for scale, v, p in _readout_scale_tensors(pairs, tensors, cfg):
         ratio = scale // 8
-        hc = height_compress(v, v.bev_runs())
+        hc = height_compress(v, run_bounds(v.coords[:, :2]))
         proj = tensors[f"readout.voxel.proj{scale}.weight"]
         accum[hc.coords[:, 0] * ratio, hc.coords[:, 1] * ratio] += hc.features @ proj
         accum[p.coords[:, 0] * ratio, p.coords[:, 1] * ratio] += p.features
@@ -422,7 +422,7 @@ def test_sparse_readout_single_site_sums_scales():
     out = sparse_readout(plan_sites(v, p, cfg, NUM_STEPS), pairs, tensors)
     expect = np.zeros(out.num_channels)
     for scale, vs, ps in _readout_scale_tensors(pairs, tensors, cfg):
-        hc = height_compress(vs, vs.bev_runs())
+        hc = height_compress(vs, build_correspondence(vs.coords, ps.coords))
         proj = tensors[f"readout.voxel.proj{scale}.weight"]
         at_origin = (hc.coords == 0).all(axis=1)
         if at_origin.any():
@@ -621,6 +621,15 @@ def test_a_dense_forward_numbers_the_window_classes_once_per_neck_layer(monkeypa
     _wrap(monkeypatch, backbone.window_classes, lambda *_: calls.append(1))
     forward(random_cloud(np.random.default_rng(149), 150, grid), grid, cfg, tensors)
     assert len(calls) == 2 * cfg.neck_layers == 10
+
+
+def test_window_classes_number_each_layer_with_one_classes_call(monkeypatch):
+    grid, cfg, tensors = make_model("dense")
+    calls = collections.Counter()
+    for real in (backbone.window_classes, backbone._classes):
+        _wrap(monkeypatch, real, lambda *_, name=real.__name__: calls.update([name]))
+    forward(random_cloud(np.random.default_rng(151), 150, grid), grid, cfg, tensors)
+    assert calls["_classes"] == calls["window_classes"] == 2 * cfg.neck_layers
 
 
 @pytest.mark.parametrize("variant,overrides", [

@@ -9,6 +9,7 @@ from voxpillar.grid import (GridSpec, PointEncoderWeights, SparseTensor, assign_
                             run_max, voxelize)
 from voxpillar.reference import groupby_max, groupby_mean
 from voxpillar.selftest import random_cloud
+from voxpillar.sparse_conv import build_correspondence
 
 
 def identity_encoder():
@@ -148,7 +149,8 @@ def test_bev_consistency_at_stride_one(desk_grid):
         cloud = voxelize(pts, desk_grid)
         voxels = build_voxel_features(cloud)
         pillars = build_pillar_features(cloud, identity_encoder())
-        np.testing.assert_array_equal(voxels.bev_coords(), pillars.coords)
+        bounds = build_correspondence(voxels.coords, pillars.coords)
+        assert bounds.size == pillars.num_sites + 1 and bounds[-1] == voxels.num_sites
 
 
 def test_permutation_invariance(desk_grid):
@@ -228,21 +230,23 @@ def sorted_tensors(draw):
 @settings(max_examples=80)
 @given(sorted_tensors())
 def test_bev_runs_equal_unique_projection(t):
+    # the runs of the (l, w) columns of lex-sorted sites are their unique projection
     want, counts = np.unique(t.coords[:, :2], axis=0, return_counts=True)
-    bounds = t.bev_runs()
+    bounds = run_bounds(t.coords[:, :2])
     assert bounds[0] == 0 and bounds[-1] == t.num_sites
     np.testing.assert_array_equal(t.coords[bounds[:-1], :2], want)
-    np.testing.assert_array_equal(t.bev_coords(), want)
     np.testing.assert_array_equal(np.diff(bounds), counts)
+    np.testing.assert_array_equal(build_correspondence(t.coords, want), bounds)
 
 
 def test_bev_runs_empty_and_single_site():
     empty = _tensor(np.empty((0, 3)))
-    np.testing.assert_array_equal(empty.bev_runs(), [0])
-    assert empty.bev_coords().shape == (0, 2)
+    np.testing.assert_array_equal(run_bounds(empty.coords[:, :2]), [0])
+    np.testing.assert_array_equal(build_correspondence(empty.coords, np.empty((0, 2))), [0])
     single = _tensor([[2, 1, 0]])
-    np.testing.assert_array_equal(single.bev_runs(), [0, 1])
-    np.testing.assert_array_equal(single.bev_coords(), [[2, 1]])
+    np.testing.assert_array_equal(run_bounds(single.coords[:, :2]), [0, 1])
+    np.testing.assert_array_equal(build_correspondence(single.coords, np.array([[2, 1]])),
+                                  [0, 1])
 
 
 # Cells of 1/4 and points on a 1/16 lattice: many points lie on cell faces,
@@ -306,7 +310,8 @@ def test_shared_pass_matches_per_point_references(case):
     assert [tuple(c) for c in p.coords] == sorted(maxima)
     for coord, feat in zip(p.coords, p.features):
         assert feat.tobytes() == maxima[tuple(coord)].tobytes()
-    np.testing.assert_array_equal(p.coords, v.bev_coords())
+    np.testing.assert_array_equal(build_correspondence(v.coords, p.coords),
+                                  run_bounds(v.coords[:, :2]))
 
     moved = voxelize(pts[perm], EDGE_GRID)
     assert moved.dropped == cloud.dropped

@@ -13,9 +13,9 @@ from voxpillar.errors import ConsistencyViolation, ShapeMismatch, SpecMismatch
 from voxpillar.grid import (PointEncoderWeights, SparseTensor, build_pillar_features,
                             build_voxel_features, voxelize)
 from voxpillar.reference import dense_conv_reference, densify_features, enumerate_kernel_map
-from voxpillar.selftest import random_cloud
-from voxpillar.sparse_conv import (ConvSpec, ConvWeights, Lanes, bev_equal, build_kernel_map,
-                                   paired_downsample, sparse_conv)
+from voxpillar.selftest import random_cloud, random_consistent_pair
+from voxpillar.sparse_conv import (ConvSpec, ConvWeights, Lanes, bev_equal, build_correspondence,
+                                   build_kernel_map, paired_downsample, sparse_conv)
 
 
 def random_sparse(rng, extents, density, channels, ndim, stride=1):
@@ -575,6 +575,27 @@ def test_paired_chained_strides(desk_grid):
                                  random_conv_weights(rng, s3), random_conv_weights(rng, s2))
         assert v.stride == p.stride == expected_stride
         assert bev_equal(v, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 35), st.sampled_from(["same", "drop", "add"]))
+def test_bev_equal_is_true_exactly_when_build_correspondence_accepts(seed, n_cols, edit):
+    rng = np.random.default_rng(seed)
+    v, p = random_consistent_pair(rng, n_cols)
+    cols = p.coords.tolist()
+    if edit == "drop":
+        del cols[rng.integers(len(cols))]
+    elif edit == "add":
+        free = sorted(set(np.ndindex(*p.extents)) - {tuple(c) for c in cols})
+        cols = sorted(cols + [list(free[rng.integers(len(free))])])
+    coords = np.array(cols, dtype=np.int64).reshape(-1, 2)
+    p = SparseTensor(coords, np.ones((len(coords), 1)), 1, p.extents)
+    try:
+        build_correspondence(v.coords, p.coords)
+        accepted = True
+    except ConsistencyViolation:
+        accepted = False
+    assert bev_equal(v, p) == accepted == (edit == "same")
 
 
 def test_paired_rejects_mismatched_specs():
