@@ -1,7 +1,7 @@
 """Oriented 3D boxes and rotated-box IoU via batched convex polygon clipping.
 
 Candidate pairs are the one IoU code path: `_candidates` keeps the pairs of
-a block of a `_BoxTable` whose circumscribed circles and z intervals
+a block of a `_BoxTable` whose circumscribed circles and z extents
 overlap, and `_pair_iou` clips any list of such pairs in batches, each in
 a frame centred on its first box. `iou3d_matrix` scatters their values
 into a matrix; recall matching in `density` takes the pairs' values
@@ -17,27 +17,34 @@ import numpy as np
 
 from .errors import DegenerateBox
 
-# BEV intersection areas below this are treated as no overlap (shared
-# edges and touching corners).
+# BEV intersection areas below this share of the pair's smaller BEV area are
+# treated as no overlap (shared edges and touching corners).
 AREA_EPS = 1e-12
 # Pairs clipped per batch; bounds the clipper's working memory on crowded
 # scenes (about 2 KB per pair).
 PAIR_CHUNK = 4096
-# Relative slack on the sum of circumscribed radii in the prefilter, far
-# above the rounding of the corner arithmetic.
+# Relative slack on the sums of circumscribed radii and of half heights in the
+# prefilter, far above the rounding of the corner and z-overlap arithmetic.
 CIRCLE_MARGIN = 1e-6
-# Largest magnitude of a box's centre coordinates and dims, in metres. Every
-# product the IoU forms (volumes, squared centre distances and radii, corner
-# offset products) then stays below 1e301, far inside float64.
+# Largest magnitude of a box's centre coordinates and dims, in metres, and the
+# reciprocal of its smallest dim. Every product the IoU forms (volumes, squared
+# centre distances and radii, corner offset products) then lies between 1e-301
+# and 1e301, far inside float64's normal range.
 MAX_EXTENT = 1e100
+# Largest ratio of a box's BEV length to width, either way round. The shoelace
+# area of a rotated box cancels as (l/2)^2 against l*w: at this ratio its
+# relative error measured at most 1.4e-10 over 50,000 random headings and
+# sizes, and at 1e20 the area can round to 0.
+MAX_ASPECT = 1e6
 
 
 @dataclass(frozen=True)
 class Box3D:
     """7-DoF oriented box: center, dims (l, w, h), heading about +z.
 
-    Heading is canonicalized into (-pi, pi]; dims must be strictly positive,
-    and centre and dims at most `MAX_EXTENT` in magnitude.
+    Heading is canonicalized into (-pi, pi]. Centre and dims are at most
+    `MAX_EXTENT` in magnitude, dims at least 1 / `MAX_EXTENT`, and length and
+    width within a ratio of `MAX_ASPECT`; any other box raises DegenerateBox.
     """
 
     center: tuple[float, float, float]
@@ -55,8 +62,11 @@ class Box3D:
         if max(abs(v) for v in center + dims) > MAX_EXTENT:
             raise DegenerateBox(f"box centre and dims must lie within {MAX_EXTENT:g} m, "
                                 f"got center {center}, dims {dims}")
-        if min(dims) <= 0:
-            raise DegenerateBox(f"dims must be strictly positive, got {dims}")
+        if min(dims) < 1.0 / MAX_EXTENT:
+            raise DegenerateBox(f"dims must be at least {1.0 / MAX_EXTENT:g} m, got {dims}")
+        if max(dims[0] / dims[1], dims[1] / dims[0]) > MAX_ASPECT:
+            raise DegenerateBox(f"box length and width must lie within a ratio of "
+                                f"{MAX_ASPECT:g}, got dims {dims}")
         heading = math.remainder(heading, 2 * math.pi)  # -> [-pi, pi]
         if heading <= -math.pi:
             heading = math.pi
@@ -64,20 +74,30 @@ class Box3D:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "heading", heading)
 
-    @property
-    def z_interval(self) -> tuple[float, float]:
-        half = self.dims[2] / 2.0
-        return self.center[2] - half, self.center[2] + half
-
 
 def bev_corners(box: Box3D) -> np.ndarray:
     """The 4 BEV corners, counter-clockwise, shape (4, 2)."""
     return _BoxTable([box]).corners[0] + box.center[:2]
 
 
+def corner_offsets(box: Box3D) -> np.ndarray:
+    """All 8 corners as offsets from the box's centre, shape (8, 3): the BEV corners
+    counter-clockwise at the bottom, then at the top."""
+    half = box.dims[2] / 2.0
+    return np.column_stack((np.tile(_BoxTable([box]).corners[0], (2, 1)),
+                            np.repeat((-half, half), 4)))
+
+
 def corners_3d(box: Box3D) -> np.ndarray:
     """All 8 corners, shape (8, 3)."""
-    return np.column_stack((np.tile(bev_corners(box), (2, 1)), np.repeat(box.z_interval, 4)))
+    return corner_offsets(box) + box.center
+
+
+def enclosing_aabb(a: Box3D, b: Box3D) -> tuple[np.ndarray, np.ndarray]:
+    """Axis-aligned cuboid covering all 16 corners of both boxes, in a frame centred on
+    `a`: its (lo, hi) corners as offsets from a's centre."""
+    corners = np.vstack([corner_offsets(a), corner_offsets(b) + np.subtract(b.center, a.center)])
+    return corners.min(axis=0), corners.max(axis=0)
 
 
 def polygon_area(poly: np.ndarray) -> float:
@@ -114,7 +134,7 @@ def iou3d(a: Box3D, b: Box3D) -> float:
 def iou3d_matrix(a_boxes, b_boxes) -> np.ndarray:
     """(N, M) rotated 3D IoU of every pair (a_boxes[i], b_boxes[j]).
 
-    A pair whose circumscribed BEV circles or z intervals do not overlap is
+    A pair whose circumscribed BEV circles or z extents do not overlap is
     0 without clipping; `_pair_iou` gives every other entry. A pair's value
     does not depend on the other boxes, so the matrix is bitwise `iou3d` per
     entry and symmetric under swapping the two lists.
@@ -131,7 +151,7 @@ def iou3d_matrix(a_boxes, b_boxes) -> np.ndarray:
 class _BoxTable:
     """Per-box arrays of a box list: params (N, 7) in `_box_sort_key` order,
     the rank of each box under that key, CCW BEV corners (N, 4, 2) as offsets
-    from the box's centre, BEV area, circumscribed BEV radius and the z interval."""
+    from the box's centre, BEV area, circumscribed BEV radius and half height."""
 
     def __init__(self, boxes):
         self.params = np.array([_box_sort_key(b) for b in boxes],
@@ -149,24 +169,25 @@ class _BoxTable:
         self.corners = np.stack([lx * cos - ly * sin, lx * sin + ly * cos], axis=-1)
         self.area = _shoelace(self.corners[..., 0], self.corners[..., 1], np.full(len(p), 4))
         self.radius = 0.5 * np.sqrt(p[:, 3] * p[:, 3] + p[:, 4] * p[:, 4])
-        half = p[:, 5] / 2.0
-        self.lo, self.hi = p[:, 2] - half, p[:, 2] + half
+        self.half = p[:, 5] / 2.0
 
 
 def _candidates(table: _BoxTable, rows: np.ndarray, cols: np.ndarray):
     """(i, j) table indices of the pairs in the block `rows` x `cols` that may overlap.
 
-    Conservative: the circumscribed-circle radii get a relative margin far
-    above the rounding of the corner arithmetic, and the z test is the exact
-    `dz > 0` of `_pair_iou`, so no pair with positive IoU is dropped.
+    Conservative: the circumscribed-circle radii and the half heights get a
+    relative margin far above the rounding of the corner arithmetic and of
+    `_pair_iou`'s z overlap, which is positive only if the centres' z
+    difference, the same float either way round, is below the half heights'
+    sum times 1 + 2^-52. So no pair with positive IoU is dropped.
     """
-    p, radius = table.params, table.radius
+    p, radius, half = table.params, table.radius, table.half
     dx = p[rows, 0][:, None] - p[cols, 0]
     dy = p[rows, 1][:, None] - p[cols, 1]
     reach = (radius[rows][:, None] + radius[cols]) * (1.0 + CIRCLE_MARGIN)
     near = dx * dx + dy * dy <= reach * reach
-    near &= (np.minimum(table.hi[rows][:, None], table.hi[cols])
-             - np.maximum(table.lo[rows][:, None], table.lo[cols])) > 0.0
+    near &= (np.abs(p[rows, 2][:, None] - p[cols, 2])
+             <= (half[rows][:, None] + half[cols]) * (1.0 + CIRCLE_MARGIN))
     a, b = np.nonzero(near)
     return rows[a], cols[b]
 
@@ -175,25 +196,28 @@ def _pair_iou(table: _BoxTable, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """IoU of the pairs (table[i], table[j]): each pair's first box in `_box_sort_key`
     order is clipped by its second, `PAIR_CHUNK` pairs a batch.
 
-    The clip runs in a frame centred on the first box: its corners are its
-    centred ones and the second box's are its own plus the centre difference.
-    So the shoelace sums products of offsets, not of world coordinates, and
-    the value stays put when both boxes move far from the origin. Volumes use
-    the z-interval width, like the overlap, so identical boxes give
-    inter == vol and exactly 1.0.
+    The clip and the z overlap run in a frame centred on the first box: its
+    corners are its centred ones and its z extent is its half height either
+    way of 0; the second box's are its own plus the centre difference. So the
+    shoelace sums products of offsets, not of world coordinates, and the
+    value stays put when both boxes move far from the origin. Volumes use the
+    heights, so identical boxes give inter == vol and exactly 1.0. A BEV
+    overlap below `AREA_EPS` of the smaller BEV area counts as none.
     """
     swap = table.rank[j] < table.rank[i]
     first, second = np.where(swap, j, i), np.where(swap, i, j)
-    shift = (table.params[second, :2] - table.params[first, :2])[:, None, :]
+    shift = table.params[second, :3] - table.params[first, :3]
     chunks = np.arange(PAIR_CHUNK, len(first), PAIR_CHUNK)
     inter_area = np.concatenate([
         _shoelace(*_clip(table.corners[f], np.full(len(f), 4), table.corners[c] + d))
-        for f, c, d in zip(*(np.split(a, chunks) for a in (first, second, shift)))])
-    lo_f, hi_f, lo_s, hi_s = table.lo[first], table.hi[first], table.lo[second], table.hi[second]
-    dz = np.minimum(hi_f, hi_s) - np.maximum(lo_f, lo_s)
-    inter = inter_area * dz
-    union = table.area[first] * (hi_f - lo_f) + table.area[second] * (hi_s - lo_s) - inter
-    hit = (inter_area > AREA_EPS) & (dz > 0.0)
+        for f, c, d in zip(*(np.split(a, chunks)
+                             for a in (first, second, shift[:, None, :2])))])
+    half_f, half_s, dz = table.half[first], table.half[second], shift[:, 2]
+    overlap = np.minimum(half_f, dz + half_s) - np.maximum(-half_f, dz - half_s)
+    inter = inter_area * overlap
+    area_f, area_s = table.area[first], table.area[second]
+    union = area_f * table.params[first, 5] + area_s * table.params[second, 5] - inter
+    hit = (inter_area > AREA_EPS * np.minimum(area_f, area_s)) & (overlap > 0.0)
     return np.where(hit, np.clip(inter / np.where(hit, union, 1.0), 0.0, 1.0), 0.0)
 
 
@@ -267,12 +291,6 @@ def _clip(subject: np.ndarray, count: np.ndarray, clip: np.ndarray):
         px[rows, slot], py[rows, slot] = cand_x, cand_y
         px, py = px[:, :out_width], py[:, :out_width]
     return px, py, count
-
-
-def enclosing_aabb(a: Box3D, b: Box3D) -> tuple[np.ndarray, np.ndarray]:
-    """Axis-aligned cuboid covering all 16 corners of both boxes."""
-    corners = np.vstack([corners_3d(a), corners_3d(b)])
-    return corners.min(axis=0), corners.max(axis=0)
 
 
 def point_in_box(points: np.ndarray, box: Box3D) -> np.ndarray:

@@ -33,11 +33,12 @@ class LossWeights:
 def diou_loss(b: Box3D, gt: Box3D) -> float:
     """1 - IoU plus the squared center offset over the squared enclosing diagonal.
 
-    The enclosing cuboid is axis-aligned over all 16 corners of both boxes.
+    The enclosing cuboid is axis-aligned over all 16 corners of both boxes, taken as
+    offsets from b's centre, so the diagonal does not round away far from the origin.
     """
     lo, hi = enclosing_aabb(b, gt)
     d2 = float(np.sum((hi - lo) ** 2))
-    c2 = float(np.sum((np.array(b.center) - np.array(gt.center)) ** 2))
+    c2 = float(np.sum(np.subtract(gt.center, b.center) ** 2))
     return 1.0 - iou3d(b, gt) + c2 / d2
 
 

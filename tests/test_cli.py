@@ -240,6 +240,16 @@ def test_recall_csv(workspace, tmp_path):
     assert lines[1] == "0.1,1,1,1.0"
 
 
+def test_recall_matches_a_box_far_up_in_z(tmp_path):
+    # absolute z intervals lost this box's height, and recall read 0.0
+    box = {"center": [0, 0, 1e17], "dims": [4, 2, 1.5], "heading": 0.0}
+    boxes = tmp_path / "boxes.json"
+    boxes.write_text(json.dumps([{"box": box, "class": "Vehicle", "points": [[0, 0, 1e17, 0]]}]))
+    out = tmp_path / "recall.csv"
+    assert main(["recall", str(boxes), str(boxes), "--threshold", "0.7", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == ["0.1,1,1,1.0"]
+
+
 def test_recall_threshold_validation(workspace, tmp_path, capsys):
     gt_path = tmp_path / "gt.json"
     gt_path.write_text("[]")
@@ -263,6 +273,22 @@ def test_recall_refuses_boxes_beyond_the_extent_bound(tmp_path, capsys, box):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "entry 0 is not a valid box: box centre and dims must lie within 1e+100 m" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dims,message", [
+    ([1, 1, 1e-101], "dims must be at least 1e-100 m"),
+    ([2e6, 1, 1], "box length and width must lie within a ratio of 1e+06")])
+def test_recall_refuses_boxes_too_small_or_too_long(tmp_path, capsys, dims, message):
+    box = {"center": [0, 0, 0], "dims": dims, "heading": 0.3}
+    boxes = tmp_path / "boxes.json"
+    boxes.write_text(json.dumps([{"box": box, "class": "Vehicle", "points": [[0, 0, 0, 0]]}]))
+    out = tmp_path / "r.csv"
+    assert main(["recall", str(boxes), str(boxes), "--threshold", "0.5",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert f"entry 0 is not a valid box: {message}" in err
     assert not out.exists()
 
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from voxpillar.errors import DegenerateBox
-from voxpillar.geometry import (MAX_EXTENT, Box3D, bev_corners, clip_polygon, corners_3d,
-                                enclosing_aabb, iou3d, iou3d_matrix, point_in_box,
+from voxpillar.geometry import (MAX_ASPECT, MAX_EXTENT, Box3D, bev_corners, clip_polygon,
+                                corners_3d, enclosing_aabb, iou3d, iou3d_matrix, point_in_box,
                                 polygon_area)
 from voxpillar.losses import diou_loss
 from voxpillar.selftest import iou_monte_carlo_errors, random_box_pair
@@ -32,17 +32,42 @@ def test_boxes_beyond_the_extent_bound_are_refused():
 def test_boxes_at_the_extent_bound_give_iou_without_warnings():
     e = MAX_EXTENT
     boxes = [Box3D(c, d, h) for c in ((-e, -e, -e), (e, e, e), (e, -e, 0.0), (0.0, 0.0, 0.0))
-             for d in ((e, e, e), (e / 3, e / 2, e), (1.0, 1.0, 1.0), (1e-100, 1e-100, 1e-100))
+             for d in ((e, e, e), (e / 3, e / 2, e), (1.0, 1.0, 1.0), (1 / e, 1 / e, 1 / e),
+                       (MAX_ASPECT, 1.0, 1.0), (1.0, MAX_ASPECT, 1 / e), (e, e / MAX_ASPECT, 1.0))
              for h in (0.0, 0.3, math.pi / 2)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         m = iou3d_matrix(boxes, boxes)
     assert ((m >= 0.0) & (m <= 1.0)).all()
     np.testing.assert_array_equal(m, m.T)
-    # a unit box 1e100 m up has no z extent left after rounding, and 1e-100 m
-    # boxes fall below AREA_EPS; every other box is itself
-    whole = [i for i, b in enumerate(boxes) if b.dims[0] >= 1.0 and np.diff(b.z_interval) > 0]
-    assert len(whole) == 30 and (np.diag(m)[whole] == 1.0).all()
+    # in the pair frame every box is itself, however far up, small or long
+    np.testing.assert_array_equal(np.diag(m), np.ones(len(boxes)))
+
+
+@pytest.mark.parametrize("dims,match", [
+    ((1.0, 1.0, 0.99e-100), "at least 1e-100 m"), ((1.0, 0.0, 1.0), "at least 1e-100 m"),
+    ((1.01e6, 1.0, 1.0), "within a ratio of 1e[+]06"),
+    ((1e-90, 1e-97, 1.0), "within a ratio of 1e[+]06")])
+def test_boxes_too_small_or_too_long_are_refused(dims, match):
+    with pytest.raises(DegenerateBox, match=match):
+        Box3D((0.0, 0.0, 0.0), dims, 0.3)
+
+
+def test_identical_boxes_far_up_in_z_give_exactly_one():
+    # absolute z intervals lose a 1 m box's height at 1e16 m
+    for z in (1e16, -1e17, 1e50, MAX_EXTENT):
+        b = Box3D((0.0, 0.0, z), (4.0, 2.0, 1.0), 0.3)
+        assert iou3d(b, b) == 1.0 and diou_loss(b, b) == 0.0
+
+
+def test_tiny_boxes_are_themselves():
+    # an absolute area threshold of 1e-12 m^2 made these IoU 0 and DIoU loss 1
+    for size in (1e-6, 1e-20, 1 / MAX_EXTENT):
+        b = Box3D((0.5, -0.5, 0.1), (size, size, size), 0.7)
+        assert iou3d(b, b) == 1.0 and diou_loss(b, b) == 0.0
+        cube = Box3D((0.0, 0.0, 0.0), (size, size, size), 0.0)
+        shifted = Box3D((size / 2, 0.0, 0.0), (size, size, size), 0.0)
+        assert abs(iou3d(cube, shifted) - 1 / 3) <= 1e-9
 
 
 def test_bev_corners_shape_and_area():
@@ -142,9 +167,11 @@ def test_iou_against_monte_carlo():
 def test_enclosing_aabb_covers_both():
     rng = np.random.default_rng(53)
     a, b = random_box_pair(rng)
-    lo, hi = enclosing_aabb(a, b)
-    corners = np.vstack([corners_3d(a), corners_3d(b)])
+    lo, hi = enclosing_aabb(a, b)  # offsets from a's centre
+    corners = np.vstack([corners_3d(a), corners_3d(b)]) - a.center
     assert (corners >= lo - 1e-12).all() and (corners <= hi + 1e-12).all()
+    assert np.isclose(corners.min(axis=0), lo, rtol=0, atol=1e-12).all()
+    assert np.isclose(corners.max(axis=0), hi, rtol=0, atol=1e-12).all()
 
 
 def test_point_in_box_faces_inclusive():

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxpillar.density import greedy_match
-from voxpillar.geometry import (Box3D, _box_sort_key, _BoxTable, _pair_iou, iou3d,
-                                iou3d_matrix)
+from voxpillar.geometry import (MAX_ASPECT, MAX_EXTENT, Box3D, _box_sort_key, _BoxTable,
+                                _pair_iou, iou3d, iou3d_matrix)
+from voxpillar.losses import diou_loss
 from voxpillar.reference import greedy_match_reference, monte_carlo_iou
 
 PROPERTY = settings(max_examples=60)
@@ -104,10 +105,31 @@ def test_greedy_match_equals_reference_on_crowded_scenes(scene, threshold):
 
 
 @PROPERTY
-@given(boxes(z=st.floats(-1.0, 1.0)), st.tuples(*[st.floats(-1e12, 1e12)] * 3))
+@given(boxes(z=st.floats(-1.0, 1.0)), st.tuples(*[st.floats(-MAX_EXTENT, MAX_EXTENT)] * 3))
 def test_identical_boxes_far_from_the_origin_give_exactly_one(box, centre):
     box = Box3D(centre, box.dims, box.heading)
     assert iou3d(box, box) == 1.0
+
+
+@st.composite
+def bounded_boxes(draw):
+    """Boxes anywhere `Box3D` allows: centres within MAX_EXTENT, dims from 1 / MAX_EXTENT
+    to MAX_EXTENT and length and width within a ratio just under MAX_ASPECT."""
+    span = math.log10(MAX_EXTENT)
+    size = st.floats(-span, span).map(lambda k: 10.0 ** k)
+    length = draw(size)
+    ratio = draw(st.floats(-1.0, 1.0)) * math.log10(MAX_ASPECT) * 0.999
+    width = min(max(length * 10.0 ** ratio, 1 / MAX_EXTENT), MAX_EXTENT)
+    return Box3D(draw(st.tuples(*[st.floats(-MAX_EXTENT, MAX_EXTENT)] * 3)),
+                 (length, width, draw(size)), draw(heading))
+
+
+@PROPERTY
+@given(bounded_boxes())
+def test_identical_boxes_anywhere_within_the_bounds_give_iou_one_and_diou_zero(box):
+    # pytest turns any overflow or division warning into an error
+    assert iou3d(box, box) == 1.0
+    assert diou_loss(box, box) == 0.0
 
 
 # Multiples of 1/4 up to 8 m, and shifts by whole metres: every centre, z
