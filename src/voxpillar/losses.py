@@ -38,7 +38,7 @@ def diou_loss(b: Box3D, gt: Box3D) -> float:
     """
     lo, hi = enclosing_aabb(b, gt)
     d2 = float(np.sum((hi - lo) ** 2))
-    c2 = float(np.sum(np.subtract(gt.center, b.center) ** 2))
+    c2 = float(np.sum((np.array(b.center) - np.array(gt.center)) ** 2))
     return 1.0 - iou3d(b, gt) + c2 / d2
 
 

@@ -241,7 +241,7 @@ def test_recall_csv(workspace, tmp_path):
 
 
 def test_recall_matches_a_box_far_up_in_z(tmp_path):
-    # absolute z intervals lost this box's height, and recall read 0.0
+    # at 1e17 m a z interval's ends are 16 m apart in float64
     box = {"center": [0, 0, 1e17], "dims": [4, 2, 1.5], "heading": 0.0}
     boxes = tmp_path / "boxes.json"
     boxes.write_text(json.dumps([{"box": box, "class": "Vehicle", "points": [[0, 0, 1e17, 0]]}]))
